@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from . import filtration, homology, intz, linalg, witt
+from . import filtration, homology, intz, witt
 from .errors import FalsificationError, InputError
 from .rings import GaloisField, ring_from_spec
 from .series import TruncSeries
@@ -179,31 +178,16 @@ def _cmd_witt_twisted(args) -> str:
     return _vector_out(witt.twisted_frobenius(args.n, a, t), args.format)
 
 
-def _chunks(items: list, jobs: int) -> list[list]:
-    k = max(1, min(jobs, len(items)))
-    return [items[i::k] for i in range(k)]
-
-
 def _cmd_witt_kernel(args) -> str:
     trunc, ring = _witt_context(args)
     t = ring.element_from_str(args.t)
     n = args.n
     if args.stable:
         kernel = witt.stable_twisted_kernel(n, t, trunc, ring, args.bound)
-    elif args.jobs <= 1:
+    else:
         kernel = witt.kernel_enumerate(
             lambda a: witt.twisted_frobenius(n, a, t), trunc, ring, args.bound
         )
-    else:
-        vecs = list(witt.all_vectors(trunc, ring, args.bound))
-
-        def hits(chunk: list[tuple[int, witt.WittVector]]) -> list[int]:
-            return [i for i, a in chunk if witt.twisted_frobenius(n, a, t).is_zero()]
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            parts = list(ex.map(hits, _chunks(list(enumerate(vecs)), args.jobs)))
-        kernel = [vecs[i] for i in sorted(i for part in parts for i in part)]
-        witt._check_subgroup(kernel, trunc, ring)
     if args.format == "json":
         return _json_line(
             {"cardinality": len(kernel), "vectors": [str(v) for v in kernel]}
@@ -345,61 +329,26 @@ def _coalgebra_by_name(name: str) -> homology.GradedCoalgebra:
     )
 
 
-def _homology_cells(C: homology.ChainComplex, jobs: int) -> dict:
-    """Same table as ChainComplex.homology, strand by strand so the rank
-    computations can fan out over a thread pool; the merge order is fixed
-    by sorting, so output does not depend on the schedule."""
-    cells = [(q, w) for w in sorted(C.ranks) for q in sorted(C.ranks[w])
-             if C.ranks[w][q]]
-
-    def work(cell: tuple[int, int]):
-        q, w = cell
-        d_here = C.differential(q, w)
-        d_up = C.differential(q + 1, w)
-        rank_here = linalg.rank(d_here) if d_here else 0
-        rank_up = linalg.rank(d_up) if d_up else 0
-        free = C.rank(q, w) - rank_here - rank_up
-        torsion = [d for d in (linalg.invariant_factors(d_up) if d_up else [])
-                   if d > 1]
-        return (q, w), (free, torsion)
-
-    if jobs <= 1:
-        pairs = [work(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            pairs = list(ex.map(work, cells))
-    return dict(pairs)
-
-
-def _homology_out(C: homology.ChainComplex, jobs: int, fmt: str) -> str:
-    H = _homology_cells(C, jobs)
-    if fmt == "json":
-        rows = [
-            {"degree": q, "weight": w, "rank": H[(q, w)][0],
-             "torsion": H[(q, w)][1]}
-            for (q, w) in sorted(H)
-        ]
-        return _json_line({"cells": rows})
-    lines = ["degree\tweight\trank\ttorsion"]
-    for (q, w) in sorted(H):
-        free, torsion = H[(q, w)]
-        tor = ",".join(str(d) for d in torsion) if torsion else "-"
-        lines.append(f"{q}\t{w}\t{free}\t{tor}")
-    return "\n".join(lines) + "\n"
+def _homology_out(C: homology.ChainComplex, fmt: str) -> str:
+    if fmt != "json":
+        return homology.homology_tsv(C)
+    rows = [{"degree": q, "weight": w, "rank": free, "torsion": torsion}
+            for (q, w), (free, torsion) in sorted(C.homology().items())]
+    return _json_line({"cells": rows})
 
 
 def _cmd_homology_bar(args) -> str:
     A = _algebra_by_name(args.algebra)
     wb = args.weight_bound if args.weight_bound is not None else args.stages
     C = homology.bar_complex(A, args.stages, wb)
-    return _homology_out(C, args.jobs, args.format)
+    return _homology_out(C, args.format)
 
 
 def _cmd_homology_cobar(args) -> str:
     G = _coalgebra_by_name(args.coalgebra)
     db = args.degree_bound if args.degree_bound is not None else 2 * args.weight_bound
     C = homology.cobar_complex(G, db, args.weight_bound)
-    return _homology_out(C, args.jobs, args.format)
+    return _homology_out(C, args.format)
 
 
 # -- man page --------------------------------------------------------
@@ -587,8 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only members lifting one truncation level deeper")
     p.add_argument("--bound", type=int, default=200_000,
                    help="enumeration size limit")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the enumeration")
     p.set_defaults(func=_cmd_witt_kernel)
 
     p = sub.add_parser("unipoly", description="universal polynomials of one operation")
@@ -639,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, required=True, help="tensor length bound")
     p.add_argument("--weight-bound", type=int, default=None,
                    help="|weight| bound (default: stages)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads across strands")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_bar)
 
@@ -650,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-bound", type=int, default=5, help="|weight| bound")
     p.add_argument("--degree-bound", type=int, default=None,
                    help="|degree| bound (default: twice the weight bound)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads across strands")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_cobar)
 

@@ -208,7 +208,9 @@ def associated_graded(X: FilteredModule) -> dict[int, int]:
             out[n] = X.ranks[idx] - X.ranks[idx + 1]
         else:
             out[n] = X.ranks[idx]
-    assert sum(out.values()) == X.ranks[0]
+    if sum(out.values()) != X.ranks[0]:
+        raise FalsificationError(
+            f"graded ranks sum to {sum(out.values())}, not the rank {X.ranks[0]}")
     return out
 
 

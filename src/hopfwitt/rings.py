@@ -12,6 +12,16 @@ Four kinds, all commutative with unit and exact arithmetic:
 - PolynomialRing: Z[vars], elements are SparsePoly values with integer
   coefficients; this is the ring universal identities are proved over.
 
+Every ring R has a torsion-free lift: a ring ``R.lift_ring`` with a
+surjective ring map ``R.reduce`` onto R and a section ``R.lift`` (any
+preimage will do).  Z and Z[vars] are their own lift.  Z/m lifts to Z.
+F_q = F_p[w]/(f) lifts to MonicQuotientRing Z[w]/(f~), where f~ is the
+stored monic modulus read over Z, so reducing every coefficient mod p is
+a ring map onto F_q.  A lift ring also divides exactly by an integer
+(``div_int``).  Together these let an identity with integer
+coefficients, such as a Witt vector operation, be computed on lifts,
+where the Witt ghost map is injective, and then reduced.
+
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
 makes kernel enumerations deterministic.
@@ -52,6 +62,24 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    @property
+    def lift_ring(self) -> CoeffRing:
+        """A torsion-free ring this one is a quotient of; itself by default."""
+        return self
+
+    def lift(self, a):
+        """An element of lift_ring that reduces to a."""
+        return a
+
+    def reduce(self, x):
+        """The image of an element of lift_ring in this ring."""
+        return x
+
+    def div_int(self, a, n: int):
+        """a / n when n divides a exactly, else None; defined on the
+        torsion-free lift rings only."""
+        raise NotImplementedError(f"{self} has no exact division by integers")
 
     def pow(self, a, n: int):
         if n < 0:
@@ -113,6 +141,10 @@ class IntegerRing(CoeffRing):
     def mul(self, a, b):
         return a * b
 
+    def div_int(self, a, n: int):
+        q, r = divmod(a, n)
+        return None if r else q
+
     def element_str(self, a) -> str:
         return str(a)
 
@@ -131,6 +163,7 @@ class IntegerRing(CoeffRing):
 
 class ZModRing(CoeffRing):
     is_finite = True
+    lift_ring = IntegerRing()
 
     def __init__(self, m: int):
         if m < 2:
@@ -154,6 +187,9 @@ class ZModRing(CoeffRing):
 
     def mul(self, a, b):
         return (a * b) % self.m
+
+    def reduce(self, x):
+        return x % self.m
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.m))
@@ -202,18 +238,14 @@ class GaloisField(CoeffRing):
         if k > 1 and not _is_irreducible(modulus, p):
             raise InputError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        # reduction table: w^(k+i) in the power basis, i = 0..k-2
-        self._red: list[tuple[int, ...]] = []
-        if k > 1:
-            top = tuple((-c) % p for c in modulus[:k])  # w^k = -(lower part)
-            rep = list(top)
-            self._red.append(tuple(rep))
-            for _ in range(k - 2):
-                carry = rep[-1]
-                rep = [0] + rep[:-1]  # multiply by w
-                if carry:
-                    rep = [(rep[i] + carry * top[i]) % p for i in range(k)]
-                self._red.append(tuple(rep))
+        self._lift = MonicQuotientRing(modulus)
+
+    @property
+    def lift_ring(self) -> MonicQuotientRing:
+        return self._lift
+
+    def reduce(self, x):
+        return tuple(c % self.p for c in x)
 
     def zero(self):
         return (0,) * self.k
@@ -231,21 +263,7 @@ class GaloisField(CoeffRing):
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        k, p = self.k, self.p
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = [c % p for c in conv[:k]]
-        for i in range(k, 2 * k - 1):
-            c = conv[i] % p
-            if c:
-                red = self._red[i - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * red[j]) % p
-        return tuple(out)
+        return self.reduce(self._lift.mul(a, b))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         for idx in range(self.p ** self.k):
@@ -279,6 +297,65 @@ class GaloisField(CoeffRing):
 
     def __str__(self) -> str:
         return f"F_{self.p ** self.k}"
+
+
+class MonicQuotientRing(CoeffRing):
+    """Z[w]/(f) for a monic integer polynomial f of degree k: elements are
+    length-k tuples of ints, little-endian on the power basis of w.  It is
+    torsion-free, the lift ring of the field with the same modulus."""
+
+    def __init__(self, modulus: tuple[int, ...]):
+        self.modulus = modulus
+        self.k = k = len(modulus) - 1
+        # reduction table: w^(k+i) in the power basis, i = 0..k-2
+        self._red: list[tuple[int, ...]] = []
+        if k > 1:
+            top = [-c for c in modulus[:k]]  # w^k = -(lower part)
+            rep = list(top)
+            self._red.append(tuple(rep))
+            for _ in range(k - 2):
+                carry = rep[-1]
+                rep = [0] + rep[:-1]  # multiply by w
+                rep = [rep[i] + carry * top[i] for i in range(k)]
+                self._red.append(tuple(rep))
+
+    def zero(self):
+        return (0,) * self.k
+
+    def one(self):
+        return (1,) + (0,) * (self.k - 1)
+
+    def from_int(self, n: int):
+        return (n,) + (0,) * (self.k - 1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        k = self.k
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        out = conv[:k]
+        for i in range(k, 2 * k - 1):
+            c = conv[i]
+            if c:
+                red = self._red[i - k]
+                for j in range(k):
+                    out[j] += c * red[j]
+        return tuple(out)
+
+    def div_int(self, a, n: int):
+        qs = [divmod(c, n) for c in a]
+        return None if any(r for _, r in qs) else tuple(q for q, _ in qs)
+
+    def __str__(self) -> str:
+        return f"Z[w]/{self.modulus}"
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -333,6 +410,10 @@ class PolynomialRing(CoeffRing):
 
     def mul(self, a, b):
         return a * b
+
+    def div_int(self, a, n: int):
+        q = a.exact_div(n)
+        return q if q.is_integral() else None
 
     def element_str(self, a) -> str:
         return str(a)

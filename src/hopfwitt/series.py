@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import FalsificationError, InputError
 from .poly import SparsePoly
 
 
@@ -60,7 +60,7 @@ class TruncSeries:
             # C(a, n) = C(a, n-1) * (a - n + 1) / n, exact at every step
             num = c * (a - n + 1)
             if num % n:
-                raise AssertionError("binomial recurrence left a remainder")
+                raise FalsificationError("binomial recurrence left a remainder")
             c = num // n
             coeffs.append(c)
         return cls(var, trunc, coeffs)

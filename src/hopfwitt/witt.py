@@ -1,19 +1,23 @@
-"""Truncated big Witt vectors with exact universal operation polynomials.
+"""Truncated big Witt vectors, computed through the ghost map.
 
 A truncation set S is a finite divisor-closed set of positive integers;
 W_S(R) has one coordinate a_d per d in S and ghost components
 
     w_n(a) = sum_{d | n, d in S} d * a_d^(n/d).
 
-Ring operations are computed through universal polynomials with integer
-coefficients, generated once per (operation, truncation set) by solving
-the ghost system triangularly over Z[a_d, b_d]: the ghost of the result is
-prescribed (sum, product, negation of ghosts, or a ghost shift for the
-Frobenius), and each coordinate is recovered by an exact division by its
-index.  A division leaving a remainder would falsify the integrality
-theorem the whole construction rests on, so it raises FalsificationError.
-Because the polynomials have integer coefficients they can then be
-evaluated over any coefficient ring, torsion or not.
+Every ring operation runs the same way.  The components are lifted to the
+coefficient ring's torsion-free lift (Z for Z/m, Z[w]/(f) for F_q, the
+ring itself for Z and Z[vars]; see rings.py), the ghost components are
+formed there and combined as the operation prescribes (sum, product,
+negation, an integer multiple or power, a ghost shift for the Frobenius),
+and one triangular solve recovers the components, each by an exact
+division by its index, before they are reduced back.  The ghost map is
+injective on a torsion-free ring, and the operations are given by
+universal polynomials with integer coefficients, so the result is the
+same as evaluating those polynomials in the ring itself.  A division
+leaving a remainder would falsify that integrality theorem, so it raises
+FalsificationError.  The universal polynomials themselves are the same
+computation run on generic vectors over Z[a_d, b_d].
 
 The p-typical theory is the special case S = {1, p, ..., p^(k-1)}.
 
@@ -30,12 +34,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FalsificationError, InputError
 from .poly import SparsePoly
-from .rings import CoeffRing, IntegerRing, ring_from_json_obj
+from .rings import CoeffRing, IntegerRing, PolynomialRing, ring_from_json_obj
 
 
 def divisors(n: int) -> list[int]:
@@ -210,77 +213,66 @@ class WittVector:
         return cls(trunc, ring, comps)
 
 
-# -- ghost components -------------------------------------------------------
+# -- the ghost route -------------------------------------------------------
+
+
+def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> dict:
+    """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L."""
+    out = {}
+    for n in trunc:
+        acc = L.zero()
+        for d in trunc:
+            if d > n:
+                break
+            if n % d == 0:
+                acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
+        out[n] = acc
+    return out
+
+
+def _lifted_ghosts(a: WittVector) -> dict:
+    """Ghost components of the lift of a, in a.ring.lift_ring."""
+    R = a.ring
+    return _ghosts(R.lift_ring, a.trunc, {d: R.lift(a.comps[d]) for d in a.trunc})
+
+
+def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
+             error: type[Exception] = FalsificationError) -> dict:
+    """The components x_n in L whose ghost components are the given ones.
+
+    Triangular: n*x_n = w_n - sum_{d | n, d < n, d in S} d * x_d^(n/d).
+    L is torsion-free, so the solution is unique; a division by n leaving
+    a remainder means the ghost vector is not in the image, which for the
+    ghost vector of a ring operation falsifies the integrality theorem the
+    construction rests on.
+    """
+    out: dict[int, object] = {}
+    for n in trunc:
+        acc = ghosts[n]
+        for d in trunc:
+            if d >= n:
+                break
+            if n % d == 0:
+                acc = L.sub(acc, L.mul(L.from_int(d), L.pow(out[d], n // d)))
+        q = L.div_int(acc, n)
+        if q is None:
+            raise error(f"ghost vector is not integral at index {n}")
+        out[n] = q
+    return out
+
+
+def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing,
+                        ghosts: Mapping[int, object]) -> WittVector:
+    comps = _deghost(ring.lift_ring, trunc, ghosts)
+    return WittVector(trunc, ring, {d: ring.reduce(comps[d]) for d in trunc})
 
 
 def ghost(a: WittVector) -> list:
     """All ghost components, in truncation-set order."""
-    R = a.ring
-    out = []
-    for n in a.trunc:
-        acc = R.zero()
-        for d in divisors(n):
-            if d in a.trunc:
-                term = R.mul(R.from_int(d), R.pow(a.comps[d], n // d))
-                acc = R.add(acc, term)
-        out.append(acc)
-    return out
-
-
-def ghost_component(a: WittVector, n: int):
-    R = a.ring
-    acc = R.zero()
-    for d in divisors(n):
-        if d in a.trunc:
-            acc = R.add(acc, R.mul(R.from_int(d), R.pow(a.comps[d], n // d)))
-    return acc
+    return [a.ring.reduce(g) for g in _lifted_ghosts(a).values()]
 
 
 # -- universal polynomials --------------------------------------------------
-
-
-def _avar(d: int) -> SparsePoly:
-    return SparsePoly.variable(f"a{d}")
-
-
-def _bvar(d: int) -> SparsePoly:
-    return SparsePoly.variable(f"b{d}")
-
-
-def _symbolic_ghost(vars_of: Callable[[int], SparsePoly],
-                    S: TruncationSet, n: int) -> SparsePoly:
-    acc = SparsePoly()
-    for d in divisors(n):
-        if d in S:
-            acc = acc + vars_of(d) ** (n // d) * d
-    return acc
-
-
-def _solve_ghost_system(targets: Mapping[int, SparsePoly],
-                        S_out: TruncationSet, what: str) -> dict[int, SparsePoly]:
-    """Find integer polynomials P_d, d in S_out, whose symbolic ghost
-    matches the targets; the mainspring of the whole module.
-
-    Triangular: n*P_n = target_n - sum_{d|n, d<n, d in S_out} d * P_d^(n/d),
-    and the division by n must be exact over Z or the integrality theorem
-    is falsified.
-    """
-    out: dict[int, SparsePoly] = {}
-    for n in S_out:
-        acc = targets[n]
-        for d in divisors(n):
-            if d in S_out and d != n:
-                acc = acc - out[d] ** (n // d) * d
-        cand = acc.exact_div(n)
-        if not cand.is_integral():
-            raise FalsificationError(
-                f"universal {what} polynomial at index {n} is not integral"
-            )
-        out[n] = cand
-    return out
-
-
-_UNIVERSAL_CACHE: dict[tuple, dict[int, SparsePoly]] = {}
 
 
 def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int, SparsePoly]:
@@ -288,37 +280,33 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
 
     op is "sum", "product", "neg", or "frobenius" (which needs n); the
     result maps each output index to a polynomial in a_d (and b_d for the
-    binary operations).  Memoized per (op, S, n).
+    binary operations): the operation run on generic vectors over Z[a, b].
     """
-    key = (op, S.members, n)
-    if key in _UNIVERSAL_CACHE:
-        return _UNIVERSAL_CACHE[key]
-    ghost_a = {m: _symbolic_ghost(_avar, S, m) for m in S}
-    ghost_b = {m: _symbolic_ghost(_bvar, S, m) for m in S}
+    R = PolynomialRing()
+    a = WittVector(S, R, {d: SparsePoly.variable(f"a{d}") for d in S})
+    b = WittVector(S, R, {d: SparsePoly.variable(f"b{d}") for d in S})
     if op == "sum":
-        targets = {m: ghost_a[m] + ghost_b[m] for m in S}
-        result = _solve_ghost_system(targets, S, "sum")
+        out = witt_add(a, b)
     elif op == "product":
-        targets = {m: ghost_a[m] * ghost_b[m] for m in S}
-        result = _solve_ghost_system(targets, S, "product")
+        out = witt_mul(a, b)
     elif op == "neg":
-        targets = {m: -ghost_a[m] for m in S}
-        result = _solve_ghost_system(targets, S, "negation")
+        out = witt_neg(a)
     elif op == "frobenius":
         if n is None:
             raise InputError("frobenius needs the index n")
-        T = S.quotient(n)
-        targets = {m: ghost_a[n * m] for m in T}
-        result = _solve_ghost_system(targets, T, f"frobenius-{n}")
+        out = frobenius(n, a)
     else:
         raise InputError(f"unknown operation {op!r}")
-    _UNIVERSAL_CACHE[key] = result
-    return result
+    return out.comps
 
 
 def evaluate_universal(p: SparsePoly, assignment: Mapping[str, object],
                        ring: CoeffRing):
-    """Evaluate an integer polynomial at ring elements."""
+    """Evaluate an integer polynomial at ring elements.
+
+    No operation here uses it; tests evaluate universal polynomials with it
+    as an oracle independent of the lift route.
+    """
     total = ring.zero()
     for mono, c in p.items():
         if c.denominator != 1:
@@ -332,79 +320,56 @@ def evaluate_universal(p: SparsePoly, assignment: Mapping[str, object],
     return total
 
 
-def _binary_assignment(a: WittVector, b: WittVector) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for d in a.trunc:
-        out[f"a{d}"] = a.comps[d]
-    for d in b.trunc:
-        out[f"b{d}"] = b.comps[d]
-    return out
-
-
 # -- arithmetic -------------------------------------------------------------
 
 
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    a._check_compatible(b)
-    polys = universal_poly("sum", a.trunc)
-    env = _binary_assignment(a, b)
-    return WittVector(
-        a.trunc, a.ring,
-        {d: evaluate_universal(polys[d], env, a.ring) for d in a.trunc},
+def _unary(a: WittVector, f: Callable) -> WittVector:
+    """The vector whose lifted ghost components are f of those of a."""
+    return _from_lifted_ghosts(
+        a.trunc, a.ring, {m: f(g) for m, g in _lifted_ghosts(a).items()}
     )
+
+
+def _binary(a: WittVector, b: WittVector, f: Callable) -> WittVector:
+    a._check_compatible(b)
+    ga, gb = _lifted_ghosts(a), _lifted_ghosts(b)
+    return _from_lifted_ghosts(a.trunc, a.ring, {m: f(ga[m], gb[m]) for m in a.trunc})
+
+
+def witt_add(a: WittVector, b: WittVector) -> WittVector:
+    return _binary(a, b, a.ring.lift_ring.add)
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    a._check_compatible(b)
-    polys = universal_poly("product", a.trunc)
-    env = _binary_assignment(a, b)
-    return WittVector(
-        a.trunc, a.ring,
-        {d: evaluate_universal(polys[d], env, a.ring) for d in a.trunc},
-    )
-
-
-def witt_neg(a: WittVector) -> WittVector:
-    polys = universal_poly("neg", a.trunc)
-    env = {f"a{d}": a.comps[d] for d in a.trunc}
-    return WittVector(
-        a.trunc, a.ring,
-        {d: evaluate_universal(polys[d], env, a.ring) for d in a.trunc},
-    )
+    return _binary(a, b, a.ring.lift_ring.mul)
 
 
 def witt_sub(a: WittVector, b: WittVector) -> WittVector:
-    return witt_add(a, witt_neg(b))
+    return _binary(a, b, a.ring.lift_ring.sub)
+
+
+def witt_neg(a: WittVector) -> WittVector:
+    return _unary(a, a.ring.lift_ring.neg)
 
 
 def witt_int(n: int, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
-    """The image of the integer n under Z -> W_S(R) (n-fold sum of 1)."""
-    one = teichmuller(ring.one(), trunc, ring)
-    acc = WittVector.zero(trunc, ring)
-    k = abs(n)
-    # double-and-add keeps this O(log n) Witt sums
-    base = one
-    while k:
-        if k & 1:
-            acc = witt_add(acc, base)
-        if k > 1:
-            base = witt_add(base, base)
-        k >>= 1
-    return witt_neg(acc) if n < 0 else acc
+    """The image of the integer n under Z -> W_S(R): every ghost is n."""
+    return _from_lifted_ghosts(trunc, ring, {m: ring.lift_ring.from_int(n) for m in trunc})
 
 
 def witt_scalar(n: int, a: WittVector) -> WittVector:
     """n-fold additive multiple of a."""
-    acc = WittVector.zero(a.trunc, a.ring)
-    base = a
-    k = abs(n)
-    while k:
-        if k & 1:
-            acc = witt_add(acc, base)
-        if k > 1:
-            base = witt_add(base, base)
-        k >>= 1
-    return witt_neg(acc) if n < 0 else acc
+    L = a.ring.lift_ring
+    k = L.from_int(n)
+    return _unary(a, lambda g: L.mul(k, g))
+
+
+def witt_pow(a: WittVector, k: int) -> WittVector:
+    """k-th Witt power of a, k >= 0."""
+    if k < 0:
+        raise InputError("negative Witt powers are not defined")
+    L = a.ring.lift_ring
+    return _unary(a, lambda g: L.pow(g, k))
 
 
 # -- the standard operators -------------------------------------------------
@@ -422,11 +387,8 @@ def frobenius(n: int, a: WittVector) -> WittVector:
     if n < 1:
         raise InputError("Frobenius index must be positive")
     T = a.trunc.quotient(n)
-    polys = universal_poly("frobenius", a.trunc, n)
-    env = {f"a{d}": a.comps[d] for d in a.trunc}
-    return WittVector(
-        T, a.ring, {m: evaluate_universal(polys[m], env, a.ring) for m in T}
-    )
+    g = _lifted_ghosts(a)
+    return _from_lifted_ghosts(T, a.ring, {m: g[n * m] for m in T})
 
 
 def verschiebung(n: int, a: WittVector, target: TruncationSet) -> WittVector:
@@ -454,30 +416,15 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     """TF_n(a; t) = F_n(a) - [t]^(n-1) * restrict(a), valued in W_{S/n}.
 
     t is a ring element; t = ring.one() degenerates to F_n - restrict and
-    t = ring.zero() to F_n.
+    t = ring.zero() to F_n.  Ghost m of the result is
+    w_nm(a) - t^((n-1)m) * w_m(a).
     """
     T = a.trunc.quotient(n)
-    lead = frobenius(n, a)
-    tei = teichmuller(t, T, a.ring)
-    tw = witt_mul(_witt_pow(tei, n - 1), a.restrict(T))
-    return witt_sub(lead, tw)
-
-
-def _witt_pow(a: WittVector, k: int) -> WittVector:
-    if k < 0:
-        raise InputError("negative Witt powers are not defined")
-    result = witt_int(1, a.trunc, a.ring)
-    base = a
-    while k:
-        if k & 1:
-            result = witt_mul(result, base)
-        if k > 1:
-            base = witt_mul(base, base)
-        k >>= 1
-    return result
-
-
-witt_pow = _witt_pow
+    L = a.ring.lift_ring
+    g, tl = _lifted_ghosts(a), a.ring.lift(t)
+    return _from_lifted_ghosts(
+        T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(tl, (n - 1) * m), g[m])) for m in T}
+    )
 
 
 # -- ghost inversion over Z -------------------------------------------------
@@ -493,18 +440,7 @@ def from_ghost(values: Sequence[int], trunc: TruncationSet) -> WittVector:
     ring = IntegerRing()
     if len(values) != len(trunc):
         raise InputError("ghost vector length does not match the truncation set")
-    vals = dict(zip(trunc, values))
-    comps: dict[int, int] = {}
-    for m in trunc:
-        acc = vals[m]
-        for d in divisors(m):
-            if d in trunc and d != m:
-                acc -= d * comps[d] ** (m // d)
-        if acc % m:
-            raise InputError(
-                f"ghost vector is not integral at index {m}: remainder {acc % m}"
-            )
-        comps[m] = acc // m
+    comps = _deghost(ring, trunc, dict(zip(trunc, values)), InputError)
     return WittVector(trunc, ring, comps)
 
 

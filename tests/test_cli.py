@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hopfwitt
-from hopfwitt import cli, homology, intz, witt
+from hopfwitt import cli, intz, witt
 from hopfwitt.rings import ring_from_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -195,26 +195,6 @@ class TestJsonRoundTrips:
         obj = json.loads(out)
         assert obj["n"] == 2
         assert sorted(obj["polys"]) == ["1"]
-
-
-class TestJobs:
-    def test_bar_jobs_byte_identical(self, capsys):
-        argv = ["homology", "bar", "--algebra", "truncated:3", "--stages", "3"]
-        _, serial, _ = run_cli(argv, capsys)
-        _, threaded, _ = run_cli(argv + ["--jobs", "3"], capsys)
-        assert serial == threaded
-
-    def test_kernel_jobs_byte_identical(self, capsys):
-        argv = ["witt", "kernel", "--trunc", "1,2", "--ring", "Zmod:4",
-                "--n", "2", "--t", "1"]
-        _, serial, _ = run_cli(argv, capsys)
-        _, threaded, _ = run_cli(argv + ["--jobs", "4"], capsys)
-        assert serial == threaded
-
-    def test_parallel_table_agrees_with_complex_method(self):
-        C = homology.bar_complex(cli._truncated_algebra(3), 3, 3)
-        assert cli._homology_cells(C, 3) == C.homology()
-        assert cli._homology_out(C, 1, "text") == homology.homology_tsv(C)
 
 
 class TestManPage:

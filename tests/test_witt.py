@@ -7,9 +7,11 @@ concrete vectors.  Universality is checked by computing over Z/m directly
 and comparing with the reduction of the computation over Z.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
@@ -19,6 +21,7 @@ from hopfwitt.witt import (
     WittVector,
     all_vectors,
     divides_additively,
+    evaluate_universal,
     frobenius,
     from_ghost,
     ghost,
@@ -152,6 +155,73 @@ def test_universality_over_torsion_rings():
             over_z = op(a, b)
             over_m = opm(am, bm)
             assert [x % 9 for x in over_z.as_list()] == over_m.as_list()
+
+
+# -- the lift route against universal polynomials --------------------------
+
+ORACLE_RINGS = [ZModRing(4), ZModRing(8), ZModRing(9), GaloisField(2, 2),
+                GaloisField(3, 2)]
+ORACLE_SETS = [TruncationSet(s) for s in ([1, 2], [1, 2, 4], [1, 3], [1, 2, 3, 6])]
+
+
+@functools.lru_cache(maxsize=None)
+def _polys(op, S, n=None):
+    return universal_poly(op, S, n)
+
+
+def _by_polys(op, a, b=None, n=None):
+    """op evaluated directly in a.ring from its universal polynomials."""
+    env = {f"a{d}": a.comps[d] for d in a.trunc}
+    if b is not None:
+        env.update({f"b{d}": b.comps[d] for d in b.trunc})
+    polys = _polys(op, a.trunc, n)
+    S = a.trunc.quotient(n) if op == "frobenius" else a.trunc
+    return WittVector(S, a.ring, {d: evaluate_universal(polys[d], env, a.ring) for d in S})
+
+
+@st.composite
+def _oracle_case(draw):
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    S = draw(st.sampled_from(ORACLE_SETS))
+    els = list(ring.elements())
+
+    def vec():
+        return WittVector.from_list(S, ring, [draw(st.sampled_from(els)) for _ in S])
+
+    return ring, S, vec(), vec(), draw(st.sampled_from(els))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_case())
+def test_lift_route_matches_universal_polynomials(case):
+    ring, S, a, b, t = case
+    assert witt_add(a, b) == _by_polys("sum", a, b)
+    assert witt_mul(a, b) == _by_polys("product", a, b)
+    assert witt_neg(a) == _by_polys("neg", a)
+    for n in [m for m in S if m > 1]:
+        T = S.quotient(n)
+        lead = _by_polys("frobenius", a, n=n)
+        assert frobenius(n, a) == lead
+        # TF_n(a; t) = F_n(a) - [t^(n-1)] * restrict(a), [.] multiplicative
+        tw = _by_polys("product", teichmuller(ring.pow(t, n - 1), T, ring),
+                       a.restrict(T))
+        assert twisted_frobenius(n, a, t) == _by_polys("sum", lead, _by_polys("neg", tw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_case(), st.integers(-6, 6), st.integers(0, 6))
+def test_multiples_and_powers_match_repeated_operations(case, n, k):
+    ring, S, a, _, _ = case
+    zero, one = WittVector.zero(S, ring), teichmuller(ring.one(), S, ring)
+    ones, copies, power = zero, zero, one
+    for _ in range(abs(n)):
+        ones, copies = witt_add(ones, one), witt_add(copies, a)
+    for _ in range(k):
+        power = witt_mul(power, a)
+    sign = witt_neg if n < 0 else (lambda v: v)
+    assert witt_int(n, S, ring) == sign(ones)
+    assert witt_scalar(n, a) == sign(copies)
+    assert witt_pow(a, k) == power
 
 
 # -- ring laws over Z -------------------------------------------------------
