@@ -12,22 +12,22 @@ are O(deg^2) but the value table keeps intermediate objects small.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .errors import InputError
 from .poly import SparsePoly
 
 
 def binomial_int(a: int, n: int) -> int:
-    """C(a, n) for any integer a and n >= 0, by the exact product formula.
+    """C(a, n) for any integer a and n >= 0.
 
-    Negative a is allowed: C(-2, 3) = -4, via the same falling product.
+    Negative a is allowed: C(a, n) = (-1)^n C(n-a-1, n), so C(-2, 3) = -4.
     """
     if n < 0:
         raise InputError("lower binomial index must be nonnegative")
-    result = 1
-    for i in range(1, n + 1):
-        result = result * (a - i + 1) // i  # exact: i! divides any i consecutive
-    return result
+    if a >= 0:
+        return comb(a, n)
+    return (-1) ** n * comb(n - a - 1, n)
 
 
 def falling_factorial(n: int, var: str = "x") -> SparsePoly:
@@ -39,20 +39,11 @@ def falling_factorial(n: int, var: str = "x") -> SparsePoly:
     return out
 
 
-_BINOM_CACHE: dict[tuple[int, str], SparsePoly] = {}
-
-
 def binomial_poly(n: int, var: str = "x") -> SparsePoly:
     """C(x, n) as an element of Q[x]."""
     if n < 0:
         raise InputError("binomial polynomial index must be nonnegative")
-    key = (n, var)
-    if key not in _BINOM_CACHE:
-        fact = 1
-        for i in range(2, n + 1):
-            fact *= i
-        _BINOM_CACHE[key] = falling_factorial(n, var).exact_div(fact)
-    return _BINOM_CACHE[key]
+    return falling_factorial(n, var).exact_div(factorial(n))
 
 
 def binomial_transform(p: SparsePoly, var: str = "x") -> list[Fraction]:

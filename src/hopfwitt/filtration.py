@@ -376,8 +376,7 @@ class GradedAlgebraPresentation:
 def binomial_constants(i: int, j: int) -> dict[int, int]:
     """Coefficients of the product of binomial basis elements i and j in
     the binomial basis."""
-    prod = intz.mult(intz.IntZElement.basis(i), intz.IntZElement.basis(j))
-    return dict(prod.items())
+    return intz.basis_product(i, j)
 
 
 def _gen_label(k: int) -> str:

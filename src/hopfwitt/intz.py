@@ -2,17 +2,18 @@
 
 Elements are finite Z-linear combinations of C(x,n) = x(x-1)...(x-n+1)/n!,
 stored as a map from basis index to integer coefficient.  This basis is
-free over Z, products are computed by expanding to Q[x], multiplying, and
-transforming back (any non-integer coefficient on the way back would
-falsify integer-valuedness and raises FalsificationError), and the Hopf
-structure is:
+free over Z and every operation works on it through classical closed
+forms, so integrality holds by construction:
 
+- product  C(x,m) C(x,n) = sum_k C(k,m) C(m,k-n) C(x,k), max(m,n) <= k <= m+n,
+  whose top constant C(m+n,n) is the divided-power structure of the
+  associated graded;
 - comultiplication  Delta C(x,n) = sum_{i+j=n} C(x,i) (x) C(x,j),
   the coefficient-level form of the Vandermonde identity
   C(a+b,n) = sum C(a,i) C(b,j);
 - counit: evaluation at 0;
-- antipode: the unique degree-recursive solution of
-  m (S (x) id) Delta = unit . counit, which works out to f(x) |-> f(-x).
+- antipode  S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k),
+  from C(-x,n) = (-1)^n C(x+n-1,n) and Vandermonde.
 
 The same module holds the degree filtration (span of C(x,k), k <= n) and
 the pairing against Z[[u]], u = t-1, under which C(x,n) is dual to u^n and
@@ -22,11 +23,11 @@ integer points become group-like series (1+u)^a.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Iterator, Mapping
+from math import comb
+from typing import Iterable, Iterator, Mapping
 
-from .binomial import binomial_expand, binomial_int, binomial_poly, binomial_transform
-from .errors import FalsificationError, InputError
+from .binomial import binomial_expand, binomial_int, binomial_transform
+from .errors import InputError
 from .poly import SparsePoly
 from .series import TruncSeries
 
@@ -293,10 +294,8 @@ class TensorElement:
 
     def contract_product(self) -> IntZElement:
         """Apply the multiplication map, m(f (x) g) = f*g."""
-        total = IntZElement()
-        for (m, n), c in self._coeffs.items():
-            total = total + basis_product(m, n).scale(c)
-        return total
+        return _accumulate((c, basis_product(m, n).items())
+                           for (m, n), c in self._coeffs.items())
 
     def map_left(self, fn) -> "dict[tuple[int, int, int], int]":
         """Apply an IntZElement -> TensorElement map to the left slot,
@@ -356,37 +355,43 @@ class TensorElement:
 # -- ring and Hopf operations ---------------------------------------------
 
 
-def mult(f: IntZElement, g: IntZElement) -> IntZElement:
-    """Product, via expansion to Q[x] and the binomial transform back.
+# Largest accepted (terms formed) x (top basis index of the result) for
+# mult and antipode; at the limit either takes about a second.
+WORK_LIMIT = 10_000_000
 
-    The re-transform landing outside Z would contradict closure of the
-    integer-valued subring under multiplication, so it raises
-    FalsificationError rather than InputError.
-    """
-    p = f.to_poly() * g.to_poly()
-    coeffs = binomial_transform(p)
+
+def _check_work(counts: Iterable[int], top: int, what: str) -> None:
+    """Refuse when sum(counts) * top exceeds WORK_LIMIT, before any term is
+    formed; stops summing as soon as the budget is spent."""
+    budget = WORK_LIMIT // max(top, 1)
+    total = 0
+    for c in counts:
+        total += c
+        if total > budget:
+            raise InputError(f"bound overflow: {what} would form more than "
+                             f"{budget} terms up to C(x,{top})")
+
+
+def _accumulate(parts: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> IntZElement:
+    """sum of c * (sum_k d_k C(x,k)) over the given (c, [(k, d_k)]) parts."""
     out: dict[int, int] = {}
-    for n, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise FalsificationError(
-                f"product left the integral lattice at C(x,{n}): {c}"
-            )
-        if c:
-            out[n] = int(c)
+    for c, terms in parts:
+        for k, d in terms:
+            out[k] = out.get(k, 0) + c * d
     return IntZElement(out)
 
 
-_BASIS_PRODUCT_CACHE: dict[tuple[int, int], IntZElement] = {}
+def basis_product(m: int, n: int) -> dict[int, int]:
+    """C(x,m) * C(x,n) = sum_k C(k,m) C(m,k-n) C(x,k), max(m,n) <= k <= m+n."""
+    return {k: comb(k, m) * comb(m, k - n) for k in range(max(m, n), m + n + 1)}
 
 
-def basis_product(m: int, n: int) -> IntZElement:
-    """Cached C(x,m) * C(x,n); the repeated-product workhorse."""
-    key = (m, n) if m <= n else (n, m)
-    if key not in _BASIS_PRODUCT_CACHE:
-        _BASIS_PRODUCT_CACHE[key] = mult(
-            IntZElement.basis(key[0]), IntZElement.basis(key[1])
-        )
-    return _BASIS_PRODUCT_CACHE[key]
+def mult(f: IntZElement, g: IntZElement) -> IntZElement:
+    """Product, the bilinear extension of basis_product."""
+    _check_work((min(m, n) + 1 for m in f._coeffs for n in g._coeffs),
+                max(f._coeffs, default=0) + max(g._coeffs, default=0), "product")
+    return _accumulate((a * b, basis_product(m, n).items())
+                       for m, a in f._coeffs.items() for n, b in g._coeffs.items())
 
 
 def comult(f: IntZElement) -> TensorElement:
@@ -409,35 +414,19 @@ def eval_at(f: IntZElement, a: int) -> int:
     return sum(c * binomial_int(a, n) for n, c in f.items())
 
 
-_ANTIPODE_CACHE: dict[int, IntZElement] = {}
-
-
 def antipode_basis(n: int) -> IntZElement:
-    """S(C(x,n)), solved degree by degree from m(S (x) id)Delta = unit.counit.
-
-    For n >= 1 the axiom forces S(C_n) = -sum_{i<n} S(C_i) * C_{n-i}; the
-    base case is S(1) = 1.
-    """
+    """S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k); S(1) = 1."""
     if n < 0:
         raise InputError("basis index must be nonnegative")
-    if n in _ANTIPODE_CACHE:
-        return _ANTIPODE_CACHE[n]
     if n == 0:
-        result = IntZElement.one()
-    else:
-        acc = IntZElement()
-        for i in range(n):
-            acc = acc + mult(antipode_basis(i), IntZElement.basis(n - i))
-        result = -acc
-    _ANTIPODE_CACHE[n] = result
-    return result
+        return IntZElement.one()
+    sign = -1 if n % 2 else 1
+    return IntZElement({k: sign * comb(n - 1, k - 1) for k in range(1, n + 1)})
 
 
 def antipode(f: IntZElement) -> IntZElement:
-    total = IntZElement()
-    for n, c in f.items():
-        total = total + antipode_basis(n).scale(c)
-    return total
+    _check_work(f._coeffs, max(f._coeffs, default=0), "antipode")
+    return _accumulate((c, antipode_basis(n).items()) for n, c in f._coeffs.items())
 
 
 # -- filtration -------------------------------------------------------------
@@ -463,8 +452,7 @@ def graded_constant(m: int, n: int) -> int:
     """Top binomial-basis coefficient of C(x,m) * C(x,n).
 
     This is the structure constant of the associated graded divided power
-    algebra, gamma_m gamma_n = C(m+n, n) gamma_{m+n}; it is extracted from
-    the actual product, not from the closed form.
+    algebra, gamma_m gamma_n = C(m+n, n) gamma_{m+n}, read off the product.
     """
     if m < 0 or n < 0:
         raise InputError("basis indices must be nonnegative")
@@ -474,6 +462,11 @@ def graded_constant(m: int, n: int) -> int:
 # -- Frobenius congruence ---------------------------------------------------
 
 
+# Longest accepted value table p * max(deg f, 1) + 1 for the Frobenius
+# check, whose difference pass is quadratic in it.
+FROB_TABLE_LIMIT = 2_000
+
+
 def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     """Whether f^p == f modulo p, the perfectness witness mod p.
 
@@ -481,11 +474,15 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     the values g(0..deg g), so the whole check runs on the value table
     reduced mod p: build the difference table of (f(k)^p - f(k)) mod p and
     ask that every leading entry vanishes.  No rational arithmetic and no
-    degree-p*deg(f) expansion is ever materialized.
+    degree-p*deg(f) expansion is ever materialized.  A table longer than
+    FROB_TABLE_LIMIT is refused before p is tested for primality.
     """
+    d = filtration_degree(f)
+    if p * max(d or 0, 1) + 1 > FROB_TABLE_LIMIT:
+        raise InputError(f"bound overflow: the mod-{p} check of a degree-{d} "
+                         f"element needs more than {FROB_TABLE_LIMIT} values")
     if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")
-    d = filtration_degree(f)
     if d is None:
         return True
     bound = p * d + 1

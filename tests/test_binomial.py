@@ -49,6 +49,16 @@ def test_generalized_binomial_matches_polynomial_evaluation(a, n):
     assert binomial_int(a, n) == binomial_poly(n).evaluate({"x": a})
 
 
+def test_generalized_binomial_matches_falling_product():
+    """a(a-1)...(a-n+1)/n!, one exact division per factor."""
+    for a in range(-40, 41):
+        for n in range(45):
+            product = 1
+            for i in range(1, n + 1):
+                product = product * (a - i + 1) // i
+            assert binomial_int(a, n) == product
+
+
 def test_binomial_poly_small_cases():
     x = SparsePoly.variable("x")
     assert binomial_poly(0) == SparsePoly.constant(1)

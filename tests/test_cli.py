@@ -138,6 +138,30 @@ class TestExitCodes:
                              capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["intz", "antipode", "C(x,1000000)"],
+        ["intz", "frobtest", "C(x,30)", "--primes", "10007"],
+        ["intz", "frobtest", "C(x,1)", "--primes", "1000000000000000003"],
+    ])
+    def test_work_over_limit_exits_two(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err
+
+    def test_dense_product_from_file_over_limit_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "dense.txt"
+        p.write_text("+".join(f"C(x,{k})" for k in range(1, 201)) + "\n")
+        rc, out, err = run_cli(["intz", "mul", f"@{p}", f"@{p}"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err
+
+    def test_eval_far_below_index_is_zero(self, capsys):
+        rc, out, _ = run_cli(["intz", "eval", "C(x,300000000)", "5"], capsys)
+        assert rc == 0
+        assert out == "0\n"
+
     def test_missing_payload_file(self, capsys):
         rc, _, err = run_cli(["intz", "antipode", "@/no/such/file"], capsys)
         assert rc == 2
