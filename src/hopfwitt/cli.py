@@ -33,8 +33,11 @@ def _payload(text: str) -> str:
 
 
 def _ints(text: str, flag: str) -> list[int]:
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if any(len(tok) > intz.MAX_DIGITS for tok in toks):
+        raise InputError(f"bound overflow: {flag} has a numeral over {intz.MAX_DIGITS} digits")
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in toks]
     except ValueError as exc:
         raise InputError(f"{flag} wants comma-separated integers, got {text!r}") from exc
 
@@ -91,11 +94,12 @@ def _cmd_intz_antipode(args) -> str:
     return _element_out(intz.antipode(_element(args.f)), args.format)
 
 
+def _value_out(v: int, fmt: str) -> str:
+    return _json_line({"value": v}) if fmt == "json" else f"{v}\n"
+
+
 def _cmd_intz_eval(args) -> str:
-    v = intz.eval_at(_element(args.f), args.a)
-    if args.format == "json":
-        return _json_line({"value": v})
-    return f"{v}\n"
+    return _value_out(intz.eval_at(_element(args.f), args.a), args.format)
 
 
 def _cmd_intz_pair(args) -> str:
@@ -106,10 +110,7 @@ def _cmd_intz_pair(args) -> str:
     else:
         top = max(f.support(), default=0)
         trunc = max(len(coeffs), top + 1, 1)
-    v = intz.pair(f, TruncSeries(args.var, trunc, coeffs))
-    if args.format == "json":
-        return _json_line({"value": v})
-    return f"{v}\n"
+    return _value_out(intz.pair(f, TruncSeries(args.var, trunc, coeffs)), args.format)
 
 
 def _cmd_intz_frobtest(args) -> str:
@@ -277,22 +278,6 @@ def _cmd_filt_drinfeld(args) -> str:
 # -- homology subcommands --------------------------------------------
 
 
-def _truncated_algebra(p: int) -> homology.GradedAugmentedAlgebra:
-    """Z[x]/x^p with deg x = 2, weight 1."""
-    if p < 2:
-        raise InputError("truncated:p needs p >= 2")
-
-    def lab(k: int) -> str:
-        return "1" if k == 0 else ("x" if k == 1 else f"x{k}")
-
-    basis = [(lab(k), 2 * k, k) for k in range(p)]
-    products = {}
-    for a in range(p):
-        for b in range(p):
-            products[(lab(a), lab(b))] = {lab(a + b): 1} if a + b < p else {}
-    return homology.GradedAugmentedAlgebra(basis, "1", products)
-
-
 def _algebra_by_name(name: str) -> homology.GradedAugmentedAlgebra:
     if name == "trivial":
         return homology.GradedAugmentedAlgebra.trivial()
@@ -305,7 +290,7 @@ def _algebra_by_name(name: str) -> homology.GradedAugmentedAlgebra:
             p = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad algebra name {name!r}") from exc
-        return _truncated_algebra(p)
+        return homology.GradedAugmentedAlgebra.truncated(p)
     raise InputError(
         f"unknown algebra {name!r}; choose trivial, exterior-deg-neg1, "
         "exterior-deg1, or truncated:p"

@@ -29,6 +29,16 @@ Chain = dict[tuple, int]
 
 _TUPLE_CAP = 200_000
 
+# Largest accepted cube of a named (co)algebra's basis size: construction
+# checks (co)associativity over label triples, up to a second at the limit.
+VALIDATION_LIMIT = 400_000
+
+
+def _check_basis_size(n: int) -> None:
+    if n ** 3 > VALIDATION_LIMIT:
+        raise InputError(f"bound overflow: checking a basis of {n} labels takes "
+                         f"more than {VALIDATION_LIMIT} label triples")
+
 
 def _add_term(acc: Chain, key: tuple, coeff: int) -> None:
     s = acc.get(key, 0) + coeff
@@ -110,6 +120,17 @@ class GradedAugmentedAlgebra:
             {("1", "1"): {"1": 1}, ("1", label): {label: 1},
              (label, "1"): {label: 1}, (label, label): {}})
 
+    @classmethod
+    def truncated(cls, p: int) -> GradedAugmentedAlgebra:
+        """Z[x]/x^p with deg x = 2, weight 1."""
+        if p < 2:
+            raise InputError("truncated:p needs p >= 2")
+        _check_basis_size(p)
+        lab = ["1", "x"] + [f"x{k}" for k in range(2, p)]
+        products = {(lab[a], lab[b]): {lab[a + b]: 1} if a + b < p else {}
+                    for a in range(p) for b in range(p)}
+        return cls([(lab[k], 2 * k, k) for k in range(p)], "1", products)
+
     def augmentation_ideal(self) -> list[str]:
         return [g for g in self.labels if g != self.unit]
 
@@ -181,6 +202,7 @@ class GradedCoalgebra:
         the full convolution sum."""
         if bound < 0:
             raise InputError("bound must be nonnegative")
+        _check_basis_size(bound + 1)
         basis = [(f"{label}{k}", 2 * k, k) for k in range(bound + 1)]
         delta = {}
         for n in range(bound + 1):
@@ -222,19 +244,22 @@ class ChainComplex:
         return self.diffs.get(w, {}).get(q)
 
     def homology(self) -> dict[tuple[int, int], tuple[int, list[int]]]:
-        """Free rank and torsion invariants of H at each (degree, weight)."""
+        """Free rank and torsion invariants of H at each (degree, weight).
+
+        One Smith form per differential: its rank is the number of nonzero
+        invariant factors, and the torsion at (q, w) is the factors above 1
+        of the differential arriving there.
+        """
+        factors = {(q, w): linalg.invariant_factors(M)
+                   for w, qs in self.diffs.items() for q, M in qs.items()}
         out = {}
         for w, qs in self.ranks.items():
             for q, r in qs.items():
                 if r == 0:
                     continue
-                d_here = self.differential(q, w)
-                d_up = self.differential(q + 1, w)
-                rank_here = linalg.rank(d_here) if d_here else 0
-                rank_up = linalg.rank(d_up) if d_up else 0
-                free = r - rank_here - rank_up
-                torsion = [d for d in (linalg.invariant_factors(d_up) if d_up else []) if d > 1]
-                out[(q, w)] = (free, torsion)
+                here = factors.get((q, w), [])
+                up = factors.get((q + 1, w), [])
+                out[(q, w)] = (r - len(here) - len(up), [d for d in up if d > 1])
         return out
 
 
@@ -249,50 +274,77 @@ def homology_tsv(C: ChainComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- bar construction -------------------------------------------------
+# -- words in a window, by strand ---------------------------------------
 
 
 def _strand_sort_key(word: tuple) -> tuple:
     return (len(word), word)
 
 
-class _Strands:
-    """Helper accumulating word bases per (degree, weight)."""
+def _window_strands(letters: list[str], bidegree: dict[str, tuple[int, int]],
+                    shift: int, max_len: int | None, weight_bound: int,
+                    degree_bound: int | None = None) -> dict[tuple[int, int], dict[tuple, int]]:
+    """Words of length at most max_len in the (degree, weight) window, by
+    strand, each mapped to its place in _strand_sort_key order; a word's
+    degree sums its letters' degrees plus shift (+1 bar, -1 cobar) each.
 
-    def __init__(self):
-        self.words: dict[tuple[int, int], list[tuple]] = {}
+    Words grow depth first, and a prefix is dropped once the weight (all
+    letter weights of one strict sign), or else the bounded degree (all
+    shifted letter degrees of one strict sign), has left the window.
+    Every word formed counts against _TUPLE_CAP, kept or not.
+    """
+    if min(max_len or 0, weight_bound, degree_bound or 0) < 0:
+        raise InputError("bounds must be nonnegative")
+    steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in letters]
+    # prune on the first monotone quantity, by its place in (word, degree, weight)
+    for axis, bound in ((2, weight_bound), (1, degree_bound)):
+        moves = [s[axis] for s in steps]
+        if bound is not None and (all(v > 0 for v in moves) or all(v < 0 for v in moves)):
+            break
+    else:
+        if max_len is None:
+            raise InputError(
+                "cannot bound cobar word length: letters need uniformly signed "
+                "weights or degrees uniformly away from one")
+        bound = None
+    words: dict[tuple[int, int], list[tuple]] = {}
+    stack = [((), 0, 0)]
+    visited = 0
+    while stack:
+        word, d, w = stack.pop()
+        if abs(w) <= weight_bound and (degree_bound is None or abs(d) <= degree_bound):
+            words.setdefault((d, w), []).append(word)
+        if len(word) == max_len:
+            continue
+        visited += len(steps)
+        if visited > _TUPLE_CAP:
+            raise InputError(f"bound overflow: more than {_TUPLE_CAP} words visited")
+        for a, da, wa in steps:
+            child = (word + (a,), d + da, w + wa)
+            if bound is None or abs(child[axis]) <= bound:
+                stack.append(child)
+    return {key: {word: i for i, word in enumerate(sorted(ws, key=_strand_sort_key))}
+            for key, ws in words.items()}
 
-    def add(self, key: tuple[int, int], word: tuple):
-        self.words.setdefault(key, []).append(word)
 
-    def finish(self):
-        self.index: dict[tuple[int, int], dict[tuple, int]] = {}
-        for key, ws in self.words.items():
-            ws.sort(key=_strand_sort_key)
-            self.index[key] = {w: i for i, w in enumerate(ws)}
-
-    def matrix_from_images(self, src: tuple[int, int], dst: tuple[int, int],
-                           image) -> Matrix:
-        rows = len(self.words.get(dst, []))
-        cols = len(self.words.get(src, []))
-        M = linalg.zeros(rows, cols)
-        for j, word in enumerate(self.words.get(src, [])):
-            for target, coeff in image(word).items():
-                M[self.index[dst][target]][j] += coeff
-        return M
-
-
-def _assemble(strands: _Strands, image, degree_shift: int = -1) -> ChainComplex:
-    strands.finish()
+def _assemble(strands: dict[tuple[int, int], dict[tuple, int]], image) -> ChainComplex:
+    """The complex on the strands, each mapping its words to their places,
+    with d(word) = image(word) of degree -1."""
     ranks: dict[int, dict[int, int]] = {}
-    for (q, w), ws in strands.words.items():
-        ranks.setdefault(w, {})[q] = len(ws)
     diffs: dict[int, dict[int, Matrix]] = {}
-    for (q, w) in strands.words:
-        dst = (q + degree_shift, w)
-        if dst in strands.words:
-            diffs.setdefault(w, {})[q] = strands.matrix_from_images((q, w), dst, image)
+    for (q, w), src in strands.items():
+        ranks.setdefault(w, {})[q] = len(src)
+        dst = strands.get((q - 1, w))
+        if dst is not None:
+            M = linalg.zeros(len(dst), len(src))
+            for j, word in enumerate(src):
+                for target, coeff in image(word).items():
+                    M[dst[target]][j] += coeff
+            diffs.setdefault(w, {})[q] = M
     return ChainComplex(ranks, diffs)
+
+
+# -- bar construction -------------------------------------------------
 
 
 def bar_word_bidegree(A: GradedAugmentedAlgebra, word: tuple) -> tuple[int, int]:
@@ -314,38 +366,14 @@ def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
     return out
 
 
-def _bar_strands(A: GradedAugmentedAlgebra, stages: int, weight_bound: int) -> _Strands:
-    if stages < 0 or weight_bound < 0:
-        raise InputError("bounds must be nonnegative")
-    letters = A.augmentation_ideal()
-    strands = _Strands()
-    count = 0
-    for n in range(stages + 1):
-        for word in itertools.product(letters, repeat=n):
-            d, w = bar_word_bidegree(A, word)
-            if abs(w) > weight_bound:
-                continue
-            count += 1
-            if count > _TUPLE_CAP:
-                raise InputError("bound overflow: too many bar words in the window")
-            strands.add((d, w), word)
-    return strands
-
-
 def bar_complex(A: GradedAugmentedAlgebra, stages: int, weight_bound: int) -> ChainComplex:
     """Normalized bar complex through the given number of tensor stages,
     keeping strands of absolute weight at most weight_bound."""
-    strands = _bar_strands(A, stages, weight_bound)
+    strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)
     return _assemble(strands, lambda word: bar_differential_word(A, word))
 
 
 # -- cobar construction -----------------------------------------------
-
-
-def cobar_word_bidegree(C: GradedCoalgebra, word: tuple) -> tuple[int, int]:
-    d = sum(C.bidegree[c][0] for c in word) - len(word)
-    w = sum(C.bidegree[c][1] for c in word)
-    return (d, w)
 
 
 def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
@@ -362,47 +390,12 @@ def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
     return out
 
 
-def _cobar_stage_cap(C: GradedCoalgebra, letters: list[str],
-                     degree_bound: int, weight_bound: int) -> int:
-    """Largest word length that can still meet the window bounds.
-
-    Needs the letter weights uniformly signed, or every letter's degree
-    at distance at least one from the bar shift; otherwise no finite
-    stage bound is certain and the input is rejected.
-    """
-    if not letters:
-        return 0
-    wts = [C.bidegree[c][1] for c in letters]
-    if all(w > 0 for w in wts):
-        return weight_bound // min(wts)
-    if all(w < 0 for w in wts):
-        return weight_bound // min(-w for w in wts)
-    shifts = [C.bidegree[c][0] - 1 for c in letters]
-    if all(s >= 1 for s in shifts) or all(s <= -1 for s in shifts):
-        return degree_bound
-    raise InputError(
-        "cannot bound cobar word length: letters need uniformly signed "
-        "weights or degrees uniformly away from one")
-
-
 def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> ChainComplex:
     """Cobar complex of the reduced coalgebra, keeping words of absolute
     total degree at most degree_bound and absolute weight at most
     weight_bound."""
-    if degree_bound < 0 or weight_bound < 0:
-        raise InputError("bounds must be nonnegative")
     letters = [c for c in C.labels if c != C.coaug]
-    strands = _Strands()
-    count = 0
-    for n in range(_cobar_stage_cap(C, letters, degree_bound, weight_bound) + 1):
-        for word in itertools.product(letters, repeat=n):
-            d, w = cobar_word_bidegree(C, word)
-            if abs(w) > weight_bound or abs(d) > degree_bound:
-                continue
-            count += 1
-            if count > _TUPLE_CAP:
-                raise InputError("bound overflow: too many cobar words in the window")
-            strands.add((d, w), word)
+    strands = _window_strands(letters, C.bidegree, -1, None, weight_bound, degree_bound)
     return _assemble(strands, lambda word: cobar_differential_word(C, word))
 
 
@@ -457,26 +450,22 @@ class BarHomologyWindow:
 
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
         self.algebra = A
-        self.stages = stages
-        self.weight_bound = weight_bound
-        self.strands = _bar_strands(A, stages, weight_bound)
+        self.strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1,
+                                       stages, weight_bound)
         self.complex = _assemble(self.strands, lambda word: bar_differential_word(A, word))
         self._boundary_hnf: dict[tuple[int, int], Matrix] = {}
-
-    def strand_of(self, word: tuple) -> tuple[int, int]:
-        return bar_word_bidegree(self.algebra, word)
 
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], list[int]]:
         split: dict[tuple[int, int], Chain] = {}
         for word, c in chain.items():
-            split.setdefault(self.strand_of(word), {})[word] = c
+            split.setdefault(bar_word_bidegree(self.algebra, word), {})[word] = c
         out = {}
         for key, part in split.items():
-            if key not in self.strands.index:
+            if key not in self.strands:
                 raise InputError(f"chain leaves the computed window at {key}")
-            v = [0] * len(self.strands.words[key])
+            v = [0] * len(self.strands[key])
             for word, c in part.items():
-                v[self.strands.index[key][word]] = c
+                v[self.strands[key][word]] = c
             out[key] = v
         return out
 

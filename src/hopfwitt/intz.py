@@ -23,7 +23,7 @@ integer points become group-like series (1+u)^a.
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, e, log2
 from typing import Iterable, Iterator, Mapping
 
 from .binomial import binomial_expand, binomial_int, binomial_transform
@@ -187,6 +187,8 @@ class IntZElement:
                 raise InputError(f"empty term in {text!r}")
             if coef is not None and idx is None and star is not None:
                 raise InputError(f"dangling * in {text!r}")
+            if max(len(coef or ""), len(idx or "")) > MAX_DIGITS:
+                raise InputError(f"bound overflow: a numeral has more than {MAX_DIGITS} digits")
             s = -1 if sign == "-" else 1
             c = int(coef) if coef is not None else 1
             n = int(idx) if idx is not None else 0
@@ -292,11 +294,6 @@ class TensorElement:
                             out.pop(key, None)
         return TensorElement(out)
 
-    def contract_product(self) -> IntZElement:
-        """Apply the multiplication map, m(f (x) g) = f*g."""
-        return _accumulate((c, basis_product(m, n).items())
-                           for (m, n), c in self._coeffs.items())
-
     def map_left(self, fn) -> "dict[tuple[int, int, int], int]":
         """Apply an IntZElement -> TensorElement map to the left slot,
         yielding coefficients on C_i (x) C_j (x) C_k."""
@@ -358,6 +355,11 @@ class TensorElement:
 # Largest accepted (terms formed) x (top basis index of the result) for
 # mult and antipode; at the limit either takes about a second.
 WORK_LIMIT = 10_000_000
+# Longest accepted decimal numeral, and largest accepted bit length of one
+# binomial in eval_at: with these and WORK_LIMIT every value the CLI prints
+# stays under Python's 4300-digit limit on int/str conversion.
+MAX_DIGITS = 1000
+EVAL_BITS_LIMIT = 10_000
 
 
 def _check_work(counts: Iterable[int], top: int, what: str) -> None:
@@ -410,7 +412,16 @@ def counit(f: IntZElement) -> int:
 
 
 def eval_at(f: IntZElement, a: int) -> int:
-    """Value at an integer point, a sum of generalized binomials."""
+    """Value at an integer point, a sum of generalized binomials.  C(a, n)
+    has at most |a| + n bits; past EVAL_BITS_LIMIT each is sized first."""
+    if abs(a) + max(f._coeffs, default=0) > EVAL_BITS_LIMIT:
+        for n in f._coeffs:
+            N = a if a >= 0 else n - a - 1
+            k = min(n, N - n)  # C(a, n) = +-C(N, k), between 2^k and (e N / k)^k
+            if k > EVAL_BITS_LIMIT or (
+                    k > 0 and k * (log2(N) - log2(k) + log2(e)) > EVAL_BITS_LIMIT):
+                raise InputError(f"bound overflow: C(x,{n}) at the point has more "
+                                 f"than {EVAL_BITS_LIMIT} bits")
     return sum(c * binomial_int(a, n) for n, c in f.items())
 
 

@@ -391,7 +391,14 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 
 
 class PolynomialRing(CoeffRing):
-    """Z[vars]: elements are SparsePoly values with integer coefficients."""
+    """Z[vars]: elements are SparsePoly values with integer coefficients.
+    An instance refuses a product that would take the count of the terms
+    its products formed past TERM_LIMIT, about a second of work."""
+
+    TERM_LIMIT = 100_000
+
+    def __init__(self):
+        self.terms = 0
 
     def zero(self):
         return SparsePoly()
@@ -409,6 +416,10 @@ class PolynomialRing(CoeffRing):
         return -a
 
     def mul(self, a, b):
+        self.terms += len(a) * len(b)
+        if self.terms > self.TERM_LIMIT:
+            raise InputError(f"bound overflow: Z[..] products would form more "
+                             f"than {self.TERM_LIMIT} terms")
         return a * b
 
     def div_int(self, a, n: int):

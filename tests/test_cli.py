@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,45 @@ class TestExitCodes:
         assert out == ""
         assert "bound overflow" in err
 
+    @pytest.mark.parametrize("argv", [
+        # (co)associativity checks of huge named (co)algebras
+        ["homology", "bar", "--algebra", "truncated:99999999999999999999",
+         "--stages", "1"],
+        ["homology", "cobar", "--coalgebra", "divided-power:300",
+         "--weight-bound", "2"],
+        # numerals past Python's int/str conversion limit, and products of
+        # numerals under it whose decimal form would pass it
+        ["intz", "eval", "9" * 5000 + "*C(x,1)", "1"],
+        ["intz", "mul", "7" * 4000 + "*C(x,1)", "7" * 4000 + "*C(x,2)"],
+        ["intz", "pair", "7" * 4000 + "*C(x,1)", "--series", "1," + "7" * 4000],
+        # binomials at the point far too long to compute or print
+        ["intz", "eval", "C(x,20000)", "--", "-20000"],
+        ["intz", "eval", "C(x,300000000)", "--", "-300000000"],
+        ["intz", "eval", "C(x,1" + "0" * 998 + ")", "--", "-1" + "0" * 998],
+        # universal polynomials, and the same growth over --ring Poly
+        ["witt", "unipoly", "--op", "product", "--trunc", "1,2,4,8,16,32"],
+        ["witt", "mul", "--ring", "Poly", "--trunc", "1,2,4,8,16,32",
+         "--coeffs", "a,b,c,d,e,f", "--coeffs2", "g,h,i,j,k,l"],
+    ], ids=["truncated-huge", "divided-power-300", "numeral-5000", "mul-4000",
+            "pair-4000", "eval-20000", "eval-300000000", "eval-past-floats",
+            "unipoly-s32", "poly-mul-s32"])
+    def test_refused_before_the_work_exits_two(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err
+
+    def test_eval_at_negative_point_under_the_limit(self, capsys):
+        rc, out, _ = run_cli(["intz", "eval", "C(x,4000)", "--", "-4000"], capsys)
+        assert rc == 0
+        assert int(out) == math.comb(7999, 4000)
+
+    def test_unipoly_product_s8_still_answers(self, capsys):
+        rc, out, _ = run_cli(["witt", "unipoly", "--op", "product",
+                              "--trunc", "1,2,4,8"], capsys)
+        assert rc == 0
+        assert sorted(int(line.split(":")[0]) for line in out.splitlines()) == [1, 2, 4, 8]
+
     def test_eval_far_below_index_is_zero(self, capsys):
         rc, out, _ = run_cli(["intz", "eval", "C(x,300000000)", "5"], capsys)
         assert rc == 0
@@ -179,6 +219,31 @@ class TestExitCodes:
                               "--stages", "2"], capsys)
         assert rc == 2
         assert "algebra" in err
+
+
+class TestWindowedWords:
+    """Windows whose words the parent enumerated in full before filtering."""
+
+    def test_bar_stages_past_the_weight_bound_add_nothing(self, capsys):
+        # every letter has weight >= 1, so words longer than 2 leave the window
+        base = ["homology", "bar", "--algebra", "truncated:20", "--weight-bound", "2"]
+        rc, long_out, _ = run_cli(base + ["--stages", "7"], capsys)
+        assert rc == 0
+        _, short_out, _ = run_cli(base + ["--stages", "2"], capsys)
+        assert long_out == short_out
+
+    def test_cobar_divided_power_is_polynomial_ext(self, capsys):
+        # the cobar complex of the divided-power coalgebra computes
+        # Ext over Z[y]: Z in (0, 0) and (1, 1), nothing else
+        rc, out, _ = run_cli(["homology", "cobar", "--coalgebra", "divided-power:8",
+                              "--weight-bound", "8", "--degree-bound", "16"], capsys)
+        assert rc == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        cells = {(int(q), int(w)) for q, w, _, _ in rows}
+        assert cells == {(0, 0)} | {(2 * w - n, w) for w in range(1, 9)
+                                    for n in range(1, w + 1)}
+        assert all(tor == "-" for *_, tor in rows)
+        assert {(int(q), int(w)) for q, w, r, _ in rows if r != "0"} == {(0, 0), (1, 1)}
 
 
 class TestJsonRoundTrips:

@@ -1,8 +1,11 @@
 """Bar/cobar complexes, integer homology, and shuffle products."""
 
-import pytest
+import itertools
 
-from hopfwitt import intz
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfwitt import intz, linalg
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.homology import (
@@ -14,6 +17,7 @@ from hopfwitt.homology import (
     bar_differential_word,
     cobar_complex,
     cobar_differential_word,
+    _window_strands,
     homology_tsv,
     shuffle_chains,
 )
@@ -305,3 +309,116 @@ class TestShuffle:
         W = BarHomologyWindow(A, 3, 3)
         boundary = bar_differential_word(A, ("x", "x", "x"))
         assert W.reduce_cycle(boundary) == {}
+
+
+# -- windowed word generation against full enumeration ----------------------
+
+
+def _brute_strands(letters, bidegree, shift, max_len, weight_bound, degree_bound=None):
+    """Every word of length at most max_len from itertools.product, kept
+    when its (degree, weight) lies in the window; strands in (length,
+    word) order, each word mapped to its place."""
+    words = {}
+    for n in range(max_len + 1):
+        for word in itertools.product(letters, repeat=n):
+            d = sum(bidegree[a][0] + shift for a in word)
+            w = sum(bidegree[a][1] for a in word)
+            if abs(w) <= weight_bound and (degree_bound is None or abs(d) <= degree_bound):
+                words.setdefault((d, w), []).append(word)
+    return {key: {word: i for i, word in enumerate(sorted(ws, key=lambda u: (len(u), u)))}
+            for key, ws in words.items()}
+
+
+_letter_sets = st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 2)), max_size=3)
+
+
+def _labelled(bidegrees):
+    letters = [f"a{i}" for i in range(len(bidegrees))]
+    return letters, dict(zip(letters, bidegrees))
+
+
+def _strictly_one_sign(values):
+    return all(v > 0 for v in values) or all(v < 0 for v in values)
+
+
+class TestWindowStrands:
+    @settings(max_examples=200, deadline=None)
+    @given(_letter_sets, st.integers(0, 4), st.integers(0, 4))
+    def test_bar_window_equals_filtered_product(self, bidegrees, stages, wb):
+        letters, bidegree = _labelled(bidegrees)
+        got = _window_strands(letters, bidegree, 1, stages, wb)
+        assert got == _brute_strands(letters, bidegree, 1, stages, wb)
+        # iteration order is place order, which _assemble relies on
+        assert all(list(s.values()) == list(range(len(s))) for s in got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_letter_sets, st.integers(0, 4), st.integers(0, 5))
+    def test_cobar_window_equals_filtered_product(self, bidegrees, wb, db):
+        letters, bidegree = _labelled(bidegrees)
+        weights = [w for _, w in bidegrees]
+        shifted = [d - 1 for d, _ in bidegrees]
+        if not (_strictly_one_sign(weights) or _strictly_one_sign(shifted)):
+            with pytest.raises(InputError, match="cannot bound"):
+                _window_strands(letters, bidegree, -1, None, wb, db)
+            return
+        # |weight| or |degree| is at least the word length, so no word in
+        # the window is longer than max(wb, db)
+        got = _window_strands(letters, bidegree, -1, None, wb, db)
+        assert got == _brute_strands(letters, bidegree, -1, max(wb, db), wb, db)
+
+    def test_cap_counts_words_visited_not_kept(self, monkeypatch):
+        # weight-zero letters cannot be pruned: 2^12 words visited, one kept
+        monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 1000)
+        bidegree = {"a": (1, 0), "b": (-1, 0)}
+        with pytest.raises(InputError, match="bound overflow"):
+            _window_strands(["a", "b"], bidegree, 1, 12, 0, degree_bound=None)
+        bidegree = {"a": (1, 5), "b": (-1, 5)}
+        assert _window_strands(["a", "b"], bidegree, 1, 12, 0) == {(0, 0): {(): 0}}
+
+
+# -- homology from one Smith form per differential --------------------------
+
+
+def _random_complex(data):
+    """Degrees 0..3 in weight 0, each differential built from the left
+    kernel of the one above it, so d*d = 0."""
+    ranks = [data.draw(st.integers(0, 4)) for _ in range(4)]
+    entries = st.integers(-3, 3)
+    diffs = {}
+    for q in (3, 2, 1):
+        rows, cols = ranks[q - 1], ranks[q]
+        if not rows or not cols:
+            continue
+        up = diffs.get(q + 1)
+        if up is None:
+            M = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+        else:
+            K = linalg.kernel_basis(linalg.transpose(up))
+            M = [[sum(c * v[j] for c, v in zip(coeffs, K)) for j in range(cols)]
+                 for coeffs in ([data.draw(entries) for _ in K] for _ in range(rows))]
+        diffs[q] = M
+    return ranks, ChainComplex({0: {q: r for q, r in enumerate(ranks) if r}}, {0: diffs})
+
+
+class TestHomologyInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_rank_and_smith_formula(self, data):
+        ranks, C = _random_complex(data)
+        H = C.homology()
+        for q, r in enumerate(ranks):
+            if not r:
+                continue
+            d_here, d_up = C.differential(q, 0), C.differential(q + 1, 0)
+            free = r - (linalg.rank(d_here) if d_here else 0) - (linalg.rank(d_up) if d_up else 0)
+            torsion = [d for d in (linalg.invariant_factors(d_up) if d_up else []) if d > 1]
+            assert H[(q, 0)] == (free, torsion)
+
+    def test_one_smith_form_per_differential(self, monkeypatch):
+        C = bar_complex(_truncated_poly(3), 5, 5)
+        calls = []
+        real = linalg.invariant_factors
+        monkeypatch.setattr(linalg, "invariant_factors", lambda M: calls.append(M) or real(M))
+        monkeypatch.setattr(linalg, "row_hnf", lambda M: pytest.fail("HNF in homology()"))
+        C.homology()
+        assert len(calls) == sum(len(qs) for qs in C.diffs.values())
