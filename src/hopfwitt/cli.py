@@ -105,11 +105,11 @@ def _cmd_intz_eval(args) -> str:
 def _cmd_intz_pair(args) -> str:
     f = _element(args.f)
     coeffs = _ints(args.series, "--series")
+    # entries past the top index of f never enter the pairing, so a larger
+    # --trunc is clamped to the default; a smaller one is checked as given
+    trunc = max(len(coeffs), max(f.support(), default=0) + 1)
     if args.trunc is not None:
-        trunc = args.trunc
-    else:
-        top = max(f.support(), default=0)
-        trunc = max(len(coeffs), top + 1, 1)
+        trunc = min(args.trunc, trunc)
     return _value_out(intz.pair(f, TruncSeries(args.var, trunc, coeffs)), args.format)
 
 
@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series coefficients from degree 0, e.g. 1,2,1")
     p.add_argument("--var", default="u", help="series variable name")
     p.add_argument("--trunc", type=int, default=None,
-                   help="series truncation order (default: large enough for f)")
+                   help="series truncation order (default, and the cap on larger "
+                        "values: just large enough for f and the series)")
     _add_format(p)
     p.set_defaults(func=_cmd_intz_pair)
 

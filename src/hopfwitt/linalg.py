@@ -1,14 +1,20 @@
-"""Exact linear algebra over Z: Hermite and Smith normal forms.
+"""Exact linear algebra over Z: Hermite and Smith normal forms, ranks.
 
-Matrices are lists of row lists of Python ints.  Everything here is the
-classical recipe: HNF by integer row reduction for canonical lattice
-forms, ranks and membership; SNF with transform tracking for kernels,
-integer solving, and torsion invariants.  Matrix sizes in this package
-stay small (tens of rows), so the emphasis is on being obviously correct
-rather than asymptotically clever.
+Matrices are lists of row lists of Python ints.  HNF by integer row
+reduction gives canonical lattice forms and membership; SNF with
+transform tracking gives kernels and integer solutions.  Ranks and
+invariant factors need no transforms and take one route of their own:
+unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
+small core it leaves, fraction-free Bareiss elimination for the rank and
+a nonzero maximal minor D, and a Smith form computed modulo D
+(Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
+MODULUS_BITS_LIMIT bits is refused as a bound overflow.
 """
 
 from __future__ import annotations
+
+import heapq
+from math import gcd
 
 from .errors import InputError
 
@@ -113,10 +119,6 @@ def row_hnf(A: Matrix) -> Matrix:
     return [row for row in M[:pivot_row] if any(row)]
 
 
-def rank(A: Matrix) -> int:
-    return len(row_hnf(A))
-
-
 def column_lattice_hnf(A: Matrix) -> Matrix:
     """Canonical form of the lattice spanned by the columns of A."""
     return row_hnf(transpose(A))
@@ -208,10 +210,201 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return D, U, V
 
 
+# -- invariants without transforms ------------------------------------------
+
+MODULUS_BITS_LIMIT = 1024
+
+
+def _unit_pivot_core(A: Matrix) -> tuple[int, Matrix]:
+    """Unit-pivot sparse elimination: the number of unit pivots and the core.
+
+    Rows are {column: entry} dicts, sparsest first.  Each row is reduced by
+    the pivot rows and becomes a pivot on one of its +-1 entries if it has
+    one, else it joins the core; passes repeat until one adds no pivot, so
+    the core is zero in every pivot column.  The pivot rows restricted to
+    their pivot columns are unitriangular, so SNF(A) is an identity block
+    beside SNF(core).  The core comes back dense on the columns where it is
+    nonzero.
+    """
+    pivots: list[tuple[int, dict[int, int]]] = []
+    order: dict[int, int] = {}
+    core = sorted(({j: x for j, x in enumerate(row) if x} for row in A), key=len)
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for row in core:
+            _reduce(row, pivots, order)
+            col = next((j for j, x in row.items() if x == 1 or x == -1), None)
+            if col is not None:
+                order[col] = len(pivots)
+                pivots.append((col, row))
+                grew = True
+            elif row:
+                rest.append(row)
+        core = rest
+    cols = sorted({j for row in core for j in row})
+    return len(pivots), [[row.get(j, 0) for j in cols] for row in core]
+
+
+def _reduce(row: dict[int, int], pivots: list, order: dict[int, int]) -> None:
+    """Clear the pivot columns of row, in the order the pivots were chosen.
+
+    A pivot row is zero in the columns of earlier pivots, so subtracting it
+    only ever fills columns of later ones, which the heap then visits.
+    """
+    heap = [order[j] for j in row if j in order]
+    heapq.heapify(heap)
+    while heap:
+        col, prow = pivots[heapq.heappop(heap)]
+        a = row.get(col)
+        if not a:
+            continue
+        a *= prow[col]
+        for j, x in prow.items():
+            v = row.get(j, 0) - a * x
+            if not v:
+                del row[j]
+                continue
+            if j not in row and j in order:
+                heapq.heappush(heap, order[j])
+            row[j] = v
+
+
+def _bareiss(M: Matrix) -> tuple[int, int]:
+    """Rank r of M and the absolute value of a nonzero r x r minor.
+
+    Fraction-free elimination (Bareiss): every entry formed is a minor of
+    M, so entries stay bounded, and the last pivot is the minor returned.
+    M is overwritten.
+    """
+    m, n = len(M), len(M[0]) if M else 0
+    r, prev = 0, 1
+    for c in range(n):
+        p = next((i for i in range(r, m) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        piv, a = M[r], M[r][c]
+        for row in M[r + 1:]:
+            b = row[c]
+            for j in range(c + 1, n):
+                row[j] = (a * row[j] - b * piv[j]) // prev
+        prev = a
+        r += 1
+        if r == m:
+            break
+    return r, abs(prev)
+
+
+def _diagonal_mod(M: Matrix, D: int) -> list[int]:
+    """gcd(d, D) over the nonzero entries d of a diagonal form of M mod D.
+
+    Row and column operations invertible over Z/D keep the lattice
+    L + D*Z^n unchanged, L being the row lattice of M.  Each pivot has the
+    least gcd with D in its block; an entry it does not divide modulo D is
+    merged into it by an extended-gcd step, which strictly lowers that gcd.
+    """
+    M = [[x % D for x in row] for row in M]
+    m, n = len(M), len(M[0])
+    out = []
+    for t in range(min(m, n)):
+        best, at = D, None
+        for i in range(t, m):
+            for j in range(t, n):
+                if M[i][j]:
+                    g = gcd(M[i][j], D)
+                    if g < best:
+                        best, at = g, (i, j)
+            if best == 1:
+                break
+        if at is None:
+            break
+        i, j = at
+        M[t], M[i] = M[i], M[t]
+        for row in M[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            # clear column t by row operations, on columns t.. only
+            piv = M[t][t:]
+            p = piv[0]
+            g = gcd(p, D)
+            inv = pow(p // g, -1, D // g)
+            for i in range(t + 1, m):
+                row = M[i][t:]
+                b = row[0]
+                if not b:
+                    continue
+                if b % g == 0:
+                    q = b // g * inv % D
+                    M[i][t:] = [(y - q * x) % D for x, y in zip(piv, row)]
+                else:
+                    h, s, u = _xgcd(p, b)
+                    M[i][t:] = [(p // h * y - b // h * x) % D for x, y in zip(piv, row)]
+                    M[t][t:] = piv = [(s * x + u * y) % D for x, y in zip(piv, row)]
+                    p = piv[0]
+                    g = gcd(p, D)
+                    inv = pow(p // g, -1, D // g)
+            # row t: entries the pivot divides mod D clear by column
+            # operations that touch row t alone; one it does not is merged
+            piv = M[t]
+            j = next((j for j in range(t + 1, n) if piv[j] % g), None)
+            if j is None:
+                break
+            b = piv[j]
+            h, s, u = _xgcd(p, b)
+            for row in M[t:]:
+                x, y = row[t], row[j]
+                row[t], row[j] = (s * x + u * y) % D, (p // h * y - b // h * x) % D
+        out.append(gcd(M[t][t], D))
+    return out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with s*a + u*b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, u0, u1 = s1, s0 - q * s1, u1, u0 - q * u1
+    return a, s0, u0
+
+
+def _divisor_chain(diag: list[int]) -> list[int]:
+    """Smith form of a diagonal matrix: pairwise (gcd, lcm) until each
+    entry divides the next."""
+    d = list(diag)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
+def rank(A: Matrix) -> int:
+    """Unit pivots plus the Bareiss rank of the core."""
+    shape(A)
+    units, core = _unit_pivot_core(A)
+    return units + _bareiss(core)[0]
+
+
 def invariant_factors(A: Matrix) -> list[int]:
-    D, _, _ = smith_normal_form(A)
-    r, c = shape(D)
-    return [D[i][i] for i in range(min(r, c)) if D[i][i]]
+    """The nonzero invariant factors of A, each dividing the next.
+
+    Unit pivots give the factors 1.  For the core of rank r with a nonzero
+    r x r minor D, the first r invariant factors of L + D*Z^n are those of
+    the core, since their product divides D; so the core's Smith form is
+    taken modulo D, where no entry outgrows D.  A modulus over
+    MODULUS_BITS_LIMIT bits is refused.
+    """
+    shape(A)
+    units, core = _unit_pivot_core(A)
+    r, D = _bareiss([row[:] for row in core])
+    if D.bit_length() > MODULUS_BITS_LIMIT:
+        raise InputError(f"bound overflow: the Smith form modulus has {D.bit_length()} bits, "
+                         f"over linalg.MODULUS_BITS_LIMIT = {MODULUS_BITS_LIMIT}")
+    core_factors = _divisor_chain(_diagonal_mod(core, D)) if D > 1 else []
+    return [1] * units + (core_factors + [D] * r)[:r]
 
 
 def solve_integer(A: Matrix, b: list[int]) -> list[int] | None:

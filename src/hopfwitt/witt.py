@@ -230,9 +230,36 @@ def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> 
     return out
 
 
+# Largest accepted (bit length of a component) x (largest index) over Z and
+# Z[vars], whose values are printed unreduced: ghost components then stay
+# near this many bits and those of a product or a twisted Frobenius near
+# twice as many, so every printed value stays under Python's 4300-digit
+# limit on int/str conversion.
+GHOST_BITS_LIMIT = 6000
+
+
+def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable) -> None:
+    """Refuse elements whose ghost components over trunc would pass
+    GHOST_BITS_LIMIT bits, before any is formed.  Rings other than their
+    own lift (Z/m, F_q) reduce every value they print, so pass."""
+    if ring.lift_ring is not ring:
+        return
+    if isinstance(ring, PolynomialRing):
+        elements = [c.numerator for x in elements for _, c in x.items()]
+    else:
+        elements = list(elements)
+    top = trunc.members[-1]
+    cap = 1 << (GHOST_BITS_LIMIT // top)
+    if elements and (max(elements) >= cap or min(elements) <= -cap):
+        bits = max(x.bit_length() for x in elements)
+        raise InputError(f"bound overflow: a {bits}-bit component on {trunc} gives ghost "
+                         f"components over witt.GHOST_BITS_LIMIT = {GHOST_BITS_LIMIT} bits")
+
+
 def _lifted_ghosts(a: WittVector) -> dict:
     """Ghost components of the lift of a, in a.ring.lift_ring."""
     R = a.ring
+    _check_ghost_bits(R, a.trunc, a.comps.values())
     return _ghosts(R.lift_ring, a.trunc, {d: R.lift(a.comps[d]) for d in a.trunc})
 
 
@@ -421,6 +448,7 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     """
     T = a.trunc.quotient(n)
     L = a.ring.lift_ring
+    _check_ghost_bits(a.ring, a.trunc, [t])
     g, tl = _lifted_ghosts(a), a.ring.lift(t)
     return _from_lifted_ghosts(
         T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(tl, (n - 1) * m), g[m])) for m in T}

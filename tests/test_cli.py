@@ -3,14 +3,17 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hopfwitt
-from hopfwitt import cli, intz, witt
+from hopfwitt import cli, filtration, intz, witt
+from hopfwitt.errors import InputError
 from hopfwitt.rings import ring_from_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +222,97 @@ class TestExitCodes:
                               "--stages", "2"], capsys)
         assert rc == 2
         assert "algebra" in err
+
+
+def _sign_map(n, density, seed):
+    """A seeded n x n map with +-1 entries at the given density."""
+    rng = random.Random(seed)
+    return [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def _module_file(tmp_path, M):
+    n = len(M)
+    p = tmp_path / "module.json"
+    p.write_text(json.dumps({"n_min": 0, "n_max": 1, "ranks": [n, len(M[0])], "maps": [M]}))
+    return p
+
+
+class TestLinalgBound:
+    """Structure maps whose elimination swelled past any time limit."""
+
+    def test_filt_gr_on_a_dense_sign_map(self, tmp_path, capsys):
+        p = _module_file(tmp_path, _sign_map(26, 0.5, 3))
+        start = time.perf_counter()
+        rc, out, err = run_cli(["filt", "gr", f"@{p}"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert "Traceback" not in err
+        if rc == 0:
+            assert sum(int(line.split()[1]) for line in out.splitlines()) == 26
+        else:
+            assert rc == 2
+            assert "has torsion" in err
+
+    def test_sixty_square_map_through_the_library(self):
+        rng = random.Random(60)
+        M = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+        text = json.dumps({"n_min": 0, "n_max": 1, "ranks": [60, 60], "maps": [M]})
+        start = time.perf_counter()
+        X = filtration.FilteredModule.from_json(text)
+        with pytest.raises(InputError, match="has torsion"):
+            filtration.associated_graded(X)
+        assert time.perf_counter() - start < 1.0
+
+    def test_modulus_over_the_limit_exits_two(self, tmp_path, capsys):
+        big = 2 ** 600
+        p = _module_file(tmp_path, [[big + 1, 3], [5, big + 7]])
+        rc, out, err = run_cli(["filt", "gr", f"@{p}"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err and "MODULUS_BITS_LIMIT" in err
+
+
+class TestPrintLimits:
+    NINES = "9" * 100
+
+    @pytest.mark.parametrize("argv", [
+        ["witt", "ghost", "--trunc", "1,2,4,8,16,32,64,128", "--ring", "Z",
+         "--coeffs", NINES + ",0,0,0,0,0,0,0"],
+        ["witt", "mul", "--trunc", "1,2,4,8,16,32,64", "--ring", "Z",
+         "--coeffs", NINES + ",0,0,0,0,0,0", "--coeffs2", NINES + ",0,0,0,0,0,0"],
+        ["witt", "twisted", "--trunc", "1,2,4,8,16,32,64", "--ring", "Z",
+         "--coeffs", "1,0,0,0,0,0,0", "--n", "2", "--t", NINES],
+    ], ids=["ghost-s128", "mul-s64", "twisted-t"])
+    def test_witt_values_past_the_print_limit_exit_two(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err and "GHOST_BITS_LIMIT" in err
+
+    def test_witt_values_under_the_limit_print(self, capsys):
+        comp = str(-(2 ** (witt.GHOST_BITS_LIMIT // 64) - 1))
+        rc, out, _ = run_cli(["witt", "mul", "--trunc", "1,2,4,8,16,32,64", "--ring", "Z",
+                              "--coeffs=" + ",".join([comp] * 7),
+                              "--coeffs2=" + ",".join([comp] * 7)], capsys)
+        assert rc == 0
+        assert len(out) > 4000
+
+    @pytest.mark.parametrize("trunc", ["3000000", "1" + "0" * 12])
+    def test_pair_with_a_huge_trunc(self, trunc, capsys):
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["intz", "pair", "C(x,1)", "--series", "0,1",
+                              "--trunc", trunc], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (0, "1\n")
+        _, golden, _ = run_cli(["intz", "pair", "C(x,2)", "--series", "1,3,3,1",
+                                "--trunc", trunc], capsys)
+        assert golden == (GOLDEN / "intz-pair.out").read_text()
+
+    def test_pair_with_a_short_trunc_is_still_refused(self, capsys):
+        rc, _, err = run_cli(["intz", "pair", "C(x,2)", "--series", "1", "--trunc", "2"],
+                             capsys)
+        assert rc == 2
+        assert "too small" in err
 
 
 class TestWindowedWords:

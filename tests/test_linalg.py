@@ -1,5 +1,6 @@
 """Integer matrix routines checked against hand values and sympy."""
 
+import math
 import random
 
 import pytest
@@ -168,3 +169,142 @@ class TestLattices:
     def test_hnf_idempotent(self, rows):
         H = linalg.row_hnf(rows)
         assert linalg.row_hnf(H) == H
+
+
+# -- invariant factors and rank against sympy's DomainMatrix -------------------
+
+_NON_UNITS = [0, 0, 2, -2, 3, -3, 4, -4, 5, 6, -6, 9]
+
+
+def _domain_matrix(A):
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[ZZ(x) for x in row] for row in A], (len(A), len(A[0])), ZZ)
+
+
+def _sympy_factors_and_rank(A):
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    M = _domain_matrix(A)
+    return [abs(int(d)) for d in invariant_factors(M) if d], M.rank()
+
+
+def _dense_non_unit(rng, r, c):
+    return [[rng.choice(_NON_UNITS) for _ in range(c)] for _ in range(r)]
+
+
+def _sparse_signs(rng, r, c, density):
+    return [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)]
+
+
+def _low_rank_product(rng, r, c, k):
+    B = _random_matrix(rng, r, k, -3, 3)
+    C = _random_matrix(rng, k, c, -3, 3)
+    return linalg.mat_mul(B, C) if k else linalg.zeros(r, c)
+
+
+_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32))
+
+
+class TestInvariantsAgainstSympy:
+    """invariant_factors and rank on the three shapes of input they meet:
+    dense non-unit entries (all work in the modular core), sparse +-1 maps
+    (bar differentials, mostly unit pivots) and rank-deficient products.
+
+    sympy's textbook Smith form swells on dense input past about 24 x 24
+    (over 3 s at 33 x 38 or 39 x 39, a minute on some 40 x 40 products), so
+    above that dense factors are checked through sympy's ranks over Q and
+    GF(p), which count the factors and those prime to p, and through |det|
+    when square and nonsingular."""
+
+    def _check(self, A, full=False):
+        sympy = pytest.importorskip("sympy")
+        factors = linalg.invariant_factors(A)
+        if full or max(len(A), len(A[0])) <= 24:
+            assert (factors, linalg.rank(A)) == _sympy_factors_and_rank(A)
+            return
+        M = _domain_matrix(A)
+        assert linalg.rank(A) == len(factors) == M.rank()
+        for p in (2, 3, 5, 7):
+            assert M.convert_to(sympy.GF(p)).rank() == sum(1 for d in factors if d % p)
+        if len(A) == len(A[0]) == len(factors):
+            assert math.prod(factors) == abs(int(M.det()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_shapes)
+    def test_dense_without_units(self, shape):
+        r, c, seed = shape
+        self._check(_dense_non_unit(random.Random(seed), r, c))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_shapes, st.sampled_from([0.05, 0.15, 0.3, 0.5]))
+    def test_sparse_signs(self, shape, density):
+        r, c, seed = shape
+        self._check(_sparse_signs(random.Random(seed), r, c, density), full=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_shapes, st.integers(0, 40))
+    def test_rank_deficient_products(self, shape, k):
+        r, c, seed = shape
+        self._check(_low_rank_product(random.Random(seed), r, c, min(k, r - 1, c - 1)))
+
+    def test_small_cases(self):
+        assert linalg.invariant_factors([]) == []
+        assert linalg.invariant_factors([[0, 0], [0, 0]]) == []
+        assert linalg.invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+        # rank one with both rows non-primitive: the lattice is Z*(3, -2)
+        assert linalg.invariant_factors([[-6, 4], [9, -6]]) == [1]
+        assert linalg.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+        assert linalg.rank([[1, 2], [2, 4], [0, 0]]) == 1
+
+
+class TestInvariantsBeyondTheOracle:
+    """60 x 60 maps, where sympy's Smith form takes seconds: properties
+    that need no oracle, and |det| from sympy's determinant."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_square_maps(self, seed):
+        pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        for A in (_dense_non_unit(rng, 60, 60), _sparse_signs(rng, 60, 60, 0.1),
+                  _low_rank_product(rng, 60, 60, 45), _random_matrix(rng, 60, 60)):
+            factors = linalg.invariant_factors(A)
+            assert all(d > 0 for d in factors)
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+            assert linalg.rank(A) == len(factors)
+            det = _domain_matrix(A).det()
+            if det:
+                assert len(factors) == 60
+                assert math.prod(factors) == abs(int(det))
+            else:
+                assert len(factors) < 60
+
+
+class TestOneRoute:
+    def test_no_transforms_and_no_hermite_form(self, monkeypatch):
+        from hopfwitt.homology import ChainComplex
+
+        def refuse(*_):
+            pytest.fail("invariants went through a transform-tracking route")
+
+        monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+        monkeypatch.setattr(linalg, "row_hnf", refuse)
+        A = _dense_non_unit(random.Random(4), 8, 9)
+        assert linalg.rank(A) == len(linalg.invariant_factors(A))
+        # Z --2--> Z --0--> Z: H_0 = Z/2, H_1 = 0, H_2 = Z
+        C = ChainComplex({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [[2]], 2: [[0]]}})
+        assert C.homology() == {(0, 0): (0, [2]), (1, 0): (0, []), (2, 0): (1, [])}
+
+
+class TestModulusLimit:
+    def test_modulus_over_the_limit_is_refused(self):
+        big = 2 ** (linalg.MODULUS_BITS_LIMIT // 2 + 8)
+        with pytest.raises(InputError, match="bound overflow.*MODULUS_BITS_LIMIT"):
+            linalg.invariant_factors([[big + 1, 3], [5, big + 7]])
+
+    def test_modulus_at_the_limit_is_used(self):
+        p = 2 ** (linalg.MODULUS_BITS_LIMIT - 1) - 1
+        assert linalg.invariant_factors([[p, 0], [0, 2]]) == [1, 2 * p]
+        assert linalg.rank([[p, 0], [0, 2]]) == 2

@@ -490,3 +490,28 @@ def test_component_mismatch_rejected():
         WittVector(S12, ZZ, {1: 1})
     with pytest.raises(InputError):
         WittVector(S12, ZZ, {1: 1, 2: 0, 3: 5})
+
+
+# -- the ghost size limit ----------------------------------------------------
+
+
+def test_ghost_bits_limit_is_exact_and_spares_reducing_rings():
+    from hopfwitt import witt
+
+    S = TruncationSet([1, 2, 4, 8])
+    bits = witt.GHOST_BITS_LIMIT // 8
+    at_limit = zvec(S, 2 ** bits - 1, 0, 0, 0)
+    assert ghost(at_limit)[-1] == (2 ** bits - 1) ** 8
+    with pytest.raises(InputError, match="GHOST_BITS_LIMIT"):
+        ghost(zvec(S, 2 ** bits, 0, 0, 0))
+    with pytest.raises(InputError, match="GHOST_BITS_LIMIT"):
+        twisted_frobenius(2, zvec(S, 1, 0, 0, 0), 2 ** bits)
+    poly = WittVector.from_list(S, PolynomialRing(),
+                                [SparsePoly.constant(2 ** bits), SparsePoly(), SparsePoly(),
+                                 SparsePoly()])
+    with pytest.raises(InputError, match="GHOST_BITS_LIMIT"):
+        witt_add(poly, poly)
+    # Z/m prints reduced values, so its lifts may be as large as m allows
+    R = ZModRing(2 ** (bits + 1))
+    v = WittVector.from_list(S, R, [2 ** bits + 1, 0, 0, 0])
+    assert witt_mul(v, v).ring == R
