@@ -75,7 +75,9 @@ class FilteredModule:
 
         lattices[i] is a matrix whose columns span stage n_min + i.
         Each stage must be contained in the previous one; stage 0 must
-        span the ambient.  Bases and maps are canonicalized via HNF.
+        span the ambient.  Each stage's basis is its HNF rows, and the map
+        into the stage before holds the unique coordinates of these rows
+        in that stage's HNF rows, found by substitution down its pivots.
         """
         if not lattices:
             raise InputError("need at least one stage")
@@ -84,21 +86,16 @@ class FilteredModule:
             if cols and len(cols) != ambient_rank:
                 raise InputError("lattice columns must live in the ambient module")
             nonempty = cols and len(cols[0]) > 0
-            rows = linalg.row_hnf(linalg.transpose(cols)) if nonempty else []
-            bases.append(linalg.transpose(rows) if rows else [[] for _ in range(ambient_rank)])
-        if linalg.row_hnf(linalg.transpose(bases[0])) != linalg.identity(ambient_rank):
+            bases.append(linalg.row_hnf(linalg.transpose(cols)) if nonempty else [])
+        if bases[0] != linalg.identity(ambient_rank):
             raise InputError("bottom stage must span the ambient module")
-        ranks = [linalg.shape(B)[1] for B in bases]
+        ranks = [len(H) for H in bases]
         maps: list[Matrix] = []
         for i in range(len(bases) - 1):
-            sols = []
-            for j in range(ranks[i + 1]):
-                v = [bases[i + 1][a][j] for a in range(ambient_rank)]
-                sol = linalg.solve_integer(bases[i], v)
-                if sol is None:
-                    raise InputError(
-                        f"stage {n_min + i + 1} is not contained in stage {n_min + i}")
-                sols.append(sol)
+            sols = linalg.echelon_solve(bases[i], bases[i + 1])
+            if sols is None:
+                raise InputError(
+                    f"stage {n_min + i + 1} is not contained in stage {n_min + i}")
             maps.append(linalg.transpose(sols) if sols else [[] for _ in range(ranks[i])])
         return cls(n_min, n_min + len(lattices) - 1, ranks, maps)
 
@@ -113,14 +110,17 @@ class FilteredModule:
 
     def embedding(self, n: int) -> Matrix:
         """Matrix of stage n inside the underlying module (stage n_min)."""
-        if n <= self.n_min:
-            return linalg.identity(self.ranks[0])
         if n > self.n_max:
             return [[] for _ in range(self.ranks[0])]
-        M = linalg.identity(self.ranks[0])
-        for i in range(n - self.n_min):
-            M = linalg.mat_mul(M, self.maps[i])
-        return M
+        return self.embeddings()[max(n - self.n_min, 0)]
+
+    def embeddings(self) -> list[Matrix]:
+        """embedding(n) for every n from n_min to n_max, each built from
+        the one before."""
+        out = [linalg.identity(self.ranks[0])]
+        for M in self.maps:
+            out.append(linalg.mat_mul(out[-1], M))
+        return out
 
     def image_lattice(self, n: int) -> Matrix:
         """Canonical HNF basis (rows) of stage n inside the underlying module."""
@@ -172,21 +172,34 @@ def degree_filtration_module(N: int) -> FilteredModule:
     return FilteredModule(0, N, ranks, maps)
 
 
+# Largest accepted work for day_tensor, counted before any of it is done:
+# each stage pair (i, j) writes rank_i * rank_j spanning columns of the
+# ambient length, touches every ambient row once more, and has a fixed cost
+# of about 16 entries.  At the limit the tensor takes about a second.
+DAY_TENSOR_WORK_LIMIT = 2_000_000
+
+
 def day_tensor(X: FilteredModule, Y: FilteredModule) -> FilteredModule:
     """Convolution tensor: stage n is the sum of the images of
     (stage i of X) tensor (stage j of Y) over i + j = n, inside the
-    tensor product of the underlying modules."""
+    tensor product of the underlying modules.  Every stage pair (i, j)
+    enters once, so the work is known from the ranks; over
+    DAY_TENSOR_WORK_LIMIT it is refused."""
     ambient = X.ranks[0] * Y.ranks[0]
+    pairs = len(X.ranks) * len(Y.ranks)
+    work = (sum(X.ranks) * sum(Y.ranks) + pairs) * ambient + 16 * pairs
+    if work > DAY_TENSOR_WORK_LIMIT:
+        raise InputError(f"bound overflow: the Day tensor needs {work} units of work, "
+                         f"over filtration.DAY_TENSOR_WORK_LIMIT = {DAY_TENSOR_WORK_LIMIT}")
     lo = X.n_min + Y.n_min
     hi = X.n_max + Y.n_max
+    ex, ey = X.embeddings(), Y.embeddings()
     lattices = []
     for n in range(lo, hi + 1):
-        blocks = []
-        for i in range(X.n_min, X.n_max + 1):
-            j = n - i
-            if j > Y.n_max:
-                continue
-            blocks.append(linalg.kron(X.embedding(i), Y.embedding(max(j, Y.n_min))))
+        # stage j of Y is all of Y for j <= Y.n_min, and stage i of X shrinks
+        # as i grows, so the pairs with j < Y.n_min add nothing new
+        blocks = [linalg.kron(ex[i - X.n_min], ey[n - i - Y.n_min])
+                  for i in range(max(X.n_min, n - Y.n_max), min(X.n_max, n - Y.n_min) + 1)]
         lattices.append(linalg.hstack(blocks, ambient))
     return FilteredModule.from_lattices(ambient, lo, lattices)
 

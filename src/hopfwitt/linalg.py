@@ -1,9 +1,9 @@
 """Exact linear algebra over Z: Hermite and Smith normal forms, ranks.
 
 Matrices are lists of row lists of Python ints.  HNF by integer row
-reduction gives canonical lattice forms and membership; SNF with
-transform tracking gives kernels and integer solutions.  Ranks and
-invariant factors need no transforms and take one route of their own:
+reduction gives canonical lattice forms; coordinates in a lattice are
+read off its HNF rows by substitution.  No routine tracks transforms.
+Ranks and invariant factors take one route of their own:
 unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
@@ -119,95 +119,30 @@ def row_hnf(A: Matrix) -> Matrix:
     return [row for row in M[:pivot_row] if any(row)]
 
 
-def column_lattice_hnf(A: Matrix) -> Matrix:
-    """Canonical form of the lattice spanned by the columns of A."""
-    return row_hnf(transpose(A))
+def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
+    """Coordinates of each vector in the row lattice of H, or None when
+    some vector is not in that lattice.
 
-
-def lattices_equal(A: Matrix, B: Matrix) -> bool:
-    """Whether the column lattices of A and B coincide."""
-    return column_lattice_hnf(A) == column_lattice_hnf(B)
-
-
-def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """U A V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0.
-
-    Returns (D, U, V).
+    H is in row echelon form with no zero rows, as row_hnf returns it, so
+    its rows are independent and the coordinates are unique.  Each row's
+    coordinate is read off its pivot column once the rows above it are
+    subtracted, since the rows below are zero there.  A remainder stays
+    in that column, so a vector is in the lattice iff nothing is left.
     """
-    r, c = shape(A)
-    D = [row[:] for row in A]
-    U = identity(r)
-    V = identity(c)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        D[dst] = [x - q * y for x, y in zip(D[dst], D[src])]
-        U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in D:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(r, c):
-        # locate the smallest-magnitude nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t; restart when a remainder shrinks the pivot
-        while True:
-            again = False
-            for i in range(t + 1, r):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, q)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        again = True
-            for j in range(t + 1, c):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, q)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        again = True
-            if not again:
-                break
-        # divisibility: fold an offending row into the pivot row so the
-        # next clearing pass leaves the remainder gcd(pivot, entry)
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if D[i][j] % D[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, -1)  # row_t += row_off, then redo this pivot
-            continue
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return D, U, V
+    pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+    out = []
+    for v in vectors:
+        res = list(v)
+        coords = []
+        for row, p in zip(H, pivots):
+            q = res[p] // row[p]
+            if q:
+                res[p:] = [x - q * y for x, y in zip(res[p:], row[p:])]
+            coords.append(q)
+        if any(res):
+            return None
+        out.append(coords)
+    return out
 
 
 # -- invariants without transforms ------------------------------------------
@@ -405,41 +340,6 @@ def invariant_factors(A: Matrix) -> list[int]:
                          f"over linalg.MODULUS_BITS_LIMIT = {MODULUS_BITS_LIMIT}")
     core_factors = _divisor_chain(_diagonal_mod(core, D)) if D > 1 else []
     return [1] * units + (core_factors + [D] * r)[:r]
-
-
-def solve_integer(A: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution of A x = b, or None when none exists."""
-    r, c = shape(A)
-    if len(b) != r:
-        raise InputError("right-hand side length mismatch")
-    D, U, V = smith_normal_form(A)
-    ub = mat_vec(U, b)
-    y = [0] * c
-    for i in range(r):
-        d = D[i][i] if i < min(r, c) else 0
-        if d:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    return mat_vec(V, y)
-
-
-def kernel_basis(A: Matrix) -> Matrix:
-    """Columns forming a Z-basis of ker(A), returned as a list of vectors."""
-    r, c = shape(A)
-    D, _, V = smith_normal_form(A)
-    out = []
-    for j in range(c):
-        d = D[j][j] if j < min(r, c) else 0
-        if not d:
-            out.append([V[i][j] for i in range(c)])
-    return out
-
-
-def member_of_column_lattice(A: Matrix, v: list[int]) -> bool:
-    return solve_integer(A, v) is not None
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:

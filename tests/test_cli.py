@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 DEG2 = '{"n_min":0,"n_max":2,"ranks":[3,2,1],"maps":[[[0,0],[1,0],[0,1]],[[0],[1]]]}'
 CONC1 = '{"n_min":1,"n_max":1,"ranks":[1],"maps":[]}'
 CONC2 = '{"n_min":2,"n_max":2,"ranks":[1],"maps":[]}'
+DEG4 = ('{"n_min":0,"n_max":4,"ranks":[5,4,3,2,1],"maps":[[[0,0,0,0],[1,0,0,0],[0,1,0,0],'
+        '[0,0,1,0],[0,0,0,1]],[[0,0,0],[1,0,0],[0,1,0],[0,0,1]],[[0,0],[1,0],[0,1]],[[0],[1]]]}')
 
 CASES = [
     ("intz-mul", ["intz", "mul", "C(x,1)", "C(x,1)"]),
@@ -52,6 +54,7 @@ CASES = [
     ("filt-drinfeld-22", ["filt", "drinfeld", "--m", "2", "--n", "2"]),
     ("filt-gr", ["filt", "gr", DEG2]),
     ("filt-tensor", ["filt", "tensor", CONC1, CONC2]),
+    ("filt-tensor-deg4", ["filt", "tensor", DEG4, DEG4]),
     ("homology-bar-extneg1", ["homology", "bar", "--algebra",
                               "exterior-deg-neg1", "--stages", "4"]),
     ("homology-bar-trunc3", ["homology", "bar", "--algebra", "truncated:3",
@@ -270,6 +273,28 @@ class TestLinalgBound:
         assert rc == 2
         assert out == ""
         assert "bound overflow" in err and "MODULUS_BITS_LIMIT" in err
+
+
+class TestDayTensorLimit:
+    def test_degree_nine_tensor_answers(self, capsys):
+        d9 = filtration.degree_filtration_module(9).to_json()
+        start = time.perf_counter()
+        rc, out, err = run_cli(["filt", "tensor", d9, d9], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert (rc, err) == (0, "")
+        rc, gr, _ = run_cli(["filt", "gr", out.strip()], capsys)
+        assert rc == 0
+        ranks = dict(map(int, line.split("\t")) for line in gr.splitlines())
+        assert ranks == {n: min(n, 18 - n) + 1 for n in range(19)}
+
+    def test_tensor_over_the_limit_exits_two(self, capsys):
+        d15 = filtration.degree_filtration_module(15).to_json()
+        start = time.perf_counter()
+        rc, out, err = run_cli(["filt", "tensor", d15, d15], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert out == ""
+        assert "bound overflow" in err and "DAY_TENSOR_WORK_LIMIT" in err
 
 
 class TestPrintLimits:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfwitt import filtration, intz, linalg
 from hopfwitt.binomial import binomial_int, binomial_poly
@@ -21,6 +23,8 @@ from hopfwitt.filtration import (
     rees,
 )
 from hopfwitt.poly import SparsePoly
+
+import linalg_oracle as oracle
 
 
 def _unimodular(rng, r):
@@ -85,6 +89,63 @@ class TestFilteredModule:
     def test_bad_json(self):
         with pytest.raises(InputError):
             FilteredModule.from_json('{"n_min":0}')
+
+
+def _nested_lattices(rng, r, steps, split, perturb):
+    """Stage 0 spans Z^r; each later stage is spanned by integer
+    combinations of the columns before it, with some columns scaled by 2
+    or 3 unless split, and one entry moved by one when perturb (which
+    usually leaves the previous stage)."""
+    extra = rng.randint(0, 2)
+    lattices = [[row + [rng.randint(-3, 3) for _ in range(extra)]
+                 for row in _unimodular(rng, r)]]
+    for _ in range(steps):
+        prev = lattices[-1]
+        c, k = len(prev[0]), rng.randint(0, len(prev[0]) + 1)
+        if not c or not k:
+            lattices.append([[] for _ in range(r)])
+            continue
+        C = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(c)]
+        if not split:
+            for j in range(k):
+                scale = rng.choice((1, 2, 3))
+                for row in C:
+                    row[j] *= scale
+        cols = linalg.mat_mul(prev, C)
+        if perturb and rng.random() < 0.5:
+            cols[rng.randrange(r)][rng.randrange(k)] += rng.choice((1, -1))
+        lattices.append(cols)
+    return lattices
+
+
+def _oracle_maps(r, lattices):
+    """from_lattices through the transform-tracking solver, one column at
+    a time: the maps, or the first stage not contained in the one before."""
+    bases = [linalg.row_hnf(linalg.transpose(cols)) if cols and cols[0] else []
+             for cols in lattices]
+    maps = []
+    for i in range(len(bases) - 1):
+        A = linalg.transpose(bases[i]) if bases[i] else [[] for _ in range(r)]
+        sols = [oracle.solve_integer(A, v) for v in bases[i + 1]]
+        if None in sols:
+            return i + 1
+        maps.append(linalg.transpose(sols) if sols else [[] for _ in bases[i]])
+    return maps
+
+
+class TestFromLatticesAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 4), st.integers(-2, 2), st.booleans(),
+           st.booleans(), st.integers(0, 2**32))
+    def test_echelon_route_equals_oracle(self, r, steps, n_min, split, perturb, seed):
+        lattices = _nested_lattices(random.Random(seed), r, steps, split, perturb)
+        expected = _oracle_maps(r, lattices)
+        if isinstance(expected, int):
+            stage = n_min + expected
+            with pytest.raises(InputError, match=f"stage {stage} is not contained in stage {stage - 1}"):
+                FilteredModule.from_lattices(r, n_min, lattices)
+        else:
+            assert FilteredModule.from_lattices(r, n_min, lattices).maps == expected
 
 
 class TestAssociatedGraded:

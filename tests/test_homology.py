@@ -22,6 +22,8 @@ from hopfwitt.homology import (
     shuffle_chains,
 )
 
+import linalg_oracle as oracle
+
 
 def _truncated_poly(p):
     """Z[x]/x^p with deg x = 2, weight 1."""
@@ -393,7 +395,7 @@ def _random_complex(data):
         if up is None:
             M = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
         else:
-            K = linalg.kernel_basis(linalg.transpose(up))
+            K = oracle.kernel_basis(linalg.transpose(up))
             M = [[sum(c * v[j] for c, v in zip(coeffs, K)) for j in range(cols)]
                  for coeffs in ([data.draw(entries) for _ in K] for _ in range(rows))]
         diffs[q] = M
