@@ -247,7 +247,7 @@ def _cmd_filt_rees(args) -> str:
     if args.t is None:
         if args.format == "json":
             return P.to_json() + "\n"
-        lines = [f"{i}*{j} = {_comb_str(P.product(i, j), position)}"
+        lines = [f"{i}*{j} = {_comb_str(P.product_text(i, j), position)}"
                  for i, j in pairs]
         return "\n".join(lines) + "\n"
     table = P.specialize(args.t)

@@ -7,23 +7,22 @@ zero.  This shape makes the convolution tensor product a plain sum of
 image lattices, computed exactly with Hermite normal forms.
 
 GradedAlgebraPresentation holds a weight-graded commutative algebra over
-Z or Z[t] by generators and structure constants.  rees() produces the
-one-parameter deformation of the binomial ring whose specializations at
-t=1 and t=0 recover the original product and its divided-power shadow.
-The same deformation is realized polynomially by the basis
-b_n(x,t) = x(x-t)...(x-t(n-1))/n!, whose structure constants are
-computed by exact division and certified to lie in Z[t].
+Z or Z[t] by generators and integer structure constants.  rees()
+produces the one-parameter deformation of the binomial ring whose
+specializations at t=1 and t=0 recover the original product and its
+divided-power shadow.  The same deformation is realized polynomially by
+the basis b_n(x,t) = x(x-t)...(x-t(n-1))/n! = t^n C(x/t, n), so both
+read one closed form: C(x,m) C(x,n) = sum_k c_mnk C(x,k) gives
+b_m b_n = sum_k c_mnk t^(m+n-k) b_k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 import json
 
 from . import intz, linalg
 from .errors import FalsificationError, InputError
-from .poly import SparsePoly
+from .poly import SparsePoly, format_terms
 
 Matrix = list[list[int]]
 
@@ -229,13 +228,37 @@ def associated_graded(X: FilteredModule) -> dict[int, int]:
 
 # -- graded algebra presentations ------------------------------------
 
-_ONE = SparsePoly.constant(1)
+# A constant of Z[t] is held as {t-exponent: nonzero int}.
+TPoly = dict[int, int]
 
 
-def _t_poly(x) -> SparsePoly:
-    if isinstance(x, SparsePoly):
-        return x
-    return SparsePoly.constant(x)
+def _t_terms(value, where: str) -> TPoly:
+    """A constant given as a polynomial, a scalar or a {t-exponent: int}
+    table, checked to be an integer polynomial in t."""
+    if isinstance(value, dict):
+        if all(type(c) is int for c in value.values()) and min(value, default=0) >= 0:
+            return {e: c for e, c in value.items() if c}
+        t = SparsePoly.variable("t")
+        value = sum((t ** e * c for e, c in value.items()), SparsePoly())
+    poly = value if isinstance(value, SparsePoly) else SparsePoly.constant(value)
+    if not poly.is_integral():
+        raise InputError(f"constant for {where} is not integral")
+    if not poly.is_univariate_in("t"):
+        raise InputError(f"constant for {where} involves variables other than t")
+    return {dict(mono).get("t", 0): int(c) for mono, c in poly.items()}
+
+
+def t_poly(terms: TPoly) -> SparsePoly:
+    """The constant as a polynomial in t."""
+    return SparsePoly({(("t", e),) if e else (): c for e, c in terms.items()})
+
+
+def t_poly_str(terms: TPoly) -> str:
+    """str(t_poly(terms)) without building the polynomial, whose Fraction
+    coefficients and general monomial sort would dominate the text form
+    of a large Rees table."""
+    return format_terms(("" if e == 0 else "t" if e == 1 else f"t^{e}", terms[e])
+                        for e in sorted(terms, reverse=True))
 
 
 class GradedAlgebraPresentation:
@@ -246,10 +269,16 @@ class GradedAlgebraPresentation:
     Products are stored for generator pairs whose weights sum to at most
     `bound`.  A presentation whose constants are free of t is an
     ordinary graded algebra over Z.
+
+    The constants are checked once on construction and kept as
+    constants[(i, j)] = {k: {t-exponent: int}}; products, the
+    associativity check and specialization run on these integers.
+    Elements passed to multiply() use the same {label: {t-exponent: int}}
+    form.
     """
 
     def __init__(self, generators: list[tuple[str, int]], unit: str,
-                 constants: dict[tuple[str, str], dict[str, SparsePoly]], bound: int,
+                 constants: dict[tuple[str, str], dict[str, object]], bound: int,
                  homogeneous: bool = True):
         labels = [g for g, _ in generators]
         if len(set(labels)) != len(labels):
@@ -261,9 +290,10 @@ class GradedAlgebraPresentation:
         self.unit = unit
         self.bound = bound
         self.homogeneous = homogeneous
-        self.constants: dict[tuple[str, str], dict[str, SparsePoly]] = {}
+        self.constants: dict[tuple[str, str], dict[str, TPoly]] = {}
         for (i, j), out in constants.items():
-            cleaned = {k: _t_poly(v) for k, v in out.items() if not _t_poly(v).is_zero()}
+            terms = {k: _t_terms(v, f"{k} in ({i},{j})") for k, v in out.items()}
+            cleaned = {k: ts for k, ts in terms.items() if ts}
             self.constants[(i, j)] = cleaned
             self.constants[(j, i)] = cleaned
         self._validate()
@@ -275,37 +305,48 @@ class GradedAlgebraPresentation:
             w = self.weights[i] + self.weights[j]
             if w > self.bound:
                 raise InputError(f"product ({i},{j}) exceeds the weight bound")
-            for k, poly in out.items():
+            for k, terms in out.items():
                 if k not in self.weights:
                     raise InputError(f"product ({i},{j}) hits unknown label {k}")
-                if not poly.is_integral():
-                    raise InputError(f"constant for {k} in ({i},{j}) is not integral")
-                if not poly.is_univariate_in("t"):
-                    raise InputError(f"constant for {k} in ({i},{j}) involves variables other than t")
                 if self.homogeneous:
-                    for mono, _ in poly.items():
-                        d = dict(mono).get("t", 0)
+                    for d in terms:
                         if self.weights[k] + d != w:
                             raise InputError(
                                 f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
         for g, wg in self.generators:
             if wg <= self.bound:
-                if self.constants.get((self.unit, g)) != {g: _ONE}:
+                if self.constants.get((self.unit, g)) != {g: {0: 1}}:
                     raise InputError(f"unit law fails on {g}")
 
-    def product(self, i: str, j: str) -> dict[str, SparsePoly]:
+    def _stored(self, i: str, j: str) -> dict[str, TPoly]:
         if (i, j) not in self.constants:
             raise InputError(f"product ({i},{j}) not stored (weight bound {self.bound})")
-        return dict(self.constants[(i, j)])
+        return self.constants[(i, j)]
 
-    def multiply(self, x: dict[str, SparsePoly], y: dict[str, SparsePoly]) -> dict[str, SparsePoly]:
+    def product(self, i: str, j: str) -> dict[str, SparsePoly]:
+        """The constants of the stored product i * j, as polynomials in t."""
+        return {k: t_poly(terms) for k, terms in self._stored(i, j).items()}
+
+    def product_text(self, i: str, j: str) -> dict[str, str]:
+        """The constants of product(i, j) in their canonical text form."""
+        return {k: t_poly_str(terms) for k, terms in self._stored(i, j).items()}
+
+    def multiply(self, x: dict[str, TPoly], y: dict[str, TPoly]) -> dict[str, TPoly]:
         """Product of Z[t]-combinations of generators."""
-        acc: dict[str, SparsePoly] = {}
+        acc: dict[str, TPoly] = {}
         for i, a in x.items():
             for j, b in y.items():
-                for k, c in self.product(i, j).items():
-                    acc[k] = acc.get(k, SparsePoly()) + a * b * c
-        return {k: v for k, v in acc.items() if not v.is_zero()}
+                ab: TPoly = {}
+                for ea, ca in a.items():
+                    for eb, cb in b.items():
+                        ab[ea + eb] = ab.get(ea + eb, 0) + ca * cb
+                for k, c in self._stored(i, j).items():
+                    slot = acc.setdefault(k, {})
+                    for e1, c1 in ab.items():
+                        for e2, c2 in c.items():
+                            slot[e1 + e2] = slot.get(e1 + e2, 0) + c1 * c2
+        out = {k: {e: c for e, c in terms.items() if c} for k, terms in acc.items()}
+        return {k: terms for k, terms in out.items() if terms}
 
     def check_associative(self, max_weight: int | None = None) -> None:
         """(xy)z = x(yz) for generator triples within the weight budget."""
@@ -315,12 +356,12 @@ class GradedAlgebraPresentation:
             for b in gens:
                 if self.weights[a] + self.weights[b] > limit:
                     continue
-                ab = self.multiply({a: _ONE}, {b: _ONE})
+                ab = self._stored(a, b)
                 for c in gens:
                     if self.weights[a] + self.weights[b] + self.weights[c] > limit:
                         continue
-                    one = self.multiply(ab, {c: _ONE})
-                    two = self.multiply({a: _ONE}, self.multiply({b: _ONE}, {c: _ONE}))
+                    one = self.multiply(ab, {c: {0: 1}})
+                    two = self.multiply({a: {0: 1}}, self._stored(b, c))
                     if one != two:
                         raise FalsificationError(f"associativity fails on ({a},{b},{c})")
 
@@ -329,22 +370,16 @@ class GradedAlgebraPresentation:
         generators, with t of weight one."""
         return sum(1 for _, w in self.generators if w <= n)
 
-    def specialize(self, value) -> dict[tuple[str, str], dict[str, int]]:
+    def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,
         one entry per unordered generator pair."""
         out: dict[tuple[str, str], dict[str, int]] = {}
-        seen = set()
         for (i, j), cs in self.constants.items():
             key = tuple(sorted((i, j)))
-            if key in seen:
+            if key in out:
                 continue
-            seen.add(key)
-            spec = {}
-            for k, poly in cs.items():
-                v = poly.evaluate({"t": Fraction(value)})
-                if v:
-                    spec[k] = int(v)
-            out[key] = spec
+            spec = {k: sum(c * value ** e for e, c in terms.items()) for k, terms in cs.items()}
+            out[key] = {k: v for k, v in spec.items() if v}
         return out
 
     def to_json(self) -> str:
@@ -359,12 +394,13 @@ class GradedAlgebraPresentation:
             if key in seen:
                 continue
             seen.add(key)
-            out = self.constants[(i, j)]
+            out = self.product_text(i, j)
             pairs.append({"i": key[0], "j": key[1],
-                          "out": {k: str(out[k]) for k in sorted(out, key=lambda g: order[g])}})
-        return json.dumps(
-            {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit},
-            separators=(",", ":"))
+                          "out": {k: out[k] for k in sorted(out, key=lambda g: order[g])}})
+        obj = {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit}
+        if not self.homogeneous:
+            obj["homogeneous"] = False
+        return json.dumps(obj, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> GradedAlgebraPresentation:
@@ -378,18 +414,13 @@ class GradedAlgebraPresentation:
             for entry in obj["constants"]:
                 out = {k: SparsePoly.parse(v) for k, v in entry["out"].items()}
                 constants[(entry["i"], entry["j"])] = out
-            return cls(gens, obj.get("unit", "1"), constants, int(obj["bound"]))
+            return cls(gens, obj.get("unit", "1"), constants, int(obj["bound"]),
+                       bool(obj.get("homogeneous", True)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graded algebra JSON: {exc}") from None
 
 
 # -- the Rees deformation of the binomial ring -----------------------
-
-
-def binomial_constants(i: int, j: int) -> dict[int, int]:
-    """Coefficients of the product of binomial basis elements i and j in
-    the binomial basis."""
-    return intz.basis_product(i, j)
 
 
 def _gen_label(k: int) -> str:
@@ -401,151 +432,46 @@ def rees(bound: int = 10, constants_fn=None) -> GradedAlgebraPresentation:
 
     The generator of weight k is the basis element of degree k; a
     product coefficient landing on basis index k acquires t^(i+j-k).
-    The filtration must be multiplicative: a product coefficient with
-    index above i+j is rejected.
+    The constants come from constants_fn, by default the closed form
+    intz.basis_product.  The filtration must be multiplicative: a
+    product coefficient with index above i+j is rejected.  The table has
+    at most min(i,j)+1 terms per stored pair (i, j); more than
+    intz.WORK_LIMIT of them weighted by the bound is refused.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
-    fn = constants_fn or binomial_constants
+    intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
+                     bound, "the Rees table")
+    fn = constants_fn or intz.basis_product
     gens = [(_gen_label(k), k) for k in range(bound + 1)]
-    t = SparsePoly.variable("t")
-    constants: dict[tuple[str, str], dict[str, SparsePoly]] = {}
+    constants: dict[tuple[str, str], dict[str, TPoly]] = {}
     for i in range(bound + 1):
         for j in range(i, bound + 1 - i):
-            out: dict[str, SparsePoly] = {}
+            out: dict[str, TPoly] = {}
             for k, c in fn(i, j).items():
                 if c == 0:
                     continue
                 if k > i + j:
                     raise InputError(
                         f"filtration is not multiplicative: product ({i},{j}) hits index {k}")
-                out[_gen_label(k)] = t ** (i + j - k) * c
+                out[_gen_label(k)] = {i + j - k: c}
             constants[(_gen_label(i), _gen_label(j))] = out
     return GradedAlgebraPresentation(gens, "1", constants, bound)
 
 
-# -- deformed binomial basis polynomials ------------------------------
-
-
-@dataclass(frozen=True)
-class DeformedBasisElem:
-    """b_n(x,t) = x(x-t)(x-2t)...(x-(n-1)t) / n!."""
-
-    index: int
-    poly: SparsePoly
-
-    def at_t(self, value) -> SparsePoly:
-        return self.poly.substitute({"t": Fraction(value)})
-
-    def evaluate(self, x_value, t_value) -> Fraction:
-        return self.poly.evaluate({"x": Fraction(x_value), "t": Fraction(t_value)})
-
-
-def drinfeld_poly(n: int) -> DeformedBasisElem:
-    if n < 0:
-        raise InputError("index must be nonnegative")
-    x = SparsePoly.variable("x")
-    t = SparsePoly.variable("t")
-    prod = SparsePoly.constant(1)
-    fact = 1
-    for i in range(n):
-        prod = prod * (x - t * i)
-        fact *= i + 1
-    return DeformedBasisElem(n, prod * Fraction(1, fact))
-
-
-def _x_coefficient(p: SparsePoly, k: int) -> SparsePoly:
-    """Coefficient of x^k as a polynomial in the remaining variables."""
-    terms = {}
-    for mono, coeff in p.items():
-        d = dict(mono)
-        if d.get("x", 0) == k:
-            rest = tuple(sorted((v, e) for v, e in d.items() if v != "x"))
-            terms[rest] = terms.get(rest, Fraction(0)) + coeff
-    return SparsePoly(terms)
-
-
 def drinfeld_structure_constants(m: int, n: int, bound: int | None = None) -> dict[int, SparsePoly]:
-    """Expand b_m * b_n = sum_k c_k(t) * b_k by descending elimination.
+    """Constants c_k(t) of b_m * b_n = sum_k c_k(t) * b_k for the deformed
+    basis b_n(x,t) = x(x-t)(x-2t)...(x-(n-1)t)/n! = t^n C(x/t, n).
 
-    The c_k are certified to be integer polynomials in t of t-degree at
-    most m+n-k; either failure raises FalsificationError, since the
-    integrality of these constants is exactly the claim that the
-    deformed basis spans a ring over Z[t].
+    Substituting x/t into C(x,m) C(x,n) = sum_k c_mnk C(x,k) and
+    multiplying by t^(m+n) gives c_k(t) = c_mnk t^(m+n-k), the Rees
+    table: integer polynomials in t of t-degree m+n-k.  The
+    min(m,n)+1 terms, weighted by m+n, are counted against
+    intz.WORK_LIMIT before any is formed.
     """
     if m < 0 or n < 0:
         raise InputError("indices must be nonnegative")
     if bound is not None and m + n > bound:
         raise InputError(f"m+n exceeds the stated bound {bound}")
-    residue = drinfeld_poly(m).poly * drinfeld_poly(n).poly
-    facts = [1]
-    for i in range(1, m + n + 1):
-        facts.append(facts[-1] * i)
-    out: dict[int, SparsePoly] = {}
-    for k in range(m + n, -1, -1):
-        lead = _x_coefficient(residue, k)
-        if lead.is_zero():
-            continue
-        # the leading x^k coefficient of b_k is 1/k!
-        c = lead * facts[k]
-        if not c.is_integral():
-            raise FalsificationError(
-                f"structure constant c_{k} of ({m},{n}) is not in Z[t]: {c}")
-        if not c.is_univariate_in("t"):
-            raise FalsificationError(
-                f"structure constant c_{k} of ({m},{n}) involves x: {c}")
-        d = c.degree_in("t")
-        if d > m + n - k:
-            raise FalsificationError(
-                f"structure constant c_{k} of ({m},{n}) has t-degree {d} > {m + n - k}")
-        out[k] = c
-        residue = residue - c * drinfeld_poly(k).poly
-    if not residue.is_zero():
-        raise FalsificationError(f"elimination left a nonzero residue for ({m},{n})")
-    return out
-
-
-def _truncate_total_degree(p: SparsePoly, bound: int) -> SparsePoly:
-    terms = {}
-    for mono, coeff in p.items():
-        if sum(e for _, e in mono) <= bound:
-            terms[mono] = coeff
-    return SparsePoly(terms)
-
-
-def drinfeld_group_law_samples(n_max: int, samples: list[tuple[int, int, int]]) -> None:
-    """Numeric shadow of the group structure carried by the deformed basis.
-
-    Two identities are checked per sample (a, b, t), through index n_max,
-    with FalsificationError on any mismatch:
-
-    1. the coefficient series E_a(X) = sum_n b_n(a,t) X^n is a
-       homomorphism from the deformed law X + Y + tXY to multiplication:
-       E_a(X + Y + tXY) = E_a(X) * E_a(Y) modulo total degree n_max + 1;
-    2. convolution in the evaluation point is plain addition:
-       b_n(a + b, t) = sum over i+j=n of b_i(a,t) b_j(b,t).
-    """
-    basis = [drinfeld_poly(k) for k in range(n_max + 1)]
-    X = SparsePoly.variable("X")
-    Y = SparsePoly.variable("Y")
-    for a, b, t in samples:
-        law = X + Y + X * Y * t
-        lawpow = SparsePoly.constant(1)
-        lhs = SparsePoly()
-        ex = SparsePoly()
-        for n in range(n_max + 1):
-            cn = basis[n].evaluate(a, t)
-            lhs = lhs + _truncate_total_degree(lawpow, n_max) * cn
-            ex = ex + X ** n * cn
-            lawpow = _truncate_total_degree(lawpow * law, n_max)
-        rhs = _truncate_total_degree(ex * _truncate_total_degree(ex.substitute({"X": Y}), n_max), n_max)
-        if lhs != rhs:
-            raise FalsificationError(
-                f"series homomorphism fails at a={a}, t={t}")
-        for n in range(n_max + 1):
-            left = basis[n].evaluate(a + b, t)
-            right = sum((basis[i].evaluate(a, t) * basis[n - i].evaluate(b, t)
-                         for i in range(n + 1)), Fraction(0))
-            if left != right:
-                raise FalsificationError(
-                    f"additive convolution fails at n={n}, a={a}, b={b}, t={t}: {left} != {right}")
+    intz._check_work((min(m, n) + 1,), m + n, "the Drinfeld constants")
+    return {k: t_poly({m + n - k: c}) for k, c in intz.basis_product(m, n).items()}

@@ -240,25 +240,10 @@ class SparsePoly:
         return sorted(self._terms.items(), key=key)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mono, c in self._sorted_terms():
-            body = "*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in mono
-            )
-            mag = abs(c)
-            if not body:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            if not parts:
-                parts.append(chunk if c > 0 else "-" + chunk)
-            else:
-                parts.append(("+" if c > 0 else "-") + chunk)
-        return "".join(parts)
+        return format_terms(
+            ("*".join(name if e == 1 else f"{name}^{e}" for name, e in mono), c)
+            for mono, c in self._sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
@@ -274,6 +259,25 @@ class SparsePoly:
     def parse(cls, text: str) -> SparsePoly:
         tokens = _tokenize(text)
         return _parse_sum(tokens, text)
+
+
+def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """The text form of SparsePoly: nonzero (monomial text, coefficient)
+    pairs, in the given order, as a signed sum; the empty sum is 0."""
+    parts: list[str] = []
+    for body, c in terms:
+        mag = abs(c)
+        if not body:
+            chunk = str(mag)
+        elif mag == 1:
+            chunk = body
+        else:
+            chunk = f"{mag}*{body}"
+        if not parts:
+            parts.append(chunk if c > 0 else "-" + chunk)
+        else:
+            parts.append(("+" if c > 0 else "-") + chunk)
+    return "".join(parts) or "0"
 
 
 def _coerce(v: SparsePoly | Scalar) -> SparsePoly:

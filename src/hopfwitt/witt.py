@@ -327,26 +327,6 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
     return out.comps
 
 
-def evaluate_universal(p: SparsePoly, assignment: Mapping[str, object],
-                       ring: CoeffRing):
-    """Evaluate an integer polynomial at ring elements.
-
-    No operation here uses it; tests evaluate universal polynomials with it
-    as an oracle independent of the lift route.
-    """
-    total = ring.zero()
-    for mono, c in p.items():
-        if c.denominator != 1:
-            raise FalsificationError("universal polynomial has a rational coefficient")
-        term = ring.from_int(int(c))
-        for name, e in mono:
-            if name not in assignment:
-                raise InputError(f"no assignment for {name!r}")
-            term = ring.mul(term, ring.pow(assignment[name], e))
-        total = ring.add(total, term)
-    return total
-
-
 # -- arithmetic -------------------------------------------------------------
 
 

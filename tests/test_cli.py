@@ -52,6 +52,10 @@ CASES = [
     ("filt-rees-b3", ["filt", "rees", "--bound", "3"]),
     ("filt-rees-t0", ["filt", "rees", "--bound", "2", "--t", "0"]),
     ("filt-drinfeld-22", ["filt", "drinfeld", "--m", "2", "--n", "2"]),
+    ("filt-rees-b6-json", ["filt", "rees", "--bound", "6", "--format", "json"]),
+    ("filt-rees-b5-tneg2", ["filt", "rees", "--bound", "5", "--t", "-2"]),
+    ("filt-drinfeld-75-json", ["filt", "drinfeld", "--m", "7", "--n", "5",
+                               "--format", "json"]),
     ("filt-gr", ["filt", "gr", DEG2]),
     ("filt-tensor", ["filt", "tensor", CONC1, CONC2]),
     ("filt-tensor-deg4", ["filt", "tensor", DEG4, DEG4]),
@@ -338,6 +342,48 @@ class TestPrintLimits:
                              capsys)
         assert rc == 2
         assert "too small" in err
+
+
+class TestFiltLimits:
+    """The Rees and Drinfeld tables count their terms before forming any."""
+
+    @staticmethod
+    def _terms(m, n, label):
+        """The printed c_k t^(m+n-k) terms of C(x,m) C(x,n) = sum_k c_k C(x,k),
+        formed from math.comb, for m, n >= 1."""
+        out = []
+        for k in range(max(m, n), m + n + 1):
+            c, e = math.comb(k, m) * math.comb(m, k - n), m + n - k
+            t = {0: "", 1: "t*"}.get(e, f"t^{e}*")
+            out.append(f"{'' if c == 1 and t else f'{c}*'}{t}{label}{k}")
+        return " + ".join(out)
+
+    def test_large_drinfeld_answers(self, capsys):
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["filt", "drinfeld", "--m", "150", "--n", "150"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert out == f"b150*b150 = {self._terms(150, 150, 'b')}\n"
+
+    def test_large_rees_answers(self, capsys):
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["filt", "rees", "--bound", "120"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) == sum(121 - 2 * i for i in range(1, 61))
+        assert lines[-1] == f"C60*C60 = {self._terms(60, 60, 'C')}"
+
+    @pytest.mark.parametrize("argv", [
+        ["filt", "drinfeld", "--m", "1000000", "--n", "1000000"],
+        ["filt", "rees", "--bound", "100000"],
+    ], ids=["drinfeld", "rees"])
+    def test_huge_tables_exit_two(self, argv, capsys):
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (2, "")
+        assert "bound overflow" in err
 
 
 class TestWindowedWords:

@@ -1,10 +1,11 @@
 """Filtered modules, the Rees deformation, and the deformed binomial basis."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfwitt import filtration, intz, linalg
@@ -14,17 +15,17 @@ from hopfwitt.filtration import (
     FilteredModule,
     GradedAlgebraPresentation,
     associated_graded,
-    binomial_constants,
     day_tensor,
     degree_filtration_module,
-    drinfeld_group_law_samples,
-    drinfeld_poly,
     drinfeld_structure_constants,
     rees,
+    t_poly,
+    t_poly_str,
 )
 from hopfwitt.poly import SparsePoly
 
 import linalg_oracle as oracle
+from drinfeld_oracle import drinfeld_group_law_samples, drinfeld_poly, elimination_constants
 
 
 def _unimodular(rng, r):
@@ -301,6 +302,109 @@ class TestGradedAlgebraPresentation:
         assert Q.bound == P.bound
 
 
+def _presentation_json(weights, constants, bound):
+    """Presentation JSON with the homogeneity check off, so constants may
+    be any integer polynomials in t."""
+    by_weight = {}
+    for g, w in weights:
+        by_weight.setdefault(str(w), []).append(g)
+    pairs = [{"i": i, "j": j, "out": {k: str(p) for k, p in out.items()}}
+             for (i, j), out in constants.items()]
+    return json.dumps({"weights": by_weight, "constants": pairs, "bound": bound,
+                       "unit": "1", "homogeneous": False})
+
+
+_T_POLYS = st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=4).map(
+    lambda terms: sum((SparsePoly.variable("t") ** e * c for e, c in terms.items()),
+                      SparsePoly()))
+
+
+@st.composite
+def _random_presentation(draw):
+    """Generators g1.. of weight 0..3 besides the unit, and arbitrary
+    (not associative) t-polynomial constants on every pair in the bound."""
+    weights = [("1", 0)] + [(f"g{a}", draw(st.integers(0, 3)))
+                            for a in range(draw(st.integers(1, 4)))]
+    bound = draw(st.integers(0, 6))
+    labels = [g for g, _ in weights]
+    constants = {}
+    for a, (i, wi) in enumerate(weights):
+        for j, wj in weights[a:]:
+            if wi + wj > bound:
+                continue
+            if i == "1":
+                constants[(i, j)] = {j: SparsePoly.constant(1)}
+            else:
+                constants[(i, j)] = draw(st.dictionaries(st.sampled_from(labels), _T_POLYS,
+                                                         max_size=3))
+    return weights, constants, bound
+
+
+def _shifted_rees(bound, s):
+    """rees(bound) with t replaced by t + s: still associative, with
+    constants that are t-polynomials of several terms."""
+    t = SparsePoly.variable("t")
+    R = rees(bound)
+    constants = {}
+    for i, _ in R.generators:
+        for j, _ in R.generators:
+            if (i, j) in R.constants and (j, i) not in constants:
+                constants[(i, j)] = {k: p.substitute({"t": t + s})
+                                     for k, p in R.product(i, j).items()}
+    return R.generators, constants
+
+
+class TestIntegerPresentation:
+    """The integer constants against the SparsePoly values they came from."""
+
+    @given(_random_presentation())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sparse_poly_route(self, case):
+        weights, constants, bound = case
+        P = GradedAlgebraPresentation.from_json(_presentation_json(weights, constants, bound))
+        for (i, j), out in constants.items():
+            given_out = {k: p for k, p in out.items() if not p.is_zero()}
+            assert P.product(i, j) == given_out
+            assert P.product(j, i) == given_out
+            assert P.product_text(i, j) == {k: str(p) for k, p in given_out.items()}
+            for v in range(-5, 6):
+                want = {k: p.evaluate({"t": v}) for k, p in given_out.items()}
+                want = {k: x for k, x in want.items() if x}
+                assert P.specialize(v)[tuple(sorted((i, j)))] == want
+        Q = GradedAlgebraPresentation.from_json(P.to_json())
+        assert Q.constants == P.constants
+        assert not Q.homogeneous
+
+    @given(st.dictionaries(st.integers(0, 60), st.integers(-10 ** 30, 10 ** 30)))
+    def test_text_form_is_sparse_poly_str(self, terms):
+        terms = {e: c for e, c in terms.items() if c}
+        assert t_poly_str(terms) == str(t_poly(terms))
+
+    @given(st.integers(4, 6), st.integers(-3, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_constant_breaks_associativity(self, bound, s, data):
+        weights, constants = _shifted_rees(bound, s)
+        P = GradedAlgebraPresentation.from_json(_presentation_json(weights, constants, bound))
+        P.check_associative()
+        # Perturb c_ab at a label k of weight at most w_a + w_b by d*t^e.  For
+        # a third generator c outside {a, b} within the bound, (ab)c gains
+        # d*t^e*C_k*C_c, whose top label has weight w_k + w_c, while a(bc)
+        # gains at most a multiple of d*t^e*C_k: the triple (a, b, c) fails.
+        weight = dict(weights)
+        pairs = sorted((i, j) for (i, j) in constants if "1" not in (i, j) and any(
+            g not in ("1", i, j) and weight[i] + weight[j] + w <= bound for g, w in weights))
+        i, j = data.draw(st.sampled_from(pairs))
+        k = data.draw(st.sampled_from([g for g, w in weights if w <= weight[i] + weight[j]]))
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2])) * SparsePoly.variable("t") ** \
+            data.draw(st.integers(0, 3))
+        out = dict(constants[(i, j)])
+        out[k] = out.get(k, SparsePoly()) + delta
+        constants[(i, j)] = out
+        bad = GradedAlgebraPresentation.from_json(_presentation_json(weights, constants, bound))
+        with pytest.raises(FalsificationError, match="associativity"):
+            bad.check_associative()
+
+
 class TestRees:
     def test_weight_ranks(self):
         R = rees(6)
@@ -320,7 +424,7 @@ class TestRees:
             for j in range(i, 4):
                 got = spec[tuple(sorted((f"C{i}", f"C{j}")))]
                 want = {("1" if k == 0 else f"C{k}"): c
-                        for k, c in binomial_constants(i, j).items() if c}
+                        for k, c in intz.basis_product(i, j).items() if c}
                 assert got == want
 
     def test_specialize_zero_is_divided_powers(self):
@@ -340,6 +444,18 @@ class TestRees:
 
         with pytest.raises(InputError, match="multiplicative"):
             rees(3, constants_fn=bad)
+
+    def test_non_integral_constants_fn_rejected(self):
+        with pytest.raises(InputError, match="integral"):
+            rees(3, constants_fn=lambda i, j: {k: Fraction(c, 2)
+                                               for k, c in intz.basis_product(i, j).items()})
+
+    def test_integral_fraction_constants_fn_accepted(self):
+        R = rees(4, constants_fn=lambda i, j: {k: Fraction(c)
+                                               for k, c in intz.basis_product(i, j).items()})
+        assert R.constants == rees(4).constants
+        assert all(type(c) is int for out in R.constants.values()
+                   for terms in out.values() for c in terms.values())
 
     def test_json_round_trip(self):
         R = rees(3)
@@ -373,16 +489,18 @@ class TestDrinfeldBasis:
 
     def test_frozen_constants_1_1(self):
         t = SparsePoly.variable("t")
-        assert drinfeld_structure_constants(1, 1) == {1: t, 2: SparsePoly.constant(2)}
+        for fn in (drinfeld_structure_constants, elimination_constants):
+            assert fn(1, 1) == {1: t, 2: SparsePoly.constant(2)}
 
     def test_frozen_constants_1_2(self):
         t = SparsePoly.variable("t")
-        assert drinfeld_structure_constants(1, 2) == {2: t * 2, 3: SparsePoly.constant(3)}
+        for fn in (drinfeld_structure_constants, elimination_constants):
+            assert fn(1, 2) == {2: t * 2, 3: SparsePoly.constant(3)}
 
     def test_integrality_sweep(self):
         for m in range(5):
             for n in range(m, 5):
-                cs = drinfeld_structure_constants(m, n)
+                cs = elimination_constants(m, n)
                 for k, c in cs.items():
                     assert c.is_integral()
                     assert c.degree_in("t") <= m + n - k
@@ -395,10 +513,9 @@ class TestDrinfeldBasis:
 
     def test_matches_rees_constants(self):
         R = rees(5)
-        t = SparsePoly.variable("t")
         for i in range(1, 3):
             for j in range(i, 4):
-                cs = drinfeld_structure_constants(i, j)
+                cs = elimination_constants(i, j)
                 want = {("1" if k == 0 else f"C{k}"): c for k, c in cs.items()}
                 assert R.product(f"C{i}", f"C{j}") == want
 
@@ -418,3 +535,19 @@ class TestDrinfeldBasis:
     def test_bound_enforced(self):
         with pytest.raises(InputError):
             drinfeld_structure_constants(4, 4, bound=6)
+
+    @given(st.integers(0, 24).flatmap(lambda total: st.tuples(st.integers(0, total),
+                                                              st.just(total))))
+    @example((12, 24))
+    @example((0, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_equals_elimination(self, case):
+        m, total = case
+        assert drinfeld_structure_constants(m, total - m) == elimination_constants(m, total - m)
+
+    def test_work_limits(self):
+        with pytest.raises(InputError, match="bound overflow"):
+            drinfeld_structure_constants(10 ** 6, 10 ** 6)
+        with pytest.raises(InputError, match="bound overflow"):
+            rees(10 ** 5)
+        assert len(drinfeld_structure_constants(150, 150)) == 151

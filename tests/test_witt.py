@@ -21,7 +21,6 @@ from hopfwitt.witt import (
     WittVector,
     all_vectors,
     divides_additively,
-    evaluate_universal,
     frobenius,
     from_ghost,
     ghost,
@@ -167,6 +166,22 @@ ORACLE_SETS = [TruncationSet(s) for s in ([1, 2], [1, 2, 4], [1, 3], [1, 2, 3, 6
 @functools.lru_cache(maxsize=None)
 def _polys(op, S, n=None):
     return universal_poly(op, S, n)
+
+
+def evaluate_universal(p, assignment, ring):
+    """Evaluate an integer polynomial at ring elements: an oracle for the
+    operations that does not go through the lift to a torsion-free ring."""
+    total = ring.zero()
+    for mono, c in p.items():
+        if c.denominator != 1:
+            raise FalsificationError("universal polynomial has a rational coefficient")
+        term = ring.from_int(int(c))
+        for name, e in mono:
+            if name not in assignment:
+                raise InputError(f"no assignment for {name!r}")
+            term = ring.mul(term, ring.pow(assignment[name], e))
+        total = ring.add(total, term)
+    return total
 
 
 def _by_polys(op, a, b=None, n=None):
