@@ -6,7 +6,9 @@ codes: 0 success, 2 bad input, 3 a mathematical invariant failed.
 
 Payload arguments starting with "@" are read from the named file.
 Witt vector components are separated by ";" when present, else ","
-(use ";" over Fq, whose elements contain commas).
+(use ";" over Fq, whose elements contain commas).  The only JSON input
+is a filtered module; every other JSON form is output.  The series of
+`intz pair` is a polynomial, so its length is the truncation.
 """
 
 from __future__ import annotations
@@ -103,14 +105,11 @@ def _cmd_intz_eval(args) -> str:
 
 
 def _cmd_intz_pair(args) -> str:
-    f = _element(args.f)
+    # the series is a polynomial: C(x,n) past its last coefficient pairs to
+    # zero, so those terms of f drop out and the series length truncates
     coeffs = _ints(args.series, "--series")
-    # entries past the top index of f never enter the pairing, so a larger
-    # --trunc is clamped to the default; a smaller one is checked as given
-    trunc = max(len(coeffs), max(f.support(), default=0) + 1)
-    if args.trunc is not None:
-        trunc = min(args.trunc, trunc)
-    return _value_out(intz.pair(f, TruncSeries(args.var, trunc, coeffs)), args.format)
+    f = intz.IntZElement({n: c for n, c in _element(args.f).items() if n < len(coeffs)})
+    return _value_out(intz.pair(f, TruncSeries("u", max(len(coeffs), 1), coeffs)), args.format)
 
 
 def _cmd_intz_frobtest(args) -> str:
@@ -261,17 +260,14 @@ def _cmd_filt_rees(args) -> str:
 
 
 def _cmd_filt_drinfeld(args) -> str:
-    cs = filtration.drinfeld_structure_constants(args.m, args.n, args.bound)
+    cs = filtration.drinfeld_structure_constants(args.m, args.n)
     if args.format == "json":
         return _json_line(
             {"constants": {str(k): str(p) for k, p in cs.items()},
              "m": args.m, "n": args.n}
         )
-    terms = []
-    for k in sorted(cs):
-        ps = str(cs[k])
-        terms.append(f"b{k}" if ps == "1" else f"{ps}*b{k}")
-    body = " + ".join(terms) if terms else "0"
+    labels = {f"b{k}": k for k in cs}
+    body = _comb_str({b: cs[k] for b, k in labels.items()}, labels)
     return f"b{args.m}*b{args.n} = {body}\n"
 
 
@@ -457,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f", help="element")
     p.add_argument("--series", required=True,
                    help="series coefficients from degree 0, e.g. 1,2,1")
-    p.add_argument("--var", default="u", help="series variable name")
-    p.add_argument("--trunc", type=int, default=None,
-                   help="series truncation order (default, and the cap on larger "
-                        "values: just large enough for f and the series)")
     _add_format(p)
     p.set_defaults(func=_cmd_intz_pair)
 
@@ -555,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("drinfeld", description="structure constants of the deformed basis")
     p.add_argument("--m", type=int, required=True, help="left index")
     p.add_argument("--n", type=int, required=True, help="right index")
-    p.add_argument("--bound", type=int, default=None,
-                   help="weight bound (default m+n)")
     _add_format(p)
     p.set_defaults(func=_cmd_filt_drinfeld)
 

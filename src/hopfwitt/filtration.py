@@ -7,7 +7,8 @@ zero.  This shape makes the convolution tensor product a plain sum of
 image lattices, computed exactly with Hermite normal forms.
 
 GradedAlgebraPresentation holds a weight-graded commutative algebra over
-Z or Z[t] by generators and integer structure constants.  rees()
+Z or Z[t] by generators and integer structure constants, each given as a
+{t-exponent: int} table.  rees()
 produces the one-parameter deformation of the binomial ring whose
 specializations at t=1 and t=0 recover the original product and its
 divided-power shadow.  The same deformation is realized polynomially by
@@ -233,19 +234,13 @@ TPoly = dict[int, int]
 
 
 def _t_terms(value, where: str) -> TPoly:
-    """A constant given as a polynomial, a scalar or a {t-exponent: int}
-    table, checked to be an integer polynomial in t."""
-    if isinstance(value, dict):
-        if all(type(c) is int for c in value.values()) and min(value, default=0) >= 0:
-            return {e: c for e, c in value.items() if c}
-        t = SparsePoly.variable("t")
-        value = sum((t ** e * c for e, c in value.items()), SparsePoly())
-    poly = value if isinstance(value, SparsePoly) else SparsePoly.constant(value)
-    if not poly.is_integral():
-        raise InputError(f"constant for {where} is not integral")
-    if not poly.is_univariate_in("t"):
-        raise InputError(f"constant for {where} involves variables other than t")
-    return {dict(mono).get("t", 0): int(c) for mono, c in poly.items()}
+    """A constant given as a {t-exponent: int} table, checked to be an
+    integer polynomial in t."""
+    if not isinstance(value, dict) or not all(
+            type(e) is int and e >= 0 and type(c) is int for e, c in value.items()):
+        raise InputError(f"constant for {where} is not integral: "
+                         "want {t-exponent: int} with nonnegative exponents")
+    return {e: c for e, c in value.items() if c}
 
 
 def t_poly(terms: TPoly) -> SparsePoly:
@@ -265,12 +260,13 @@ class GradedAlgebraPresentation:
     """Weight-graded commutative algebra given by generators and constants.
 
     Generators are labels with nonnegative weights; structure constants
-    are integer polynomials in t, where t itself carries weight one.
-    Products are stored for generator pairs whose weights sum to at most
-    `bound`.  A presentation whose constants are free of t is an
-    ordinary graded algebra over Z.
+    are integer polynomials in t, where t itself carries weight one, so
+    a term t^d * k in the product i * j needs weight(k) + d equal to
+    weight(i) + weight(j).  Products are stored for generator pairs whose
+    weights sum to at most `bound`.  A presentation whose constants are
+    free of t is an ordinary graded algebra over Z.
 
-    The constants are checked once on construction and kept as
+    Constants are given, checked once and kept in one form,
     constants[(i, j)] = {k: {t-exponent: int}}; products, the
     associativity check and specialization run on these integers.
     Elements passed to multiply() use the same {label: {t-exponent: int}}
@@ -278,8 +274,7 @@ class GradedAlgebraPresentation:
     """
 
     def __init__(self, generators: list[tuple[str, int]], unit: str,
-                 constants: dict[tuple[str, str], dict[str, object]], bound: int,
-                 homogeneous: bool = True):
+                 constants: dict[tuple[str, str], dict[str, TPoly]], bound: int):
         labels = [g for g, _ in generators]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate generator labels")
@@ -289,7 +284,6 @@ class GradedAlgebraPresentation:
             raise InputError("unit must be a generator of weight zero")
         self.unit = unit
         self.bound = bound
-        self.homogeneous = homogeneous
         self.constants: dict[tuple[str, str], dict[str, TPoly]] = {}
         for (i, j), out in constants.items():
             terms = {k: _t_terms(v, f"{k} in ({i},{j})") for k, v in out.items()}
@@ -308,28 +302,25 @@ class GradedAlgebraPresentation:
             for k, terms in out.items():
                 if k not in self.weights:
                     raise InputError(f"product ({i},{j}) hits unknown label {k}")
-                if self.homogeneous:
-                    for d in terms:
-                        if self.weights[k] + d != w:
-                            raise InputError(
-                                f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
+                for d in terms:
+                    if self.weights[k] + d != w:
+                        raise InputError(
+                            f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
         for g, wg in self.generators:
             if wg <= self.bound:
                 if self.constants.get((self.unit, g)) != {g: {0: 1}}:
                     raise InputError(f"unit law fails on {g}")
 
-    def _stored(self, i: str, j: str) -> dict[str, TPoly]:
+    def product(self, i: str, j: str) -> dict[str, TPoly]:
+        """The constants of the stored product i * j, as {k: {t-exponent: int}}:
+        the stored table itself, which callers must not change."""
         if (i, j) not in self.constants:
             raise InputError(f"product ({i},{j}) not stored (weight bound {self.bound})")
         return self.constants[(i, j)]
 
-    def product(self, i: str, j: str) -> dict[str, SparsePoly]:
-        """The constants of the stored product i * j, as polynomials in t."""
-        return {k: t_poly(terms) for k, terms in self._stored(i, j).items()}
-
     def product_text(self, i: str, j: str) -> dict[str, str]:
         """The constants of product(i, j) in their canonical text form."""
-        return {k: t_poly_str(terms) for k, terms in self._stored(i, j).items()}
+        return {k: t_poly_str(terms) for k, terms in self.product(i, j).items()}
 
     def multiply(self, x: dict[str, TPoly], y: dict[str, TPoly]) -> dict[str, TPoly]:
         """Product of Z[t]-combinations of generators."""
@@ -340,7 +331,7 @@ class GradedAlgebraPresentation:
                 for ea, ca in a.items():
                     for eb, cb in b.items():
                         ab[ea + eb] = ab.get(ea + eb, 0) + ca * cb
-                for k, c in self._stored(i, j).items():
+                for k, c in self.product(i, j).items():
                     slot = acc.setdefault(k, {})
                     for e1, c1 in ab.items():
                         for e2, c2 in c.items():
@@ -348,20 +339,19 @@ class GradedAlgebraPresentation:
         out = {k: {e: c for e, c in terms.items() if c} for k, terms in acc.items()}
         return {k: terms for k, terms in out.items() if terms}
 
-    def check_associative(self, max_weight: int | None = None) -> None:
-        """(xy)z = x(yz) for generator triples within the weight budget."""
-        limit = self.bound if max_weight is None else min(max_weight, self.bound)
-        gens = [g for g, w in self.generators if w <= limit]
+    def check_associative(self) -> None:
+        """(xy)z = x(yz) for generator triples within the weight bound."""
+        gens = [g for g, w in self.generators if w <= self.bound]
         for a in gens:
             for b in gens:
-                if self.weights[a] + self.weights[b] > limit:
+                if self.weights[a] + self.weights[b] > self.bound:
                     continue
-                ab = self._stored(a, b)
+                ab = self.product(a, b)
                 for c in gens:
-                    if self.weights[a] + self.weights[b] + self.weights[c] > limit:
+                    if self.weights[a] + self.weights[b] + self.weights[c] > self.bound:
                         continue
                     one = self.multiply(ab, {c: {0: 1}})
-                    two = self.multiply({a: {0: 1}}, self._stored(b, c))
+                    two = self.multiply({a: {0: 1}}, self.product(b, c))
                     if one != two:
                         raise FalsificationError(f"associativity fails on ({a},{b},{c})")
 
@@ -398,26 +388,7 @@ class GradedAlgebraPresentation:
             pairs.append({"i": key[0], "j": key[1],
                           "out": {k: out[k] for k in sorted(out, key=lambda g: order[g])}})
         obj = {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit}
-        if not self.homogeneous:
-            obj["homogeneous"] = False
         return json.dumps(obj, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> GradedAlgebraPresentation:
-        try:
-            obj = json.loads(text)
-            gens = []
-            for w, labels in sorted(obj["weights"].items(), key=lambda kv: int(kv[0])):
-                for g in labels:
-                    gens.append((g, int(w)))
-            constants: dict[tuple[str, str], dict[str, SparsePoly]] = {}
-            for entry in obj["constants"]:
-                out = {k: SparsePoly.parse(v) for k, v in entry["out"].items()}
-                constants[(entry["i"], entry["j"])] = out
-            return cls(gens, obj.get("unit", "1"), constants, int(obj["bound"]),
-                       bool(obj.get("homogeneous", True)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad graded algebra JSON: {exc}") from None
 
 
 # -- the Rees deformation of the binomial ring -----------------------
@@ -427,39 +398,28 @@ def _gen_label(k: int) -> str:
     return "1" if k == 0 else f"C{k}"
 
 
-def rees(bound: int = 10, constants_fn=None) -> GradedAlgebraPresentation:
+def rees(bound: int = 10) -> GradedAlgebraPresentation:
     """One-parameter deformation of the filtered binomial ring.
 
     The generator of weight k is the basis element of degree k; a
     product coefficient landing on basis index k acquires t^(i+j-k).
-    The constants come from constants_fn, by default the closed form
-    intz.basis_product.  The filtration must be multiplicative: a
-    product coefficient with index above i+j is rejected.  The table has
-    at most min(i,j)+1 terms per stored pair (i, j); more than
-    intz.WORK_LIMIT of them weighted by the bound is refused.
+    The constants come from the closed form intz.basis_product, whose
+    indices k never pass i+j: the degree filtration is multiplicative.
+    The table has at most min(i,j)+1 terms per stored pair (i, j); more
+    than intz.WORK_LIMIT of them weighted by the bound is refused.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
     intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
                      bound, "the Rees table")
-    fn = constants_fn or intz.basis_product
     gens = [(_gen_label(k), k) for k in range(bound + 1)]
-    constants: dict[tuple[str, str], dict[str, TPoly]] = {}
-    for i in range(bound + 1):
-        for j in range(i, bound + 1 - i):
-            out: dict[str, TPoly] = {}
-            for k, c in fn(i, j).items():
-                if c == 0:
-                    continue
-                if k > i + j:
-                    raise InputError(
-                        f"filtration is not multiplicative: product ({i},{j}) hits index {k}")
-                out[_gen_label(k)] = {i + j - k: c}
-            constants[(_gen_label(i), _gen_label(j))] = out
+    constants = {(_gen_label(i), _gen_label(j)):
+                 {_gen_label(k): {i + j - k: c} for k, c in intz.basis_product(i, j).items()}
+                 for i in range(bound + 1) for j in range(i, bound + 1 - i)}
     return GradedAlgebraPresentation(gens, "1", constants, bound)
 
 
-def drinfeld_structure_constants(m: int, n: int, bound: int | None = None) -> dict[int, SparsePoly]:
+def drinfeld_structure_constants(m: int, n: int) -> dict[int, SparsePoly]:
     """Constants c_k(t) of b_m * b_n = sum_k c_k(t) * b_k for the deformed
     basis b_n(x,t) = x(x-t)(x-2t)...(x-(n-1)t)/n! = t^n C(x/t, n).
 
@@ -471,7 +431,5 @@ def drinfeld_structure_constants(m: int, n: int, bound: int | None = None) -> di
     """
     if m < 0 or n < 0:
         raise InputError("indices must be nonnegative")
-    if bound is not None and m + n > bound:
-        raise InputError(f"m+n exceeds the stated bound {bound}")
     intz._check_work((min(m, n) + 1,), m + n, "the Drinfeld constants")
     return {k: t_poly({m + n - k: c}) for k, c in intz.basis_product(m, n).items()}

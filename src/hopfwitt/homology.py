@@ -430,16 +430,6 @@ def shuffle_chains(A: GradedAugmentedAlgebra, x: Chain, y: Chain) -> Chain:
     return out
 
 
-def _reduce_mod_lattice(v: list[int], hnf_rows: Matrix) -> tuple[int, ...]:
-    z = list(v)
-    for row in hnf_rows:
-        j = next(k for k, x in enumerate(row) if x)
-        q = z[j] // row[j]
-        if q:
-            z = [a - q * b for a, b in zip(z, row)]
-    return tuple(z)
-
-
 class BarHomologyWindow:
     """Bar complex of A in a bounded window, with cycle reduction.
 
@@ -486,9 +476,9 @@ class BarHomologyWindow:
             d = self.complex.differential(q, w)
             if d and any(linalg.mat_vec(d, v)):
                 raise InputError(f"chain is not a cycle in strand {key}")
-            red = _reduce_mod_lattice(v, self._boundaries(key))
+            _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
             if any(red):
-                out[key] = red
+                out[key] = tuple(red)
         return out
 
     def shuffle_classes(self, x: Chain, y: Chain) -> dict[tuple[int, int], tuple[int, ...]]:

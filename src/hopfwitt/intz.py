@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .binomial import binomial_expand, binomial_int, binomial_transform
 from .errors import InputError
-from .poly import SparsePoly
+from .poly import SparsePoly, format_terms
 from .series import TruncSeries
 
 
@@ -142,21 +142,8 @@ class IntZElement:
     # -- text and JSON forms ----------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for n, c in sorted(self._coeffs.items()):
-            if n == 0:
-                chunk = str(abs(c))
-            elif abs(c) == 1:
-                chunk = f"C(x,{n})"
-            else:
-                chunk = f"{abs(c)}*C(x,{n})"
-            if not parts:
-                parts.append(chunk if c > 0 else "-" + chunk)
-            else:
-                parts.append(("+" if c > 0 else "-") + chunk)
-        return "".join(parts)
+        return format_terms((f"C(x,{n})" if n else "", c)
+                            for n, c in sorted(self._coeffs.items()))
 
     def __repr__(self) -> str:
         return f"IntZElement({self})"
@@ -202,26 +189,6 @@ class IntZElement:
             {"coeffs": {str(n): str(c) for n, c in sorted(self._coeffs.items())}},
             sort_keys=True, separators=(",", ":"),
         )
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> IntZElement:
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputError("element JSON must be an object with a 'coeffs' key")
-        raw = obj["coeffs"]
-        if not isinstance(raw, dict):
-            raise InputError("'coeffs' must be an object")
-        try:
-            return cls({int(n): int(c) for n, c in raw.items()})
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad element JSON: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> IntZElement:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
 
 
 class TensorElement:
@@ -323,21 +290,10 @@ class TensorElement:
         return out
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-
         def side(n: int) -> str:
             return "1" if n == 0 else f"C(x,{n})"
 
-        parts: list[str] = []
-        for (m, n), c in self.items():
-            body = f"{side(m)}@{side(n)}"
-            chunk = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(chunk if c > 0 else "-" + chunk)
-            else:
-                parts.append(("+" if c > 0 else "-") + chunk)
-        return "".join(parts)
+        return format_terms((f"{side(m)}@{side(n)}", c) for (m, n), c in self.items())
 
     def __repr__(self) -> str:
         return f"TensorElement({self})"

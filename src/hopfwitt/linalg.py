@@ -1,8 +1,8 @@
 """Exact linear algebra over Z: Hermite and Smith normal forms, ranks.
 
 Matrices are lists of row lists of Python ints.  HNF by integer row
-reduction gives canonical lattice forms; coordinates in a lattice are
-read off its HNF rows by substitution.  No routine tracks transforms.
+reduction gives canonical lattice forms; coordinates in a lattice, and a
+canonical residue modulo it, are read off its HNF rows by substitution.  No routine tracks transforms.
 Ranks and invariant factors take one route of their own:
 unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
+from typing import Iterator
 
 from .errors import InputError
 
@@ -119,18 +120,17 @@ def row_hnf(A: Matrix) -> Matrix:
     return [row for row in M[:pivot_row] if any(row)]
 
 
-def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
-    """Coordinates of each vector in the row lattice of H, or None when
-    some vector is not in that lattice.
+def echelon_reduce(H: Matrix, vectors: list[list[int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """For each vector v, coordinates q and a residue r with v = q H + r.
 
     H is in row echelon form with no zero rows, as row_hnf returns it, so
-    its rows are independent and the coordinates are unique.  Each row's
-    coordinate is read off its pivot column once the rows above it are
-    subtracted, since the rows below are zero there.  A remainder stays
-    in that column, so a vector is in the lattice iff nothing is left.
+    its rows are independent.  Each row's coordinate is the floor quotient
+    at its pivot column once the rows above it are subtracted, since the
+    rows below are zero there; a remainder stays in that column.  With
+    positive pivots, as row_hnf gives, r is the same for every vector of
+    one coset of the row lattice, and v is in the lattice iff r is zero.
     """
     pivots = [next(j for j, x in enumerate(row) if x) for row in H]
-    out = []
     for v in vectors:
         res = list(v)
         coords = []
@@ -139,6 +139,15 @@ def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
             if q:
                 res[p:] = [x - q * y for x, y in zip(res[p:], row[p:])]
             coords.append(q)
+        yield coords, res
+
+
+def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
+    """Coordinates of each vector in the row lattice of H, unique since
+    its rows are independent, or None when some vector is not in that
+    lattice; H as for echelon_reduce."""
+    out = []
+    for coords, res in echelon_reduce(H, vectors):
         if any(res):
             return None
         out.append(coords)

@@ -463,22 +463,3 @@ def ring_from_spec(spec: str) -> CoeffRing:
         except ValueError as exc:
             raise InputError(f"bad Fq parameters in {spec!r}") from exc
     raise InputError(f"unknown ring spec {spec!r}")
-
-
-def ring_from_json_obj(obj: object) -> CoeffRing:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("ring JSON must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "Z":
-        return IntegerRing()
-    if kind == "Poly":
-        return PolynomialRing()
-    if kind == "Zmod":
-        return ZModRing(int(obj["m"]))
-    if kind == "Fq":
-        modulus = obj.get("modulus")
-        return GaloisField(
-            int(obj["p"]), int(obj["k"]),
-            tuple(modulus) if modulus is not None else None,
-        )
-    raise InputError(f"unknown ring kind {kind!r}")

