@@ -178,13 +178,8 @@ def _cmd_witt_twisted(args) -> str:
 def _cmd_witt_kernel(args) -> str:
     trunc, ring = _witt_context(args)
     t = ring.element_from_str(args.t)
-    n = args.n
-    if args.stable:
-        kernel = witt.stable_twisted_kernel(n, t, trunc, ring, args.bound)
-    else:
-        kernel = witt.kernel_enumerate(
-            lambda a: witt.twisted_frobenius(n, a, t), trunc, ring, args.bound
-        )
+    search = witt.stable_twisted_kernel if args.stable else witt.twisted_kernel
+    kernel = search(args.n, t, trunc, ring, args.bound)
     if args.format == "json":
         return _json_line(
             {"cardinality": len(kernel), "vectors": [str(v) for v in kernel]}
@@ -510,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stable", action="store_true",
                    help="keep only members lifting one truncation level deeper")
     p.add_argument("--bound", type=int, default=200_000,
-                   help="enumeration size limit")
+                   help="limit on the prefixes the pruned search visits")
     p.set_defaults(func=_cmd_witt_kernel)
 
     p = sub.add_parser("unipoly", description="universal polynomials of one operation")

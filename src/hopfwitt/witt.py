@@ -28,6 +28,12 @@ has r in coordinate 1 and zeros elsewhere.  The twisted operator
     TF_n(a; t) = F_n(a) - [t]^(n-1) * restrict(a)
 
 interpolates between F_n - id at t = 1 and F_n at t = 0.
+
+Over a finite ring, kernel_enumerate applies any operator to every
+vector.  The kernels of TF_n are searched depth-first instead, assigning
+components in truncation order: every prefix of S is a truncation set and
+restriction commutes with TF_n, so output component m is fixed once a_nm
+is assigned, and a prefix that makes it nonzero is dropped.
 """
 
 from __future__ import annotations
@@ -199,18 +205,22 @@ class WittVector:
 # -- the ghost route -------------------------------------------------------
 
 
+def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], n: int):
+    """sum_{d | n, d < n, d in S} d * x_d^(n/d), computed in L: the ghost
+    component w_n without its last term n * x_n."""
+    acc = L.zero()
+    for d in trunc:
+        if d >= n:
+            break
+        if n % d == 0:
+            acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
+    return acc
+
+
 def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> dict:
     """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L."""
-    out = {}
-    for n in trunc:
-        acc = L.zero()
-        for d in trunc:
-            if d > n:
-                break
-            if n % d == 0:
-                acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
-        out[n] = acc
-    return out
+    return {n: L.add(_lower_sum(L, trunc, comps, n), L.mul(L.from_int(n), comps[n]))
+            for n in trunc}
 
 
 # Largest accepted (bit length of a component) x (largest index) over Z and
@@ -258,13 +268,7 @@ def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
     """
     out: dict[int, object] = {}
     for n in trunc:
-        acc = ghosts[n]
-        for d in trunc:
-            if d >= n:
-                break
-            if n % d == 0:
-                acc = L.sub(acc, L.mul(L.from_int(d), L.pow(out[d], n // d)))
-        q = L.div_int(acc, n)
+        q = L.div_int(L.sub(ghosts[n], _lower_sum(L, trunc, out, n)), n)
         if q is None:
             raise error(f"ghost vector is not integral at index {n}")
         out[n] = q
@@ -487,19 +491,92 @@ def kernel_enumerate(op: Callable[[WittVector], WittVector],
 
 def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
                     ring: CoeffRing) -> None:
-    """Zero present and closure under the Witt sum, on a sample when the
-    kernel is large."""
+    """Zero present and closure under the Witt sum, on a sample of pairs
+    when the kernel is large.  Each member in a sampled pair has its ghost
+    components formed once; each pair then sums them and de-ghosts, which
+    is witt_add without the repeated ghost computations."""
     if not any(v.is_zero() for v in vectors):
         raise FalsificationError("kernel does not contain zero")
     seen = {str(v) for v in vectors}
-    pairs = itertools.product(vectors, vectors)
-    if len(vectors) > 25:
-        pairs = itertools.islice(pairs, 625)
-    for x, y in pairs:
-        if str(witt_add(x, y)) not in seen:
+    pairs = list(itertools.islice(itertools.product(range(len(vectors)), repeat=2),
+                                  625 if len(vectors) > 25 else None))
+    ghosts = {i: _lifted_ghosts(vectors[i]) for i in {i for pair in pairs for i in pair}}
+    add = ring.lift_ring.add
+    for i, j in pairs:
+        gx, gy = ghosts[i], ghosts[j]
+        total = _from_lifted_ghosts(trunc, ring, {m: add(gx[m], gy[m]) for m in trunc})
+        if str(total) not in seen:
             raise FalsificationError(
                 "kernel is not closed under addition; operator not additive?"
             )
+
+
+def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
+                   bound: int) -> Iterator[list]:
+    """The component lists of ker(TF_n(-; t)) on W_S(R), R finite, in the
+    order of all_vectors, by the search the module docstring describes.
+    Depth d forms only the new lifted ghost w_d; when n | d, output
+    component m = d/n has ghost w_d - t^((n-1)m) w_m and is solved with
+    the lifted output components kept along the path.  bound caps the
+    prefixes visited."""
+    if not ring.is_finite:
+        raise InputError(f"cannot enumerate Witt vectors over {ring}")
+    trunc.quotient(n)  # refuses an empty S/n
+    if ring.size() > bound:  # the first level alone visits |R| prefixes
+        raise InputError(f"bound overflow: the kernel search would visit more "
+                         f"than bound = {bound} prefixes")
+    L = ring.lift_ring
+    pool = [(r, ring.lift(r)) for r in ring.elements()]
+    tl = ring.lift(t)
+    S = trunc.members
+    x: dict = {}  # lifted components on the path
+    w: dict = {}  # their ghost components
+    y: dict = {}  # lifted output components of TF_n
+    path: list = []
+    visited = 0
+
+    def dive(k: int) -> Iterator[list]:
+        nonlocal visited
+        if k == len(S):
+            yield list(path)
+            return
+        d = S[k]
+        m = d // n if d % n == 0 else 0
+        base, dl = _lower_sum(L, trunc, x, d), L.from_int(d)
+        if m:
+            twist, known = L.pow(tl, (n - 1) * m), _lower_sum(L, trunc, y, m)
+        for r, xr in pool:
+            visited += 1
+            if visited > bound:
+                raise InputError(f"bound overflow: the kernel search visited more "
+                                 f"than bound = {bound} prefixes")
+            wd = L.add(base, L.mul(dl, xr))
+            if m:
+                # n = 1 gives m = d, and w_d - w_d = 0
+                ghost_m = L.sub(wd, L.mul(twist, w[m] if m < d else wd))
+                q = L.div_int(L.sub(ghost_m, known), m)
+                if q is None:
+                    raise FalsificationError(f"ghost vector is not integral at index {m}")
+                if not ring.is_zero(ring.reduce(q)):
+                    continue
+                y[m] = q
+            x[d], w[d] = xr, wd
+            path.append(r)
+            yield from dive(k + 1)
+            path.pop()
+
+    return dive(0)
+
+
+def twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
+                   bound: int = 200_000) -> list[WittVector]:
+    """ker(TF_n(-; t)) on W_S(R) over a finite ring R, by the pruned
+    search of _kernel_search: the members kernel_enumerate finds for
+    twisted_frobenius, in the same order."""
+    kernel = [WittVector.from_list(trunc, ring, comps)
+              for comps in _kernel_search(n, t, trunc, ring, bound)]
+    _check_subgroup(kernel, trunc, ring)
+    return kernel
 
 
 def stable_twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
@@ -517,14 +594,13 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     deep = TruncationSet.divisor_closure(
         set(trunc.members) | {n * d for d in trunc}
     )
+    keep = [i for i, d in enumerate(deep) if d in trunc]
     found: list[WittVector] = []
-    seen: set[str] = set()
-    for a in all_vectors(deep, ring, bound):
-        if twisted_frobenius(n, a, t).is_zero():
-            small = a.restrict(trunc)
-            key = str(small)
-            if key not in seen:
-                seen.add(key)
-                found.append(small)
+    seen: set[tuple] = set()
+    for comps in _kernel_search(n, t, deep, ring, bound):
+        small = tuple(comps[i] for i in keep)
+        if small not in seen:
+            seen.add(small)
+            found.append(WittVector.from_list(trunc, ring, small))
     _check_subgroup(found, trunc, ring)
     return found

@@ -295,6 +295,53 @@ class TestLinalgBound:
         assert "bound overflow" in err and "MODULUS_BITS_LIMIT" in err
 
 
+class TestKernelSearch:
+    """witt kernel runs the pruned search; --bound counts the prefixes it
+    visits, not |R|^|S|."""
+
+    @pytest.mark.parametrize("trunc,m", [("1,2,3,4,6,12", 7), ("1,2,3,6", 16),
+                                         ("1,2,4,8,16", 8), ("1,2,3,4,6", 8)])
+    def test_large_kernels_answer_quickly(self, trunc, m, capsys):
+        argv = ["witt", "kernel", "--trunc", trunc, "--ring", f"Zmod:{m}",
+                "--n", "2", "--t", "1"]
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, err) == (0, "")
+        head, *members = out.splitlines()
+        assert head == f"cardinality {len(members)}"
+        S, R = witt.TruncationSet(map(int, trunc.split(","))), ring_from_spec(f"Zmod:{m}")
+        for text in members:
+            a = witt.WittVector.from_list(S, R, [int(c) for c in text.strip("()").split(",")])
+            assert witt.twisted_frobenius(2, a, R.one()).is_zero()
+
+    def test_bound_counts_visited_prefixes(self, capsys):
+        """262,144 vectors, over the default bound, but far fewer prefixes."""
+        assert 8 ** 6 > 200_000
+        rc, out, _ = run_cli(["witt", "kernel", "--trunc", "1,2,3,4,6,12",
+                              "--ring", "Zmod:8", "--n", "2", "--t", "1"], capsys)
+        assert rc == 0 and out.startswith("cardinality 1024\n")
+
+    def test_search_past_the_bound_exits_two(self, capsys):
+        rc, out, err = run_cli(["witt", "kernel", "--trunc", "1,2,3,4,6,12",
+                                "--ring", "Zmod:7", "--n", "2", "--t", "1",
+                                "--bound", "10"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "bound overflow" in err and "bound = 10 " in err
+
+    @pytest.mark.parametrize("stable", [[], ["--stable"]], ids=["plain", "stable"])
+    @pytest.mark.parametrize("ring", ["Zmod:1000000000", "Fq:1000000007,1"])
+    def test_ring_larger_than_the_bound_exits_two_at_once(self, ring, stable, capsys):
+        start = time.perf_counter()
+        rc, out, err = run_cli(["witt", "kernel", "--trunc", "1", "--ring", ring,
+                                "--n", "1", "--t", "1", *stable], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (2, "")
+        assert "bound overflow" in err and "bound = 200000 " in err
+
+
 class TestDayTensorLimit:
     def test_degree_nine_tensor_answers(self, capsys):
         d9 = filtration.degree_filtration_module(9).to_json()

@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfwitt import witt
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import GaloisField, IntegerRing, PolynomialRing, ZModRing
@@ -29,6 +30,7 @@ from hopfwitt.witt import (
     stable_twisted_kernel,
     teichmuller,
     twisted_frobenius,
+    twisted_kernel,
     universal_poly,
     verschiebung,
     witt_add,
@@ -482,6 +484,85 @@ def test_non_additive_operator_trips_subgroup_check():
 
     with pytest.raises(FalsificationError):
         kernel_enumerate(warped, S, F3)
+
+
+KERNEL_RINGS = [ZModRing(m) for m in (2, 3, 4, 6, 8, 9)] + [
+    GaloisField(2, 1), GaloisField(2, 2), GaloisField(3, 2)]
+KERNEL_SETS = [(1,), (1, 2), (1, 3), (1, 2, 4), (1, 2, 3), (1, 2, 3, 6), (1, 3, 9)]
+# (ring, S, n) with S/n nonempty and at most 5,000 vectors to enumerate
+KERNEL_CASES = [(R, S, n) for R in KERNEL_RINGS for S in KERNEL_SETS for n in (1, 2, 3)
+                if R.size() ** len(S) <= 5000 and any(n * m in S for m in S)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(KERNEL_CASES), st.data())
+def test_pruned_kernel_search_matches_brute_force(case, data):
+    """The pruned search returns the brute-force kernels, in the same
+    order; the stable kernel is the deepened brute-force kernel projected
+    to S, first occurrences kept."""
+    R, S, n = case
+    t = data.draw(st.sampled_from(list(R.elements())))
+    T = TruncationSet(S)
+    pruned = twisted_kernel(n, t, T, R)
+    brute = kernel_enumerate(lambda a: twisted_frobenius(n, a, t), T, R)
+    assert [str(v) for v in pruned] == [str(v) for v in brute]
+    deep = TruncationSet.divisor_closure(set(S) | {n * d for d in S})
+    if R.size() ** len(deep) <= 5000:
+        projected = []
+        for a in all_vectors(deep, R):
+            if twisted_frobenius(n, a, t).is_zero():
+                key = str(a.restrict(T))
+                if key not in projected:
+                    projected.append(key)
+        assert [str(v) for v in stable_twisted_kernel(n, t, T, R)] == projected
+
+
+def test_kernel_search_bound_counts_prefixes():
+    """W_{1,2,4}(Z/9) has 729 vectors; at n = 2, t = 1 the search visits
+    9 + 81 prefixes, keeps 9 of the 81, visits their 81 extensions and
+    keeps 9."""
+    R, S = ZModRing(9), TruncationSet([1, 2, 4])
+    assert len(twisted_kernel(2, R.one(), S, R, bound=171)) == 9
+    with pytest.raises(InputError, match="bound overflow.*170"):
+        twisted_kernel(2, R.one(), S, R, bound=170)
+
+
+def test_kernel_search_refuses_infinite_rings_and_empty_quotients():
+    with pytest.raises(InputError, match="cannot enumerate"):
+        twisted_kernel(2, 1, S12, ZZ)
+    with pytest.raises(InputError, match="empty"):
+        twisted_kernel(3, 1, S12, ZModRing(2))
+
+
+@pytest.mark.parametrize("ring", [ZModRing(4), GaloisField(2, 2)], ids=str)
+def test_subgroup_check_rejects_non_subgroups(ring):
+    S = TruncationSet([1, 2])
+    witt._check_subgroup(list(all_vectors(S, ring)), S, ring)
+    zero, one = WittVector.zero(S, ring), teichmuller(ring.one(), S, ring)
+    with pytest.raises(FalsificationError, match="zero"):
+        witt._check_subgroup([one], S, ring)
+    # [1] + [1] is (2, 3) over Z/4 and (0, 1) over F_4, missing from the list
+    with pytest.raises(FalsificationError, match="closed"):
+        witt._check_subgroup([zero, one], S, ring)
+
+
+def test_subgroup_check_forms_ghosts_once_per_sampled_member(monkeypatch):
+    """All of W_{1,2,3}(Z/9), 729 members: the 625 sampled pairs are
+    (v_0, v_j) for j < 625, so ghosts are formed for 625 members, each
+    once."""
+    R, S = ZModRing(9), TruncationSet([1, 2, 3])
+    members = list(all_vectors(S, R))
+    formed = []
+    real = witt._lifted_ghosts
+
+    def counting(a):
+        formed.append(str(a))
+        return real(a)
+
+    monkeypatch.setattr(witt, "_lifted_ghosts", counting)
+    witt._check_subgroup(members, S, R)
+    assert len(members) == 729
+    assert sorted(formed) == sorted(str(v) for v in members[:625])
 
 
 # -- serialization ----------------------------------------------------------
