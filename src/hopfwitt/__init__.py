@@ -2,11 +2,11 @@
 
 Subpackages by topic:
 
-- poly, series, binomial: sparse rational polynomials, truncated integer
-  series, and the binomial-basis transform (the arithmetic substrate).
+- poly, binomial: sparse rational polynomials, generalized binomial
+  coefficients and a primality test (the arithmetic substrate).
 - intz: the ring of integer-valued polynomials on its binomial basis, with
-  its Hopf structure, degree filtration, and the duality pairing against
-  Z[[t-1]].
+  its Hopf structure by closed forms, degree filtration, and the duality
+  pairing against coefficient lists of Z[[t-1]].
 - rings, witt: coefficient rings and truncated big/p-typical Witt vectors,
   universal operation polynomials, (twisted) Frobenii, kernels.
 - linalg, filtration: exact integer linear algebra, bounded filtered

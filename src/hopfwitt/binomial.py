@@ -1,21 +1,15 @@
-"""Binomial coefficients and the binomial-basis transform.
+"""Integer helpers shared by the Int(Z) and coefficient-ring modules.
 
-The binomial polynomials C(x,n) = x(x-1)...(x-n+1)/n! form a Z-basis of
-the ring of integer-valued polynomials: every p in Q[x] is uniquely
-p = sum_n c_n C(x,n) with c_n = (Delta^n p)(0), Delta the forward
-difference, and p takes integer values on Z exactly when every c_n is an
-integer.  The transform here builds the difference table of the exact
-values p(0), ..., p(deg p) rather than shifting symbolically; both routes
-are O(deg^2) but the value table keeps intermediate objects small.
+Generalized binomial coefficients C(a, n) for any integer a, and a
+primality test by trial division.  Both are plain int arithmetic, so
+this module imports nothing else from the package beyond its errors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .errors import InputError
-from .poly import SparsePoly
 
 
 def binomial_int(a: int, n: int) -> int:
@@ -30,48 +24,16 @@ def binomial_int(a: int, n: int) -> int:
     return (-1) ** n * comb(n - a - 1, n)
 
 
-def falling_factorial(n: int, var: str = "x") -> SparsePoly:
-    """x(x-1)...(x-n+1) as a polynomial; the empty product is 1."""
-    x = SparsePoly.variable(var)
-    out = SparsePoly.constant(1)
-    for i in range(n):
-        out = out * (x - i)
-    return out
-
-
-def binomial_poly(n: int, var: str = "x") -> SparsePoly:
-    """C(x, n) as an element of Q[x]."""
-    if n < 0:
-        raise InputError("binomial polynomial index must be nonnegative")
-    return falling_factorial(n, var).exact_div(factorial(n))
-
-
-def binomial_transform(p: SparsePoly, var: str = "x") -> list[Fraction]:
-    """Coefficients [c_0, ..., c_d] of p in the binomial basis.
-
-    Works for any p in Q[x]; integrality of the output is exactly
-    membership in the integer-valued subring.
-    """
-    if not p.is_univariate_in(var):
-        raise InputError(f"polynomial is not univariate in {var!r}")
-    deg = p.total_degree()
-    if deg is None:
-        return []
-    values = [p.evaluate({var: k}) for k in range(deg + 1)]
-    coeffs: list[Fraction] = []
-    row = values
-    while row:
-        coeffs.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return coeffs
-
-
-def binomial_expand(coeffs: dict[int, int] | list, var: str = "x") -> SparsePoly:
-    """sum_n c_n C(x, n) back in Q[x]."""
-    if isinstance(coeffs, list):
-        coeffs = {n: c for n, c in enumerate(coeffs)}
-    out = SparsePoly()
-    for n, c in coeffs.items():
-        if c:
-            out = out + binomial_poly(n, var) * c
-    return out
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True

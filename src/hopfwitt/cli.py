@@ -21,7 +21,6 @@ from typing import Sequence
 from . import filtration, homology, intz, witt
 from .errors import FalsificationError, InputError
 from .rings import GaloisField, ring_from_spec
-from .series import TruncSeries
 
 
 def _payload(text: str) -> str:
@@ -109,7 +108,7 @@ def _cmd_intz_pair(args) -> str:
     # zero, so those terms of f drop out and the series length truncates
     coeffs = _ints(args.series, "--series")
     f = intz.IntZElement({n: c for n, c in _element(args.f).items() if n < len(coeffs)})
-    return _value_out(intz.pair(f, TruncSeries("u", max(len(coeffs), 1), coeffs)), args.format)
+    return _value_out(intz.pair(f, coeffs), args.format)
 
 
 def _cmd_intz_frobtest(args) -> str:

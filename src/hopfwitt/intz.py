@@ -15,36 +15,24 @@ forms, so integrality holds by construction:
 - antipode  S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k),
   from C(-x,n) = (-1)^n C(x+n-1,n) and Vandermonde.
 
-The same module holds the degree filtration (span of C(x,k), k <= n) and
-the pairing against Z[[u]], u = t-1, under which C(x,n) is dual to u^n and
-integer points become group-like series (1+u)^a.
+The same module holds the degree filtration (span of C(x,k), k <= n),
+the congruence f^p = f mod p, and the pairing against Z[[u]], u = t-1,
+under which C(x,n) is dual to u^n.  A series there is its list of
+coefficients, truncated at its length, and the integer point a becomes
+the group-like series (1+u)^a, whose coefficients are the C(a,n).  The
+generic route through Q[x] and a truncated series ring, which checks
+these closed forms independently, is kept in tests/intz_oracle.py.
 """
 
 from __future__ import annotations
 
 import json
 from math import comb, e, log2
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .binomial import binomial_expand, binomial_int, binomial_transform
+from .binomial import binomial_int, is_prime
 from .errors import InputError
-from .poly import SparsePoly, format_terms
-from .series import TruncSeries
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .poly import format_terms
 
 
 class IntZElement:
@@ -78,21 +66,6 @@ class IntZElement:
     def zero(cls) -> IntZElement:
         return cls()
 
-    @classmethod
-    def from_poly(cls, p: SparsePoly, var: str = "x") -> IntZElement:
-        """Transform p in Q[x] to the binomial basis; non-integer-valued
-        input is a caller error."""
-        coeffs = binomial_transform(p, var)
-        out: dict[int, int] = {}
-        for n, c in enumerate(coeffs):
-            if c.denominator != 1:
-                raise InputError(
-                    f"polynomial is not integer-valued: C(x,{n}) coefficient {c}"
-                )
-            if c:
-                out[n] = int(c)
-        return cls(out)
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, n: int) -> int:
@@ -106,9 +79,6 @@ class IntZElement:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def to_poly(self, var: str = "x") -> SparsePoly:
-        return binomial_expand(self._coeffs, var)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntZElement):
@@ -309,7 +279,7 @@ class TensorElement:
 
 
 # Largest accepted (terms formed) x (top basis index of the result) for
-# mult and antipode; at the limit either takes about a second.
+# mult, comult and antipode; at the limit each takes about a second.
 WORK_LIMIT = 10_000_000
 # Longest accepted decimal numeral, and largest accepted bit length of one
 # binomial in eval_at: with these and WORK_LIMIT every value the CLI prints
@@ -354,6 +324,7 @@ def mult(f: IntZElement, g: IntZElement) -> IntZElement:
 
 def comult(f: IntZElement) -> TensorElement:
     """Delta C(x,n) = sum_{i+j=n} C(x,i) (x) C(x,j), extended Z-linearly."""
+    _check_work((n + 1 for n in f._coeffs), max(f._coeffs, default=0), "coproduct")
     out: dict[tuple[int, int], int] = {}
     for n, c in f.items():
         for i in range(n + 1):
@@ -467,64 +438,22 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
 # -- duality pairing --------------------------------------------------------
 
 
-def pair(f: IntZElement, s: TruncSeries) -> int:
-    """<C(x,n), u^k> = delta_{n,k}, extended bilinearly.
+def pair(f: IntZElement, s: Sequence[int]) -> int:
+    """<C(x,n), u^k> = delta_{n,k}, extended bilinearly, against the series
+    sum_k s[k] u^k truncated at u^len(s).
 
-    The series truncation must exceed every basis index of f, otherwise
+    The truncation must exceed every basis index of f, otherwise
     dropped terms could contribute and the answer would be untrustworthy.
     """
     d = filtration_degree(f)
-    if d is not None and s.trunc <= d:
+    if d is not None and len(s) <= d:
         raise InputError(
-            f"series truncation {s.trunc} too small for element of degree {d}"
+            f"series truncation {len(s)} too small for element of degree {d}"
         )
-    return sum(c * s.coefficient(n) for n, c in f.items())
+    return sum(c * s[n] for n, c in f._coeffs.items())
 
 
-def series_group_law(s: TruncSeries, left_var: str = "u1", right_var: str = "u2") -> SparsePoly:
-    """Push s through u |-> u1 + u2 + u1*u2, truncating each variable at
-    the truncation order.  This is the formal-group comultiplication on
-    the dual side (multiplicativity of t = 1 + u)."""
-    u1 = SparsePoly.variable(left_var)
-    u2 = SparsePoly.variable(right_var)
-    law = u1 + u2 + u1 * u2
-    total = SparsePoly()
-    power = SparsePoly.constant(1)
-    for k in range(s.trunc):
-        c = s.coefficient(k)
-        if c:
-            total = total + power * c
-        if k + 1 < s.trunc:
-            power = _truncate_bidegree(power * law, left_var, right_var, s.trunc)
-    return total
-
-
-def _truncate_bidegree(p: SparsePoly, v1: str, v2: str, bound: int) -> SparsePoly:
-    kept = {}
-    for mono, c in p.items():
-        exps = dict(mono)
-        if exps.get(v1, 0) < bound and exps.get(v2, 0) < bound:
-            kept[mono] = c
-    return SparsePoly(kept)
-
-
-def pair_tensor(te: TensorElement, law: SparsePoly,
-                left_var: str = "u1", right_var: str = "u2") -> int:
-    """Pair f (x) g against a bivariate series, slot by slot."""
-    total = 0
-    for (m, n), c in te.items():
-        mono: list[tuple[str, int]] = []
-        if m:
-            mono.append((left_var, m))
-        if n:
-            mono.append((right_var, n))
-        coeff = law.coefficient(tuple(sorted(mono)))
-        if coeff.denominator != 1:
-            raise InputError("bivariate series has non-integer coefficients")
-        total += c * int(coeff)
-    return total
-
-
-def group_like(a: int, trunc: int, var: str = "u") -> TruncSeries:
-    """(1+u)^a, the group-like series attached to the integer point a."""
-    return TruncSeries.binomial_power(a, var, trunc)
+def group_like(a: int, trunc: int) -> list[int]:
+    """Coefficients of (1+u)^a below u^trunc, the group-like series attached
+    to the integer point a."""
+    return [binomial_int(a, n) for n in range(trunc)]

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .binomial import is_prime
 from .errors import InputError
-from .intz import is_prime
 from .poly import SparsePoly
 
 # Conway polynomials, little-endian coefficient lists including the leading

@@ -47,8 +47,28 @@ from .poly import SparsePoly
 from .rings import CoeffRing, IntegerRing, PolynomialRing
 
 
+# Largest accepted member of a truncation set.  The ghost component w_n
+# holds a_1^n, so over Z a set with a member past GHOST_BITS_LIMIT already
+# admits only the zero vector; the finite rings reduce and go further.
+TRUNC_MEMBER_LIMIT = 10_000
+
+
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n in increasing order, by trial division up
+    to sqrt(n); n over TRUNC_MEMBER_LIMIT is refused before any division."""
+    if n > TRUNC_MEMBER_LIMIT:
+        raise InputError(f"bound overflow: a truncation set member is over "
+                         f"witt.TRUNC_MEMBER_LIMIT = {TRUNC_MEMBER_LIMIT}")
+    low: list[int] = []
+    high: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            low.append(d)
+            if d * d < n:
+                high.append(n // d)
+        d += 1
+    return low + high[::-1]
 
 
 class TruncationSet:
@@ -57,14 +77,15 @@ class TruncationSet:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int]):
-        ms = sorted(set(members))
+        present = set(members)
+        ms = sorted(present)
         if not ms:
             raise InputError("truncation set must be nonempty")
         if ms[0] < 1:
             raise InputError("truncation set members must be positive")
         for n in ms:
             for d in divisors(n):
-                if d not in ms:
+                if d not in present:
                     raise InputError(
                         f"truncation set is not divisor-closed: {d} divides {n}"
                     )
@@ -86,7 +107,9 @@ class TruncationSet:
 
     def quotient(self, n: int) -> TruncationSet:
         """S/n = {m : n*m in S}; empty quotients are rejected."""
-        q = [m for m in range(1, max(self.members) + 1) if n * m in self.members]
+        if n < 1:
+            raise InputError("quotient index must be positive")
+        q = [m // n for m in self.members if m % n == 0]
         if not q:
             raise InputError(f"S/{n} is empty for S = {list(self.members)}")
         return TruncationSet(q)
@@ -296,6 +319,8 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
     result maps each output index to a polynomial in a_d (and b_d for the
     binary operations): the operation run on generic vectors over Z[a, b].
     """
+    if n is not None and op != "frobenius":
+        raise InputError(f"only frobenius takes the index n, not {op!r}")
     R = PolynomialRing()
     a = WittVector(S, R, {d: SparsePoly.variable(f"a{d}") for d in S})
     b = WittVector(S, R, {d: SparsePoly.variable(f"b{d}") for d in S})

@@ -11,10 +11,10 @@ from hopfwitt.binomial import binomial_int
 from hopfwitt.intz import IntZElement, TensorElement
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import GaloisField, ZModRing, ring_from_spec
-from hopfwitt.series import TruncSeries
 from hopfwitt.witt import TruncationSet, WittVector
 
 from drinfeld_oracle import elimination_constants
+from intz_oracle import TruncSeries, from_poly, pair_tensor, series_group_law, to_poly
 
 
 def _criterion(num: int, label: str, budget: float, body) -> None:
@@ -71,7 +71,7 @@ def test_criterion_2_divided_power_degeneration():
                 expected = binomial_int(m + n, n)
                 # route 1: top structure constant of the product, taken
                 # through Q[x] so that it does not reuse the closed form
-                prod = IntZElement.from_poly(C(m).to_poly() * C(n).to_poly())
+                prod = from_poly(to_poly(C(m)) * to_poly(C(n)))
                 top = prod.coefficient(m + n)
                 assert top == expected
                 # route 2: shuffle product of bar words
@@ -204,25 +204,25 @@ def test_criterion_6_cartier_pairing():
         for i in range(11):
             for j in range(11):
                 u_j = TruncSeries("u", 12, (0,) * j + (1,))
-                assert intz.pair(C(i), u_j) == (1 if i == j else 0)
+                assert intz.pair(C(i), u_j.coeffs) == (1 if i == j else 0)
         # duality law 1: <f g, s> = <f (x) g, s(group law)>
         rng = random.Random(6)
         s = TruncSeries("u", 21, tuple(rng.randrange(-5, 6) for _ in range(21)))
-        law = intz.series_group_law(s)
+        law = series_group_law(s)
         for i in range(11):
             for j in range(i, 11):
-                lhs = intz.pair(intz.mult(C(i), C(j)), s)
-                rhs = intz.pair_tensor(TensorElement.simple(C(i), C(j)), law)
+                lhs = intz.pair(intz.mult(C(i), C(j)), s.coeffs)
+                rhs = pair_tensor(TensorElement.simple(C(i), C(j)), law)
                 assert lhs == rhs
         # duality law 2: <Delta f, s (x) s'> = <f, s s'>
         s1 = TruncSeries("u", 11, tuple(rng.randrange(-5, 6) for _ in range(11)))
         s2 = TruncSeries("u", 11, tuple(rng.randrange(-5, 6) for _ in range(11)))
         for n in range(11):
             lhs = sum(
-                c * intz.pair(C(i), s1) * intz.pair(C(j), s2)
+                c * intz.pair(C(i), s1.coeffs) * intz.pair(C(j), s2.coeffs)
                 for (i, j), c in intz.comult(C(n)).items()
             )
-            assert lhs == intz.pair(C(n), s1 * s2)
+            assert lhs == intz.pair(C(n), (s1 * s2).coeffs)
         # group-likes pair to binomial values
         for a in range(-4, 5):
             g = intz.group_like(a, trunc=9)

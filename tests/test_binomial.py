@@ -1,8 +1,10 @@
-"""Binomial basis: coefficients, transform, and its independent oracle.
+"""Binomial coefficients, and the binomial-basis transform of the oracle.
 
-The implementation computes c_n = (Delta^n p)(0) via the difference table
-of values.  The oracle here is the closed alternating sum
-c_n = sum_k (-1)^(n-k) C(n,k) p(k), a different route to the same numbers.
+The library's binomial_int is checked against polynomial evaluation and
+the falling product.  The transform in intz_oracle computes
+c_n = (Delta^n p)(0) via the difference table of values; it is checked
+here against the closed alternating sum c_n = sum_k (-1)^(n-k) C(n,k) p(k),
+a different route to the same numbers.
 """
 
 from fractions import Fraction
@@ -11,14 +13,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfwitt.binomial import (
-    binomial_expand,
-    binomial_int,
-    binomial_poly,
-    binomial_transform,
-    falling_factorial,
-)
+from hopfwitt.binomial import binomial_int, is_prime
 from hopfwitt.poly import SparsePoly
+
+from intz_oracle import binomial_expand, binomial_poly, binomial_transform, falling_factorial
 
 
 def oracle_transform(p, deg):
@@ -106,3 +104,8 @@ def test_transform_matches_oracle_and_round_trips(cs):
 def test_products_of_basis_elements_are_integer_valued(m, n):
     p = binomial_poly(m) * binomial_poly(n)
     assert all(c.denominator == 1 for c in binomial_transform(p))
+
+
+def test_is_prime_matches_the_definition():
+    for n in range(-5, 400):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))

@@ -160,6 +160,12 @@ class TestExitCodes:
                               "Fq:2,2", "--r", "1"], capsys)
         assert rc == 2
 
+    def test_unipoly_index_for_another_op(self, capsys):
+        rc, out, err = run_cli(["witt", "unipoly", "--trunc", "1,2", "--op", "sum",
+                                "--n", "3"], capsys)
+        assert (rc, out) == (2, "")
+        assert "frobenius" in err
+
     def test_composite_prime_rejected(self, capsys):
         rc, _, err = run_cli(["intz", "frobtest", "C(x,1)", "--primes", "4"],
                              capsys)
@@ -445,6 +451,31 @@ class TestFiltLimits:
         assert "bound overflow" in err
 
 
+class TestNumeralSizedWork:
+    """Inputs whose work grew with a numeral, refused before any is done."""
+
+    @pytest.mark.parametrize("argv", [
+        ["intz", "comul", "C(x,1000000)"],
+        ["intz", "comul", "C(x," + "9" * 900 + ")"],
+    ], ids=["comul-1e6", "comul-900-digits"])
+    def test_huge_coproduct_exits_two(self, argv, capsys):
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (2, "")
+        assert "bound overflow" in err
+
+    @pytest.mark.parametrize("trunc", ["1,100000007", "1," + "1" * 1000],
+                             ids=["prime-member", "1000-digit-member"])
+    def test_huge_truncation_member_exits_two(self, trunc, capsys):
+        start = time.perf_counter()
+        rc, out, err = run_cli(["witt", "ghost", "--trunc", trunc, "--ring", "Z",
+                                "--coeffs", "1,0"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert "bound overflow" in err and "TRUNC_MEMBER_LIMIT" in err
+
+
 class TestWindowedWords:
     """Windows whose words the parent enumerated in full before filtering."""
 
@@ -587,6 +618,13 @@ class TestProcessEntry:
             capture_output=True, text=True, cwd=tmp_path, env=child_env())
         assert r.returncode == 0
         assert r.stdout == (GOLDEN / "intz-mul.out").read_text()
+
+    def test_witt_does_not_import_intz(self, tmp_path):
+        code = "import sys, hopfwitt.witt\nprint('hopfwitt.intz' in sys.modules)\n"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, cwd=tmp_path, env=child_env())
+        assert r.returncode == 0
+        assert r.stdout == "False\n"
 
     def test_exit_code_three_in_process(self, tmp_path):
         """Out-of-contract input to a real process exits 2, not 3.

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfwitt import filtration, intz, linalg
-from hopfwitt.binomial import binomial_int, binomial_poly
+from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.filtration import (
     FilteredModule,
@@ -26,6 +26,7 @@ from hopfwitt.poly import SparsePoly
 
 import linalg_oracle as oracle
 from drinfeld_oracle import drinfeld_group_law_samples, drinfeld_poly, elimination_constants
+from intz_oracle import binomial_poly
 
 
 def _unimodular(rng, r):

@@ -1,11 +1,12 @@
-"""Truncated integer power series."""
+"""Truncated integer power series, the dual side of the Int(Z) oracle."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import InputError
-from hopfwitt.series import TruncSeries
+
+from intz_oracle import TruncSeries
 
 
 def test_padding_and_coefficient_access():

@@ -19,10 +19,12 @@ from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import GaloisField, IntegerRing, PolynomialRing, ZModRing
 from hopfwitt.witt import (
+    TRUNC_MEMBER_LIMIT,
     TruncationSet,
     WittVector,
     all_vectors,
     divides_additively,
+    divisors,
     frobenius,
     from_ghost,
     ghost,
@@ -68,6 +70,20 @@ def test_divisor_closure_and_p_typical():
     assert TruncationSet.p_typical(3, 1).members == (1,)
 
 
+def test_divisors_match_the_definition():
+    for n in range(1, 300):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_truncation_members_over_the_limit_are_refused():
+    TruncationSet.divisor_closure([TRUNC_MEMBER_LIMIT])
+    for members in ([1, TRUNC_MEMBER_LIMIT + 1], [1, 10 ** 999]):
+        with pytest.raises(InputError, match="bound overflow"):
+            TruncationSet(members)
+    with pytest.raises(InputError, match="bound overflow"):
+        TruncationSet.divisor_closure([10 ** 999])
+
+
 def test_quotient_sets():
     S = TruncationSet.divisor_closure([12])
     assert S.quotient(2).members == (1, 2, 3, 6)
@@ -75,6 +91,8 @@ def test_quotient_sets():
     assert S.quotient(12).members == (1,)
     with pytest.raises(InputError):
         S.quotient(5)
+    with pytest.raises(InputError):
+        S.quotient(0)
 
 
 # -- ghost and universal polynomials ---------------------------------------
@@ -108,6 +126,11 @@ def test_universal_product_polynomial_text():
     polys = universal_poly("product", S12)
     assert str(polys[1]) == "a1*b1"
     assert str(polys[2]) == "a1^2*b2+a2*b1^2+2*a2*b2"
+
+
+def test_universal_poly_rejects_an_index_outside_frobenius():
+    with pytest.raises(InputError, match="frobenius"):
+        universal_poly("sum", S12, 2)
 
 
 def test_universal_poly_rejects_unknown_op():
