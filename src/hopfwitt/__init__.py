@@ -16,8 +16,8 @@ Subpackages by topic:
   integer homology and the shuffle product.
 - cli: the command-line interface.
 
-Everything is exact: Python ints and fractions.Fraction throughout, no
-floating point anywhere.
+Everything is exact: Python ints, with fractions.Fraction only for the
+coefficients of poly.SparsePoly, and no floating point in any result.
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import filtration, homology, intz, witt
-from .errors import FalsificationError, InputError
+from .errors import FalsificationError, InputError, bound_overflow
 from .rings import GaloisField, ring_from_spec
 
 
@@ -35,8 +35,10 @@ def _payload(text: str) -> str:
 
 def _ints(text: str, flag: str) -> list[int]:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if any(len(tok) > intz.MAX_DIGITS for tok in toks):
-        raise InputError(f"bound overflow: {flag} has a numeral over {intz.MAX_DIGITS} digits")
+    digits = max(map(len, toks), default=0)
+    if digits > intz.MAX_DIGITS:
+        raise bound_overflow(f"a numeral in {flag}", f"{digits} digits",
+                             "intz.MAX_DIGITS", intz.MAX_DIGITS)
     try:
         return [int(tok) for tok in toks]
     except ValueError as exc:
@@ -178,7 +180,7 @@ def _cmd_witt_kernel(args) -> str:
     trunc, ring = _witt_context(args)
     t = ring.element_from_str(args.t)
     search = witt.stable_twisted_kernel if args.stable else witt.twisted_kernel
-    kernel = search(args.n, t, trunc, ring, args.bound)
+    kernel = search(args.n, t, trunc, ring)
     if args.format == "json":
         return _json_line(
             {"cardinality": len(kernel), "vectors": [str(v) for v in kernel]}
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, description=description)
         q.add_argument("--trunc", required=True,
                        help="divisor-closed truncation set, e.g. 1,2,4")
-        q.add_argument("--ring", default="Z", help="Z | Zmod:m | Fq:p,k")
+        q.add_argument("--ring", default="Z", help="Z | Zmod:m | Fq:p,k | Poly")
         if vectors >= 1:
             q.add_argument("--coeffs", required=True, help="vector components")
         if vectors >= 2:
@@ -503,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="twist parameter, a ring element")
     p.add_argument("--stable", action="store_true",
                    help="keep only members lifting one truncation level deeper")
-    p.add_argument("--bound", type=int, default=200_000,
-                   help="limit on the prefixes the pruned search visits")
     p.set_defaults(func=_cmd_witt_kernel)
 
     p = sub.add_parser("unipoly", description="universal polynomials of one operation")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from . import intz, linalg
-from .errors import FalsificationError, InputError
+from .errors import FalsificationError, InputError, bound_overflow
 from .poly import SparsePoly, format_terms
 
 Matrix = list[list[int]]
@@ -189,8 +189,8 @@ def day_tensor(X: FilteredModule, Y: FilteredModule) -> FilteredModule:
     pairs = len(X.ranks) * len(Y.ranks)
     work = (sum(X.ranks) * sum(Y.ranks) + pairs) * ambient + 16 * pairs
     if work > DAY_TENSOR_WORK_LIMIT:
-        raise InputError(f"bound overflow: the Day tensor needs {work} units of work, "
-                         f"over filtration.DAY_TENSOR_WORK_LIMIT = {DAY_TENSOR_WORK_LIMIT}")
+        raise bound_overflow("the Day tensor", f"{work} units of work",
+                             "filtration.DAY_TENSOR_WORK_LIMIT", DAY_TENSOR_WORK_LIMIT)
     lo = X.n_min + Y.n_min
     hi = X.n_max + Y.n_max
     ex, ey = X.embeddings(), Y.embeddings()

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 
-from . import linalg
-from .errors import FalsificationError, InputError
+from . import intz, linalg
+from .errors import FalsificationError, InputError, bound_overflow
 
 Matrix = list[list[int]]
 Chain = dict[tuple, int]
@@ -32,12 +32,6 @@ _TUPLE_CAP = 200_000
 # Largest accepted cube of a named (co)algebra's basis size: construction
 # checks (co)associativity over label triples, up to a second at the limit.
 VALIDATION_LIMIT = 400_000
-
-
-def _check_basis_size(n: int) -> None:
-    if n ** 3 > VALIDATION_LIMIT:
-        raise InputError(f"bound overflow: checking a basis of {n} labels takes "
-                         f"more than {VALIDATION_LIMIT} label triples")
 
 
 def _add_term(acc: Chain, key: tuple, coeff: int) -> None:
@@ -125,7 +119,9 @@ class GradedAugmentedAlgebra:
         """Z[x]/x^p with deg x = 2, weight 1."""
         if p < 2:
             raise InputError("truncated:p needs p >= 2")
-        _check_basis_size(p)
+        if p ** 3 > VALIDATION_LIMIT:
+            raise bound_overflow(f"checking truncated:{p}", f"{p ** 3} triples",
+                                 "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
         lab = ["1", "x"] + [f"x{k}" for k in range(2, p)]
         products = {(lab[a], lab[b]): {lab[a + b]: 1} if a + b < p else {}
                     for a in range(p) for b in range(p)}
@@ -198,15 +194,17 @@ class GradedCoalgebra:
     @classmethod
     def divided_power(cls, bound: int, label: str = "g") -> GradedCoalgebra:
         """Divided-power coalgebra on a generator in degree 2, weight 1,
-        truncated at weight `bound`: the diagonal of the k-th element is
-        the full convolution sum."""
+        truncated at weight `bound`: Int(Z) on its binomial basis, the
+        k-th element being C(x,k), with diagonal intz.comult."""
         if bound < 0:
             raise InputError("bound must be nonnegative")
-        _check_basis_size(bound + 1)
+        if (bound + 1) ** 3 > VALIDATION_LIMIT:
+            raise bound_overflow(f"checking divided-power:{bound}", f"{(bound + 1) ** 3} triples",
+                                 "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
         basis = [(f"{label}{k}", 2 * k, k) for k in range(bound + 1)]
-        delta = {}
-        for n in range(bound + 1):
-            delta[f"{label}{n}"] = {(f"{label}{i}", f"{label}{n - i}"): 1 for i in range(n + 1)}
+        delta = {f"{label}{n}": {(f"{label}{i}", f"{label}{j}"): c for (i, j), c
+                                 in intz.comult(intz.IntZElement.basis(n)).items()}
+                 for n in range(bound + 1)}
         return cls(basis, f"{label}0", delta)
 
     def reduced_diagonal(self, c: str) -> dict[tuple[str, str], int]:
@@ -318,7 +316,8 @@ def _window_strands(letters: list[str], bidegree: dict[str, tuple[int, int]],
             continue
         visited += len(steps)
         if visited > _TUPLE_CAP:
-            raise InputError(f"bound overflow: more than {_TUPLE_CAP} words visited")
+            raise bound_overflow("the word window", f"at least {visited} words",
+                                 "homology._TUPLE_CAP", _TUPLE_CAP)
         for a, da, wa in steps:
             child = (word + (a,), d + da, w + wa)
             if bound is None or abs(child[axis]) <= bound:

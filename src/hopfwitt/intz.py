@@ -27,11 +27,11 @@ these closed forms independently, is kept in tests/intz_oracle.py.
 from __future__ import annotations
 
 import json
-from math import comb, e, log2
+from math import ceil, comb, e, log2
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .binomial import binomial_int, is_prime
-from .errors import InputError
+from .errors import InputError, bound_overflow
 from .poly import format_terms
 
 
@@ -144,8 +144,9 @@ class IntZElement:
                 raise InputError(f"empty term in {text!r}")
             if coef is not None and idx is None and star is not None:
                 raise InputError(f"dangling * in {text!r}")
-            if max(len(coef or ""), len(idx or "")) > MAX_DIGITS:
-                raise InputError(f"bound overflow: a numeral has more than {MAX_DIGITS} digits")
+            digits = max(len(coef or ""), len(idx or ""))
+            if digits > MAX_DIGITS:
+                raise bound_overflow("a numeral", f"{digits} digits", "intz.MAX_DIGITS", MAX_DIGITS)
             s = -1 if sign == "-" else 1
             c = int(coef) if coef is not None else 1
             n = int(idx) if idx is not None else 0
@@ -296,8 +297,8 @@ def _check_work(counts: Iterable[int], top: int, what: str) -> None:
     for c in counts:
         total += c
         if total > budget:
-            raise InputError(f"bound overflow: {what} would form more than "
-                             f"{budget} terms up to C(x,{top})")
+            raise bound_overflow(what, f"at least {total * max(top, 1)} terms x top index",
+                                 "intz.WORK_LIMIT", WORK_LIMIT)
 
 
 def _accumulate(parts: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> IntZElement:
@@ -317,14 +318,14 @@ def basis_product(m: int, n: int) -> dict[int, int]:
 def mult(f: IntZElement, g: IntZElement) -> IntZElement:
     """Product, the bilinear extension of basis_product."""
     _check_work((min(m, n) + 1 for m in f._coeffs for n in g._coeffs),
-                max(f._coeffs, default=0) + max(g._coeffs, default=0), "product")
+                max(f._coeffs, default=0) + max(g._coeffs, default=0), "the product")
     return _accumulate((a * b, basis_product(m, n).items())
                        for m, a in f._coeffs.items() for n, b in g._coeffs.items())
 
 
 def comult(f: IntZElement) -> TensorElement:
     """Delta C(x,n) = sum_{i+j=n} C(x,i) (x) C(x,j), extended Z-linearly."""
-    _check_work((n + 1 for n in f._coeffs), max(f._coeffs, default=0), "coproduct")
+    _check_work((n + 1 for n in f._coeffs), max(f._coeffs, default=0), "the coproduct")
     out: dict[tuple[int, int], int] = {}
     for n, c in f.items():
         for i in range(n + 1):
@@ -345,10 +346,10 @@ def eval_at(f: IntZElement, a: int) -> int:
         for n in f._coeffs:
             N = a if a >= 0 else n - a - 1
             k = min(n, N - n)  # C(a, n) = +-C(N, k), between 2^k and (e N / k)^k
-            if k > EVAL_BITS_LIMIT or (
-                    k > 0 and k * (log2(N) - log2(k) + log2(e)) > EVAL_BITS_LIMIT):
-                raise InputError(f"bound overflow: C(x,{n}) at the point has more "
-                                 f"than {EVAL_BITS_LIMIT} bits")
+            bits = k if k > EVAL_BITS_LIMIT or k < 1 else ceil(k * (log2(N) - log2(k) + log2(e)))
+            if bits > EVAL_BITS_LIMIT:
+                raise bound_overflow(f"C(x,{n}) at the point", f"about {bits} bits",
+                                     "intz.EVAL_BITS_LIMIT", EVAL_BITS_LIMIT)
     return sum(c * binomial_int(a, n) for n, c in f.items())
 
 
@@ -363,7 +364,7 @@ def antipode_basis(n: int) -> IntZElement:
 
 
 def antipode(f: IntZElement) -> IntZElement:
-    _check_work(f._coeffs, max(f._coeffs, default=0), "antipode")
+    _check_work(f._coeffs, max(f._coeffs, default=0), "the antipode")
     return _accumulate((c, antipode_basis(n).items()) for n, c in f._coeffs.items())
 
 
@@ -416,9 +417,10 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     FROB_TABLE_LIMIT is refused before p is tested for primality.
     """
     d = filtration_degree(f)
-    if p * max(d or 0, 1) + 1 > FROB_TABLE_LIMIT:
-        raise InputError(f"bound overflow: the mod-{p} check of a degree-{d} "
-                         f"element needs more than {FROB_TABLE_LIMIT} values")
+    values = p * max(d or 0, 1) + 1
+    if values > FROB_TABLE_LIMIT:
+        raise bound_overflow(f"the mod-{p} check of a degree-{d} element", f"{values} values",
+                             "intz.FROB_TABLE_LIMIT", FROB_TABLE_LIMIT)
     if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")
     if d is None:

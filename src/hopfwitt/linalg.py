@@ -8,7 +8,7 @@ unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
 (Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
-MODULUS_BITS_LIMIT bits is refused as a bound overflow.
+MODULUS_BITS_LIMIT bits is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import heapq
 from math import gcd
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, bound_overflow
 
 Matrix = list[list[int]]
 
@@ -345,8 +345,8 @@ def invariant_factors(A: Matrix) -> list[int]:
     units, core = _unit_pivot_core(A)
     r, D = _bareiss([row[:] for row in core])
     if D.bit_length() > MODULUS_BITS_LIMIT:
-        raise InputError(f"bound overflow: the Smith form modulus has {D.bit_length()} bits, "
-                         f"over linalg.MODULUS_BITS_LIMIT = {MODULUS_BITS_LIMIT}")
+        raise bound_overflow("the Smith form modulus", f"{D.bit_length()} bits",
+                             "linalg.MODULUS_BITS_LIMIT", MODULUS_BITS_LIMIT)
     core_factors = _divisor_chain(_diagonal_mod(core, D)) if D > 1 else []
     return [1] * units + (core_factors + [D] * r)[:r]
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .binomial import is_prime
-from .errors import InputError
+from .errors import InputError, bound_overflow
 from .poly import SparsePoly
 
 # Conway polynomials, little-endian coefficient lists including the leading
@@ -390,15 +390,17 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return True
 
 
+# Most terms len(a) * len(b) the products of one Witt operation may form.
+TERM_LIMIT = 100_000
+
+
 class PolynomialRing(CoeffRing):
     """Z[vars]: elements are SparsePoly values with integer coefficients.
     An instance refuses a product that would take the count of the terms
-    its products formed past TERM_LIMIT, about a second of work."""
+    its products formed past TERM_LIMIT; each Witt operation restarts the
+    count (witt._lifted_ghosts)."""
 
-    TERM_LIMIT = 100_000
-
-    def __init__(self):
-        self.terms = 0
+    terms = 0
 
     def zero(self):
         return SparsePoly()
@@ -417,9 +419,9 @@ class PolynomialRing(CoeffRing):
 
     def mul(self, a, b):
         self.terms += len(a) * len(b)
-        if self.terms > self.TERM_LIMIT:
-            raise InputError(f"bound overflow: Z[..] products would form more "
-                             f"than {self.TERM_LIMIT} terms")
+        if self.terms > TERM_LIMIT:
+            raise bound_overflow("a Witt operation over Z[..]", f"{self.terms} product terms",
+                                 "rings.TERM_LIMIT", TERM_LIMIT)
         return a * b
 
     def div_int(self, a, n: int):

@@ -42,23 +42,24 @@ import itertools
 import json
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import FalsificationError, InputError
+from .errors import FalsificationError, InputError, bound_overflow
 from .poly import SparsePoly
 from .rings import CoeffRing, IntegerRing, PolynomialRing
 
 
-# Largest accepted member of a truncation set.  The ghost component w_n
-# holds a_1^n, so over Z a set with a member past GHOST_BITS_LIMIT already
-# admits only the zero vector; the finite rings reduce and go further.
-TRUNC_MEMBER_LIMIT = 10_000
+# Largest accepted sum of the members of a truncation set.  Over a lift
+# the ghost component w_n takes about n times a component's bits, so the
+# work of the ghost map and of its inverse grows with this sum.
+TRUNC_SUM_LIMIT = 10_000
 
 
 def divisors(n: int) -> list[int]:
     """The positive divisors of n in increasing order, by trial division up
-    to sqrt(n); n over TRUNC_MEMBER_LIMIT is refused before any division."""
-    if n > TRUNC_MEMBER_LIMIT:
-        raise InputError(f"bound overflow: a truncation set member is over "
-                         f"witt.TRUNC_MEMBER_LIMIT = {TRUNC_MEMBER_LIMIT}")
+    to sqrt(n); n over TRUNC_SUM_LIMIT, whose set would pass it, is refused
+    before any division."""
+    if n > TRUNC_SUM_LIMIT:
+        raise bound_overflow("a truncation set", f"member sum {n} or more",
+                             "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
     low: list[int] = []
     high: list[int] = []
     d = 1
@@ -72,9 +73,10 @@ def divisors(n: int) -> list[int]:
 
 
 class TruncationSet:
-    """A finite divisor-closed set of positive integers."""
+    """A finite divisor-closed set of positive integers, with the proper
+    divisors of each member, over which the ghost map sums."""
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "proper_divisors")
 
     def __init__(self, members: Iterable[int]):
         present = set(members)
@@ -83,8 +85,13 @@ class TruncationSet:
             raise InputError("truncation set must be nonempty")
         if ms[0] < 1:
             raise InputError("truncation set members must be positive")
-        for n in ms:
-            for d in divisors(n):
+        total = sum(ms)
+        if total > TRUNC_SUM_LIMIT:
+            raise bound_overflow("a truncation set", f"member sum {total}",
+                                 "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
+        self.proper_divisors = {n: divisors(n)[:-1] for n in ms}
+        for n, ds in self.proper_divisors.items():
+            for d in ds:
                 if d not in present:
                     raise InputError(
                         f"truncation set is not divisor-closed: {d} divides {n}"
@@ -232,11 +239,8 @@ def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], 
     """sum_{d | n, d < n, d in S} d * x_d^(n/d), computed in L: the ghost
     component w_n without its last term n * x_n."""
     acc = L.zero()
-    for d in trunc:
-        if d >= n:
-            break
-        if n % d == 0:
-            acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
+    for d in trunc.proper_divisors[n]:
+        acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
     return acc
 
 
@@ -268,15 +272,22 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable)
     cap = 1 << (GHOST_BITS_LIMIT // top)
     if elements and (max(elements) >= cap or min(elements) <= -cap):
         bits = max(x.bit_length() for x in elements)
-        raise InputError(f"bound overflow: a {bits}-bit component on {trunc} gives ghost "
-                         f"components over witt.GHOST_BITS_LIMIT = {GHOST_BITS_LIMIT} bits")
+        raise bound_overflow(f"a {bits}-bit component to the power {top}", f"{bits * top} bits",
+                             "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
 
 
-def _lifted_ghosts(a: WittVector) -> dict:
-    """Ghost components of the lift of a, in a.ring.lift_ring."""
-    R = a.ring
-    _check_ghost_bits(R, a.trunc, a.comps.values())
-    return _ghosts(R.lift_ring, a.trunc, {d: R.lift(a.comps[d]) for d in a.trunc})
+def _lifted_ghosts(*vectors: WittVector) -> list[dict]:
+    """Ghost components of the lifts of the vectors, in their ring's
+    lift_ring.  A public operation forms those of all its inputs in one
+    call, at its start, where a Z[..] lift restarts its count of product
+    terms: rings.TERM_LIMIT bounds one operation."""
+    R = vectors[0].ring
+    if isinstance(R, PolynomialRing):
+        R.terms = 0
+    for a in vectors:
+        _check_ghost_bits(R, a.trunc, a.comps.values())
+    return [_ghosts(R.lift_ring, a.trunc, {d: R.lift(a.comps[d]) for d in a.trunc})
+            for a in vectors]
 
 
 def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
@@ -306,7 +317,7 @@ def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing,
 
 def ghost(a: WittVector) -> list:
     """All ghost components, in truncation-set order."""
-    return [a.ring.reduce(g) for g in _lifted_ghosts(a).values()]
+    return [a.ring.reduce(g) for g in _lifted_ghosts(a)[0].values()]
 
 
 # -- universal polynomials --------------------------------------------------
@@ -345,13 +356,13 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
 def _unary(a: WittVector, f: Callable) -> WittVector:
     """The vector whose lifted ghost components are f of those of a."""
     return _from_lifted_ghosts(
-        a.trunc, a.ring, {m: f(g) for m, g in _lifted_ghosts(a).items()}
+        a.trunc, a.ring, {m: f(g) for m, g in _lifted_ghosts(a)[0].items()}
     )
 
 
 def _binary(a: WittVector, b: WittVector, f: Callable) -> WittVector:
     a._check_compatible(b)
-    ga, gb = _lifted_ghosts(a), _lifted_ghosts(b)
+    ga, gb = _lifted_ghosts(a, b)
     return _from_lifted_ghosts(a.trunc, a.ring, {m: f(ga[m], gb[m]) for m in a.trunc})
 
 
@@ -373,7 +384,8 @@ def witt_neg(a: WittVector) -> WittVector:
 
 def witt_int(n: int, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
     """The image of the integer n under Z -> W_S(R): every ghost is n."""
-    return _from_lifted_ghosts(trunc, ring, {m: ring.lift_ring.from_int(n) for m in trunc})
+    k = ring.lift_ring.from_int(n)
+    return _unary(WittVector.zero(trunc, ring), lambda g: k)
 
 
 def witt_scalar(n: int, a: WittVector) -> WittVector:
@@ -406,7 +418,7 @@ def frobenius(n: int, a: WittVector) -> WittVector:
     if n < 1:
         raise InputError("Frobenius index must be positive")
     T = a.trunc.quotient(n)
-    g = _lifted_ghosts(a)
+    g, = _lifted_ghosts(a)
     return _from_lifted_ghosts(T, a.ring, {m: g[n * m] for m in T})
 
 
@@ -441,7 +453,7 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     T = a.trunc.quotient(n)
     L = a.ring.lift_ring
     _check_ghost_bits(a.ring, a.trunc, [t])
-    g, tl = _lifted_ghosts(a), a.ring.lift(t)
+    (g,), tl = _lifted_ghosts(a), a.ring.lift(t)
     return _from_lifted_ghosts(
         T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(tl, (n - 1) * m), g[m])) for m in T}
     )
@@ -485,31 +497,33 @@ def divides_additively(p: int, a: WittVector) -> bool:
 # -- kernels ----------------------------------------------------------------
 
 
-def all_vectors(trunc: TruncationSet, ring: CoeffRing,
-                bound: int = 200_000) -> Iterator[WittVector]:
+# Most vectors (all_vectors, counted before it starts) or prefixes (the
+# pruned search, counted as it goes) a kernel search visits.
+KERNEL_LIMIT = 200_000
+
+
+def all_vectors(trunc: TruncationSet, ring: CoeffRing) -> Iterator[WittVector]:
     """Every Witt vector over a finite ring, in deterministic order."""
     if not ring.is_finite:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
     total = ring.size() ** len(trunc)
-    if total > bound:
-        raise InputError(
-            f"enumeration of {total} vectors exceeds the bound {bound}"
-        )
+    if total > KERNEL_LIMIT:
+        raise bound_overflow("the enumeration", f"{total} vectors",
+                             "witt.KERNEL_LIMIT", KERNEL_LIMIT)
     pools = [list(ring.elements()) for _ in trunc]
     for combo in itertools.product(*pools):
         yield WittVector.from_list(trunc, ring, list(combo))
 
 
 def kernel_enumerate(op: Callable[[WittVector], WittVector],
-                     trunc: TruncationSet, ring: CoeffRing,
-                     bound: int = 200_000) -> list[WittVector]:
+                     trunc: TruncationSet, ring: CoeffRing) -> list[WittVector]:
     """Brute-force kernel of an additive operator on W_S(R), R finite.
 
     Sanity-checks the subgroup property on the result (closure under the
     Witt sum); an operator that is not additive will usually fail that
     check and the failure is reported as such.
     """
-    kernel = [a for a in all_vectors(trunc, ring, bound) if op(a).is_zero()]
+    kernel = [a for a in all_vectors(trunc, ring) if op(a).is_zero()]
     _check_subgroup(kernel, trunc, ring)
     return kernel
 
@@ -525,7 +539,7 @@ def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
     seen = {str(v) for v in vectors}
     pairs = list(itertools.islice(itertools.product(range(len(vectors)), repeat=2),
                                   625 if len(vectors) > 25 else None))
-    ghosts = {i: _lifted_ghosts(vectors[i]) for i in {i for pair in pairs for i in pair}}
+    ghosts = {i: _lifted_ghosts(vectors[i])[0] for i in {i for pair in pairs for i in pair}}
     add = ring.lift_ring.add
     for i, j in pairs:
         gx, gy = ghosts[i], ghosts[j]
@@ -536,20 +550,20 @@ def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
             )
 
 
-def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
-                   bound: int) -> Iterator[list]:
+def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator[list]:
     """The component lists of ker(TF_n(-; t)) on W_S(R), R finite, in the
     order of all_vectors, by the search the module docstring describes.
     Depth d forms only the new lifted ghost w_d; when n | d, output
     component m = d/n has ghost w_d - t^((n-1)m) w_m and is solved with
-    the lifted output components kept along the path.  bound caps the
-    prefixes visited."""
+    the lifted output components kept along the path.  KERNEL_LIMIT caps
+    the prefixes visited."""
     if not ring.is_finite:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
     trunc.quotient(n)  # refuses an empty S/n
-    if ring.size() > bound:  # the first level alone visits |R| prefixes
-        raise InputError(f"bound overflow: the kernel search would visit more "
-                         f"than bound = {bound} prefixes")
+    limit = KERNEL_LIMIT
+    if ring.size() > limit:  # the first level alone visits |R| prefixes
+        raise bound_overflow("the kernel search", f"at least {ring.size()} prefixes",
+                             "witt.KERNEL_LIMIT", limit)
     L = ring.lift_ring
     pool = [(r, ring.lift(r)) for r in ring.elements()]
     tl = ring.lift(t)
@@ -572,9 +586,9 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
             twist, known = L.pow(tl, (n - 1) * m), _lower_sum(L, trunc, y, m)
         for r, xr in pool:
             visited += 1
-            if visited > bound:
-                raise InputError(f"bound overflow: the kernel search visited more "
-                                 f"than bound = {bound} prefixes")
+            if visited > limit:
+                raise bound_overflow("the kernel search", f"at least {visited} prefixes",
+                                     "witt.KERNEL_LIMIT", limit)
             wd = L.add(base, L.mul(dl, xr))
             if m:
                 # n = 1 gives m = d, and w_d - w_d = 0
@@ -593,19 +607,18 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     return dive(0)
 
 
-def twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
-                   bound: int = 200_000) -> list[WittVector]:
+def twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> list[WittVector]:
     """ker(TF_n(-; t)) on W_S(R) over a finite ring R, by the pruned
     search of _kernel_search: the members kernel_enumerate finds for
     twisted_frobenius, in the same order."""
     kernel = [WittVector.from_list(trunc, ring, comps)
-              for comps in _kernel_search(n, t, trunc, ring, bound)]
+              for comps in _kernel_search(n, t, trunc, ring)]
     _check_subgroup(kernel, trunc, ring)
     return kernel
 
 
-def stable_twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
-                          bound: int = 200_000) -> list[WittVector]:
+def stable_twisted_kernel(n: int, t, trunc: TruncationSet,
+                          ring: CoeffRing) -> list[WittVector]:
     """Members of ker(TF_n(-; t)) on W_S that lift to kernel elements one
     truncation level deeper.
 
@@ -622,7 +635,7 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     keep = [i for i, d in enumerate(deep) if d in trunc]
     found: list[WittVector] = []
     seen: set[tuple] = set()
-    for comps in _kernel_search(n, t, deep, ring, bound):
+    for comps in _kernel_search(n, t, deep, ring):
         small = tuple(comps[i] for i in keep)
         if small not in seen:
             seen.add(small)

@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -302,8 +303,8 @@ class TestLinalgBound:
 
 
 class TestKernelSearch:
-    """witt kernel runs the pruned search; --bound counts the prefixes it
-    visits, not |R|^|S|."""
+    """witt kernel runs the pruned search; witt.KERNEL_LIMIT counts the
+    prefixes it visits, not |R|^|S|."""
 
     @pytest.mark.parametrize("trunc,m", [("1,2,3,4,6,12", 7), ("1,2,3,6", 16),
                                          ("1,2,4,8,16", 8), ("1,2,3,4,6", 8)])
@@ -328,14 +329,14 @@ class TestKernelSearch:
                               "--ring", "Zmod:8", "--n", "2", "--t", "1"], capsys)
         assert rc == 0 and out.startswith("cardinality 1024\n")
 
-    def test_search_past_the_bound_exits_two(self, capsys):
+    def test_search_past_the_bound_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(witt, "KERNEL_LIMIT", 10)
         rc, out, err = run_cli(["witt", "kernel", "--trunc", "1,2,3,4,6,12",
-                                "--ring", "Zmod:7", "--n", "2", "--t", "1",
-                                "--bound", "10"], capsys)
+                                "--ring", "Zmod:7", "--n", "2", "--t", "1"], capsys)
         assert rc == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert "bound overflow" in err and "bound = 10 " in err
+        assert "bound overflow" in err and "witt.KERNEL_LIMIT = 10\n" in err
 
     @pytest.mark.parametrize("stable", [[], ["--stable"]], ids=["plain", "stable"])
     @pytest.mark.parametrize("ring", ["Zmod:1000000000", "Fq:1000000007,1"])
@@ -345,7 +346,7 @@ class TestKernelSearch:
                                 "--n", "1", "--t", "1", *stable], capsys)
         assert time.perf_counter() - start < 0.5
         assert (rc, out) == (2, "")
-        assert "bound overflow" in err and "bound = 200000 " in err
+        assert "bound overflow" in err and "witt.KERNEL_LIMIT = 200000\n" in err
 
 
 class TestDayTensorLimit:
@@ -473,7 +474,52 @@ class TestNumeralSizedWork:
                                 "--coeffs", "1,0"], capsys)
         assert time.perf_counter() - start < 1.0
         assert (rc, out) == (2, "")
-        assert "bound overflow" in err and "TRUNC_MEMBER_LIMIT" in err
+        assert "bound overflow" in err and "TRUNC_SUM_LIMIT" in err
+
+
+SRC = Path(hopfwitt.__file__).parent
+BIG = 2 ** 600
+# One over-limit argv per named work limit.
+LIMIT_CASES = [
+    ("intz.MAX_DIGITS", ["intz", "eval", "9" * 1001 + "*C(x,1)", "1"]),
+    ("intz.WORK_LIMIT", ["intz", "antipode", "C(x,1000000)"]),
+    ("intz.EVAL_BITS_LIMIT", ["intz", "eval", "C(x,20000)", "--", "-20000"]),
+    ("intz.FROB_TABLE_LIMIT", ["intz", "frobtest", "C(x,30)", "--primes", "10007"]),
+    ("homology.VALIDATION_LIMIT", ["homology", "cobar", "--coalgebra", "divided-power:300"]),
+    ("homology._TUPLE_CAP", ["homology", "bar", "--algebra", "truncated:17",
+                             "--stages", "20", "--weight-bound", "20"]),
+    ("rings.TERM_LIMIT", ["witt", "unipoly", "--op", "product", "--trunc", "1,2,4,8,16,32"]),
+    ("witt.TRUNC_SUM_LIMIT", ["witt", "mul", "--trunc", ",".join(map(str, range(1, 10001))),
+                              "--ring", "Zmod:8", "--coeffs", "0", "--coeffs2", "0"]),
+    ("witt.GHOST_BITS_LIMIT", ["witt", "ghost", "--trunc", "1,2,4,8,16,32,64,128", "--ring",
+                               "Z", "--coeffs", "9" * 100 + ",0,0,0,0,0,0,0"]),
+    ("witt.KERNEL_LIMIT", ["witt", "kernel", "--trunc", "1", "--ring", "Zmod:1000000000",
+                           "--n", "1", "--t", "1"]),
+    ("linalg.MODULUS_BITS_LIMIT", ["filt", "gr", json.dumps(
+        {"n_min": 0, "n_max": 1, "ranks": [2, 2], "maps": [[[BIG + 1, 3], [5, BIG + 7]]]})]),
+    ("filtration.DAY_TENSOR_WORK_LIMIT", ["filt", "tensor"] + 2 * [
+        filtration.degree_filtration_module(15).to_json()]),
+]
+
+
+class TestBoundOverflow:
+    """Every work limit refuses through errors.bound_overflow, whose one
+    line names the limit and its value."""
+
+    @pytest.mark.parametrize("limit,argv", LIMIT_CASES, ids=[c[0] for c in LIMIT_CASES])
+    def test_refusal_names_its_limit(self, limit, argv, capsys):
+        module, name = limit.split(".")
+        cap = getattr(importlib.import_module(f"hopfwitt.{module}"), name)
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bound overflow: ")
+        assert err.endswith(f", over {limit} = {cap}\n") and err.count("\n") == 1
+
+    def test_refusal_text_lives_in_errors_only(self):
+        holders = sorted(p.name for p in SRC.glob("*.py") if "bound overflow" in p.read_text())
+        assert holders == ["errors.py"]
 
 
 class TestWindowedWords:
@@ -557,7 +603,7 @@ OPTIONS = {
     ("witt", "versch"): WITT_OPTIONS | {"--coeffs", "--n"},
     ("witt", "teich"): WITT_OPTIONS | {"--r"},
     ("witt", "twisted"): WITT_OPTIONS | {"--coeffs", "--n", "--t"},
-    ("witt", "kernel"): WITT_OPTIONS | {"--n", "--t", "--stable", "--bound"},
+    ("witt", "kernel"): WITT_OPTIONS | {"--n", "--t", "--stable"},
     ("witt", "unipoly"): {"--trunc", "--op", "--n", "--format"},
     ("filt", "tensor"): {"--format"},
     ("filt", "gr"): {"--format"},
@@ -585,7 +631,9 @@ class TestParserSurface:
         ["intz", "pair", "C(x,2)", "--series", "1,3,3,1", "--var", "v"],
         ["intz", "pair", "C(x,2)", "--series", "1,3,3,1", "--trunc", "4"],
         ["filt", "drinfeld", "--m", "2", "--n", "2", "--bound", "4"],
-    ], ids=["pair-var", "pair-trunc", "drinfeld-bound"])
+        ["witt", "kernel", "--trunc", "1,2", "--ring", "Zmod:2", "--n", "2", "--t", "1",
+         "--bound", "10"],
+    ], ids=["pair-var", "pair-trunc", "drinfeld-bound", "kernel-bound"])
     def test_removed_options_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -19,7 +19,7 @@ from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import GaloisField, IntegerRing, PolynomialRing, ZModRing
 from hopfwitt.witt import (
-    TRUNC_MEMBER_LIMIT,
+    TRUNC_SUM_LIMIT,
     TruncationSet,
     WittVector,
     all_vectors,
@@ -76,12 +76,43 @@ def test_divisors_match_the_definition():
 
 
 def test_truncation_members_over_the_limit_are_refused():
-    TruncationSet.divisor_closure([TRUNC_MEMBER_LIMIT])
-    for members in ([1, TRUNC_MEMBER_LIMIT + 1], [1, 10 ** 999]):
-        with pytest.raises(InputError, match="bound overflow"):
+    """The limit is on the sum of the members: one large member passes,
+    many small ones do not."""
+    assert 1 + 9973 <= TRUNC_SUM_LIMIT < 1 + 10007  # both members prime
+    TruncationSet([1, 9973])
+    for members in ([1, 10007], range(1, 200), [1, 10 ** 999]):
+        with pytest.raises(InputError, match="bound overflow.*witt.TRUNC_SUM_LIMIT = "):
             TruncationSet(members)
-    with pytest.raises(InputError, match="bound overflow"):
+    with pytest.raises(InputError, match="bound overflow.*witt.TRUNC_SUM_LIMIT = "):
         TruncationSet.divisor_closure([10 ** 999])
+
+
+def test_proper_divisors_are_kept():
+    S = TruncationSet.divisor_closure([12, 9])
+    assert S.proper_divisors == {n: [d for d in S if d < n and n % d == 0] for n in S}
+
+
+@pytest.mark.parametrize("ring", [ZModRing(8), GaloisField(3, 2)], ids=str)
+def test_one_large_member_answers(ring):
+    """{1, 9973} passes the sum limit; the product is the ghost product."""
+    S = TruncationSet([1, 9973])
+    els = list(ring.elements())
+    a, b = (WittVector.from_list(S, ring, [els[i], els[j]]) for i, j in ((2, 5), (7, 3)))
+    assert ghost(witt_mul(a, b)) == [ring.mul(x, y) for x, y in zip(ghost(a), ghost(b))]
+
+
+def test_term_limit_counts_one_operation():
+    """One Z[..] ring serves any number of products, each counted afresh
+    against TERM_LIMIT (the products of one Witt product here form 197
+    terms; a single product past the limit is refused, see TestExitCodes
+    in test_cli.py)."""
+    R = PolynomialRing()
+    S = TruncationSet([1, 2, 4, 8])
+    a = WittVector.from_list(S, R, [SparsePoly.parse(p) for p in ("x", "y", "0", "0")])
+    b = WittVector.from_list(S, R, [SparsePoly.parse(p) for p in ("1", "x", "0", "0")])
+    first = witt_mul(a, b)
+    for _ in range(999):
+        assert witt_mul(a, b) == first
 
 
 def test_quotient_sets():
@@ -482,11 +513,12 @@ def test_stable_kernel_matches_plain_when_already_stable():
     assert len(stable) == 9
 
 
-def test_kernel_enumeration_bound():
+def test_kernel_enumeration_bound(monkeypatch):
     F2 = ZModRing(2)
     S = TruncationSet.p_typical(2, 2)
-    with pytest.raises(InputError):
-        kernel_enumerate(lambda a: a, S, F2, bound=3)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 3)
+    with pytest.raises(InputError, match="needs 4 vectors, over witt.KERNEL_LIMIT = 3"):
+        kernel_enumerate(lambda a: a, S, F2)
 
 
 def test_kernel_requires_finite_ring():
@@ -540,14 +572,17 @@ def test_pruned_kernel_search_matches_brute_force(case, data):
         assert [str(v) for v in stable_twisted_kernel(n, t, T, R)] == projected
 
 
-def test_kernel_search_bound_counts_prefixes():
+def test_kernel_search_bound_counts_prefixes(monkeypatch):
     """W_{1,2,4}(Z/9) has 729 vectors; at n = 2, t = 1 the search visits
     9 + 81 prefixes, keeps 9 of the 81, visits their 81 extensions and
     keeps 9."""
     R, S = ZModRing(9), TruncationSet([1, 2, 4])
-    assert len(twisted_kernel(2, R.one(), S, R, bound=171)) == 9
-    with pytest.raises(InputError, match="bound overflow.*170"):
-        twisted_kernel(2, R.one(), S, R, bound=170)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 171)
+    assert len(twisted_kernel(2, R.one(), S, R)) == 9
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 170)
+    with pytest.raises(InputError,
+                       match="needs at least 171 prefixes, over witt.KERNEL_LIMIT = 170"):
+        twisted_kernel(2, R.one(), S, R)
 
 
 def test_kernel_search_refuses_infinite_rings_and_empty_quotients():
