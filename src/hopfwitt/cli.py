@@ -18,9 +18,10 @@ import json
 import sys
 from typing import Sequence
 
-from . import filtration, homology, intz, witt
 from .errors import FalsificationError, InputError, bound_overflow
-from .rings import GaloisField, ring_from_spec
+
+# Each group's handlers import that group's library modules, so a command
+# loads only what it runs and `man` loads none.
 
 
 def _payload(text: str) -> str:
@@ -34,11 +35,13 @@ def _payload(text: str) -> str:
 
 
 def _ints(text: str, flag: str) -> list[int]:
+    from .intz import MAX_DIGITS
+
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     digits = max(map(len, toks), default=0)
-    if digits > intz.MAX_DIGITS:
+    if digits > MAX_DIGITS:
         raise bound_overflow(f"a numeral in {flag}", f"{digits} digits",
-                             "intz.MAX_DIGITS", intz.MAX_DIGITS)
+                             "intz.MAX_DIGITS", MAX_DIGITS)
     try:
         return [int(tok) for tok in toks]
     except ValueError as exc:
@@ -57,17 +60,22 @@ def _components(text: str) -> list[str]:
 # -- witt argument plumbing ------------------------------------------
 
 
-def _witt_context(args) -> tuple[witt.TruncationSet, object]:
+def _witt_context(args):
+    from . import witt
+    from .rings import ring_from_spec
+
     trunc = witt.TruncationSet(_ints(args.trunc, "--trunc"))
     return trunc, ring_from_spec(args.ring)
 
 
-def _witt_vector(trunc, ring, payload: str) -> witt.WittVector:
+def _witt_vector(trunc, ring, payload: str):
+    from . import witt
+
     comps = [ring.element_from_str(tok) for tok in _components(_payload(payload))]
     return witt.WittVector.from_list(trunc, ring, comps)
 
 
-def _vector_out(v: witt.WittVector, fmt: str) -> str:
+def _vector_out(v, fmt: str) -> str:
     if fmt == "json":
         return v.to_json() + "\n"
     return str(v) + "\n"
@@ -76,24 +84,32 @@ def _vector_out(v: witt.WittVector, fmt: str) -> str:
 # -- intz subcommands ------------------------------------------------
 
 
-def _element(payload: str) -> intz.IntZElement:
+def _element(payload: str):
+    from . import intz
+
     return intz.IntZElement.parse(_payload(payload))
 
 
-def _element_out(f: intz.IntZElement, fmt: str) -> str:
+def _element_out(f, fmt: str) -> str:
     return (f.to_json() if fmt == "json" else str(f)) + "\n"
 
 
 def _cmd_intz_mul(args) -> str:
+    from . import intz
+
     return _element_out(intz.mult(_element(args.f), _element(args.g)), args.format)
 
 
 def _cmd_intz_comul(args) -> str:
+    from . import intz
+
     te = intz.comult(_element(args.f))
     return (te.to_json() if args.format == "json" else str(te)) + "\n"
 
 
 def _cmd_intz_antipode(args) -> str:
+    from . import intz
+
     return _element_out(intz.antipode(_element(args.f)), args.format)
 
 
@@ -102,10 +118,14 @@ def _value_out(v: int, fmt: str) -> str:
 
 
 def _cmd_intz_eval(args) -> str:
+    from . import intz
+
     return _value_out(intz.eval_at(_element(args.f), args.a), args.format)
 
 
 def _cmd_intz_pair(args) -> str:
+    from . import intz
+
     # the series is a polynomial: C(x,n) past its last coefficient pairs to
     # zero, so those terms of f drop out and the series length truncates
     coeffs = _ints(args.series, "--series")
@@ -114,6 +134,8 @@ def _cmd_intz_pair(args) -> str:
 
 
 def _cmd_intz_frobtest(args) -> str:
+    from . import intz
+
     f = _element(args.f)
     primes = _ints(args.primes, "--primes")
     for p in primes:
@@ -128,6 +150,8 @@ def _cmd_intz_frobtest(args) -> str:
 
 
 def _cmd_witt_add(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     b = _witt_vector(trunc, ring, args.coeffs2)
@@ -135,6 +159,8 @@ def _cmd_witt_add(args) -> str:
 
 
 def _cmd_witt_mul(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     b = _witt_vector(trunc, ring, args.coeffs2)
@@ -142,6 +168,8 @@ def _cmd_witt_mul(args) -> str:
 
 
 def _cmd_witt_ghost(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     parts = [ring.element_str(g) for g in witt.ghost(a)]
@@ -151,12 +179,16 @@ def _cmd_witt_ghost(args) -> str:
 
 
 def _cmd_witt_frob(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     return _vector_out(witt.frobenius(args.n, a), args.format)
 
 
 def _cmd_witt_versch(args) -> str:
+    from . import witt
+
     # input components live on the quotient set S/n, output on S
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc.quotient(args.n), ring, args.coeffs)
@@ -164,12 +196,16 @@ def _cmd_witt_versch(args) -> str:
 
 
 def _cmd_witt_teich(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     r = ring.element_from_str(args.r)
     return _vector_out(witt.teichmuller(r, trunc, ring), args.format)
 
 
 def _cmd_witt_twisted(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     t = ring.element_from_str(args.t)
@@ -177,6 +213,8 @@ def _cmd_witt_twisted(args) -> str:
 
 
 def _cmd_witt_kernel(args) -> str:
+    from . import witt
+
     trunc, ring = _witt_context(args)
     t = ring.element_from_str(args.t)
     search = witt.stable_twisted_kernel if args.stable else witt.twisted_kernel
@@ -190,6 +228,8 @@ def _cmd_witt_kernel(args) -> str:
 
 
 def _cmd_witt_unipoly(args) -> str:
+    from . import witt
+
     trunc = witt.TruncationSet(_ints(args.trunc, "--trunc"))
     polys = witt.universal_poly(args.op, trunc, args.n)
     if args.format == "json":
@@ -204,17 +244,23 @@ def _cmd_witt_unipoly(args) -> str:
 # -- filt subcommands ------------------------------------------------
 
 
-def _module_payload(payload: str) -> filtration.FilteredModule:
+def _module_payload(payload: str):
+    from . import filtration
+
     return filtration.FilteredModule.from_json(_payload(payload))
 
 
 def _cmd_filt_tensor(args) -> str:
+    from . import filtration
+
     # the module JSON is the canonical text form, so both formats agree
     r = filtration.day_tensor(_module_payload(args.x), _module_payload(args.y))
     return r.to_json() + "\n"
 
 
 def _cmd_filt_gr(args) -> str:
+    from . import filtration
+
     ranks = filtration.associated_graded(_module_payload(args.x))
     if args.format == "json":
         return _json_line({"ranks": {str(n): r for n, r in ranks.items()}})
@@ -232,6 +278,8 @@ def _comb_str(out: dict[str, object], position: dict[str, int]) -> str:
 
 
 def _cmd_filt_rees(args) -> str:
+    from . import filtration
+
     P = filtration.rees(args.bound)
     position = {g: k for k, (g, _) in enumerate(P.generators)}
     # only pairs inside the weight bound are stored
@@ -256,6 +304,8 @@ def _cmd_filt_rees(args) -> str:
 
 
 def _cmd_filt_drinfeld(args) -> str:
+    from . import filtration
+
     cs = filtration.drinfeld_structure_constants(args.m, args.n)
     if args.format == "json":
         return _json_line(
@@ -270,7 +320,9 @@ def _cmd_filt_drinfeld(args) -> str:
 # -- homology subcommands --------------------------------------------
 
 
-def _algebra_by_name(name: str) -> homology.GradedAugmentedAlgebra:
+def _algebra_by_name(name: str):
+    from . import homology
+
     if name == "trivial":
         return homology.GradedAugmentedAlgebra.trivial()
     if name == "exterior-deg-neg1":
@@ -289,7 +341,9 @@ def _algebra_by_name(name: str) -> homology.GradedAugmentedAlgebra:
     )
 
 
-def _coalgebra_by_name(name: str) -> homology.GradedCoalgebra:
+def _coalgebra_by_name(name: str):
+    from . import homology
+
     if name == "trivial":
         return homology.GradedCoalgebra.trivial()
     if name.startswith("divided-power:"):
@@ -303,7 +357,9 @@ def _coalgebra_by_name(name: str) -> homology.GradedCoalgebra:
     )
 
 
-def _homology_out(C: homology.ChainComplex, fmt: str) -> str:
+def _homology_out(C, fmt: str) -> str:
+    from . import homology
+
     if fmt != "json":
         return homology.homology_tsv(C)
     rows = [{"degree": q, "weight": w, "rank": free, "torsion": torsion}
@@ -312,6 +368,8 @@ def _homology_out(C: homology.ChainComplex, fmt: str) -> str:
 
 
 def _cmd_homology_bar(args) -> str:
+    from . import homology
+
     A = _algebra_by_name(args.algebra)
     wb = args.weight_bound if args.weight_bound is not None else args.stages
     C = homology.bar_complex(A, args.stages, wb)
@@ -319,6 +377,8 @@ def _cmd_homology_bar(args) -> str:
 
 
 def _cmd_homology_cobar(args) -> str:
+    from . import homology
+
     G = _coalgebra_by_name(args.coalgebra)
     db = args.degree_bound if args.degree_bound is not None else 2 * args.weight_bound
     C = homology.cobar_complex(G, db, args.weight_bound)

@@ -461,7 +461,8 @@ def ring_from_spec(spec: str) -> CoeffRing:
         if len(body) != 2:
             raise InputError(f"Fq ring spec needs p,k: {spec!r}")
         try:
-            return GaloisField(int(body[0]), int(body[1]))
+            p, k = int(body[0]), int(body[1])
         except ValueError as exc:
             raise InputError(f"bad Fq parameters in {spec!r}") from exc
+        return GaloisField(p, k)
     raise InputError(f"unknown ring spec {spec!r}")

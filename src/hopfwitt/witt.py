@@ -73,10 +73,11 @@ def divisors(n: int) -> list[int]:
 
 
 class TruncationSet:
-    """A finite divisor-closed set of positive integers, with the proper
-    divisors of each member, over which the ghost map sums."""
+    """A finite divisor-closed set of positive integers, with the sum of
+    its members and the proper divisors of each, over which the ghost map
+    sums."""
 
-    __slots__ = ("members", "proper_divisors")
+    __slots__ = ("members", "member_sum", "proper_divisors")
 
     def __init__(self, members: Iterable[int]):
         present = set(members)
@@ -97,6 +98,7 @@ class TruncationSet:
                         f"truncation set is not divisor-closed: {d} divides {n}"
                     )
         self.members = tuple(ms)
+        self.member_sum = total
 
     @classmethod
     def divisor_closure(cls, seeds: Iterable[int]) -> TruncationSet:
@@ -258,11 +260,24 @@ def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> 
 GHOST_BITS_LIMIT = 6000
 
 
+# Largest accepted (bits of the largest element index) x (member sum) over
+# Z/m and F_q, whose lifts are formed unreduced: the lifted ghost component
+# w_n takes about n times an element's bits, so this is near the bits of
+# all of them together, and the ghost map and its inverse grow with it.
+LIFT_BITS_LIMIT = 1_000_000
+
+
 def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable) -> None:
     """Refuse elements whose ghost components over trunc would pass
-    GHOST_BITS_LIMIT bits, before any is formed.  Rings other than their
-    own lift (Z/m, F_q) reduce every value they print, so pass."""
+    GHOST_BITS_LIMIT bits, before any is formed.  Over rings other than
+    their own lift (Z/m, F_q), which reduce every value they print, the
+    lifted ghosts together may not pass LIFT_BITS_LIMIT bits."""
     if ring.lift_ring is not ring:
+        bits = (ring.size() - 1).bit_length()
+        if bits * trunc.member_sum > LIFT_BITS_LIMIT:
+            raise bound_overflow(
+                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
+                f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
     if isinstance(ring, PolynomialRing):
         elements = [c.numerator for x in elements for _, c in x.items()]

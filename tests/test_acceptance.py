@@ -17,7 +17,7 @@ from drinfeld_oracle import elimination_constants
 from intz_oracle import TruncSeries, from_poly, pair_tensor, series_group_law, to_poly
 
 
-def _criterion(num: int, label: str, budget: float, body) -> None:
+def _criterion(num: int | str, label: str, budget: float, body) -> None:
     start = time.perf_counter()
     try:
         body()
@@ -173,6 +173,26 @@ def test_criterion_4_twisted_degenerations_and_kernels():
             assert projected == {str(v) for v in stable}
 
     _criterion(4, "twisted Frobenius degenerations and kernels (4,9,4)", 10.0, body)
+
+
+def test_criterion_4b_hilbert_additive_group_closed_form():
+    def body():
+        # W_{S_k}(F_q) with S_k = {1, p, ..., p^(k-1)}: the stable kernel of
+        # F_p - [t]^(p-1) at t != 0 is {[t] * a : a in Z/p^k}, the F_q-points
+        # of Int(Z) truncated at level k; the search runs on S_(k+1), whose
+        # q^(k+1) vectors (59,049, 16,384, 32,768) no enumeration visits
+        for field, k in ((GaloisField(3, 2), 4), (GaloisField(2, 2), 6),
+                         (GaloisField(2, 3), 5)):
+            p = field.p
+            S = TruncationSet.p_typical(p, k)
+            ints = [witt.witt_int(a, S, field) for a in range(p ** k)]
+            for t in (field.one(), list(field.elements())[-1]):
+                stable = {str(v) for v in witt.stable_twisted_kernel(p, t, S, field)}
+                tt = witt.teichmuller(t, S, field)
+                assert len(stable) == p ** k
+                assert stable == {str(witt.witt_mul(tt, a)) for a in ints}
+
+    _criterion("4b", "stable twisted kernels are [t]*Z/p^k (81,64,32)", 10.0, body)
 
 
 def test_criterion_5_rees_drinfeld():

@@ -13,7 +13,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfwitt.binomial import binomial_int, is_prime
+from hopfwitt.binomial import PRIME_LIMIT, binomial_int, is_prime
+from hopfwitt.errors import InputError
 from hopfwitt.poly import SparsePoly
 
 from intz_oracle import binomial_expand, binomial_poly, binomial_transform, falling_factorial
@@ -109,3 +110,15 @@ def test_products_of_basis_elements_are_integer_valued(m, n):
 def test_is_prime_matches_the_definition():
     for n in range(-5, 400):
         assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+
+
+def test_is_prime_refuses_past_the_limit_before_dividing():
+    """999,999,999,989 is the largest prime under 10^12: about 500,000
+    trial divisions.  Past PRIME_LIMIT no division is made."""
+    assert PRIME_LIMIT == 10 ** 12
+    assert is_prime(999_999_999_989) and not is_prime(PRIME_LIMIT)
+    for n in (PRIME_LIMIT + 39, 2 ** 61 - 1, 2 ** 127 - 1):
+        with pytest.raises(InputError,
+                           match=f"needs n = 2\\^{n.bit_length() - 1} or more, "
+                                 f"over binomial.PRIME_LIMIT = {PRIME_LIMIT}"):
+            is_prime(n)

@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import importlib
 import json
 import math
@@ -479,6 +480,7 @@ class TestNumeralSizedWork:
 
 SRC = Path(hopfwitt.__file__).parent
 BIG = 2 ** 600
+A101 = 10 ** 100 + 200
 # One over-limit argv per named work limit.
 LIMIT_CASES = [
     ("intz.MAX_DIGITS", ["intz", "eval", "9" * 1001 + "*C(x,1)", "1"]),
@@ -493,12 +495,16 @@ LIMIT_CASES = [
                               "--ring", "Zmod:8", "--coeffs", "0", "--coeffs2", "0"]),
     ("witt.GHOST_BITS_LIMIT", ["witt", "ghost", "--trunc", "1,2,4,8,16,32,64,128", "--ring",
                                "Z", "--coeffs", "9" * 100 + ",0,0,0,0,0,0,0"]),
+    ("witt.LIFT_BITS_LIMIT", ["witt", "mul", "--trunc", "1,9973", "--ring", f"Zmod:{10**100 + 267}",
+                              "--coeffs", f"{A101},{A101}", "--coeffs2", f"{A101},{A101}"]),
     ("witt.KERNEL_LIMIT", ["witt", "kernel", "--trunc", "1", "--ring", "Zmod:1000000000",
                            "--n", "1", "--t", "1"]),
     ("linalg.MODULUS_BITS_LIMIT", ["filt", "gr", json.dumps(
         {"n_min": 0, "n_max": 1, "ranks": [2, 2], "maps": [[[BIG + 1, 3], [5, BIG + 7]]]})]),
     ("filtration.DAY_TENSOR_WORK_LIMIT", ["filt", "tensor"] + 2 * [
         filtration.degree_filtration_module(15).to_json()]),
+    ("binomial.PRIME_LIMIT", ["witt", "add", "--trunc", "1", "--ring", "Fq:2305843009213693951,1",
+                              "--coeffs", "1", "--coeffs2", "2"]),
 ]
 
 
@@ -673,6 +679,41 @@ class TestProcessEntry:
                            text=True, cwd=tmp_path, env=child_env())
         assert r.returncode == 0
         assert r.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["intz", "mul", "C(x,1)", "C(x,1)"],
+         {"witt", "rings", "homology", "filtration", "linalg"}),
+        (["witt", "add", "--trunc", "1,2", "--coeffs", "1,2", "--coeffs2", "3,4"],
+         {"homology", "filtration", "linalg"}),
+        (["man"], None),
+    ], ids=["intz-mul", "witt-add", "man"])
+    def test_command_loads_only_its_group(self, argv, absent, tmp_path):
+        """-X importtime reports every module the child imports, so the
+        hopfwitt names in it are the package's entries in its sys.modules."""
+        r = subprocess.run([sys.executable, "-X", "importtime", "-m", "hopfwitt.cli", *argv],
+                           capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert r.returncode == 0 and r.stdout
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in r.stderr.splitlines()
+                  if line.startswith("import time:")}
+        ours = {name.split(".", 1)[1] for name in loaded if name.startswith("hopfwitt.")}
+        assert "hopfwitt" in loaded
+        if absent is None:
+            assert ours == {"errors"}
+        else:
+            assert argv[0] in ours and not ours & absent
+
+    def test_cli_imports_no_library_module_at_load(self):
+        """Only the handlers import library modules; at module level cli
+        takes nothing from the package but its errors."""
+        def module_level(node):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    yield child
+                    yield from module_level(child)
+
+        tree = ast.parse((SRC / "cli.py").read_text())
+        assert [n.module for n in module_level(tree)
+                if isinstance(n, ast.ImportFrom) and n.level] == ["errors"]
 
     def test_exit_code_three_in_process(self, tmp_path):
         """Out-of-contract input to a real process exits 2, not 3.

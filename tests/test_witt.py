@@ -604,6 +604,30 @@ def test_subgroup_check_rejects_non_subgroups(ring):
         witt._check_subgroup([zero, one], S, ring)
 
 
+# Every F_q with q <= 9, on S_k = {1, p, ..., p^(k-1)}; the stable search
+# runs on S_(k+1), which has q^(k+1) vectors: 6,561 over F_9 at k = 3 and
+# 32,768 over F_8 at k = 4.
+CLOSED_FORM_CASES = [(p, r, k) for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                             (5, 1), (7, 1)) for k in (1, 2, 3)] + [(2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,r,k", CLOSED_FORM_CASES,
+                         ids=[f"F_{p ** r}-k{k}" for p, r, k in CLOSED_FORM_CASES])
+def test_stable_kernel_is_the_closed_form(p, r, k):
+    """The Hilbert additive group over F_q: for t != 0 the stable kernel of
+    F_p - [t]^(p-1) on W_{S_k}(F_q) is {[t] * a : a in Z/p^k}, since
+    F([t] b) = [t^p] F(b) and F fixes exactly W(F_p)."""
+    F, S = GaloisField(p, r), TruncationSet.p_typical(p, k)
+    ints = [witt_int(a, S, F) for a in range(p ** k)]
+    for t in F.elements():
+        if F.is_zero(t):
+            continue
+        kernel = [str(v) for v in stable_twisted_kernel(p, t, S, F)]
+        tt = teichmuller(t, S, F)
+        assert len(kernel) == len(set(kernel)) == p ** k
+        assert set(kernel) == {str(witt_mul(tt, a)) for a in ints}
+
+
 def test_subgroup_check_forms_ghosts_once_per_sampled_member(monkeypatch):
     """All of W_{1,2,3}(Z/9), 729 members: the 625 sampled pairs are
     (v_0, v_j) for j < 625, so ghosts are formed for 625 members, each
@@ -666,3 +690,19 @@ def test_ghost_bits_limit_is_exact_and_spares_reducing_rings():
     R = ZModRing(2 ** (bits + 1))
     v = WittVector.from_list(S, R, [2 ** bits + 1, 0, 0, 0])
     assert witt_mul(v, v).ring == R
+
+
+def test_lift_bits_limit_counts_member_sum_times_element_bits(monkeypatch):
+    """Over Z/m and F_q the lifted ghosts together hold about (bits of the
+    largest element index) x (member sum) bits; past LIFT_BITS_LIMIT the
+    operation is refused before any ghost is formed."""
+    R, S = ZModRing(8), TruncationSet([1, 2])  # 3 bits x 3
+    v = WittVector.from_list(S, R, [5, 3])
+    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", 9)
+    witt_mul(v, v)  # at the limit: answers
+    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", 8)
+    with pytest.raises(InputError, match="needs 9 bits, over witt.LIFT_BITS_LIMIT = 8"):
+        witt_mul(v, v)
+    F = GaloisField(3, 2)  # index 8, 4 bits
+    with pytest.raises(InputError, match="needs 12 bits, over witt.LIFT_BITS_LIMIT = 8"):
+        ghost(WittVector.from_list(S, F, [F.one(), F.zero()]))
