@@ -628,23 +628,81 @@ def test_stable_kernel_is_the_closed_form(p, r, k):
         assert set(kernel) == {str(witt_mul(tt, a)) for a in ints}
 
 
-def test_subgroup_check_forms_ghosts_once_per_sampled_member(monkeypatch):
-    """All of W_{1,2,3}(Z/9), 729 members: the 625 sampled pairs are
-    (v_0, v_j) for j < 625, so ghosts are formed for 625 members, each
-    once."""
+def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
+    """All of W_{1,2,3}(Z/9), 729 members: each member's ghosts are formed
+    at most once, and the span grows to K in at most 2|K| de-ghosted sums
+    (|K| - 1 plus one per member added to the span, at most log2|K|)."""
     R, S = ZModRing(9), TruncationSet([1, 2, 3])
     members = list(all_vectors(S, R))
-    formed = []
-    real = witt._lifted_ghosts
+    formed, deghosted = [], []
+    lifted, from_lifted = witt._lifted_ghosts, witt._from_lifted_ghosts
 
-    def counting(a):
-        formed.append(str(a))
-        return real(a)
+    def counting_lifted(*vectors):
+        formed.extend(str(a) for a in vectors)
+        return lifted(*vectors)
 
-    monkeypatch.setattr(witt, "_lifted_ghosts", counting)
+    def counting_from_lifted(*args):
+        deghosted.append(args)
+        return from_lifted(*args)
+
+    monkeypatch.setattr(witt, "_lifted_ghosts", counting_lifted)
+    monkeypatch.setattr(witt, "_from_lifted_ghosts", counting_from_lifted)
     witt._check_subgroup(members, S, R)
     assert len(members) == 729
-    assert sorted(formed) == sorted(str(v) for v in members[:625])
+    assert len(formed) == len(set(formed))
+    assert set(formed) <= {str(v) for v in members}
+    assert 729 - 1 < len(deghosted) <= 729 - 1 + 9 < 2 * 729
+
+
+def test_subgroup_check_refuses_728_members_of_729():
+    """W_{1,2,3}(Z/9) without its last vector contains zero but is not a
+    subgroup; a check sampling its first 625 pairs, all (0, v_j), passed it."""
+    R, S = ZModRing(9), TruncationSet([1, 2, 3])
+    members = list(all_vectors(S, R))[:-1]
+    with pytest.raises(FalsificationError, match="closed"):
+        witt._check_subgroup(members, S, R)
+
+
+SUBGROUP_CASES = [(TruncationSet([1, 2]), ZModRing(4)), (TruncationSet([1, 2]), GaloisField(2, 2)),
+                  (TruncationSet([1, 3]), ZModRing(3)), (TruncationSet([1, 2, 4]), ZModRing(2))]
+
+
+def _witt_span(generators, S, R):
+    """The subgroup the generators span, closed under witt_add by brute force."""
+    span = {str(v): v for v in [WittVector.zero(S, R), *generators]}
+    while True:
+        sums = {str(s): s for a in span.values() for b in span.values()
+                if str(s := witt_add(a, b)) not in span}
+        if not sums:
+            return list(span.values())
+        span.update(sums)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(SUBGROUP_CASES), st.data())
+def test_subgroup_check_is_exact(case, data):
+    """Independent oracle: on small sets containing zero (random subsets,
+    spans of one or two members, and such spans with one member dropped),
+    _check_subgroup raises exactly when some pair's witt_add is missing."""
+    S, R = case
+    vectors = list(all_vectors(S, R))
+    zero = WittVector.zero(S, R)
+    kind = data.draw(st.sampled_from(["subset", "span", "span minus one"]))
+    nonzero = st.sampled_from(vectors[1:])
+    if kind == "subset":
+        chosen = [zero, *data.draw(st.lists(nonzero, max_size=6))]
+    else:
+        chosen = _witt_span(data.draw(st.lists(nonzero, min_size=1, max_size=2)), S, R)
+        if kind == "span minus one":  # a nonzero generator spans two members or more
+            chosen.pop(data.draw(st.integers(1, len(chosen) - 1)))
+    chosen = list({str(v): v for v in data.draw(st.permutations(chosen))}.values())
+    keys = {str(v) for v in chosen}
+    closed = all(str(witt_add(a, b)) in keys for a in chosen for b in chosen)
+    if closed:
+        witt._check_subgroup(chosen, S, R)
+    else:
+        with pytest.raises(FalsificationError, match="closed"):
+            witt._check_subgroup(chosen, S, R)
 
 
 # -- serialization ----------------------------------------------------------
