@@ -11,10 +11,14 @@ Koszul signs on shifted degrees:
   cobar: d(c_1|...|c_n) = sum_i (-1)^{f_i} (c_1|...|c_i'|c_i''|...|c_n),
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
+Each differential is stored as its list of columns, column j being
+d(word j) as {row index: coeff}: a bar column has at most len(word) - 1
+entries and a cobar column one per split, so no dense matrix is formed.
 Both conventions are certified by the d*d = 0 check every ChainComplex
-runs at construction.  Homology is computed by Smith normal form, so
-free ranks and torsion are exact.  Bar homology of a commutative algebra
-carries the shuffle product, with signs again on shifted degrees.
+runs at construction, column by column.  Homology is computed by Smith
+normal form, so free ranks and torsion are exact.  Bar homology of a
+commutative algebra carries the shuffle product, with signs again on
+shifted degrees.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import FalsificationError, InputError, bound_overflow
 
 Matrix = list[list[int]]
 Chain = dict[tuple, int]
+Column = dict[int, int]
 
 _TUPLE_CAP = 200_000
 
@@ -65,6 +70,8 @@ class GradedAugmentedAlgebra:
         for (a, b), out in products.items():
             self.products[(a, b)] = {k: v for k, v in out.items() if v}
         self._validate()
+        self._reduced = {ab: {k: c for k, c in out.items() if k != unit}
+                         for ab, out in self.products.items()}
 
     def _validate(self):
         for a in self.labels:
@@ -131,8 +138,9 @@ class GradedAugmentedAlgebra:
         return [g for g in self.labels if g != self.unit]
 
     def reduced_product(self, a: str, b: str) -> dict[str, int]:
-        """Product with any unit component dropped (normalized bar face)."""
-        return {k: c for k, c in self.products[(a, b)].items() if k != self.unit}
+        """Product with any unit component dropped (normalized bar face);
+        the table is built once, so the dict returned is shared."""
+        return self._reduced[(a, b)]
 
 
 class GradedCoalgebra:
@@ -152,6 +160,9 @@ class GradedCoalgebra:
         for c, out in delta.items():
             self.delta[c] = {k: v for k, v in out.items() if v}
         self._validate()
+        self._reduced = {c: {(a, b): v for (a, b), v in out.items()
+                             if a != coaug and b != coaug}
+                         for c, out in self.delta.items()}
 
     def _validate(self):
         for c in self.labels:
@@ -208,37 +219,46 @@ class GradedCoalgebra:
         return cls(basis, f"{label}0", delta)
 
     def reduced_diagonal(self, c: str) -> dict[tuple[str, str], int]:
-        return {(a, b): v for (a, b), v in self.delta[c].items()
-                if a != self.coaug and b != self.coaug}
+        """Diagonal with every coaugmented term dropped (cobar split); the
+        table is built once, so the dict returned is shared."""
+        return self._reduced[c]
 
 
 class ChainComplex:
     """Bigraded complex of free Z-modules with differential of degree -1.
 
     ranks[w][q] is the rank in total degree q and weight w; diffs[w][q]
-    is the matrix of d from (q, w) to (q-1, w) acting on column vectors.
-    The identity d(q) compose d(q+1) = 0 is checked for every weight at
-    construction.
+    is d from (q, w) to (q-1, w) as its list of columns, column j being
+    the image of basis element j as {row index: coeff}.  Every column is
+    checked against the ranks, and d(q) compose d(q+1) = 0 column by
+    column, for every weight at construction.
+
+    The columns are the rows of the transpose, and a matrix and its
+    transpose share their Smith form (U d V = D gives V^T d^T U^T = D),
+    so homology hands the columns to the Smith form as they are.
     """
 
-    def __init__(self, ranks: dict[int, dict[int, int]], diffs: dict[int, dict[int, Matrix]]):
+    def __init__(self, ranks: dict[int, dict[int, int]],
+                 diffs: dict[int, dict[int, list[Column]]]):
         self.ranks = {w: dict(qs) for w, qs in ranks.items()}
-        self.diffs = {w: {q: [row[:] for row in M] for q, M in qs.items()} for w, qs in diffs.items()}
-        for w, qs in self.diffs.items():
-            for q, M in qs.items():
-                r, c = linalg.shape(M)
-                if c != self.rank(q, w) or r != self.rank(q - 1, w):
+        self.diffs: dict[int, dict[int, list[Column]]] = {}
+        for w, qs in diffs.items():
+            for q, cols in qs.items():
+                rows = self.rank(q - 1, w)
+                if len(cols) != self.rank(q, w) or any(
+                        not 0 <= i < rows for col in cols for i in col):
                     raise InputError(f"differential at degree {q}, weight {w} has wrong shape")
+                self.diffs.setdefault(w, {})[q] = [dict(col) for col in cols]
         for w, qs in self.diffs.items():
-            for q, M in qs.items():
-                up = qs.get(q + 1)
-                if up is not None and not linalg.is_zero_matrix(linalg.mat_mul(M, up)):
-                    raise FalsificationError(f"d*d != 0 at degree {q + 1}, weight {w}")
+            for q, cols in qs.items():
+                down = qs.get(q - 1)
+                if down is not None and any(any(_apply(down, col).values()) for col in cols):
+                    raise FalsificationError(f"d*d != 0 at degree {q}, weight {w}")
 
     def rank(self, q: int, w: int) -> int:
         return self.ranks.get(w, {}).get(q, 0)
 
-    def differential(self, q: int, w: int) -> Matrix | None:
+    def differential(self, q: int, w: int) -> list[Column] | None:
         return self.diffs.get(w, {}).get(q)
 
     def homology(self) -> dict[tuple[int, int], tuple[int, list[int]]]:
@@ -248,8 +268,8 @@ class ChainComplex:
         invariant factors, and the torsion at (q, w) is the factors above 1
         of the differential arriving there.
         """
-        factors = {(q, w): linalg.invariant_factors(M)
-                   for w, qs in self.diffs.items() for q, M in qs.items()}
+        factors = {(q, w): linalg.sparse_invariant_factors(col.items() for col in cols)
+                   for w, qs in self.diffs.items() for q, cols in qs.items()}
         out = {}
         for w, qs in self.ranks.items():
             for q, r in qs.items():
@@ -259,6 +279,15 @@ class ChainComplex:
                 up = factors.get((q + 1, w), [])
                 out[(q, w)] = (r - len(here) - len(up), [d for d in up if d > 1])
         return out
+
+
+def _apply(cols: list[Column], v: Column) -> Column:
+    """The image sum_j v[j] * cols[j], zero entries included."""
+    out: Column = {}
+    for j, a in v.items():
+        for i, c in cols[j].items():
+            out[i] = out.get(i, 0) + a * c
+    return out
 
 
 def homology_tsv(C: ChainComplex) -> str:
@@ -330,16 +359,15 @@ def _assemble(strands: dict[tuple[int, int], dict[tuple, int]], image) -> ChainC
     """The complex on the strands, each mapping its words to their places,
     with d(word) = image(word) of degree -1."""
     ranks: dict[int, dict[int, int]] = {}
-    diffs: dict[int, dict[int, Matrix]] = {}
+    diffs: dict[int, dict[int, list[Column]]] = {}
     for (q, w), src in strands.items():
         ranks.setdefault(w, {})[q] = len(src)
         dst = strands.get((q - 1, w))
         if dst is not None:
-            M = linalg.zeros(len(dst), len(src))
-            for j, word in enumerate(src):
-                for target, coeff in image(word).items():
-                    M[dst[target]][j] += coeff
-            diffs.setdefault(w, {})[q] = M
+            # src iterates in place order, so column j is word j
+            diffs.setdefault(w, {})[q] = [
+                {dst[target]: coeff for target, coeff in image(word).items()}
+                for word in src]
     return ChainComplex(ranks, diffs)
 
 
@@ -415,13 +443,15 @@ def shuffle_chains(A: GradedAugmentedAlgebra, x: Chain, y: Chain) -> Chain:
                 word = []
                 sign_exp = 0
                 xi = yi = 0
+                y_placed = 0  # shifted degrees of the y letters placed so far
                 for spot in range(p + q):
                     if spot in posset:
                         # every y letter already placed hops past this x letter
-                        sign_exp += sx[xi] * sum(sy[:yi])
+                        sign_exp += sx[xi] * y_placed
                         word.append(xw[xi])
                         xi += 1
                     else:
+                        y_placed += sy[yi]
                         word.append(yw[yi])
                         yi += 1
                 sign = -1 if sign_exp % 2 else 1
@@ -462,7 +492,9 @@ class BarHomologyWindow:
         if key not in self._boundary_hnf:
             q, w = key
             up = self.complex.differential(q + 1, w)
-            rows = linalg.row_hnf(linalg.transpose(up)) if up else []
+            # the columns of d(q+1) as rows: the row lattice is the boundaries
+            n = len(self.strands[key])
+            rows = linalg.row_hnf([[col.get(i, 0) for i in range(n)] for col in up]) if up else []
             self._boundary_hnf[key] = rows
         return self._boundary_hnf[key]
 
@@ -473,7 +505,7 @@ class BarHomologyWindow:
         for key, v in self._vectorize(chain).items():
             q, w = key
             d = self.complex.differential(q, w)
-            if d and any(linalg.mat_vec(d, v)):
+            if d and any(_apply(d, {j: c for j, c in enumerate(v) if c}).values()):
                 raise InputError(f"chain is not a cycle in strand {key}")
             _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
             if any(red):

@@ -8,18 +8,21 @@ unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
 (Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
-MODULUS_BITS_LIMIT bits is refused.
+MODULUS_BITS_LIMIT bits is refused.  The elimination reads each row as
+its (column, entry) pairs, so sparse_invariant_factors takes the items of
+{column: entry} dicts and the dense routines the enumerated rows.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError, bound_overflow
 
 Matrix = list[list[int]]
+Pairs = Iterable[tuple[int, int]]
 
 
 def shape(A: Matrix) -> tuple[int, int]:
@@ -60,17 +63,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                 for j in range(cb):
                     row[j] += a * Bk[j]
     return out
-
-
-def mat_vec(A: Matrix, v: list[int]) -> list[int]:
-    r, c = shape(A)
-    if len(v) != c:
-        raise InputError("vector length mismatch")
-    return [sum(A[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
-def is_zero_matrix(A: Matrix) -> bool:
-    return all(not x for row in A for x in row)
 
 
 def row_hnf(A: Matrix) -> Matrix:
@@ -159,10 +151,12 @@ def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
 MODULUS_BITS_LIMIT = 1024
 
 
-def _unit_pivot_core(A: Matrix) -> tuple[int, Matrix]:
+def _unit_pivot_core(rows: Iterable[Pairs]) -> tuple[int, Matrix]:
     """Unit-pivot sparse elimination: the number of unit pivots and the core.
 
-    Rows are {column: entry} dicts, sparsest first.  Each row is reduced by
+    Each row, given by its (column, entry) pairs, becomes a {column: entry}
+    dict of its nonzero entries; they are taken sparsest first.  Each row
+    is reduced by
     the pivot rows and becomes a pivot on one of its +-1 entries if it has
     one, else it joins the core; passes repeat until one adds no pivot, so
     the core is zero in every pivot column.  The pivot rows restricted to
@@ -172,7 +166,7 @@ def _unit_pivot_core(A: Matrix) -> tuple[int, Matrix]:
     """
     pivots: list[tuple[int, dict[int, int]]] = []
     order: dict[int, int] = {}
-    core = sorted(({j: x for j, x in enumerate(row) if x} for row in A), key=len)
+    core = sorted(({j: x for j, x in row if x} for row in rows), key=len)
     grew = True
     while grew:
         grew = False
@@ -328,12 +322,21 @@ def _divisor_chain(diag: list[int]) -> list[int]:
 def rank(A: Matrix) -> int:
     """Unit pivots plus the Bareiss rank of the core."""
     shape(A)
-    units, core = _unit_pivot_core(A)
+    units, core = _unit_pivot_core(map(enumerate, A))
     return units + _bareiss(core)[0]
 
 
 def invariant_factors(A: Matrix) -> list[int]:
-    """The nonzero invariant factors of A, each dividing the next.
+    """The nonzero invariant factors of the dense matrix A, each dividing
+    the next: sparse_invariant_factors of its enumerated rows."""
+    shape(A)
+    return sparse_invariant_factors(map(enumerate, A))
+
+
+def sparse_invariant_factors(rows: Iterable[Pairs]) -> list[int]:
+    """The nonzero invariant factors of the matrix whose rows are given by
+    their (column, entry) pairs, such as the items of a {column: entry}
+    dict, each dividing the next; zero entries may be left out.
 
     Unit pivots give the factors 1.  For the core of rank r with a nonzero
     r x r minor D, the first r invariant factors of L + D*Z^n are those of
@@ -341,8 +344,7 @@ def invariant_factors(A: Matrix) -> list[int]:
     taken modulo D, where no entry outgrows D.  A modulus over
     MODULUS_BITS_LIMIT bits is refused.
     """
-    shape(A)
-    units, core = _unit_pivot_core(A)
+    units, core = _unit_pivot_core(rows)
     r, D = _bareiss([row[:] for row in core])
     if D.bit_length() > MODULUS_BITS_LIMIT:
         raise bound_overflow("the Smith form modulus", f"{D.bit_length()} bits",

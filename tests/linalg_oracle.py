@@ -9,7 +9,25 @@ column-lattice comparison through the HNF) check it independently.
 from __future__ import annotations
 
 from hopfwitt.errors import InputError
-from hopfwitt.linalg import Matrix, identity, mat_vec, row_hnf, shape, transpose
+from hopfwitt.linalg import Matrix, identity, row_hnf, shape, transpose
+
+
+def mat_vec(A: Matrix, v: list[int]) -> list[int]:
+    r, c = shape(A)
+    if len(v) != c:
+        raise InputError("vector length mismatch")
+    return [sum(A[i][j] * v[j] for j in range(c)) for i in range(r)]
+
+
+def dense(columns: list[dict[int, int]], rows: int) -> Matrix:
+    """The rows x len(columns) matrix whose column j is the {row: entry}
+    dict columns[j], as ChainComplex stores a differential."""
+    return [[col.get(i, 0) for col in columns] for i in range(rows)]
+
+
+def columns(A: Matrix) -> list[dict[int, int]]:
+    """The columns of A as {row: entry} dicts without zero entries."""
+    return [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(shape(A)[1])]
 
 
 def column_lattice_hnf(A: Matrix) -> Matrix:

@@ -539,6 +539,25 @@ class TestWindowedWords:
         _, short_out, _ = run_cli(base + ["--stages", "2"], capsys)
         assert long_out == short_out
 
+    def test_twenty_stage_bar_window_answers_quickly(self, capsys, monkeypatch):
+        # 19 s and 614 MB while each differential was a dense matrix
+        from hopfwitt import homology
+
+        built = []
+        real = homology.bar_complex
+        monkeypatch.setattr(homology, "bar_complex", lambda *a: built.append(real(*a)) or built[-1])
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["homology", "bar", "--algebra", "truncated:3",
+                              "--stages", "20", "--weight-bound", "20"], capsys)
+        assert time.perf_counter() - start < 3.0
+        assert rc == 0
+        (C,) = built
+        free: dict[int, int] = {}
+        for line in out.splitlines()[1:]:
+            q, w, r, _ = line.split("\t")
+            free[int(w)] = free.get(int(w), 0) + (-1) ** int(q) * int(r)
+        assert free == {w: sum((-1) ** q * r for q, r in qs.items()) for w, qs in C.ranks.items()}
+
     def test_cobar_divided_power_is_polynomial_ext(self, capsys):
         # the cobar complex of the divided-power coalgebra computes
         # Ext over Z[y]: Z in (0, 0) and (1, 1), nothing else

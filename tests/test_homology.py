@@ -123,19 +123,31 @@ class TestChainComplex:
         assert C.homology() == {(0, 0): (3, [])}
 
     def test_times_two_gives_torsion(self):
-        C = ChainComplex({0: {0: 1, 1: 1}}, {0: {1: [[2]]}})
+        C = ChainComplex({0: {0: 1, 1: 1}}, {0: {1: [{0: 2}]}})
         assert C.homology() == {(0, 0): (0, [2]), (1, 0): (0, [])}
 
     def test_square_nonzero_rejected(self):
         with pytest.raises(FalsificationError, match="d\\*d"):
-            ChainComplex({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [[1]], 2: [[1]]}})
+            ChainComplex({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [{0: 1}], 2: [{0: 1}]}})
 
     def test_shape_mismatch_rejected(self):
+        # two columns for a rank-one source
         with pytest.raises(InputError, match="shape"):
-            ChainComplex({0: {0: 2, 1: 1}}, {0: {1: [[1]]}})
+            ChainComplex({0: {0: 2, 1: 1}}, {0: {1: [{0: 1}, {1: 1}]}})
+
+    @pytest.mark.parametrize("row", [1, 2, -1])
+    def test_row_index_out_of_range_rejected(self, row):
+        # rank(0, 0) is 1, so row 0 is the only target; weight 1 has more
+        # rows at degree 0, which weight 0 may not use
+        with pytest.raises(InputError, match="shape"):
+            ChainComplex({0: {0: 1, 1: 1}, 1: {0: 3}}, {0: {1: [{0: 1, row: 1}]}})
+
+    def test_explicit_zero_entry(self):
+        C = ChainComplex({0: {0: 2, 1: 1}}, {0: {1: [{0: 0, 1: 3}]}})
+        assert C.homology() == {(0, 0): (1, [3]), (1, 0): (0, [])}
 
     def test_tsv_frozen(self):
-        C = ChainComplex({0: {0: 1, 1: 1}}, {0: {1: [[2]]}})
+        C = ChainComplex({0: {0: 1, 1: 1}}, {0: {1: [{0: 2}]}})
         assert homology_tsv(C) == (
             "degree\tweight\trank\ttorsion\n"
             "0\t0\t0\t2\n"
@@ -296,6 +308,34 @@ class TestShuffle:
         A = GradedAugmentedAlgebra.exterior(-2, -1, label="u")
         assert shuffle_chains(A, {("u",): 1}, {("u",): 1}) == {}
 
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["s", "x", "sx"]), max_size=3),
+           st.lists(st.sampled_from(["s", "x", "sx"]), max_size=3))
+    def test_signs_match_koszul_rule_on_permutations(self, xw, yw):
+        # Lambda(s) (x) Z[x]/x^2: shifted degrees 2, 3 and 4, both parities
+        A = GradedAugmentedAlgebra(
+            [("1", 0, 0), ("s", 1, 1), ("x", 2, 1), ("sx", 3, 2)], "1",
+            {(a, b): ({"sx": 1} if {a, b} == {"s", "x"} else {}) for a in ("s", "x", "sx")
+             for b in ("s", "x", "sx")}
+            | {("1", a): {a: 1} for a in ("1", "s", "x", "sx")}
+            | {(a, "1"): {a: 1} for a in ("s", "x", "sx")})
+        word = tuple(xw) + tuple(yw)
+        shifted = [A.bidegree[a][0] + 1 for a in word]
+        p = len(xw)
+        expect: dict = {}
+        for perm in itertools.permutations(range(len(word))):
+            xs, ys = [i for i in perm if i < p], [i for i in perm if i >= p]
+            if xs != sorted(xs) or ys != sorted(ys):
+                continue
+            # every pair put out of order contributes its shifted degrees
+            e = sum(shifted[perm[b]] * shifted[perm[a]] for a in range(len(perm))
+                    for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+            key = tuple(word[i] for i in perm)
+            expect[key] = expect.get(key, 0) + (-1) ** e
+        expect = {k: 3 * c for k, c in expect.items() if c}
+        assert shuffle_chains(A, {tuple(xw): 1}, {tuple(yw): 3}) == expect
+
     def test_non_cycle_rejected(self):
         A = _truncated_poly(3)
         W = BarHomologyWindow(A, 3, 3)
@@ -312,6 +352,12 @@ class TestShuffle:
         W = BarHomologyWindow(A, 3, 3)
         boundary = bar_differential_word(A, ("x", "x", "x"))
         assert W.reduce_cycle(boundary) == {}
+
+
+def _dense_differential(C, q, w):
+    """d from (q, w) as a dense matrix for the oracle, or None."""
+    cols = C.differential(q, w)
+    return None if cols is None else oracle.dense(cols, C.rank(q - 1, w))
 
 
 @functools.cache
@@ -338,7 +384,7 @@ class TestReduceCycleProperties:
         q, w = key
         words = {i: word for word, i in W.strands[key].items()}
         coeffs = st.integers(-5, 5)
-        down, up = W.complex.differential(q, w), W.complex.differential(q + 1, w)
+        down, up = _dense_differential(W.complex, q, w), _dense_differential(W.complex, q + 1, w)
         if down:
             basis = oracle.kernel_basis(down)
             z = [0] * len(words)
@@ -347,7 +393,7 @@ class TestReduceCycleProperties:
                 z = [x + a * y for x, y in zip(z, v)]
         else:
             z = [data.draw(coeffs) for _ in words]
-        dc = linalg.mat_vec(up, [data.draw(coeffs) for _ in up[0]]) if up else [0] * len(z)
+        dc = oracle.mat_vec(up, [data.draw(coeffs) for _ in up[0]]) if up else [0] * len(z)
 
         def chain(v):
             return {words[i]: x for i, x in enumerate(v) if x}
@@ -431,7 +477,8 @@ class TestWindowStrands:
 
 def _random_complex(data):
     """Degrees 0..3 in weight 0, each differential built from the left
-    kernel of the one above it, so d*d = 0."""
+    kernel of the one above it, so d*d = 0; the complex takes the
+    columns of each."""
     ranks = [data.draw(st.integers(0, 4)) for _ in range(4)]
     entries = st.integers(-3, 3)
     diffs = {}
@@ -447,7 +494,8 @@ def _random_complex(data):
             M = [[sum(c * v[j] for c, v in zip(coeffs, K)) for j in range(cols)]
                  for coeffs in ([data.draw(entries) for _ in K] for _ in range(rows))]
         diffs[q] = M
-    return ranks, ChainComplex({0: {q: r for q, r in enumerate(ranks) if r}}, {0: diffs})
+    columns = {q: oracle.columns(M) for q, M in diffs.items()}
+    return ranks, ChainComplex({0: {q: r for q, r in enumerate(ranks) if r}}, {0: columns})
 
 
 class TestHomologyInvariants:
@@ -459,7 +507,7 @@ class TestHomologyInvariants:
         for q, r in enumerate(ranks):
             if not r:
                 continue
-            d_here, d_up = C.differential(q, 0), C.differential(q + 1, 0)
+            d_here, d_up = _dense_differential(C, q, 0), _dense_differential(C, q + 1, 0)
             free = r - (linalg.rank(d_here) if d_here else 0) - (linalg.rank(d_up) if d_up else 0)
             torsion = [d for d in (linalg.invariant_factors(d_up) if d_up else []) if d > 1]
             assert H[(q, 0)] == (free, torsion)
@@ -467,8 +515,124 @@ class TestHomologyInvariants:
     def test_one_smith_form_per_differential(self, monkeypatch):
         C = bar_complex(_truncated_poly(3), 5, 5)
         calls = []
-        real = linalg.invariant_factors
-        monkeypatch.setattr(linalg, "invariant_factors", lambda M: calls.append(M) or real(M))
+        real = linalg.sparse_invariant_factors
+        monkeypatch.setattr(linalg, "sparse_invariant_factors",
+                            lambda rows: calls.append(rows) or real(rows))
         monkeypatch.setattr(linalg, "row_hnf", lambda M: pytest.fail("HNF in homology()"))
         C.homology()
         assert len(calls) == sum(len(qs) for qs in C.diffs.values())
+
+
+# -- the column form against dense oracles ---------------------------------
+
+
+def _divided_power_algebra(n):
+    """Gamma truncated at weight n, gamma_k in degree 2k and weight k, with
+    gamma_m gamma_n = C(m+n, n) gamma_{m+n}: bar homology with torsion."""
+    lab = [f"y{k}" for k in range(n + 1)]
+    products = {(lab[a], lab[b]): {lab[a + b]: intz.graded_constant(a, b)} if a + b <= n else {}
+                for a in range(n + 1) for b in range(n + 1)}
+    return GradedAugmentedAlgebra([(lab[k], 2 * k, k) for k in range(n + 1)], lab[0], products)
+
+
+def _oracle_homology(C):
+    """Free ranks and torsion from the textbook Smith form (with
+    transforms) of each differential, densified from its columns."""
+    diag = {}
+    for w, qs in C.diffs.items():
+        for q in qs:
+            D, _, _ = oracle.smith_normal_form(_dense_differential(C, q, w))
+            diag[(q, w)] = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
+    out = {}
+    for w, qs in C.ranks.items():
+        for q, r in qs.items():
+            if r:
+                here, up = diag.get((q, w), []), diag.get((q + 1, w), [])
+                out[(q, w)] = (r - len(here) - len(up), [d for d in up if d > 1])
+    return out
+
+
+ORACLE_CASES = {
+    "bar truncated:3": lambda: bar_complex(GradedAugmentedAlgebra.truncated(3), 8, 16),
+    "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 6, 18),
+    "bar exterior-deg-1": lambda: bar_complex(GradedAugmentedAlgebra.exterior(-1, -1), 6, 6),
+    "bar exterior-deg1": lambda: bar_complex(
+        GradedAugmentedAlgebra.exterior(1, 1, label="s"), 6, 6),
+    "bar divided-power algebra 6": lambda: bar_complex(_divided_power_algebra(6), 4, 6),
+    "cobar divided-power:5": lambda: cobar_complex(GradedCoalgebra.divided_power(5), 10, 5),
+    "cobar divided-power:7": lambda: cobar_complex(GradedCoalgebra.divided_power(7), 14, 7),
+}
+
+
+class TestColumnForm:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_homology_matches_dense_oracle(self, name):
+        C = ORACLE_CASES[name]()
+        assert C.homology() == _oracle_homology(C)
+
+    def test_oracle_cases_cover_torsion(self):
+        H = ORACLE_CASES["bar divided-power algebra 6"]().homology()
+        # Tor_1 at bar degree 2w + 1 is Z/p at the prime powers w = p^k
+        assert {w: H[(2 * w + 1, w)][1] for w in range(2, 7)} == {
+            2: [2], 3: [3], 4: [2], 5: [5], 6: []}
+
+    def test_columns_are_the_word_images(self):
+        A = _truncated_poly(4)
+        strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1, 4, 4)
+        C = bar_complex(A, 4, 4)
+        for (q, w), src in strands.items():
+            dst = strands.get((q - 1, w))
+            if dst is None:
+                assert C.differential(q, w) is None
+                continue
+            words = {i: word for word, i in dst.items()}
+            got = [{words[i]: c for i, c in col.items()} for col in C.differential(q, w)]
+            assert got == [bar_differential_word(A, word) for word in src]
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 7, 7), (4, 5, 5)]), st.data())
+    def test_one_perturbed_coefficient_is_caught(self, window, data):
+        """Adding e != 0 at row i of column j of d(q) adds e times column
+        i of d(q-1) to d(q-1) d(q), and e times row j of d(q+1) to
+        d(q) d(q+1); the check must refuse exactly when either is nonzero.
+        Every entry of the drawn differential is perturbed in turn."""
+        C = _bar_window_complex(*window)
+        w = data.draw(st.sampled_from(sorted(C.diffs)))
+        q = data.draw(st.sampled_from(sorted(C.diffs[w])))
+        e = data.draw(st.integers(-3, 3).filter(bool))
+        down, up = C.differential(q - 1, w), C.differential(q + 1, w)
+        for j, i in itertools.product(range(C.rank(q, w)), range(C.rank(q - 1, w))):
+            diffs = {v: {p: [dict(col) for col in cs] for p, cs in qs.items()}
+                     for v, qs in C.diffs.items()}
+            diffs[w][q][j][i] = diffs[w][q][j].get(i, 0) + e
+            if (down and down[i]) or (up and any(j in col for col in up)):
+                with pytest.raises(FalsificationError, match="d\\*d != 0"):
+                    ChainComplex(C.ranks, diffs)
+            else:
+                ChainComplex(C.ranks, diffs)
+
+
+@functools.cache
+def _bar_window_complex(p, stages, weight_bound):
+    return bar_complex(GradedAugmentedAlgebra.truncated(p), stages, weight_bound)
+
+
+class TestNoDenseMatrix:
+    def test_bar_homology_and_shuffle_form_no_dense_matrix(self, monkeypatch):
+        def refuse(*_):
+            pytest.fail("a dense matrix was formed")
+
+        for name in ("zeros", "mat_mul", "transpose"):
+            monkeypatch.setattr(linalg, name, refuse)
+        H = bar_complex(GradedAugmentedAlgebra.truncated(3), 12, 12).homology()
+        assert {k for k, v in H.items() if v != (0, [])} == {
+            (0, 0), (3, 1), (8, 3), (11, 4), (16, 6), (19, 7), (24, 9), (27, 10), (32, 12)}
+        # tau = [x|x2] generates Tor in (8, 3); its square is twice a class
+        A = GradedAugmentedAlgebra.truncated(3)
+        tau = {("x", "x2"): 1}
+        shifted = dict(tau)
+        for word, c in bar_differential_word(A, ("x", "x", "x")).items():
+            shifted[word] = shifted.get(word, 0) - 2 * c
+        W = BarHomologyWindow(A, 6, 6)
+        assert W.shuffle_classes(shifted, tau) == {(16, 6): (0, 0, 0, 0, 2, 0)}

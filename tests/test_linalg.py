@@ -117,7 +117,7 @@ class TestSolveAndKernel:
         # x = (1, 2) solves exactly
         A = [[2, 3], [1, -1]]
         x = oracle.solve_integer(A, [8, -1])
-        assert linalg.mat_vec(A, x) == [8, -1]
+        assert oracle.mat_vec(A, x) == [8, -1]
 
     def test_solve_no_integer_solution(self):
         assert oracle.solve_integer([[2]], [1]) is None
@@ -130,17 +130,17 @@ class TestSolveAndKernel:
         for _ in range(40):
             A = _random_matrix(rng, 3, 4)
             x0 = [rng.randint(-5, 5) for _ in range(4)]
-            b = linalg.mat_vec(A, x0)
+            b = oracle.mat_vec(A, x0)
             x = oracle.solve_integer(A, b)
             assert x is not None
-            assert linalg.mat_vec(A, x) == b
+            assert oracle.mat_vec(A, x) == b
 
     def test_kernel_vectors_annihilated(self):
         rng = random.Random(19)
         for _ in range(40):
             A = _random_matrix(rng, 2, 4)
             for v in oracle.kernel_basis(A):
-                assert linalg.mat_vec(A, v) == [0, 0]
+                assert oracle.mat_vec(A, v) == [0, 0]
 
     def test_kernel_rank_theorem(self):
         rng = random.Random(29)
@@ -297,7 +297,7 @@ class TestOneRoute:
         A = _dense_non_unit(random.Random(4), 8, 9)
         assert linalg.rank(A) == len(linalg.invariant_factors(A))
         # Z --2--> Z --0--> Z: H_0 = Z/2, H_1 = 0, H_2 = Z
-        C = ChainComplex({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [[2]], 2: [[0]]}})
+        C = ChainComplex({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [{0: 2}], 2: [{}]}})
         assert C.homology() == {(0, 0): (0, [2]), (1, 0): (0, []), (2, 0): (1, [])}
 
 
