@@ -2,7 +2,7 @@
 
 Subpackages by topic:
 
-- poly, binomial: sparse rational polynomials, generalized binomial
+- poly, binomial: sparse integer polynomials, generalized binomial
   coefficients and a primality test (the arithmetic substrate).
 - intz: the ring of integer-valued polynomials on its binomial basis, with
   its Hopf structure by closed forms, degree filtration, and the duality
@@ -16,8 +16,8 @@ Subpackages by topic:
   integer homology and the shuffle product.
 - cli: the command-line interface.
 
-Everything is exact: Python ints, with fractions.Fraction only for the
-coefficients of poly.SparsePoly, and no floating point in any result.
+Everything is exact: Python ints throughout, polynomial coefficients
+included, and no floating point in any result.
 """
 
 __version__ = "0.1.0"

@@ -249,9 +249,9 @@ def t_poly(terms: TPoly) -> SparsePoly:
 
 
 def t_poly_str(terms: TPoly) -> str:
-    """str(t_poly(terms)) without building the polynomial, whose Fraction
-    coefficients and general monomial sort would dominate the text form
-    of a large Rees table."""
+    """str(t_poly(terms)) without building the polynomial: the terms are
+    sorted by their t-exponents alone, where SparsePoly's general
+    monomial sort would dominate the text form of a large Rees table."""
     return format_terms(("" if e == 0 else "t" if e == 1 else f"t^{e}", terms[e])
                         for e in sorted(terms, reverse=True))
 

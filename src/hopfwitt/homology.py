@@ -7,7 +7,7 @@ complexes of free Z-modules indexed by (total degree, weight), with
 Koszul signs on shifted degrees:
 
   bar:   d(a_1|...|a_n) = sum_i (-1)^{e_i} (a_1|...|a_i a_{i+1}|...|a_n),
-         e_i = sum_{j<=i} (|a_j| + 1), unit components of products dropped;
+         e_i = sum_{j<=i} (|a_j| + 1), each product in the augmentation ideal;
   cobar: d(c_1|...|c_n) = sum_i (-1)^{f_i} (c_1|...|c_i'|c_i''|...|c_n),
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
@@ -53,7 +53,8 @@ class GradedAugmentedAlgebra:
     Every label has a (degree, weight); the unit sits in (0, 0) and the
     augmentation kills every other label.  Products are stored for all
     ordered pairs and checked for bigrading, Koszul commutativity,
-    unitality, and associativity.
+    unitality, associativity, and a multiplicative augmentation: no
+    product of two labels other than the unit has a unit component.
     """
 
     def __init__(self, basis: list[tuple[str, int, int]], unit: str,
@@ -70,14 +71,15 @@ class GradedAugmentedAlgebra:
         for (a, b), out in products.items():
             self.products[(a, b)] = {k: v for k, v in out.items() if v}
         self._validate()
-        self._reduced = {ab: {k: c for k, c in out.items() if k != unit}
-                         for ab, out in self.products.items()}
 
     def _validate(self):
         for a in self.labels:
             for b in self.labels:
                 if (a, b) not in self.products:
                     raise InputError(f"product ({a},{b}) missing")
+                if self.unit not in (a, b) and self.unit in self.products[(a, b)]:
+                    raise InputError(f"augmentation is not multiplicative: product ({a},{b}) "
+                                     f"has a {self.unit} component")
         for (a, b), out in self.products.items():
             da, wa = self.bidegree[a]
             db, wb = self.bidegree[b]
@@ -138,9 +140,10 @@ class GradedAugmentedAlgebra:
         return [g for g in self.labels if g != self.unit]
 
     def reduced_product(self, a: str, b: str) -> dict[str, int]:
-        """Product with any unit component dropped (normalized bar face);
-        the table is built once, so the dict returned is shared."""
-        return self._reduced[(a, b)]
+        """Product of two augmentation-ideal labels (normalized bar face),
+        which has no unit component since the augmentation is
+        multiplicative; the dict returned is the stored one, so shared."""
+        return self.products[(a, b)]
 
 
 class GradedCoalgebra:

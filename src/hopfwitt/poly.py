@@ -1,30 +1,32 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials with exact coefficients.
 
-A polynomial is a finite map from monomials to nonzero Fraction
-coefficients.  A monomial is a tuple of (name, exponent) pairs, sorted by
-name, with all exponents positive; the empty tuple is the constant
-monomial.  Zero coefficients are never stored, so the zero polynomial is
-the empty map and equality is plain dict equality.
+A polynomial is a finite map from monomials to nonzero coefficients,
+stored as they are given: the library builds every polynomial from
+Python ints, so its polynomials lie in Z[vars], while the test oracles
+give rational coefficients to work in Q[vars].  A monomial is a tuple
+of (name, exponent) pairs, sorted by name, with all exponents positive;
+the empty tuple is the constant monomial.  Zero coefficients are never
+stored, so the zero polynomial is the empty map and equality is plain
+dict equality.
 
 Serialization uses graded lexicographic order (total degree descending,
 then exponent vectors over the sorted variable universe, descending), which
 makes the text form canonical: the same polynomial always prints the same
 bytes.  The grammar accepted by parse() is a sum of terms
-``coef*var^e*var^e``, coefficient written as ``num`` or ``num/den``, with
+``coef*var^e*var^e``, the coefficient a nonnegative integer, with
 ``+``/``-`` separators; both coefficient and variables are optional in a
-term as long as something is present.
+term as long as something is present.  parse() reads Z[vars] only, so
+any ``/`` is refused.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError
 
 Monomial = tuple[tuple[str, int], ...]
-Scalar = Union[int, Fraction]
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -43,37 +45,30 @@ def _mono_degree(m: Monomial) -> int:
 
 
 class SparsePoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial; its coefficients are kept as given.
+    In arithmetic anything that is not a SparsePoly is taken for a
+    scalar; == also takes an int, as a constant."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[mono] = c
-        self._terms = clean
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        self._terms = {mono: c for mono, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Scalar) -> SparsePoly:
-        return cls({(): Fraction(c)})
+    def constant(cls, c: int) -> SparsePoly:
+        return cls({(): c})
 
     @classmethod
     def variable(cls, name: str) -> SparsePoly:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise InputError(f"bad variable name: {name!r}")
-        return cls({((name, 1),): Fraction(1)})
-
-    zero_poly: SparsePoly  # filled in below the class body
-    one_poly: SparsePoly
+        return cls({((name, 1),): 1})
 
     # -- queries -----------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -85,13 +80,13 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, mono: Monomial | Mapping[str, int]) -> Fraction:
+    def coefficient(self, mono: Monomial | Mapping[str, int]) -> int:
         if isinstance(mono, Mapping):
             mono = tuple(sorted((n, e) for n, e in mono.items() if e))
-        return self._terms.get(mono, Fraction(0))
+        return self._terms.get(mono, 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> int:
+        return self._terms.get((), 0)
 
     def variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
@@ -111,20 +106,16 @@ class SparsePoly:
             return 0
         return max((dict(m).get(name, 0) for m in self._terms), default=0)
 
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._terms.values())
-
     def is_univariate_in(self, name: str) -> bool:
         return all(all(n == name for n, _ in m) for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: SparsePoly | Scalar) -> SparsePoly:
+    def __add__(self, other: SparsePoly | int) -> SparsePoly:
         other = _coerce(other)
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono, 0) + c
             if s:
                 out[mono] = s
             else:
@@ -140,25 +131,24 @@ class SparsePoly:
         res._terms = {m: -c for m, c in self._terms.items()}
         return res
 
-    def __sub__(self, other: SparsePoly | Scalar) -> SparsePoly:
+    def __sub__(self, other: SparsePoly | int) -> SparsePoly:
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Scalar) -> SparsePoly:
+    def __rsub__(self, other: int) -> SparsePoly:
         return _coerce(other) - self
 
-    def __mul__(self, other: SparsePoly | Scalar) -> SparsePoly:
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+    def __mul__(self, other: SparsePoly | int) -> SparsePoly:
+        if not isinstance(other, SparsePoly):
+            if not other:
                 return SparsePoly()
             res = SparsePoly.__new__(SparsePoly)
-            res._terms = {m: k * c for m, k in self._terms.items()}
+            res._terms = {m: k * other for m, k in self._terms.items()}
             return res
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
+                s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
                 else:
@@ -181,15 +171,8 @@ class SparsePoly:
             n >>= 1
         return result
 
-    def exact_div(self, k: Scalar) -> SparsePoly:
-        """Divide by a nonzero scalar; caller checks integrality separately."""
-        k = Fraction(k)
-        if not k:
-            raise InputError("division by zero")
-        return self * (1 / k)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = _coerce(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -200,7 +183,7 @@ class SparsePoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, values: Mapping[str, SparsePoly | Scalar]) -> SparsePoly:
+    def substitute(self, values: Mapping[str, SparsePoly | int]) -> SparsePoly:
         """Replace variables by polynomials or scalars; others are kept."""
         subs = {n: _coerce(v) for n, v in values.items()}
         total = SparsePoly()
@@ -214,24 +197,24 @@ class SparsePoly:
             total = total + term
         return total
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
+    def evaluate(self, values: Mapping[str, int]) -> int:
         """Evaluate at a full point; raises if a variable is missing."""
-        total = Fraction(0)
+        total = 0
         for mono, c in self._terms.items():
             v = c
             for name, e in mono:
                 if name not in values:
                     raise InputError(f"no value for variable {name!r}")
-                v *= Fraction(values[name]) ** e
+                v *= values[name] ** e
             total += v
         return total
 
     # -- canonical text form ----------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def _sorted_terms(self) -> list[tuple[Monomial, int]]:
         universe = self.variables()
 
-        def key(item: tuple[Monomial, Fraction]):
+        def key(item: tuple[Monomial, int]):
             mono, _ = item
             exps = dict(mono)
             vec = tuple(exps.get(n, 0) for n in universe)
@@ -251,7 +234,7 @@ class SparsePoly:
     # -- parsing -----------------------------------------------------------
 
     _TOKEN = re.compile(
-        r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
         r"|(?P<op>[\^*+-]))"
     )
 
@@ -261,7 +244,7 @@ class SparsePoly:
         return _parse_sum(tokens, text)
 
 
-def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
+def format_terms(terms: Iterable[tuple[str, int]]) -> str:
     """The text form of SparsePoly: nonzero (monomial text, coefficient)
     pairs, in the given order, as a signed sum; the empty sum is 0."""
     parts: list[str] = []
@@ -280,7 +263,7 @@ def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
     return "".join(parts) or "0"
 
 
-def _coerce(v: SparsePoly | Scalar) -> SparsePoly:
+def _coerce(v: SparsePoly | int) -> SparsePoly:
     if isinstance(v, SparsePoly):
         return v
     return SparsePoly.constant(v)
@@ -292,8 +275,11 @@ def _tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = SparsePoly._TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise InputError(f"bad character in polynomial: {text[pos:].strip()[0]!r}")
+            rest = text[pos:].strip()
+            if rest[:1] == "/":
+                raise InputError("polynomial ring elements need integer coefficients")
+            if rest:
+                raise InputError(f"bad character in polynomial: {rest[0]!r}")
             break
         tokens.append(m.group(m.lastgroup))  # type: ignore[arg-type]
         pos = m.end()
@@ -321,8 +307,15 @@ def _parse_sum(tokens: list[str], original: str) -> SparsePoly:
     return result
 
 
+def _numeral(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # past Python's limit on int/str conversion
+        raise InputError(f"numeral of {len(tok)} digits in polynomial is too long") from exc
+
+
 def _parse_term(tokens: list[str], i: int, original: str) -> tuple[SparsePoly, int]:
-    coeff = Fraction(1)
+    coeff = 1
     mono: dict[str, int] = {}
     saw_factor = False
     while i < len(tokens):
@@ -331,8 +324,8 @@ def _parse_term(tokens: list[str], i: int, original: str) -> tuple[SparsePoly, i
             break
         if tok in ("*", "^"):
             raise InputError(f"misplaced {tok!r} in polynomial: {original!r}")
-        if re.fullmatch(r"\d+(/\d+)?", tok):
-            coeff *= Fraction(tok)
+        if tok.isdigit():
+            coeff *= _numeral(tok)
             saw_factor = True
             i += 1
         else:
@@ -341,9 +334,9 @@ def _parse_term(tokens: list[str], i: int, original: str) -> tuple[SparsePoly, i
             i += 1
             if i < len(tokens) and tokens[i] == "^":
                 i += 1
-                if i >= len(tokens) or not re.fullmatch(r"\d+", tokens[i]):
+                if i >= len(tokens) or not tokens[i].isdigit():
                     raise InputError(f"bad exponent in polynomial: {original!r}")
-                exp = int(tokens[i])
+                exp = _numeral(tokens[i])
                 i += 1
             mono[name] = mono.get(name, 0) + exp
             saw_factor = True
@@ -355,7 +348,3 @@ def _parse_term(tokens: list[str], i: int, original: str) -> tuple[SparsePoly, i
         raise InputError(f"empty term in polynomial: {original!r}")
     key = tuple(sorted((n, e) for n, e in mono.items() if e))
     return SparsePoly({key: coeff}), i
-
-
-SparsePoly.zero_poly = SparsePoly()
-SparsePoly.one_poly = SparsePoly.constant(1)

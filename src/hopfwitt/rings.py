@@ -425,17 +425,16 @@ class PolynomialRing(CoeffRing):
         return a * b
 
     def div_int(self, a, n: int):
-        q = a.exact_div(n)
-        return q if q.is_integral() else None
+        qs = {m: divmod(c, n) for m, c in a.items()}
+        if any(r for _, r in qs.values()):
+            return None
+        return SparsePoly({m: q for m, (q, _) in qs.items()})
 
     def element_str(self, a) -> str:
         return str(a)
 
     def element_from_str(self, text: str):
-        p = SparsePoly.parse(text)
-        if not p.is_integral():
-            raise InputError("polynomial ring elements need integer coefficients")
-        return p
+        return SparsePoly.parse(text)
 
     def to_json_obj(self) -> dict:
         return {"kind": "Poly"}

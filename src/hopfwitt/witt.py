@@ -284,7 +284,7 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable)
                 f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
     if isinstance(ring, PolynomialRing):
-        elements = [c.numerator for x in elements for _, c in x.items()]
+        elements = [c for x in elements for _, c in x.items()]
     else:
         elements = list(elements)
     top = trunc.members[-1]

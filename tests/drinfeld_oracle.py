@@ -78,7 +78,7 @@ def elimination_constants(m: int, n: int) -> dict[int, SparsePoly]:
             continue
         # the leading x^k coefficient of b_k is 1/k!
         c = lead * facts[k]
-        if not c.is_integral():
+        if any(v.denominator != 1 for _, v in c.items()):
             raise FalsificationError(
                 f"structure constant c_{k} of ({m},{n}) is not in Z[t]: {c}")
         if not c.is_univariate_in("t"):

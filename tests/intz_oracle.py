@@ -35,7 +35,7 @@ def binomial_poly(n: int, var: str = "x") -> SparsePoly:
     """C(x, n) as an element of Q[x]."""
     if n < 0:
         raise InputError("binomial polynomial index must be nonnegative")
-    return falling_factorial(n, var).exact_div(factorial(n))
+    return falling_factorial(n, var) * Fraction(1, factorial(n))
 
 
 def binomial_transform(p: SparsePoly, var: str = "x") -> list[Fraction]:

@@ -62,7 +62,7 @@ def test_binomial_poly_small_cases():
     x = SparsePoly.variable("x")
     assert binomial_poly(0) == SparsePoly.constant(1)
     assert binomial_poly(1) == x
-    assert binomial_poly(2) == (x * x - x).exact_div(2)
+    assert binomial_poly(2) == (x * x - x) * Fraction(1, 2)
     assert falling_factorial(3) == x * (x - 1) * (x - 2)
 
 
@@ -73,7 +73,7 @@ def test_transform_of_x_squared():
 
 
 def test_transform_detects_non_integrality():
-    p = SparsePoly.parse("1/2*x")
+    p = SparsePoly.variable("x") * Fraction(1, 2)
     coeffs = binomial_transform(p)
     assert any(c.denominator != 1 for c in coeffs)
 

@@ -156,6 +156,16 @@ class TestExitCodes:
                               "--coeffs", "1"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("coeff", ["1/2*a1", "4/2*a1"])
+    def test_poly_quotient_coefficient_exits_two(self, coeff, capsys):
+        """Z[vars] reads integer coefficients only, so a quotient is
+        refused even when it is integral."""
+        rc, out, err = run_cli(["witt", "add", "--trunc", "1,2", "--ring", "Poly",
+                                "--coeffs", f"{coeff},0", "--coeffs2", "0,0"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: polynomial ring elements need integer coefficients\n"
+
     def test_fq_needs_semicolons(self, capsys):
         # "1,0" over F_4 splits into two one-coordinate tokens
         rc, _, err = run_cli(["witt", "teich", "--trunc", "1", "--ring",
@@ -720,6 +730,8 @@ class TestProcessEntry:
             assert ours == {"errors"}
         else:
             assert argv[0] in ours and not ours & absent
+            # Z[vars] runs on ints, so no command pays for these imports
+            assert not loaded & {"fractions", "decimal"}
 
     def test_cli_imports_no_library_module_at_load(self):
         """Only the handlers import library modules; at module level cli

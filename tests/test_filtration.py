@@ -480,7 +480,7 @@ class TestDrinfeldBasis:
             for n in range(m, 5):
                 cs = elimination_constants(m, n)
                 for k, c in cs.items():
-                    assert c.is_integral()
+                    assert all(v.denominator == 1 for _, v in c.items())
                     assert c.degree_in("t") <= m + n - k
 
     def test_top_constant_is_binomial(self):

@@ -65,6 +65,15 @@ class TestGradedAugmentedAlgebra:
                 {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1},
                  ("e", "1"): {"e": 1}, ("e", "e"): {"e": 1}})
 
+    def test_non_multiplicative_augmentation_rejected(self):
+        # Z[a]/(a^2 - 1) with a in (0, 0) is an algebra, but a*a = 1 means
+        # the augmentation that kills a is not a ring map
+        with pytest.raises(InputError, match="augmentation is not multiplicative"):
+            GradedAugmentedAlgebra(
+                [("1", 0, 0), ("a", 0, 0)], "1",
+                {("1", "1"): {"1": 1}, ("1", "a"): {"a": 1},
+                 ("a", "1"): {"a": 1}, ("a", "a"): {"1": 1}})
+
     def test_koszul_symmetry_rejected(self):
         # two odd generators with f*g != -g*f
         basis = [("1", 0, 0), ("f", 1, 1), ("g", 1, 1), ("h", 2, 2)]

@@ -111,6 +111,15 @@ def test_polynomial_ring_elements_are_integer_polys():
         R.element_from_str("1/2*a1")
 
 
+def test_polynomial_ring_div_int_is_exact():
+    R = PolynomialRing()
+    p = R.element_from_str("6*a1^2-4*b1+2")
+    assert R.div_int(p, 2) == SparsePoly.parse("3*a1^2-2*b1+1")
+    assert R.div_int(p, -2) == SparsePoly.parse("-3*a1^2+2*b1-1")
+    assert R.div_int(p, 4) is None
+    assert R.div_int(R.zero(), 3) == R.zero()
+
+
 @pytest.mark.parametrize("spec,expected", [
     ("Z", IntegerRing()),
     ("Zmod:9", ZModRing(9)),
