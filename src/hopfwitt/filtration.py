@@ -269,8 +269,8 @@ class GradedAlgebraPresentation:
     Constants are given, checked once and kept in one form,
     constants[(i, j)] = {k: {t-exponent: int}}; products, the
     associativity check and specialization run on these integers.
-    Elements passed to multiply() use the same {label: {t-exponent: int}}
-    form.
+    Weight homogeneity leaves each constant a single term c * t^d, so
+    the associativity check reads the table as plain integers {k: c}.
     """
 
     def __init__(self, generators: list[tuple[str, int]], unit: str,
@@ -278,6 +278,8 @@ class GradedAlgebraPresentation:
         labels = [g for g, _ in generators]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate generator labels")
+        if any(w < 0 for _, w in generators):
+            raise InputError("generator weights must be nonnegative")
         self.generators = list(generators)
         self.weights = dict(generators)
         if unit not in self.weights or self.weights[unit] != 0:
@@ -306,10 +308,12 @@ class GradedAlgebraPresentation:
                     if self.weights[k] + d != w:
                         raise InputError(
                             f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
-        for g, wg in self.generators:
-            if wg <= self.bound:
-                if self.constants.get((self.unit, g)) != {g: {0: 1}}:
-                    raise InputError(f"unit law fails on {g}")
+        for a, (g, wg) in enumerate(self.generators):
+            for j, wj in self.generators[a:]:
+                if wg + wj <= self.bound and (g, j) not in self.constants:
+                    raise InputError(f"product ({g},{j}) within the weight bound is not given")
+            if wg <= self.bound and self.constants[(self.unit, g)] != {g: {0: 1}}:
+                raise InputError(f"unit law fails on {g}")
 
     def product(self, i: str, j: str) -> dict[str, TPoly]:
         """The constants of the stored product i * j, as {k: {t-exponent: int}}:
@@ -322,38 +326,41 @@ class GradedAlgebraPresentation:
         """The constants of product(i, j) in their canonical text form."""
         return {k: t_poly_str(terms) for k, terms in self.product(i, j).items()}
 
-    def multiply(self, x: dict[str, TPoly], y: dict[str, TPoly]) -> dict[str, TPoly]:
-        """Product of Z[t]-combinations of generators."""
-        acc: dict[str, TPoly] = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                ab: TPoly = {}
-                for ea, ca in a.items():
-                    for eb, cb in b.items():
-                        ab[ea + eb] = ab.get(ea + eb, 0) + ca * cb
-                for k, c in self.product(i, j).items():
-                    slot = acc.setdefault(k, {})
-                    for e1, c1 in ab.items():
-                        for e2, c2 in c.items():
-                            slot[e1 + e2] = slot.get(e1 + e2, 0) + c1 * c2
-        out = {k: {e: c for e, c in terms.items() if c} for k, terms in acc.items()}
-        return {k: terms for k, terms in out.items() if terms}
-
     def check_associative(self) -> None:
-        """(xy)z = x(yz) for generator triples within the weight bound."""
-        gens = [g for g, w in self.generators if w <= self.bound]
-        for a in gens:
-            for b in gens:
-                if self.weights[a] + self.weights[b] > self.bound:
-                    continue
-                ab = self.product(a, b)
-                for c in gens:
-                    if self.weights[a] + self.weights[b] + self.weights[c] > self.bound:
-                        continue
-                    one = self.multiply(ab, {c: {0: 1}})
-                    two = self.multiply({a: {0: 1}}, self.product(b, c))
-                    if one != two:
+        """(xy)z = x(yz) for generator triples within the weight bound.
+
+        Each constant is a single term n t^d, and any bracketing of a, b, c
+        puts t^(w_a+w_b+w_c-w_l) on label l, so the integers n decide it.
+        The table is symmetric and the unit law holds, so (ab)c = a(bc) =
+        b(ac) for a <= b <= c besides the unit covers every ordered triple."""
+        table = {pair: {k: n for k, terms in out.items() for n in terms.values()}
+                 for pair, out in self.constants.items()}
+
+        def times(x: dict[str, int], g: str) -> dict[str, int]:
+            acc: dict[str, int] = {}
+            for k, m in x.items():
+                for j, n in table[(k, g)].items():
+                    acc[j] = acc.get(j, 0) + m * n
+            return {j: n for j, n in acc.items() if n}
+
+        w = self.weights
+        # in weight order, so each loop stops at the first generator past the bound
+        gens = sorted((g for g, _ in self.generators if g != self.unit), key=w.__getitem__)
+        for x, a in enumerate(gens):
+            for y in range(x, len(gens)):
+                b = gens[y]
+                room = self.bound - w[a] - w[b]
+                if room < 0:
+                    break
+                ab = table[(a, b)]
+                for c in gens[y:]:
+                    if w[c] > room:
+                        break
+                    ab_c = times(ab, c)
+                    if ab_c != times(table[(b, c)], a):
                         raise FalsificationError(f"associativity fails on ({a},{b},{c})")
+                    if ab_c != times(table[(a, c)], b):
+                        raise FalsificationError(f"associativity fails on ({b},{a},{c})")
 
     def weight_rank(self, n: int) -> int:
         """Z-rank of the weight n piece of the free Z[t]-module on the
@@ -362,7 +369,15 @@ class GradedAlgebraPresentation:
 
     def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,
-        one entry per unordered generator pair."""
+        one entry per unordered generator pair.  A value that would take
+        some c * t^e past intz.EVAL_BITS_LIMIT bits is refused first."""
+        t_bits = abs(value).bit_length()
+        if t_bits > 1:
+            need = max((c.bit_length() + e * t_bits for cs in self.constants.values()
+                        for terms in cs.values() for e, c in terms.items()), default=0)
+            if need > intz.EVAL_BITS_LIMIT:
+                raise bound_overflow("specializing t", f"{need} bits in one constant",
+                                     "intz.EVAL_BITS_LIMIT", intz.EVAL_BITS_LIMIT)
         out: dict[tuple[str, str], dict[str, int]] = {}
         for (i, j), cs in self.constants.items():
             key = tuple(sorted((i, j)))

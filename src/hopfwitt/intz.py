@@ -283,8 +283,8 @@ class TensorElement:
 # mult, comult and antipode; at the limit each takes about a second.
 WORK_LIMIT = 10_000_000
 # Longest accepted decimal numeral, and largest accepted bit length of one
-# binomial in eval_at: with these and WORK_LIMIT every value the CLI prints
-# stays under Python's 4300-digit limit on int/str conversion.
+# binomial in eval_at or specialized Rees constant: with these and WORK_LIMIT
+# every value the CLI prints stays under Python's 4300-digit limit on int/str.
 MAX_DIGITS = 1000
 EVAL_BITS_LIMIT = 10_000
 

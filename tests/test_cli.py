@@ -462,6 +462,18 @@ class TestFiltLimits:
         assert (rc, out) == (2, "")
         assert "bound overflow" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["filt", "rees", "--bound", "10", "--t", "9" * 1000],
+        ["filt", "rees", "--bound", "120", "--t", "9" * 2000],
+    ], ids=["t-1000-digits", "b120-t-2000-digits"])
+    def test_huge_t_exits_two(self, argv, capsys):
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bound overflow: ") and err.count("\n") == 1
+        assert err.endswith(f", over intz.EVAL_BITS_LIMIT = {intz.EVAL_BITS_LIMIT}\n")
+
 
 class TestNumeralSizedWork:
     """Inputs whose work grew with a numeral, refused before any is done."""

@@ -27,6 +27,7 @@ from hopfwitt.poly import SparsePoly
 import linalg_oracle as oracle
 from drinfeld_oracle import drinfeld_group_law_samples, drinfeld_poly, elimination_constants
 from intz_oracle import binomial_poly
+from presentation_oracle import failing_triples
 
 
 def _unimodular(rng, r):
@@ -299,6 +300,23 @@ class TestGradedAlgebraPresentation:
             with pytest.raises(InputError, match="integral"):
                 GradedAlgebraPresentation([("1", 0)], "1", {("1", "1"): {"1": bad}}, 0)
 
+    def test_negative_weight_refused(self):
+        # with a of weight -1 the triple (a, b, c) would need the product
+        # b * c, of weight 3, past the bound
+        gens = [("1", 0), ("a", -1), ("b", 1), ("c", 2)]
+        constants = {("1", g): {g: {0: 1}} for g, _ in gens}
+        constants.update({("a", "a"): {}, ("a", "b"): {}, ("a", "c"): {}, ("b", "b"): {}})
+        with pytest.raises(InputError, match="nonnegative"):
+            GradedAlgebraPresentation(gens, "1", constants, 2)
+
+    def test_missing_product_refused(self):
+        with pytest.raises(InputError, match=r"product \(C1,C1\) .* not given"):
+            GradedAlgebraPresentation(
+                [("1", 0), ("C1", 1)], "1",
+                {("1", "1"): {"1": {0: 1}},
+                 ("1", "C1"): {"C1": {0: 1}}},
+                2)
+
     def test_weight_bound_enforced(self):
         with pytest.raises(InputError, match="bound"):
             GradedAlgebraPresentation(
@@ -355,6 +373,26 @@ def _scaled_rees(bound, s):
     return R.generators, constants
 
 
+_SCALED_REES = st.builds(lambda bound, s: (*_scaled_rees(bound, s), bound),
+                        st.integers(0, 7), st.integers(-3, 3))
+
+
+def _weight_zero_case(products):
+    """Generators 1, g0, g1, g2 of weight zero at bound zero, with the
+    given products among g0, g1, g2 and zero for the others."""
+    gens = [("1", 0), ("g0", 0), ("g1", 0), ("g2", 0)]
+    constants = {(i, j): {} for a, (i, _) in enumerate(gens[1:]) for j, _ in gens[a + 1:]}
+    constants.update({("1", g): {g: {0: 1}} for g, _ in gens})
+    constants.update({pair: {k: {0: 1}} for pair, k in products.items()})
+    return gens, constants, 0
+
+
+# Each fails on one comparison only: (g0 g1) g1 = 0 but g0 (g1 g1) = g0,
+# and (g0 g1) g2 = 0 = g0 (g1 g2) but g1 (g0 g2) = g1.
+_ONLY_A_BC_FAILS = _weight_zero_case({("g0", "g0"): "g0", ("g1", "g1"): "g0"})
+_ONLY_B_AC_FAILS = _weight_zero_case({("g0", "g2"): "g1", ("g1", "g1"): "g1"})
+
+
 class TestIntegerPresentation:
     """The integer constants against the SparsePoly values they stand for."""
 
@@ -374,6 +412,24 @@ class TestIntegerPresentation:
                 want = {k: x for k, x in want.items() if x}
                 assert P.specialize(v)[tuple(sorted((i, j)))] == want
         _presentation_json_matches(P)
+
+    @given(st.one_of(_random_presentation(), _SCALED_REES))
+    @example(_ONLY_A_BC_FAILS)
+    @example(_ONLY_B_AC_FAILS)
+    @settings(max_examples=150, deadline=None)
+    def test_associativity_matches_z_t_route(self, case):
+        """The integer check raises exactly when some ordered triple fails
+        in Z[t], and names one that does."""
+        weights, constants, bound = case
+        P = GradedAlgebraPresentation(weights, "1", constants, bound)
+        failing = failing_triples(P)
+        if not failing:
+            P.check_associative()
+            return
+        with pytest.raises(FalsificationError, match="associativity fails on") as info:
+            P.check_associative()
+        named = str(info.value).split(" on (")[1].rstrip(")")
+        assert tuple(named.split(",")) in failing
 
     @given(st.dictionaries(st.integers(0, 60), st.integers(-10 ** 30, 10 ** 30)))
     def test_text_form_is_sparse_poly_str(self, terms):
@@ -437,6 +493,9 @@ class TestRees:
 
     def test_associative(self):
         rees(6).check_associative()
+
+    def test_associative_at_bound_30(self):
+        rees(30).check_associative()
 
     def test_json_round_trip(self):
         _presentation_json_matches(rees(3))
