@@ -11,6 +11,15 @@ Koszul signs on shifted degrees:
   cobar: d(c_1|...|c_n) = sum_i (-1)^{f_i} (c_1|...|c_i'|c_i''|...|c_n),
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
+The words of a window are walked once, by length over the sorted
+letters, and numbered, so each strand comes out in its (length, word)
+place order.  A word's column is its prefix's column with the new letter
+appended to every term, plus the faces at the join:
+d(v|a) = d(v)|a +- (v'|last(v).a) in the bar and
+d(v|c) = d(v)|c +- v|diag(c) in the cobar, every target found by id.
+bar_differential_word and cobar_differential_word give the face sum of
+one word; the tests use them as oracles.
+
 Each differential is stored as its list of columns, column j being
 d(word j) as {row index: coeff}: a bar column has at most len(word) - 1
 entries and a cobar column one per split, so no dense matrix is formed.
@@ -307,71 +316,132 @@ def homology_tsv(C: ChainComplex) -> str:
 # -- words in a window, by strand ---------------------------------------
 
 
-def _strand_sort_key(word: tuple) -> tuple:
-    return (len(word), word)
+class _Window:
+    """The words of a (degree, weight) window, each with an integer id.
 
+    A word's degree sums its letters' degrees plus shift (+1 bar, -1
+    cobar) each.  The walk goes once, by length, over the letters in
+    sorted order, so within a length the words come in lexicographic
+    order and each strand lists its words in (length, word) order, their
+    place order, with no sort.  Word i has its prefix's id prefix[i], its
+    last letter last[i], its degree[i] and weight[i], and place[i] in its
+    strand (None outside the window); ext[(i, a)] is the id of word i
+    followed by letter a.
 
-def _window_strands(letters: list[str], bidegree: dict[str, tuple[int, int]],
-                    shift: int, max_len: int | None, weight_bound: int,
-                    degree_bound: int | None = None) -> dict[tuple[int, int], dict[tuple, int]]:
-    """Words of length at most max_len in the (degree, weight) window, by
-    strand, each mapped to its place in _strand_sort_key order; a word's
-    degree sums its letters' degrees plus shift (+1 bar, -1 cobar) each.
-
-    Words grow depth first, and a prefix is dropped once the weight (all
-    letter weights of one strict sign), or else the bounded degree (all
-    shifted letter degrees of one strict sign), has left the window.
-    Every word formed counts against _TUPLE_CAP, kept or not.
+    A word is visited when its length is at most max_len and its weight
+    (all letter weights of one strict sign), or else its bounded degree
+    (all shifted degrees of one strict sign), is within its bound.  That
+    quantity moves away from zero with every letter, so the visited words
+    are closed under prefixes.  Every one-letter extension of a visited
+    word shorter than max_len counts against _TUPLE_CAP, visited or not.
     """
-    if min(max_len or 0, weight_bound, degree_bound or 0) < 0:
-        raise InputError("bounds must be nonnegative")
-    steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in letters]
-    # prune on the first monotone quantity, by its place in (word, degree, weight)
-    for axis, bound in ((2, weight_bound), (1, degree_bound)):
-        moves = [s[axis] for s in steps]
-        if bound is not None and (all(v > 0 for v in moves) or all(v < 0 for v in moves)):
-            break
-    else:
-        if max_len is None:
-            raise InputError(
-                "cannot bound cobar word length: letters need uniformly signed "
-                "weights or degrees uniformly away from one")
-        bound = None
-    words: dict[tuple[int, int], list[tuple]] = {}
-    stack = [((), 0, 0)]
-    visited = 0
-    while stack:
-        word, d, w = stack.pop()
-        if abs(w) <= weight_bound and (degree_bound is None or abs(d) <= degree_bound):
-            words.setdefault((d, w), []).append(word)
-        if len(word) == max_len:
-            continue
-        visited += len(steps)
-        if visited > _TUPLE_CAP:
-            raise bound_overflow("the word window", f"at least {visited} words",
-                                 "homology._TUPLE_CAP", _TUPLE_CAP)
-        for a, da, wa in steps:
-            child = (word + (a,), d + da, w + wa)
-            if bound is None or abs(child[axis]) <= bound:
-                stack.append(child)
-    return {key: {word: i for i, word in enumerate(sorted(ws, key=_strand_sort_key))}
-            for key, ws in words.items()}
 
+    def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
+                 max_len: int | None, weight_bound: int, degree_bound: int | None = None):
+        if min(max_len or 0, weight_bound, degree_bound or 0) < 0:
+            raise InputError("bounds must be nonnegative")
+        steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in sorted(letters)]
+        # prune on the first monotone quantity, by its place in (degree, weight)
+        for axis, bound in ((1, weight_bound), (0, degree_bound)):
+            moves = [s[axis + 1] for s in steps]
+            if bound is not None and (all(v > 0 for v in moves) or all(v < 0 for v in moves)):
+                break
+        else:
+            if max_len is None:
+                raise InputError(
+                    "cannot bound cobar word length: letters need uniformly signed "
+                    "weights or degrees uniformly away from one")
+            bound = None
+        # along the pruned axis every letter moves one way, so a word with r
+        # left before its bound extends by exactly the letters moving at most r
+        fits: dict[int, list[tuple[str, int, int]]] = {}
+        prefix: list[int] = [-1]
+        last: list[str | None] = [None]
+        degree, weight = [0], [0]
+        pruned = weight if axis else degree
+        place: list[int | None] = [0]
+        ext: dict[tuple[int, str], int] = {}
+        strands: dict[tuple[int, int], list[int]] = {(0, 0): [0]}  # ids in place order
+        # ids are handed out in walk order, so each length is a range of ids
+        start, length, visited = 0, 0, 0
+        while start < len(prefix) and length != max_len:
+            end = len(prefix)
+            for v in range(start, end):
+                visited += len(steps)
+                if visited > _TUPLE_CAP:
+                    raise bound_overflow("the word window", f"at least {visited} words",
+                                         "homology._TUPLE_CAP", _TUPLE_CAP)
+                d, w = degree[v], weight[v]
+                room = steps
+                if bound is not None:
+                    r = bound - abs(pruned[v])
+                    room = fits.get(r)
+                    if room is None:
+                        room = fits[r] = [s for s in steps if abs(s[axis + 1]) <= r]
+                for a, da, wa in room:
+                    key = (d + da, w + wa)
+                    ext[v, a] = len(prefix)
+                    if abs(key[1]) <= weight_bound and (degree_bound is None
+                                                        or abs(key[0]) <= degree_bound):
+                        strand = strands.setdefault(key, [])
+                        place.append(len(strand))
+                        strand.append(len(prefix))
+                    else:
+                        place.append(None)
+                    prefix.append(v)
+                    last.append(a)
+                    degree.append(key[0])
+                    weight.append(key[1])
+            start, length = end, length + 1
+        self.prefix, self.last, self.place = prefix, last, place
+        self.degree, self.weight = degree, weight
+        self.ext, self.strands = ext, strands
 
-def _assemble(strands: dict[tuple[int, int], dict[tuple, int]], image) -> ChainComplex:
-    """The complex on the strands, each mapping its words to their places,
-    with d(word) = image(word) of degree -1."""
-    ranks: dict[int, dict[int, int]] = {}
-    diffs: dict[int, dict[int, list[Column]]] = {}
-    for (q, w), src in strands.items():
-        ranks.setdefault(w, {})[q] = len(src)
-        dst = strands.get((q - 1, w))
-        if dst is not None:
-            # src iterates in place order, so column j is word j
-            diffs.setdefault(w, {})[q] = [
-                {dst[target]: coeff for target, coeff in image(word).items()}
-                for word in src]
-    return ChainComplex(ranks, diffs)
+    def words(self) -> dict[tuple[int, int], dict[tuple, int]]:
+        """Each strand as {word: place}, iterating in place order."""
+        word: list[tuple] = [()]
+        for i in range(1, len(self.prefix)):
+            word.append(word[self.prefix[i]] + (self.last[i],))
+        return {key: {word[i]: j for j, i in enumerate(ids)} for key, ids in self.strands.items()}
+
+    def complex(self, joins) -> ChainComplex:
+        """The complex on the strands, d of degree -1, each column built
+        from the column of the word's prefix: d(v|a) is d(v)|a plus the
+        faces joining v's end to a, which joins(v, a) gives as
+        (target id, coeff) pairs with their signs."""
+        # A face of a visited word is visited, so it has an id: a bar face
+        # keeps the weight and is one letter shorter, so the pruned weight or
+        # the length bound admits it; a cobar face keeps the weight and, with
+        # positive shifted letters, lowers a positive degree by one.  Only a
+        # degree bound on negative shifted letters loses cobar faces, those of
+        # words on the bound, which have no visited extension and no strand
+        # below.  So each column is held to the visited words, and every
+        # column that is read is whole.
+        ext, place = self.ext, self.place
+        cols: list[Column] = [{}]
+        for i in range(1, len(self.prefix)):
+            a = self.last[i]
+            col: Column = {}
+            for u, c in cols[self.prefix[i]].items():
+                t = ext.get((u, a))
+                if t is not None:
+                    col[t] = c
+            for t, c in joins(self.prefix[i], a):
+                s = col.get(t, 0) + c
+                if s:
+                    col[t] = s
+                else:
+                    col.pop(t, None)
+            cols.append(col)
+        ranks: dict[int, dict[int, int]] = {}
+        diffs: dict[int, dict[int, list[Column]]] = {}
+        for (q, w), ids in self.strands.items():
+            ranks.setdefault(w, {})[q] = len(ids)
+            if (q - 1, w) in self.strands:
+                diffs.setdefault(w, {})[q] = [{place[t]: c for t, c in cols[i].items()}
+                                              for i in ids]
+        del cols  # freed before the complex copies its columns
+        return ChainComplex(ranks, diffs)
 
 
 # -- bar construction -------------------------------------------------
@@ -396,11 +466,31 @@ def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
     return out
 
 
+def _bar_window(A: GradedAugmentedAlgebra, stages: int,
+                weight_bound: int) -> tuple[_Window, ChainComplex]:
+    W = _Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)
+    prefix, last, degree, ext = W.prefix, W.last, W.degree, W.ext
+    ideal = A.augmentation_ideal()
+    # (u|b)|a merges b and a at sign exponent deg(u) + |b| + 1
+    merges = {(b, a): [(k, c if A.bidegree[b][0] % 2 else -c)
+                       for k, c in A.reduced_product(b, a).items()]
+              for b in ideal for a in ideal if A.reduced_product(b, a)}
+
+    def joins(v, a):
+        m = merges.get((last[v], a))
+        if m is None:
+            return ()
+        u = prefix[v]
+        sign = -1 if degree[u] % 2 else 1
+        return [(ext[u, k], sign * c) for k, c in m]
+
+    return W, W.complex(joins)
+
+
 def bar_complex(A: GradedAugmentedAlgebra, stages: int, weight_bound: int) -> ChainComplex:
     """Normalized bar complex through the given number of tensor stages,
     keeping strands of absolute weight at most weight_bound."""
-    strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)
-    return _assemble(strands, lambda word: bar_differential_word(A, word))
+    return _bar_window(A, stages, weight_bound)[1]
 
 
 # -- cobar construction -----------------------------------------------
@@ -425,8 +515,22 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
     total degree at most degree_bound and absolute weight at most
     weight_bound."""
     letters = [c for c in C.labels if c != C.coaug]
-    strands = _window_strands(letters, C.bidegree, -1, None, weight_bound, degree_bound)
-    return _assemble(strands, lambda word: cobar_differential_word(C, word))
+    W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
+    degree, ext = W.degree, W.ext
+    # v|c splits c into a|b at sign exponent deg(v) + |a|
+    splits = {c: [(a, b, -x if C.bidegree[a][0] % 2 else x)
+                  for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
+
+    def joins(v, c):
+        sign = -1 if degree[v] % 2 else 1
+        out = []
+        for a, b, x in splits[c]:
+            t = ext.get((v, a))
+            if t is not None and (t, b) in ext:
+                out.append((ext[t, b], sign * x))
+        return out
+
+    return W.complex(joins)
 
 
 # -- shuffle product on bar words ------------------------------------
@@ -472,9 +576,8 @@ class BarHomologyWindow:
 
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
         self.algebra = A
-        self.strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1,
-                                       stages, weight_bound)
-        self.complex = _assemble(self.strands, lambda word: bar_differential_word(A, word))
+        window, self.complex = _bar_window(A, stages, weight_bound)
+        self.strands = window.words()
         self._boundary_hnf: dict[tuple[int, int], Matrix] = {}
 
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], list[int]]:

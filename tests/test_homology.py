@@ -18,7 +18,7 @@ from hopfwitt.homology import (
     bar_differential_word,
     cobar_complex,
     cobar_differential_word,
-    _window_strands,
+    _Window,
     homology_tsv,
     shuffle_chains,
 )
@@ -451,9 +451,9 @@ class TestWindowStrands:
     @given(_letter_sets, st.integers(0, 4), st.integers(0, 4))
     def test_bar_window_equals_filtered_product(self, bidegrees, stages, wb):
         letters, bidegree = _labelled(bidegrees)
-        got = _window_strands(letters, bidegree, 1, stages, wb)
+        got = _Window(letters, bidegree, 1, stages, wb).words()
         assert got == _brute_strands(letters, bidegree, 1, stages, wb)
-        # iteration order is place order, which _assemble relies on
+        # iteration order is place order, the order of the columns
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
 
     @settings(max_examples=200, deadline=None)
@@ -464,21 +464,22 @@ class TestWindowStrands:
         shifted = [d - 1 for d, _ in bidegrees]
         if not (_strictly_one_sign(weights) or _strictly_one_sign(shifted)):
             with pytest.raises(InputError, match="cannot bound"):
-                _window_strands(letters, bidegree, -1, None, wb, db)
+                _Window(letters, bidegree, -1, None, wb, db)
             return
         # |weight| or |degree| is at least the word length, so no word in
         # the window is longer than max(wb, db)
-        got = _window_strands(letters, bidegree, -1, None, wb, db)
+        got = _Window(letters, bidegree, -1, None, wb, db).words()
         assert got == _brute_strands(letters, bidegree, -1, max(wb, db), wb, db)
+        assert all(list(s.values()) == list(range(len(s))) for s in got.values())
 
     def test_cap_counts_words_visited_not_kept(self, monkeypatch):
         # weight-zero letters cannot be pruned: 2^12 words visited, one kept
         monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 1000)
         bidegree = {"a": (1, 0), "b": (-1, 0)}
         with pytest.raises(InputError, match="bound overflow"):
-            _window_strands(["a", "b"], bidegree, 1, 12, 0, degree_bound=None)
+            _Window(["a", "b"], bidegree, 1, 12, 0, degree_bound=None)
         bidegree = {"a": (1, 5), "b": (-1, 5)}
-        assert _window_strands(["a", "b"], bidegree, 1, 12, 0) == {(0, 0): {(): 0}}
+        assert _Window(["a", "b"], bidegree, 1, 12, 0).words() == {(0, 0): {(): 0}}
 
 
 # -- homology from one Smith form per differential --------------------------
@@ -573,6 +574,44 @@ ORACLE_CASES = {
 }
 
 
+def _bar_columns(A, stages, weight_bound):
+    return (_Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound).words(),
+            bar_complex(A, stages, weight_bound), lambda word: bar_differential_word(A, word))
+
+
+def _cobar_columns(C, degree_bound, weight_bound):
+    letters = [c for c in C.labels if c != C.coaug]
+    return (_Window(letters, C.bidegree, -1, None, weight_bound, degree_bound).words(),
+            cobar_complex(C, degree_bound, weight_bound),
+            lambda word: cobar_differential_word(C, word))
+
+
+def _flat_divided_powers(n):
+    """Divided powers g_0..g_n, all in bidegree (0, 0): every shifted letter
+    degree is -1 and every weight 0, so only the degree bound cuts the
+    cobar window, and the splits of its longest words fall outside it."""
+    lab = [f"g{k}" for k in range(n + 1)]
+    delta = {lab[k]: {(lab[i], lab[k - i]): 1 for i in range(k + 1)} for k in range(n + 1)}
+    return GradedCoalgebra([(g, 0, 0) for g in lab], lab[0], delta)
+
+
+# exterior-deg-neg1 has shifted letter degree 0; in truncated:12 the labels
+# x10 and x11 sort before x2; the cobar degree bounds fall below 2w
+COLUMN_CASES = {
+    "bar trivial": lambda: _bar_columns(GradedAugmentedAlgebra.trivial(), 5, 5),
+    "bar exterior-deg-neg1": lambda: _bar_columns(GradedAugmentedAlgebra.exterior(-1, -1), 6, 6),
+    "bar exterior-deg1": lambda: _bar_columns(
+        GradedAugmentedAlgebra.exterior(1, 1, label="s"), 6, 6),
+    "bar truncated:3": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(3), 8, 12),
+    "bar truncated:4": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(4), 6, 12),
+    "bar truncated:12": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(12), 4, 16),
+    "bar divided-power algebra 6": lambda: _bar_columns(_divided_power_algebra(6), 4, 6),
+    "cobar divided-power:5": lambda: _cobar_columns(GradedCoalgebra.divided_power(5), 7, 5),
+    "cobar divided-power:7": lambda: _cobar_columns(GradedCoalgebra.divided_power(7), 10, 7),
+    "cobar flat divided powers": lambda: _cobar_columns(_flat_divided_powers(3), 3, 0),
+}
+
+
 class TestColumnForm:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_homology_matches_dense_oracle(self, name):
@@ -586,17 +625,19 @@ class TestColumnForm:
             2: [2], 3: [3], 4: [2], 5: [5], 6: []}
 
     def test_columns_are_the_word_images(self):
-        A = _truncated_poly(4)
-        strands = _window_strands(A.augmentation_ideal(), A.bidegree, 1, 4, 4)
-        C = bar_complex(A, 4, 4)
-        for (q, w), src in strands.items():
-            dst = strands.get((q - 1, w))
-            if dst is None:
-                assert C.differential(q, w) is None
-                continue
-            words = {i: word for word, i in dst.items()}
-            got = [{words[i]: c for i, c in col.items()} for col in C.differential(q, w)]
-            assert got == [bar_differential_word(A, word) for word in src]
+        """Every column of every strand is the per-word image of its word,
+        rows named by the words of the strand below, in place order."""
+        for name, build in COLUMN_CASES.items():
+            strands, C, image = build()
+            for (q, w), src in strands.items():
+                assert list(src) == sorted(src, key=lambda u: (len(u), u)), name
+                dst = strands.get((q - 1, w))
+                if dst is None:
+                    assert C.differential(q, w) is None, name
+                    continue
+                words = {i: word for word, i in dst.items()}
+                got = [{words[i]: c for i, c in col.items()} for col in C.differential(q, w)]
+                assert got == [image(word) for word in src], (name, q, w)
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None)
@@ -645,3 +686,20 @@ class TestNoDenseMatrix:
             shifted[word] = shifted.get(word, 0) - 2 * c
         W = BarHomologyWindow(A, 6, 6)
         assert W.shuffle_classes(shifted, tau) == {(16, 6): (0, 0, 0, 0, 2, 0)}
+
+    def test_windows_never_call_the_per_word_route(self, monkeypatch):
+        A = GradedAugmentedAlgebra.truncated(3)
+        x = {("x",): 1}
+        y = {("x", "x2"): 1}
+        for word, c in bar_differential_word(A, ("x", "x", "x")).items():
+            y[word] = y.get(word, 0) + c
+
+        def refuse(*_):
+            pytest.fail("a column was built word by word")
+
+        for name in ("bar_differential_word", "cobar_differential_word"):
+            monkeypatch.setattr(f"hopfwitt.homology.{name}", refuse)
+        bar_complex(A, 12, 12)
+        cobar_complex(GradedCoalgebra.divided_power(5), 10, 5)
+        # [x] * [x|x2] with a boundary added to the second factor
+        assert BarHomologyWindow(A, 6, 6).shuffle_classes(x, y) == {(11, 4): (0, 1, 0)}
