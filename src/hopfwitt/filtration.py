@@ -33,8 +33,9 @@ class FilteredModule:
 
     ranks[i] is the rank of stage n_min + i; maps[i] is the injection of
     stage n_min + i + 1 into stage n_min + i as an integer matrix acting
-    on column vectors.  Stage n_min is the underlying module and stage
-    n_max + 1 is zero.
+    on column vectors, the JSON form.  Everywhere else a stage is a list
+    of rows: its basis vectors in the underlying module (stage n_min).
+    Stage n_max + 1 is zero.
     """
 
     def __init__(self, n_min: int, n_max: int, ranks: list[int], maps: list[Matrix]):
@@ -42,6 +43,8 @@ class FilteredModule:
             raise InputError("empty filtration range")
         if len(ranks) != n_max - n_min + 1:
             raise InputError("rank list does not match the range")
+        if any(r < 0 for r in ranks):
+            raise InputError("ranks must be nonnegative")
         if len(maps) != len(ranks) - 1:
             raise InputError("need one structure map per adjacent pair of stages")
         for i, M in enumerate(maps):
@@ -71,22 +74,20 @@ class FilteredModule:
 
     @classmethod
     def from_lattices(cls, ambient_rank: int, n_min: int, lattices: list[Matrix]) -> FilteredModule:
-        """Build from per-stage spanning columns inside a fixed ambient Z^r.
+        """Build from per-stage spanning rows inside a fixed ambient Z^r.
 
-        lattices[i] is a matrix whose columns span stage n_min + i.
-        Each stage must be contained in the previous one; stage 0 must
-        span the ambient.  Each stage's basis is its HNF rows, and the map
-        into the stage before holds the unique coordinates of these rows
-        in that stage's HNF rows, found by substitution down its pivots.
+        lattices[i] is a list of rows, vectors of Z^r that span stage
+        n_min + i.  Each stage must be contained in the previous one;
+        stage 0 must span the ambient.  Each stage's basis is its HNF
+        rows, and the map into the stage before holds the unique
+        coordinates of these rows in that stage's HNF rows, found by
+        substitution down its pivots; only these maps act on columns.
         """
         if not lattices:
             raise InputError("need at least one stage")
-        bases: list[Matrix] = []
-        for cols in lattices:
-            if cols and len(cols) != ambient_rank:
-                raise InputError("lattice columns must live in the ambient module")
-            nonempty = cols and len(cols[0]) > 0
-            bases.append(linalg.row_hnf(linalg.transpose(cols)) if nonempty else [])
+        if any(len(v) != ambient_rank for rows in lattices for v in rows):
+            raise InputError("lattice rows must live in the ambient module")
+        bases = [linalg.row_hnf(rows) for rows in lattices]
         if bases[0] != linalg.identity(ambient_rank):
             raise InputError("bottom stage must span the ambient module")
         ranks = [len(H) for H in bases]
@@ -108,31 +109,25 @@ class FilteredModule:
             return 0
         return self.ranks[n - self.n_min]
 
-    def embedding(self, n: int) -> Matrix:
-        """Matrix of stage n inside the underlying module (stage n_min)."""
-        if n > self.n_max:
-            return [[] for _ in range(self.ranks[0])]
-        return self.embeddings()[max(n - self.n_min, 0)]
-
-    def embeddings(self) -> list[Matrix]:
-        """embedding(n) for every n from n_min to n_max, each built from
-        the one before."""
+    def stages(self) -> list[Matrix]:
+        """The basis of each stage from n_min to n_max as rows of the
+        underlying module, each the rows of the one before sent through
+        the transposed structure map; a rank-0 stage is []."""
         out = [linalg.identity(self.ranks[0])]
         for M in self.maps:
-            out.append(linalg.mat_mul(out[-1], M))
+            T = linalg.transpose(M)
+            out.append(linalg.mat_mul(T, out[-1]) if T else [])
         return out
 
     def image_lattice(self, n: int) -> Matrix:
         """Canonical HNF basis (rows) of stage n inside the underlying module."""
-        E = self.embedding(n)
-        if linalg.shape(E)[1] == 0:
+        if n > self.n_max:
             return []
-        return linalg.row_hnf(linalg.transpose(E))
+        return linalg.row_hnf(self.stages()[max(n - self.n_min, 0)])
 
     def profile(self) -> tuple:
-        lo, hi = self.n_min, self.n_max
-        return (lo, hi,
-                tuple(tuple(map(tuple, self.image_lattice(n))) for n in range(lo, hi + 1)))
+        return (self.n_min, self.n_max,
+                tuple(tuple(map(tuple, linalg.row_hnf(S))) for S in self.stages()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredModule):
@@ -150,13 +145,32 @@ class FilteredModule:
 
     @classmethod
     def from_json(cls, text: str) -> FilteredModule:
+        """Read the to_json form, whose values are JSON integers only."""
         try:
             obj = json.loads(text)
-            return cls(int(obj["n_min"]), int(obj["n_max"]),
-                       [int(r) for r in obj["ranks"]],
-                       [[[int(x) for x in row] for row in M] for M in obj["maps"]])
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(obj, dict):
+                raise InputError("want an object")
+            fields = []
+            for key, depth in (("n_min", 0), ("n_max", 0), ("ranks", 1), ("maps", 3)):
+                if key not in obj:
+                    raise InputError(f"{key} is missing")
+                fields.append(_json_ints(obj[key], key, depth))
+            return cls(*fields)
+        except (InputError, ValueError, RecursionError) as exc:
             raise InputError(f"bad filtered module JSON: {exc}") from None
+
+
+def _json_ints(value, field: str, depth: int):
+    """value, checked to be depth nested lists around integers (not bools)."""
+    if depth == 0:
+        if type(value) is not int:
+            raise InputError(f"{field} is not an integer")
+    elif not isinstance(value, list):
+        raise InputError(f"{field} is not a list")
+    else:
+        for k, x in enumerate(value):
+            _json_ints(x, f"{field}[{k}]", depth - 1)
+    return value
 
 
 def degree_filtration_module(N: int) -> FilteredModule:
@@ -173,9 +187,9 @@ def degree_filtration_module(N: int) -> FilteredModule:
 
 
 # Largest accepted work for day_tensor, counted before any of it is done:
-# each stage pair (i, j) writes rank_i * rank_j spanning columns of the
-# ambient length, touches every ambient row once more, and has a fixed cost
-# of about 16 entries.  At the limit the tensor takes about a second.
+# each stage pair (i, j) writes rank_i * rank_j spanning rows of the
+# ambient length, plus one ambient length more, and has a fixed cost of
+# about 16 entries.  At the limit the tensor takes about a second.
 DAY_TENSOR_WORK_LIMIT = 2_000_000
 
 
@@ -193,14 +207,14 @@ def day_tensor(X: FilteredModule, Y: FilteredModule) -> FilteredModule:
                              "filtration.DAY_TENSOR_WORK_LIMIT", DAY_TENSOR_WORK_LIMIT)
     lo = X.n_min + Y.n_min
     hi = X.n_max + Y.n_max
-    ex, ey = X.embeddings(), Y.embeddings()
-    lattices = []
-    for n in range(lo, hi + 1):
-        # stage j of Y is all of Y for j <= Y.n_min, and stage i of X shrinks
-        # as i grows, so the pairs with j < Y.n_min add nothing new
-        blocks = [linalg.kron(ex[i - X.n_min], ey[n - i - Y.n_min])
-                  for i in range(max(X.n_min, n - Y.n_max), min(X.n_max, n - Y.n_min) + 1)]
-        lattices.append(linalg.hstack(blocks, ambient))
+    sx, sy = X.stages(), Y.stages()
+    # stage j of Y is all of Y for j <= Y.n_min, and stage i of X shrinks
+    # as i grows, so the pairs with j < Y.n_min add nothing new; u (x) v
+    # has entry u[a] * v[b] at index a * rank(Y) + b
+    lattices = [[[a * b for a in u for b in v]
+                 for i in range(max(X.n_min, n - Y.n_max), min(X.n_max, n - Y.n_min) + 1)
+                 for u in sx[i - X.n_min] for v in sy[n - i - Y.n_min]]
+                for n in range(lo, hi + 1)]
     return FilteredModule.from_lattices(ambient, lo, lattices)
 
 

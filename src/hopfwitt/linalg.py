@@ -352,30 +352,3 @@ def sparse_invariant_factors(rows: Iterable[Pairs]) -> list[int]:
     core_factors = _divisor_chain(_diagonal_mod(core, D)) if D > 1 else []
     return [1] * units + (core_factors + [D] * r)[:r]
 
-
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product; (A x B)[(a,b),(c,d)] = A[a][c] * B[b][d]."""
-    ra, ca = shape(A)
-    rb, cb = shape(B)
-    out = zeros(ra * rb, ca * cb)
-    for a in range(ra):
-        for c in range(ca):
-            x = A[a][c]
-            if x:
-                for b in range(rb):
-                    Bb = B[b]
-                    row = out[a * rb + b]
-                    for d in range(cb):
-                        row[c * cb + d] = x * Bb[d]
-    return out
-
-
-def hstack(blocks: list[Matrix], rows: int) -> Matrix:
-    """Concatenate matrices with a common row count side by side."""
-    out = [[] for _ in range(rows)]
-    for B in blocks:
-        if B and len(B) != rows:
-            raise InputError("row count mismatch in hstack")
-        for i in range(rows):
-            out[i].extend(B[i] if B else [])
-    return out

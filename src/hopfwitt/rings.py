@@ -354,6 +354,9 @@ class MonicQuotientRing(CoeffRing):
         qs = [divmod(c, n) for c in a]
         return None if any(r for _, r in qs) else tuple(q for q, _ in qs)
 
+    def to_json_obj(self) -> dict:
+        return {"kind": "MonicQuotient", "modulus": list(self.modulus)}
+
     def __str__(self) -> str:
         return f"Z[w]/{self.modulus}"
 

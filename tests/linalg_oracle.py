@@ -3,13 +3,16 @@
 The library computes ranks and invariant factors without transforms and
 solves stage inclusions on echelon bases; these slower textbook routes
 (a Smith form carrying U and V, integer solving and kernels through it,
-column-lattice comparison through the HNF) check it independently.
+column-lattice comparison through the HNF) check it independently.  The
+column route of filtered modules, stage embeddings composed from the
+structure maps and the Day tensor glued from Kronecker blocks, checks
+the row stages the library keeps.
 """
 
 from __future__ import annotations
 
 from hopfwitt.errors import InputError
-from hopfwitt.linalg import Matrix, identity, row_hnf, shape, transpose
+from hopfwitt.linalg import Matrix, identity, mat_mul, row_hnf, shape, transpose, zeros
 
 
 def mat_vec(A: Matrix, v: list[int]) -> list[int]:
@@ -154,3 +157,55 @@ def kernel_basis(A: Matrix) -> Matrix:
 
 def member_of_column_lattice(A: Matrix, v: list[int]) -> bool:
     return solve_integer(A, v) is not None
+
+
+def kron(A: Matrix, B: Matrix) -> Matrix:
+    """Kronecker product; (A x B)[(a,b),(c,d)] = A[a][c] * B[b][d]."""
+    ra, ca = shape(A)
+    rb, cb = shape(B)
+    out = zeros(ra * rb, ca * cb)
+    for a in range(ra):
+        for c in range(ca):
+            x = A[a][c]
+            if x:
+                for b in range(rb):
+                    Bb = B[b]
+                    row = out[a * rb + b]
+                    for d in range(cb):
+                        row[c * cb + d] = x * Bb[d]
+    return out
+
+
+def hstack(blocks: list[Matrix], rows: int) -> Matrix:
+    """Concatenate matrices with a common row count side by side."""
+    out = [[] for _ in range(rows)]
+    for B in blocks:
+        if B and len(B) != rows:
+            raise InputError("row count mismatch in hstack")
+        for i in range(rows):
+            out[i].extend(B[i] if B else [])
+    return out
+
+
+def embeddings(X) -> list[Matrix]:
+    """The matrix of each stage of the FilteredModule X inside its
+    underlying module, from n_min to n_max, its columns spanning the
+    stage: each the one before times the structure map."""
+    out = [identity(X.ranks[0])]
+    for M in X.maps:
+        out.append(mat_mul(out[-1], M))
+    return out
+
+
+def day_tensor_columns(X, Y) -> list[Matrix]:
+    """For each n from X.n_min + Y.n_min to X.n_max + Y.n_max, a matrix
+    whose columns span stage n of the Day tensor of X and Y: the
+    Kronecker products of the stage embeddings over i + j = n."""
+    ex, ey = embeddings(X), embeddings(Y)
+    ambient = X.ranks[0] * Y.ranks[0]
+    lattices = []
+    for n in range(X.n_min + Y.n_min, X.n_max + Y.n_max + 1):
+        blocks = [kron(ex[i - X.n_min], ey[n - i - Y.n_min])
+                  for i in range(max(X.n_min, n - Y.n_max), min(X.n_max, n - Y.n_min) + 1)]
+        lattices.append(hstack(blocks, ambient))
+    return lattices

@@ -26,6 +26,9 @@ CONC1 = '{"n_min":1,"n_max":1,"ranks":[1],"maps":[]}'
 CONC2 = '{"n_min":2,"n_max":2,"ranks":[1],"maps":[]}'
 DEG4 = ('{"n_min":0,"n_max":4,"ranks":[5,4,3,2,1],"maps":[[[0,0,0,0],[1,0,0,0],[0,1,0,0],'
         '[0,0,1,0],[0,0,0,1]],[[0,0,0],[1,0,0],[0,1,0],[0,0,1]],[[0,0],[1,0],[0,1]],[[0],[1]]]}')
+# non-split stages, so the tensor's maps carry non-trivial HNF coordinates
+NONSPLIT_A = '{"n_min":0,"n_max":2,"ranks":[3,2,1],"maps":[[[2,0],[1,1],[0,3]],[[1],[-2]]]}'
+NONSPLIT_B = '{"n_min":-1,"n_max":1,"ranks":[2,2,1],"maps":[[[1,1],[0,2]],[[3],[1]]]}'
 
 CASES = [
     ("intz-mul", ["intz", "mul", "C(x,1)", "C(x,1)"]),
@@ -62,6 +65,7 @@ CASES = [
     ("filt-gr", ["filt", "gr", DEG2]),
     ("filt-tensor", ["filt", "tensor", CONC1, CONC2]),
     ("filt-tensor-deg4", ["filt", "tensor", DEG4, DEG4]),
+    ("filt-tensor-nonsplit", ["filt", "tensor", NONSPLIT_A, NONSPLIT_B]),
     ("homology-bar-extneg1", ["homology", "bar", "--algebra",
                               "exterior-deg-neg1", "--stages", "4"]),
     ("homology-bar-trunc3", ["homology", "bar", "--algebra", "truncated:3",
@@ -138,6 +142,30 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("payload,field", [
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[[[1.5]]]}', "maps[0][0][0]"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[[[true]]]}', "maps[0][0][0]"),
+        ('{"n_min":0,"n_max":0,"ranks":[true],"maps":[]}', "ranks[0]"),
+        ('{"n_min":"0","n_max":0,"ranks":[1],"maps":[]}', "n_min"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[[["1"]]]}', "maps[0][0][0]"),
+        ('{"n_min":0.9,"n_max":0,"ranks":[1],"maps":[]}', "n_min"),
+        ('{"n_min":0,"n_max":0,"ranks":[-1],"maps":[]}', "ranks"),
+        ('{"n_min":0,"n_max":1e400,"ranks":[1],"maps":[]}', "n_max"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[1]}', "maps[0]"),
+        ('{"n_min":0,"n_max":0,"maps":[]}', "ranks"),
+        ("[" * 100000 + "]" * 100000, "recursion depth"),
+    ], ids=["float-entry", "bool-entry", "bool-rank", "string-n_min", "string-entry",
+            "float-n_min", "negative-rank", "overflowing-n_max", "int-map", "missing-ranks",
+            "deep-nesting"])
+    def test_bad_module_json_exits_two(self, payload, field, capsys):
+        """A filtered module reads JSON integers only and nonnegative
+        ranks; anything else is one error line naming the field."""
+        rc, out, err = run_cli(["filt", "gr", payload], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad filtered module JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert field in err
 
     def test_bad_ring_spec(self, capsys):
         rc, _, err = run_cli(["witt", "ghost", "--trunc", "1", "--ring", "Q",

@@ -48,7 +48,7 @@ def _split_module(rng, r, steps):
     ks = [r] + ks
     lattices = []
     for k in ks:
-        lattices.append([row[:k] for row in U])
+        lattices.append(linalg.transpose([row[:k] for row in U]))
     return FilteredModule.from_lattices(r, 0, lattices)
 
 
@@ -79,6 +79,15 @@ class TestFilteredModule:
     def test_from_lattices_bottom_must_span(self):
         with pytest.raises(InputError):
             FilteredModule.from_lattices(2, 0, [[[2, 0], [0, 1]]])
+
+    @pytest.mark.parametrize("lattices", [
+        [[[1, 0], [0, 1]], [[1, 0, 0]]],
+        [[[1, 0], [0, 1]], [[1]]],
+        [[[1, 0], [0, 1], [1]]],
+    ], ids=["long", "short", "ragged-bottom"])
+    def test_from_lattices_row_of_the_wrong_length(self, lattices):
+        with pytest.raises(InputError, match="lattice rows must live in the ambient module"):
+            FilteredModule.from_lattices(2, 0, lattices)
 
     def test_shift_moves_range(self):
         X = degree_filtration_module(2).shift(5)
@@ -143,12 +152,49 @@ class TestFromLatticesAgainstOracle:
     def test_echelon_route_equals_oracle(self, r, steps, n_min, split, perturb, seed):
         lattices = _nested_lattices(random.Random(seed), r, steps, split, perturb)
         expected = _oracle_maps(r, lattices)
+        rows = [linalg.transpose(cols) for cols in lattices]
         if isinstance(expected, int):
             stage = n_min + expected
             with pytest.raises(InputError, match=f"stage {stage} is not contained in stage {stage - 1}"):
-                FilteredModule.from_lattices(r, n_min, lattices)
+                FilteredModule.from_lattices(r, n_min, rows)
         else:
-            assert FilteredModule.from_lattices(r, n_min, lattices).maps == expected
+            assert FilteredModule.from_lattices(r, n_min, rows).maps == expected
+
+
+def _random_module(rng, kind):
+    """A small filtered module: split, nested (often non-split) or the
+    degree filtration, shifted by -1, 0 or 1."""
+    shift = rng.randint(-1, 1)
+    if kind == "split":
+        return _split_module(rng, rng.randint(1, 3), rng.randint(0, 2)).shift(shift)
+    if kind == "nested":
+        r = rng.randint(1, 3)
+        lattices = _nested_lattices(rng, r, rng.randint(0, 2), rng.random() < 0.5, False)
+        return FilteredModule.from_lattices(r, shift, [linalg.transpose(c) for c in lattices])
+    return degree_filtration_module(rng.randint(0, 3)).shift(shift)
+
+
+KINDS = ("split", "nested", "degree")
+
+
+class TestRowStagesAgainstColumnRoute:
+    """The row stages and the Day tensor spanned by Kronecker rows against
+    the column route: embeddings composed by mat_mul, Kronecker blocks
+    side by side, and the HNF of their transpose."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(KINDS), st.sampled_from(KINDS), st.integers(0, 2**32))
+    def test_stages_and_day_tensor_equal_the_column_route(self, kx, ky, seed):
+        rng = random.Random(seed)
+        X, Y = _random_module(rng, kx), _random_module(rng, ky)
+        for Z in (X, Y):
+            assert Z.stages() == [linalg.transpose(E) for E in oracle.embeddings(Z)]
+        T = day_tensor(X, Y)
+        columns = oracle.day_tensor_columns(X, Y)
+        assert (T.n_min, T.n_max) == (X.n_min + Y.n_min, X.n_min + Y.n_min + len(columns) - 1)
+        for n, C in enumerate(columns, T.n_min):
+            assert T.image_lattice(n) == linalg.row_hnf(linalg.transpose(C))
+        assert T.image_lattice(T.n_max + 1) == []
 
 
 class TestAssociatedGraded:

@@ -10,6 +10,7 @@ from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import (
     GaloisField,
     IntegerRing,
+    MonicQuotientRing,
     PolynomialRing,
     ZModRing,
     ring_from_spec,
@@ -54,6 +55,16 @@ def test_field_axioms_exhaustive(p, k):
         for a, b, c in itertools.product(els, repeat=3):
             assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def test_monic_quotient_rings_compare_by_modulus():
+    a, b = MonicQuotientRing((1, 1, 1)), MonicQuotientRing((2, 2, 1))
+    assert a != b
+    assert GaloisField(2, 2).lift_ring != GaloisField(3, 2).lift_ring
+    assert a == MonicQuotientRing((1, 1, 1))
+    assert GaloisField(2, 2).lift_ring == a
+    assert hash(a) == hash(MonicQuotientRing((1, 1, 1)))
+    assert len({a, b, GaloisField(3, 2).lift_ring}) == 2
 
 
 def test_f4_multiplication_table():
