@@ -20,7 +20,11 @@ stored monic modulus read over Z, so reducing every coefficient mod p is
 a ring map onto F_q.  A lift ring also divides exactly by an integer
 (``div_int``).  Together these let an identity with integer
 coefficients, such as a Witt vector operation, be computed on lifts,
-where the Witt ghost map is injective, and then reduced.
+where the Witt ghost map is injective, and then reduced.  The Witt hot
+path also asks a lift ring for n * a, a - b and a^n (``scale``, ``sub``,
+``pow``): Z computes all three directly and Z[w]/(f) the first two
+coefficient by coefficient; the other rings keep the generic forms
+through ``mul``, ``add`` and ``neg``.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -62,6 +66,10 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def scale(self, n: int, a):
+        """n * a for an integer n."""
+        return self.mul(self.from_int(n), a)
 
     @property
     def lift_ring(self) -> CoeffRing:
@@ -138,8 +146,19 @@ class IntegerRing(CoeffRing):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
+
+    def scale(self, n: int, a):
+        return n * a
+
+    def pow(self, a, n: int):
+        if n < 0:
+            raise InputError("negative powers are not defined here")
+        return a ** n
 
     def div_int(self, a, n: int):
         q, r = divmod(a, n)
@@ -333,6 +352,12 @@ class MonicQuotientRing(CoeffRing):
 
     def neg(self, a):
         return tuple(-x for x in a)
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def scale(self, n: int, a):
+        return tuple(n * x for x in a)
 
     def mul(self, a, b):
         k = self.k

@@ -41,7 +41,6 @@ fewer than 2|K|, with |K| already bounded by KERNEL_LIMIT.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -79,9 +78,9 @@ def divisors(n: int) -> list[int]:
 class TruncationSet:
     """A finite divisor-closed set of positive integers, with the sum of
     its members and the proper divisors of each, over which the ghost map
-    sums."""
+    sums.  It is immutable, so each quotient S/n is built once."""
 
-    __slots__ = ("members", "member_sum", "proper_divisors")
+    __slots__ = ("members", "member_sum", "proper_divisors", "_quotients")
 
     def __init__(self, members: Iterable[int]):
         present = set(members)
@@ -103,6 +102,7 @@ class TruncationSet:
                     )
         self.members = tuple(ms)
         self.member_sum = total
+        self._quotients: dict[int, TruncationSet] = {}
 
     @classmethod
     def divisor_closure(cls, seeds: Iterable[int]) -> TruncationSet:
@@ -119,13 +119,15 @@ class TruncationSet:
         return cls(p ** i for i in range(length))
 
     def quotient(self, n: int) -> TruncationSet:
-        """S/n = {m : n*m in S}; empty quotients are rejected."""
-        if n < 1:
-            raise InputError("quotient index must be positive")
-        q = [m // n for m in self.members if m % n == 0]
-        if not q:
-            raise InputError(f"S/{n} is empty for S = {list(self.members)}")
-        return TruncationSet(q)
+        """S/n = {m : n*m in S}; empty quotients are rejected, on every call."""
+        if (q := self._quotients.get(n)) is None:
+            if n < 1:
+                raise InputError("quotient index must be positive")
+            ms = [m // n for m in self.members if m % n == 0]
+            if not ms:
+                raise InputError(f"S/{n} is empty for S = {list(self.members)}")
+            q = self._quotients[n] = TruncationSet(ms)
+        return q
 
     def __contains__(self, n: int) -> bool:
         return n in self.members
@@ -157,9 +159,10 @@ class WittVector:
     __slots__ = ("trunc", "ring", "comps")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: Mapping[int, object]):
-        missing = [d for d in trunc if d not in comps]
-        extra = [d for d in comps if d not in trunc]
-        if missing or extra:
+        # the members are distinct, so equal sizes and every member present mean equal keys
+        if len(comps) != len(trunc) or not all(map(comps.__contains__, trunc)):
+            missing = [d for d in trunc if d not in comps]
+            extra = [d for d in comps if d not in trunc]
             raise InputError(
                 f"components must match the truncation set {trunc}: "
                 f"missing {missing}, extra {extra}"
@@ -200,11 +203,11 @@ class WittVector:
         return all(self.ring.is_zero(v) for v in self.comps.values())
 
     def _check_compatible(self, other: WittVector) -> None:
-        if self.trunc != other.trunc:
+        if self.trunc is not other.trunc and self.trunc != other.trunc:
             raise InputError(
                 f"truncation sets differ: {self.trunc} vs {other.trunc}"
             )
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise InputError("coefficient rings differ")
 
     def __eq__(self, other: object) -> bool:
@@ -246,14 +249,13 @@ def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], 
     component w_n without its last term n * x_n."""
     acc = L.zero()
     for d in trunc.proper_divisors[n]:
-        acc = L.add(acc, L.mul(L.from_int(d), L.pow(comps[d], n // d)))
+        acc = L.add(acc, L.scale(d, L.pow(comps[d], n // d)))
     return acc
 
 
 def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> dict:
     """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L."""
-    return {n: L.add(_lower_sum(L, trunc, comps, n), L.mul(L.from_int(n), comps[n]))
-            for n in trunc}
+    return {n: L.add(_lower_sum(L, trunc, comps, n), L.scale(n, comps[n])) for n in trunc}
 
 
 # Largest accepted (bit length of a component) x (largest index) over Z and
@@ -271,11 +273,13 @@ GHOST_BITS_LIMIT = 6000
 LIFT_BITS_LIMIT = 1_000_000
 
 
-def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable) -> None:
+def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) -> None:
     """Refuse elements whose ghost components over trunc would pass
-    GHOST_BITS_LIMIT bits, before any is formed.  Over rings other than
-    their own lift (Z/m, F_q), which reduce every value they print, the
-    lifted ghosts together may not pass LIFT_BITS_LIMIT bits."""
+    GHOST_BITS_LIMIT bits, before any is formed; each group of elements is
+    checked in turn, and a refusal names the largest of the first group
+    past the limit.  Over rings other than their own lift (Z/m, F_q), which
+    reduce every value they print, the lifted ghosts together may not pass
+    LIFT_BITS_LIMIT bits, whatever the elements."""
     if ring.lift_ring is not ring:
         bits = (ring.size() - 1).bit_length()
         if bits * trunc.member_sum > LIFT_BITS_LIMIT:
@@ -283,30 +287,32 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, elements: Iterable)
                 f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
                 f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
-    if isinstance(ring, PolynomialRing):
-        elements = [c for x in elements for _, c in x.items()]
-    else:
-        elements = list(elements)
     top = trunc.members[-1]
     cap = 1 << (GHOST_BITS_LIMIT // top)
-    if elements and (max(elements) >= cap or min(elements) <= -cap):
-        bits = max(x.bit_length() for x in elements)
-        raise bound_overflow(f"a {bits}-bit component to the power {top}", f"{bits * top} bits",
-                             "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
+    for elements in groups:
+        if isinstance(ring, PolynomialRing):
+            elements = [c for x in elements for _, c in x.items()]
+        else:
+            elements = list(elements)
+        if elements and (max(elements) >= cap or min(elements) <= -cap):
+            bits = max(x.bit_length() for x in elements)
+            raise bound_overflow(f"a {bits}-bit component to the power {top}",
+                                 f"{bits * top} bits", "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
 
 
-def _lifted_ghosts(*vectors: WittVector) -> list[dict]:
+def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[dict]:
     """Ghost components of the lifts of the vectors, in their ring's
-    lift_ring.  A public operation forms those of all its inputs in one
-    call, at its start, where a Z[..] lift restarts its count of product
-    terms: rings.TERM_LIMIT bounds one operation."""
+    lift_ring, for vectors over one truncation set.  A public operation
+    forms those of all its inputs in one call, at its start, where a Z[..]
+    lift restarts its count of product terms (rings.TERM_LIMIT bounds one
+    operation) and the sizes are checked once: first the scalars the
+    operation raises to powers, then each vector's components."""
     R = vectors[0].ring
     if isinstance(R, PolynomialRing):
         R.terms = 0
-    for a in vectors:
-        _check_ghost_bits(R, a.trunc, a.comps.values())
-    return [_ghosts(R.lift_ring, a.trunc, {d: R.lift(a.comps[d]) for d in a.trunc})
-            for a in vectors]
+    _check_ghost_bits(R, vectors[0].trunc, scalars, *(a.comps.values() for a in vectors))
+    L, lift = R.lift_ring, R.lift
+    return [_ghosts(L, a.trunc, {d: lift(x) for d, x in a.comps.items()}) for a in vectors]
 
 
 def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
@@ -410,8 +416,7 @@ def witt_int(n: int, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
 def witt_scalar(n: int, a: WittVector) -> WittVector:
     """n-fold additive multiple of a."""
     L = a.ring.lift_ring
-    k = L.from_int(n)
-    return _unary(a, lambda g: L.mul(k, g))
+    return _unary(a, lambda g: L.scale(n, g))
 
 
 def witt_pow(a: WittVector, k: int) -> WittVector:
@@ -471,8 +476,7 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     """
     T = a.trunc.quotient(n)
     L = a.ring.lift_ring
-    _check_ghost_bits(a.ring, a.trunc, [t])
-    (g,), tl = _lifted_ghosts(a), a.ring.lift(t)
+    (g,), tl = _lifted_ghosts(a, scalars=[t]), a.ring.lift(t)
     return _from_lifted_ghosts(
         T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(tl, (n - 1) * m), g[m])) for m in T}
     )
@@ -551,22 +555,24 @@ def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
                     ring: CoeffRing) -> None:
     """Exact: from H = {0}, each member g outside H adds the cosets j*g + H, each the last
     plus g, until j*g is back in H.  Every sum must be a member, so H ends as K, a subgroup,
-    after at most |K| - 1 + log2|K| sums, from ghosts formed once per member."""
+    after at most |K| - 1 + log2|K| sums.  Each member of H keeps the lifted ghosts of the
+    sum that reached it, a lift of it, so only each g has its ghosts formed."""
     members = {tuple(v.as_list()): v for v in vectors}
     if (zero := tuple(WittVector.zero(trunc, ring).as_list())) not in members:
         raise FalsificationError("kernel does not contain zero")
-    span, ghost = dict.fromkeys([zero]), functools.cache(lambda k: _lifted_ghosts(members[k])[0])
-    def plus(h: tuple, g: tuple) -> tuple:  # h + g, as witt_add forms it
-        gh, gg, add = ghost(h), ghost(g), ring.lift_ring.add
-        total = _from_lifted_ghosts(trunc, ring, {m: add(gh[m], gg[m]) for m in trunc})
-        if (key := tuple(total.as_list())) not in members:
+    L = ring.lift_ring
+    span = {zero: {m: L.zero() for m in trunc}}  # member -> lifted ghosts
+    def plus(gh: dict, gg: dict) -> tuple:  # h + g, as witt_add forms it, with its ghosts
+        total = {m: L.add(gh[m], gg[m]) for m in trunc}
+        if (key := tuple(_from_lifted_ghosts(trunc, ring, total).as_list())) not in members:
             raise FalsificationError("kernel is not closed under addition; operator not additive?")
-        return key
+        return key, total
     for g in (k for k in members if k not in span):
-        coset = list(span)  # H, zero first
-        while (rep := plus(coset[0], g)) not in span:
-            coset = [rep] + [plus(h, g) for h in coset[1:]]
-            span.update(dict.fromkeys(coset))
+        gg = _lifted_ghosts(members[g])[0]
+        coset = list(span.items())  # H, zero first
+        while (rep := plus(coset[0][1], gg))[0] not in span:
+            coset = [rep] + [plus(gh, gg) for _, gh in coset[1:]]
+            span.update(coset)
 
 
 def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator[list]:
@@ -600,7 +606,7 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
             return
         d = S[k]
         m = d // n if d % n == 0 else 0
-        base, dl = _lower_sum(L, trunc, x, d), L.from_int(d)
+        base = _lower_sum(L, trunc, x, d)
         if m:
             twist, known = L.pow(tl, (n - 1) * m), _lower_sum(L, trunc, y, m)
         for r, xr in pool:
@@ -608,7 +614,7 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
             if visited > limit:
                 raise bound_overflow("the kernel search", f"at least {visited} prefixes",
                                      "witt.KERNEL_LIMIT", limit)
-            wd = L.add(base, L.mul(dl, xr))
+            wd = L.add(base, L.scale(d, xr))
             if m:
                 # n = 1 gives m = d, and w_d - w_d = 0
                 ghost_m = L.sub(wd, L.mul(twist, w[m] if m < d else wd))

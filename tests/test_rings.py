@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfwitt.errors import InputError
 from hopfwitt.poly import SparsePoly
@@ -55,6 +56,45 @@ def test_field_axioms_exhaustive(p, k):
         for a, b, c in itertools.product(els, repeat=3):
             assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+# The integer kernels scale, pow and sub of the lift rings, against the ring
+# operations they stand for: Z and the Z[w]/(f) lifts override them, and
+# Z[..] keeps the inherited ones, which count product terms.  Each draw
+# builds its ring afresh, so no Z[..] term count carries over.
+KERNEL_RINGS = {
+    "Z": IntegerRing,
+    "lift of F_4": lambda: GaloisField(2, 2).lift_ring,
+    "lift of F_9": lambda: GaloisField(3, 2).lift_ring,
+    "Z[w]/(w^2 - 2)": lambda: MonicQuotientRing((-2, 0, 1)),
+    "Z[..]": PolynomialRing,
+}
+_MONOMIALS = [(), (("x", 1),), (("x", 1), ("y", 1))]
+
+
+def _ring_elements(R):
+    c = st.integers(-20, 20)
+    if isinstance(R, IntegerRing):
+        return c
+    if isinstance(R, MonicQuotientRing):
+        return st.tuples(*[c] * R.k)
+    return st.dictionaries(st.sampled_from(_MONOMIALS), c, max_size=2).map(SparsePoly)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(KERNEL_RINGS)), st.data())
+def test_lift_ring_kernels_match_the_ring_operations(name, data):
+    R = KERNEL_RINGS[name]()
+    a, b = data.draw(_ring_elements(R)), data.draw(_ring_elements(R))
+    n = data.draw(st.integers(-30, 30))
+    assert R.scale(n, a) == R.mul(R.from_int(n), a)
+    assert R.sub(a, b) == R.add(a, R.neg(b))
+    power = R.one()
+    for e in range(25):
+        assert R.pow(a, e) == power
+        power = R.mul(power, a)
+    with pytest.raises(InputError, match="negative"):
+        R.pow(a, -data.draw(st.integers(1, 5)))
 
 
 def test_monic_quotient_rings_compare_by_modulus():

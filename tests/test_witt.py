@@ -44,6 +44,8 @@ from hopfwitt.witt import (
     witt_sub,
 )
 
+from divided_power_oracle import divided_power_points, order_profile, point_order_profile
+
 ZZ = IntegerRing()
 S12 = TruncationSet([1, 2])
 S1236 = TruncationSet([1, 2, 3, 6])
@@ -116,14 +118,20 @@ def test_term_limit_counts_one_operation():
 
 
 def test_quotient_sets():
+    """S/n is built once per index; asking again gives an equal set, and an
+    empty S/n or an index below 1 is refused on every call."""
     S = TruncationSet.divisor_closure([12])
-    assert S.quotient(2).members == (1, 2, 3, 6)
-    assert S.quotient(3).members == (1, 2, 4)
-    assert S.quotient(12).members == (1,)
-    with pytest.raises(InputError):
-        S.quotient(5)
-    with pytest.raises(InputError):
-        S.quotient(0)
+    for _ in range(3):
+        assert S.quotient(2).members == (1, 2, 3, 6)
+        assert S.quotient(3).members == (1, 2, 4)
+        assert S.quotient(12).members == (1,)
+        assert S.quotient(2) == TruncationSet([1, 2, 3, 6])
+        with pytest.raises(InputError, match="empty"):
+            S.quotient(5)
+        with pytest.raises(InputError, match="positive"):
+            S.quotient(0)
+        with pytest.raises(InputError, match="positive"):
+            S.quotient(-2)
 
 
 # -- ghost and universal polynomials ---------------------------------------
@@ -628,10 +636,35 @@ def test_stable_kernel_is_the_closed_form(p, r, k):
         assert set(kernel) == {str(witt_mul(tt, a)) for a in ints}
 
 
+# (p, e, largest k) for Z/p^e on S_k = {1, p, ..., p^(k-1)}, k from 2; the
+# stable search runs on S_(k+1), 65,536 vectors for Z/4 at k = 7 and about
+# 1.7 * 10^7 for Z/16 at k = 5.
+DIVIDED_POWER_CASES = [(p, e, k) for p, e, top in ((2, 2, 7), (2, 3, 6), (3, 2, 4), (2, 4, 5),
+                                                    (3, 3, 3), (5, 2, 3), (2, 5, 4), (7, 2, 2),
+                                                    (5, 3, 2))
+                       for k in range(2, top + 1)]
+
+
+@pytest.mark.parametrize("p,e,k", DIVIDED_POWER_CASES,
+                         ids=[f"Z/{p ** e}-k{k}" for p, e, k in DIVIDED_POWER_CASES])
+def test_t0_kernel_is_the_divided_power_group(p, e, k):
+    """At t = 0 the twisted kernel is ker F, which over Z/p^e is the
+    divided-power group G_a^#: both kernels have as many members as the
+    oracle has points, and the same count of elements of each order, which
+    fixes a finite abelian group up to isomorphism."""
+    R, S = ZModRing(p ** e), TruncationSet.p_typical(p, k)
+    points = divided_power_points(p, e, k)
+    profile = point_order_profile(points, p ** e)
+    for kernel in (twisted_kernel(p, 0, S, R), stable_twisted_kernel(p, 0, S, R)):
+        assert len(kernel) == len(points)
+        assert order_profile(kernel, witt_add, WittVector.is_zero) == profile
+
+
 def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
-    """All of W_{1,2,3}(Z/9), 729 members: each member's ghosts are formed
-    at most once, and the span grows to K in at most 2|K| de-ghosted sums
-    (|K| - 1 plus one per member added to the span, at most log2|K|)."""
+    """All of W_{1,2,3}(Z/9), 729 members: ghosts are formed only for the
+    members added to the span as generators, each once and at most
+    log2|K| of them, and the span grows to K in at most 2|K| de-ghosted
+    sums (|K| - 1 plus one per generator)."""
     R, S = ZModRing(9), TruncationSet([1, 2, 3])
     members = list(all_vectors(S, R))
     formed, deghosted = [], []
@@ -649,7 +682,7 @@ def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
     monkeypatch.setattr(witt, "_from_lifted_ghosts", counting_from_lifted)
     witt._check_subgroup(members, S, R)
     assert len(members) == 729
-    assert len(formed) == len(set(formed))
+    assert len(formed) == len(set(formed)) <= 9
     assert set(formed) <= {str(v) for v in members}
     assert 729 - 1 < len(deghosted) <= 729 - 1 + 9 < 2 * 729
 
@@ -723,6 +756,11 @@ def test_component_mismatch_rejected():
         WittVector(S12, ZZ, {1: 1})
     with pytest.raises(InputError):
         WittVector(S12, ZZ, {1: 1, 2: 0, 3: 5})
+    # the right number of components, one under a key outside the set
+    with pytest.raises(InputError, match=r"missing \[2\], extra \[3\]"):
+        WittVector(S12, ZZ, {1: 1, 3: 5})
+    with pytest.raises(InputError, match=r"missing \[1\], extra \[4\]"):
+        WittVector(S1236, ZZ, {2: 0, 3: 5, 4: 1, 6: 2})
 
 
 # -- the ghost size limit ----------------------------------------------------
