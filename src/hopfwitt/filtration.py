@@ -62,17 +62,6 @@ class FilteredModule:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def concentrated(cls, rank: int, level: int = 0) -> FilteredModule:
-        """Free module of the given rank sitting through stage `level`.
-
-        Stages at or below `level` are the whole module, stages above it
-        vanish: the one-step filtration often written L_level.
-        """
-        if rank < 0:
-            raise InputError("rank must be nonnegative")
-        return cls(level, level, [rank], [])
-
-    @classmethod
     def from_lattices(cls, ambient_rank: int, n_min: int, lattices: list[Matrix]) -> FilteredModule:
         """Build from per-stage spanning rows inside a fixed ambient Z^r.
 
@@ -102,13 +91,6 @@ class FilteredModule:
 
     # -- queries ------------------------------------------------------
 
-    def rank_at(self, n: int) -> int:
-        if n <= self.n_min:
-            return self.ranks[0]
-        if n > self.n_max:
-            return 0
-        return self.ranks[n - self.n_min]
-
     def stages(self) -> list[Matrix]:
         """The basis of each stage from n_min to n_max as rows of the
         underlying module, each the rows of the one before sent through
@@ -118,12 +100,6 @@ class FilteredModule:
             T = linalg.transpose(M)
             out.append(linalg.mat_mul(T, out[-1]) if T else [])
         return out
-
-    def image_lattice(self, n: int) -> Matrix:
-        """Canonical HNF basis (rows) of stage n inside the underlying module."""
-        if n > self.n_max:
-            return []
-        return linalg.row_hnf(self.stages()[max(n - self.n_min, 0)])
 
     def profile(self) -> tuple:
         return (self.n_min, self.n_max,
@@ -375,11 +351,6 @@ class GradedAlgebraPresentation:
                         raise FalsificationError(f"associativity fails on ({a},{b},{c})")
                     if ab_c != times(table[(a, c)], b):
                         raise FalsificationError(f"associativity fails on ({b},{a},{c})")
-
-    def weight_rank(self, n: int) -> int:
-        """Z-rank of the weight n piece of the free Z[t]-module on the
-        generators, with t of weight one."""
-        return sum(1 for _, w in self.generators if w <= n)
 
     def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,

@@ -232,34 +232,6 @@ class TensorElement:
                             out.pop(key, None)
         return TensorElement(out)
 
-    def map_left(self, fn) -> "dict[tuple[int, int, int], int]":
-        """Apply an IntZElement -> TensorElement map to the left slot,
-        yielding coefficients on C_i (x) C_j (x) C_k."""
-        out: dict[tuple[int, int, int], int] = {}
-        for (m, n), c in self._coeffs.items():
-            inner: TensorElement = fn(IntZElement.basis(m))
-            for (i, j), d in inner._coeffs.items():
-                key = (i, j, n)
-                s = out.get(key, 0) + c * d
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
-    def map_right(self, fn) -> "dict[tuple[int, int, int], int]":
-        out: dict[tuple[int, int, int], int] = {}
-        for (m, n), c in self._coeffs.items():
-            inner: TensorElement = fn(IntZElement.basis(n))
-            for (j, k), d in inner._coeffs.items():
-                key = (m, j, k)
-                s = out.get(key, 0) + c * d
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
     def __str__(self) -> str:
         def side(n: int) -> str:
             return "1" if n == 0 else f"C(x,{n})"
@@ -380,11 +352,6 @@ def filtration_degree(f: IntZElement) -> int | None:
     if f.is_zero():
         return None
     return max(f.support())
-
-
-def fil_member(f: IntZElement, n: int) -> bool:
-    d = filtration_degree(f)
-    return d is None or d <= n
 
 
 def graded_constant(m: int, n: int) -> int:

@@ -85,29 +85,12 @@ class SparsePoly:
             mono = tuple(sorted((n, e) for n, e in mono.items() if e))
         return self._terms.get(mono, 0)
 
-    def constant_term(self) -> int:
-        return self._terms.get((), 0)
-
     def variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
         for mono in self._terms:
             for name, _ in mono:
                 seen.add(name)
         return tuple(sorted(seen))
-
-    def total_degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(_mono_degree(m) for m in self._terms)
-
-    def degree_in(self, name: str) -> int:
-        if not self._terms:
-            return 0
-        return max((dict(m).get(name, 0) for m in self._terms), default=0)
-
-    def is_univariate_in(self, name: str) -> bool:
-        return all(all(n == name for n, _ in m) for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -181,21 +164,7 @@ class SparsePoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, values: Mapping[str, SparsePoly | int]) -> SparsePoly:
-        """Replace variables by polynomials or scalars; others are kept."""
-        subs = {n: _coerce(v) for n, v in values.items()}
-        total = SparsePoly()
-        for mono, c in self._terms.items():
-            term = SparsePoly.constant(c)
-            for name, e in mono:
-                if name in subs:
-                    term = term * subs[name] ** e
-                else:
-                    term = term * SparsePoly.variable(name) ** e
-            total = total + term
-        return total
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         """Evaluate at a full point; raises if a variable is missing."""

@@ -6,9 +6,9 @@ Four kinds, all commutative with unit and exact arithmetic:
 - ZModRing(m): Z/m, elements are ints in [0, m).
 - GaloisField(p, k): F_{p^k}, elements are length-k tuples of ints mod p
   (little-endian coefficients on the power basis of w, where w is a root
-  of the modulus).  A small table of Conway polynomials covers the field
-  sizes exercised here; a custom modulus is accepted and checked
-  irreducible by trial division, which is cheap at these sizes.
+  of the modulus).  The modulus comes from a small table of Conway
+  polynomials, which covers the field sizes exercised here; F_p itself
+  takes the modulus w.
 - PolynomialRing: Z[vars], elements are SparsePoly values with integer
   coefficients; this is the ring universal identities are proved over.
 
@@ -22,9 +22,9 @@ a ring map onto F_q.  A lift ring also divides exactly by an integer
 coefficients, such as a Witt vector operation, be computed on lifts,
 where the Witt ghost map is injective, and then reduced.  The Witt hot
 path also asks a lift ring for n * a, a - b and a^n (``scale``, ``sub``,
-``pow``): Z computes all three directly and Z[w]/(f) the first two
-coefficient by coefficient; the other rings keep the generic forms
-through ``mul``, ``add`` and ``neg``.
+``pow``): Z computes all three directly, and Z[w]/(f) the first two
+coefficient by coefficient and a^n by squaring from a; the other rings
+keep the generic forms through ``mul``, ``add`` and ``neg``.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -40,7 +40,7 @@ from .errors import InputError, bound_overflow
 from .poly import SparsePoly
 
 # Conway polynomials, little-endian coefficient lists including the leading
-# 1, for the field sizes the test surface uses.
+# 1, for the field sizes the test surface uses; the only moduli F_q takes.
 _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),          # w^2 + w + 1
     (2, 3): (1, 1, 0, 1),       # w^3 + w + 1
@@ -235,29 +235,17 @@ class ZModRing(CoeffRing):
 class GaloisField(CoeffRing):
     is_finite = True
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         if k < 1:
             raise InputError("extension degree must be positive")
+        if k > 1 and (p, k) not in _CONWAY:
+            raise InputError(f"no built-in modulus for F_{p}^{k}")
         self.p = p
         self.k = k
-        if modulus is None:
-            if k == 1:
-                modulus = (0, 1)  # w - 0: the prime field, no extension
-            elif (p, k) in _CONWAY:
-                modulus = _CONWAY[(p, k)]
-            else:
-                raise InputError(
-                    f"no built-in modulus for F_{p}^{k}; supply one explicitly"
-                )
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise InputError(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = modulus
-        self._lift = MonicQuotientRing(modulus)
+        self.modulus = _CONWAY[(p, k)] if k > 1 else (0, 1)  # w - 0: the prime field
+        self._lift = MonicQuotientRing(self.modulus)
 
     @property
     def lift_ring(self) -> MonicQuotientRing:
@@ -375,6 +363,23 @@ class MonicQuotientRing(CoeffRing):
                     out[j] += c * red[j]
         return tuple(out)
 
+    def pow(self, a, n: int):
+        """a^n by squaring from a itself, one product fewer than from one()."""
+        if n < 0:
+            raise InputError("negative powers are not defined here")
+        if n == 0:
+            return self.one()
+        while not n & 1:
+            a = self.mul(a, a)
+            n >>= 1
+        result = a
+        while n > 1:
+            n >>= 1
+            a = self.mul(a, a)
+            if n & 1:
+                result = self.mul(result, a)
+        return result
+
     def div_int(self, a, n: int):
         qs = [divmod(c, n) for c in a]
         return None if any(r for _, r in qs) else tuple(q for q, _ in qs)
@@ -384,38 +389,6 @@ class MonicQuotientRing(CoeffRing):
 
     def __str__(self) -> str:
         return f"Z[w]/{self.modulus}"
-
-
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by monic den over F_p, little-endian lists."""
-    num = [c % p for c in num]
-    d = len(den) - 1
-    while len(num) >= len(den):
-        lead = num[-1]
-        if lead:
-            shift = len(num) - len(den)
-            for i in range(len(den)):
-                num[shift + i] = (num[shift + i] - lead * den[i]) % p
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for idx in range(p ** d):
-            digits = []
-            v = idx
-            for _ in range(d):
-                digits.append(v % p)
-                v //= p
-            den = digits + [1]
-            if not _poly_mod(list(modulus), den, p):
-                return False
-    return True
 
 
 # Most terms len(a) * len(b) the products of one Witt operation may form.

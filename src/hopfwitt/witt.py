@@ -184,11 +184,6 @@ class WittVector:
             )
         return cls(trunc, ring, dict(zip(trunc, values)))
 
-    def component(self, d: int):
-        if d not in self.trunc:
-            raise InputError(f"{d} is not in the truncation set {self.trunc}")
-        return self.comps[d]
-
     def as_list(self) -> list:
         return [self.comps[d] for d in self.trunc]
 
@@ -277,7 +272,9 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
     """Refuse elements whose ghost components over trunc would pass
     GHOST_BITS_LIMIT bits, before any is formed; each group of elements is
     checked in turn, and a refusal names the largest of the first group
-    past the limit.  Over rings other than their own lift (Z/m, F_q), which
+    past the limit.  Over Z[..] the top ghost also multiplies each exponent
+    by the largest index, and the product may not pass the limit in bits
+    either.  Over rings other than their own lift (Z/m, F_q), which
     reduce every value they print, the lifted ghosts together may not pass
     LIFT_BITS_LIMIT bits, whatever the elements."""
     if ring.lift_ring is not ring:
@@ -290,14 +287,21 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
     top = trunc.members[-1]
     cap = 1 << (GHOST_BITS_LIMIT // top)
     for elements in groups:
+        exp = 0
         if isinstance(ring, PolynomialRing):
-            elements = [c for x in elements for _, c in x.items()]
+            terms = [t for x in elements for t in x.items()]
+            elements = [c for _, c in terms]
+            exp = max((e for m, _ in terms for _, e in m), default=0)
         else:
             elements = list(elements)
         if elements and (max(elements) >= cap or min(elements) <= -cap):
             bits = max(x.bit_length() for x in elements)
             raise bound_overflow(f"a {bits}-bit component to the power {top}",
                                  f"{bits * top} bits", "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
+        if exp and (exp * top).bit_length() > GHOST_BITS_LIMIT:
+            raise bound_overflow(f"a {exp.bit_length()}-bit exponent times {top}",
+                                 f"{(exp * top).bit_length()} bits", "witt.GHOST_BITS_LIMIT",
+                                 GHOST_BITS_LIMIT)
 
 
 def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[dict]:

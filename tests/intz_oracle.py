@@ -12,11 +12,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.intz import IntZElement, TensorElement
 from hopfwitt.poly import SparsePoly
+
+
+# -- polynomial helpers the library does not need ----------------------
+
+
+def degree_in(p: SparsePoly, var: str) -> int:
+    """The largest exponent of var in p; 0 for the zero polynomial."""
+    return max((dict(mono).get(var, 0) for mono, _ in p.items()), default=0)
+
+
+def is_univariate_in(p: SparsePoly, var: str) -> bool:
+    """Whether var is the only variable of p."""
+    return all(name == var for mono, _ in p.items() for name, _ in mono)
+
+
+def substitute(p: SparsePoly, values: Mapping[str, SparsePoly | Fraction | int]) -> SparsePoly:
+    """Replace variables by polynomials or scalars; the others are kept."""
+    total = SparsePoly()
+    for mono, c in p.items():
+        term = SparsePoly.constant(c)
+        for name, e in mono:
+            term = term * (values[name] if name in values else SparsePoly.variable(name)) ** e
+        total = total + term
+    return total
 
 
 # -- the binomial basis inside Q[x] -----------------------------------
@@ -45,11 +69,11 @@ def binomial_transform(p: SparsePoly, var: str = "x") -> list[Fraction]:
     values p(0), ..., p(deg p).  Works for any p in Q[x]; integrality of
     the output is exactly membership in the integer-valued subring.
     """
-    if not p.is_univariate_in(var):
+    if not is_univariate_in(p, var):
         raise InputError(f"polynomial is not univariate in {var!r}")
-    deg = p.total_degree()
-    if deg is None:
+    if p.is_zero():
         return []
+    deg = degree_in(p, var)
     values = [p.evaluate({var: k}) for k in range(deg + 1)]
     coeffs: list[Fraction] = []
     row = values
@@ -86,6 +110,27 @@ def from_poly(p: SparsePoly, var: str = "x") -> IntZElement:
 
 def to_poly(f: IntZElement, var: str = "x") -> SparsePoly:
     return binomial_expand(dict(f.items()), var)
+
+
+# -- coassociativity ------------------------------------------------------
+
+
+def map_left(te: TensorElement, fn: Callable[[IntZElement], TensorElement]) -> dict:
+    """(fn (x) id)(te) as coefficients on C(x,i) (x) C(x,j) (x) C(x,k)."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (m, n), c in te.items():
+        for (i, j), d in fn(IntZElement.basis(m)).items():
+            out[(i, j, n)] = out.get((i, j, n), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def map_right(te: TensorElement, fn: Callable[[IntZElement], TensorElement]) -> dict:
+    """(id (x) fn)(te) as coefficients on C(x,i) (x) C(x,j) (x) C(x,k)."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (m, n), c in te.items():
+        for (j, k), d in fn(IntZElement.basis(n)).items():
+            out[(m, j, k)] = out.get((m, j, k), 0) + c * d
+    return {key: c for key, c in out.items() if c}
 
 
 # -- truncated integer power series -----------------------------------

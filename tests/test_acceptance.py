@@ -14,7 +14,8 @@ from hopfwitt.rings import GaloisField, ZModRing, ring_from_spec
 from hopfwitt.witt import TruncationSet, WittVector
 
 from drinfeld_oracle import elimination_constants
-from intz_oracle import TruncSeries, from_poly, pair_tensor, series_group_law, to_poly
+from intz_oracle import (TruncSeries, degree_in, from_poly, map_left, map_right, pair_tensor,
+                         series_group_law, to_poly)
 
 
 def _criterion(num: int | str, label: str, budget: float, body) -> None:
@@ -40,7 +41,7 @@ def test_criterion_1_hopf_axioms():
         for n in range(11):
             te = intz.comult(C(n))
             # coassociativity
-            assert te.map_left(intz.comult) == te.map_right(intz.comult)
+            assert map_left(te, intz.comult) == map_right(te, intz.comult)
             # counit on both sides
             left = IntZElement()
             right = IntZElement()
@@ -204,7 +205,7 @@ def test_criterion_5_rees_drinfeld():
                 assert filtration.drinfeld_structure_constants(m, n) == cs
                 base = intz.mult(C(m), C(n))
                 for k, poly in cs.items():
-                    assert poly.degree_in("t") <= m + n - k
+                    assert degree_in(poly, "t") <= m + n - k
                     assert poly.evaluate({"t": 1}) == base.coefficient(k)
                 at0 = {k: poly.evaluate({"t": 0}) for k, poly in cs.items()}
                 at0 = {k: v for k, v in at0.items() if v}

@@ -173,6 +173,21 @@ class TestExitCodes:
         assert rc == 2
         assert "ring" in err
 
+    def test_field_without_a_built_in_modulus(self, capsys):
+        rc, out, err = run_cli(["witt", "add", "--trunc", "1", "--ring", "Fq:2,5",
+                                "--coeffs", "0,0,0,0,0", "--coeffs2", "0,0,0,0,0"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: no built-in modulus") and err.count("\n") == 1
+
+    def test_poly_exponent_past_the_print_limit(self, capsys):
+        """x^e in the top ghost of S = {1, 2, ..., 128} has exponent 128 e,
+        which is refused before it passes the 4300-digit limit on str."""
+        rc, out, err = run_cli(["witt", "ghost", "--trunc", "1,2,4,8,16,32,64,128", "--ring",
+                                "Poly", "--coeffs", "x^4" + "9" * 4299 + ",0,0,0,0,0,0,0"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "GHOST_BITS_LIMIT" in err
+
     def test_non_divisor_closed_trunc(self, capsys):
         rc, _, err = run_cli(["witt", "ghost", "--trunc", "2", "--ring", "Z",
                               "--coeffs", "1"], capsys)

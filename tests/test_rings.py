@@ -4,11 +4,13 @@ import itertools
 import json
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopfwitt.errors import InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import (
+    _CONWAY,
     GaloisField,
     IntegerRing,
     MonicQuotientRing,
@@ -16,6 +18,7 @@ from hopfwitt.rings import (
     ZModRing,
     ring_from_spec,
 )
+from hopfwitt.witt import TruncationSet, WittVector, witt_add
 
 
 def test_integer_ring_basics():
@@ -97,6 +100,40 @@ def test_lift_ring_kernels_match_the_ring_operations(name, data):
         R.pow(a, -data.draw(st.integers(1, 5)))
 
 
+def _count_products(monkeypatch, R):
+    """A list that grows by one for each product R forms."""
+    calls = []
+    mul = type(R).mul
+    monkeypatch.setattr(type(R), "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    return calls
+
+
+@pytest.mark.parametrize("field", [(2, 2), (3, 2)], ids=str)
+def test_lift_pow_squares_from_the_base(field, monkeypatch):
+    """a^n takes bit_length(n) - 1 squarings and popcount(n) - 1 products
+    on the Z[w]/(f) lifts, none of them by one; a^0 takes none."""
+    L = GaloisField(*field).lift_ring
+    a = (2, -1)
+    calls = _count_products(monkeypatch, L)
+    for n in range(40):
+        del calls[:]
+        L.pow(a, n)
+        assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+
+
+def test_witt_add_over_f4_forms_twelve_lift_products(monkeypatch):
+    """A sum on W_{1,2,4}(F_4) raises lifted components to the powers 2
+    and 4 in the ghost map and the de-ghost: 12 products, where a power
+    that starts from one() forms 21."""
+    F = GaloisField(2, 2)
+    S = TruncationSet([1, 2, 4])
+    a = WittVector.from_list(S, F, [(1, 1), (0, 1), (1, 0)])
+    b = WittVector.from_list(S, F, [(0, 1), (1, 1), (1, 1)])
+    calls = _count_products(monkeypatch, F.lift_ring)
+    witt_add(a, b)
+    assert len(calls) == 12
+
+
 def test_monic_quotient_rings_compare_by_modulus():
     a, b = MonicQuotientRing((1, 1, 1)), MonicQuotientRing((2, 2, 1))
     assert a != b
@@ -127,14 +164,13 @@ def test_prime_field_without_extension():
     assert len(list(F.elements())) == 5
 
 
-def test_custom_modulus_accepted_and_checked():
-    # w^2 + 1 is irreducible over F_3
-    F = GaloisField(3, 2, (1, 0, 1))
-    w = (0, 1)
-    assert F.mul(w, w) == F.from_int(-1)
-    # w^2 - 1 = (w-1)(w+1) is not
-    with pytest.raises(InputError):
-        GaloisField(3, 2, (2, 0, 1))
+@pytest.mark.parametrize("p,k", sorted(_CONWAY), ids=str)
+def test_conway_moduli_are_irreducible(p, k):
+    """F_q takes its modulus from this table only, so the table is what
+    makes each F_q a field; sympy factors it independently."""
+    modulus = _CONWAY[(p, k)]
+    assert len(modulus) == k + 1 and modulus[-1] == 1
+    assert sympy.Poly(modulus[::-1], sympy.Symbol("w"), modulus=p).is_irreducible
 
 
 def test_galois_field_rejects_bad_parameters():

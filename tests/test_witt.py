@@ -499,7 +499,7 @@ def test_kernel_twisted_t1_on_w2_f4_plain_vs_stable():
     # closed-form oracle for the single equation a1^2 = a1
     expected = [
         v.as_list() for v in all_vectors(S, F4)
-        if F4.mul(v.component(1), v.component(1)) == v.component(1)
+        if F4.mul(v.comps[1], v.comps[1]) == v.comps[1]
     ]
     assert [k.as_list() for k in plain] == expected
     assert len(plain) == 8
@@ -540,7 +540,7 @@ def test_non_additive_operator_trips_subgroup_check():
 
     def warped(a):
         # zero iff first component is 0 or 1: not a subgroup condition
-        c = a.component(1)
+        c = a.comps[1]
         return WittVector.from_list(
             S.quotient(3), F3, [0 if c in (0, 1) else 1]
         )
@@ -614,26 +614,37 @@ def test_subgroup_check_rejects_non_subgroups(ring):
 
 # Every F_q with q <= 9, on S_k = {1, p, ..., p^(k-1)}; the stable search
 # runs on S_(k+1), which has q^(k+1) vectors: 6,561 over F_9 at k = 3 and
-# 32,768 over F_8 at k = 4.
-CLOSED_FORM_CASES = [(p, r, k) for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                             (5, 1), (7, 1)) for k in (1, 2, 3)] + [(2, 3, 4)]
+# 32,768 over F_8 at k = 4.  Then Z/p^e, as (ring, p, e, k) with k from 2,
+# where S/p is not empty and the plain kernel is searched too.
+CLOSED_FORM_CASES = [(GaloisField(p, r), p, 1, k)
+                     for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))
+                     for k in (1, 2, 3)] + [(GaloisField(2, 3), 2, 1, 4)] + [
+    (ZModRing(p ** e), p, e, k)
+    for p, e, top in ((2, 2, 4), (2, 3, 3), (3, 2, 3), (2, 4, 3), (5, 2, 2), (3, 3, 2))
+    for k in range(2, top + 1)]
 
 
-@pytest.mark.parametrize("p,r,k", CLOSED_FORM_CASES,
-                         ids=[f"F_{p ** r}-k{k}" for p, r, k in CLOSED_FORM_CASES])
-def test_stable_kernel_is_the_closed_form(p, r, k):
-    """The Hilbert additive group over F_q: for t != 0 the stable kernel of
-    F_p - [t]^(p-1) on W_{S_k}(F_q) is {[t] * a : a in Z/p^k}, since
-    F([t] b) = [t^p] F(b) and F fixes exactly W(F_p)."""
-    F, S = GaloisField(p, r), TruncationSet.p_typical(p, k)
-    ints = [witt_int(a, S, F) for a in range(p ** k)]
-    for t in F.elements():
-        if F.is_zero(t):
-            continue
-        kernel = [str(v) for v in stable_twisted_kernel(p, t, S, F)]
-        tt = teichmuller(t, S, F)
-        assert len(kernel) == len(set(kernel)) == p ** k
+@pytest.mark.parametrize("ring,p,e,k", CLOSED_FORM_CASES,
+                         ids=[f"{R}-k{k}" for R, _, _, k in CLOSED_FORM_CASES])
+def test_stable_kernel_is_the_closed_form(ring, p, e, k):
+    """The Hilbert additive group at finite level.  Over F_q, for t != 0,
+    the stable kernel of F_p - [t]^(p-1) on W_{S_k}(F_q) is
+    {[t] * a : a in Z/p^k}, since F([t] b) = [t^p] F(b) and F fixes
+    exactly W(F_p).  Over Z/p^e, at the units t = 1, 1 + p and -1, it is
+    {[t] * a : 0 <= a < p^(e+k-1)}, and the plain kernel is the same set."""
+    S = TruncationSet.p_typical(p, k)
+    if isinstance(ring, GaloisField):
+        units = [t for t in ring.elements() if not ring.is_zero(t)]
+    else:
+        units = sorted({1, 1 + p, ring.m - 1})
+    ints = [witt_int(a, S, ring) for a in range(p ** (e + k - 1))]
+    for t in units:
+        kernel = [str(v) for v in stable_twisted_kernel(p, t, S, ring)]
+        tt = teichmuller(t, S, ring)
+        assert len(kernel) == len(set(kernel)) == p ** (e + k - 1)
         assert set(kernel) == {str(witt_mul(tt, a)) for a in ints}
+        if isinstance(ring, ZModRing):
+            assert {str(v) for v in twisted_kernel(p, t, S, ring)} == set(kernel)
 
 
 # (p, e, largest k) for Z/p^e on S_k = {1, p, ..., p^(k-1)}, k from 2; the
