@@ -372,6 +372,11 @@ def _cmd_homology_bar(args) -> str:
 
     A = _algebra_by_name(args.algebra)
     wb = args.weight_bound if args.weight_bound is not None else args.stages
+    if wb > args.stages:
+        # every named algebra's letters have |weight| >= 1: a word of weight w
+        # has at most |w| letters, so only this window holds every strand
+        raise InputError(f"--weight-bound {wb} is above --stages {args.stages}: "
+                         "the window would cut the strands of its top weights")
     C = homology.bar_complex(A, args.stages, wb)
     return _homology_out(C, args.format)
 
@@ -380,8 +385,8 @@ def _cmd_homology_cobar(args) -> str:
     from . import homology
 
     G = _coalgebra_by_name(args.coalgebra)
-    db = args.degree_bound if args.degree_bound is not None else 2 * args.weight_bound
-    C = homology.cobar_complex(G, db, args.weight_bound)
+    # a cobar word of weight w has degree 2w - length, so 2W covers them all
+    C = homology.cobar_complex(G, 2 * args.weight_bound, args.weight_bound)
     return _homology_out(C, args.format)
 
 
@@ -612,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trivial | exterior-deg-neg1 | exterior-deg1 | truncated:p")
     p.add_argument("--stages", type=int, required=True, help="tensor length bound")
     p.add_argument("--weight-bound", type=int, default=None,
-                   help="|weight| bound (default: stages)")
+                   help="|weight| bound, at most stages (default: stages)")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_bar)
 
@@ -620,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coalgebra", required=True,
                    help="trivial | divided-power:N")
     p.add_argument("--weight-bound", type=int, default=5, help="|weight| bound")
-    p.add_argument("--degree-bound", type=int, default=None,
-                   help="|degree| bound (default: twice the weight bound)")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_cobar)
 

@@ -185,35 +185,13 @@ class TensorElement:
                 out[(m, n)] = a * b
         return cls(out)
 
-    def coefficient(self, m: int, n: int) -> int:
-        return self._coeffs.get((m, n), 0)
-
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0][0])))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __add__(self, other: TensorElement) -> TensorElement:
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(out)
-
-    def __neg__(self) -> TensorElement:
-        return TensorElement({k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + (-other)
 
     def multiply(self, other: TensorElement) -> TensorElement:
         """Componentwise product (f (x) g)(f' (x) g') = ff' (x) gg'."""

@@ -74,9 +74,6 @@ class SparsePoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -116,9 +113,6 @@ class SparsePoly:
 
     def __sub__(self, other: SparsePoly | int) -> SparsePoly:
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: int) -> SparsePoly:
-        return _coerce(other) - self
 
     def __mul__(self, other: SparsePoly | int) -> SparsePoly:
         if not isinstance(other, SparsePoly):

@@ -12,19 +12,22 @@ Four kinds, all commutative with unit and exact arithmetic:
 - PolynomialRing: Z[vars], elements are SparsePoly values with integer
   coefficients; this is the ring universal identities are proved over.
 
-Every ring R has a torsion-free lift: a ring ``R.lift_ring`` with a
-surjective ring map ``R.reduce`` onto R and a section ``R.lift`` (any
-preimage will do).  Z and Z[vars] are their own lift.  Z/m lifts to Z.
-F_q = F_p[w]/(f) lifts to MonicQuotientRing Z[w]/(f~), where f~ is the
-stored monic modulus read over Z, so reducing every coefficient mod p is
-a ring map onto F_q.  A lift ring also divides exactly by an integer
-(``div_int``).  Together these let an identity with integer
-coefficients, such as a Witt vector operation, be computed on lifts,
-where the Witt ghost map is injective, and then reduced.  The Witt hot
-path also asks a lift ring for n * a, a - b and a^n (``scale``, ``sub``,
-``pow``): Z computes all three directly, and Z[w]/(f) the first two
-coefficient by coefficient and a^n by squaring from a; the other rings
-keep the generic forms through ``mul``, ``add`` and ``neg``.
+Every ring R is a quotient of a torsion-free lift ring ``R.lift_ring``:
+its elements are the lift's elements in canonical range, and the ring map
+``R.reduce`` sends any lift element there.  Z and Z[vars] are their own
+lift.  Z/m lifts to Z and stores 0..m-1.  F_q = F_p[w]/(f) lifts to
+MonicQuotientRing Z[w]/(f~), where f~ is the stored monic modulus read
+over Z, and stores coefficient tuples mod p; reducing every coefficient
+mod p is a ring map onto F_q.  So reduce is the only map between a ring
+and its lift, and all arithmetic lives in the three lift rings: Z,
+Z[w]/(f) and Z[vars] add, negate, subtract and multiply, form n * a and
+a^n (``scale``, ``pow``) and divide exactly by an integer (``div_int``).
+An identity with integer coefficients, such as a Witt vector operation,
+is computed on the lift, where the Witt ghost map is injective, and then
+reduced.  Z computes scale, sub and pow directly, Z[w]/(f) the first two
+coefficient by coefficient and a^n by squaring from a, and Z[vars] forms
+n * a and a^n as products, so that its count of product terms covers
+them.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -53,70 +56,24 @@ _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
 
 
 class CoeffRing:
-    """Shared interface; concrete rings override everything that matters."""
+    """A coefficient ring as a quotient of its lift: the lift ring, the
+    reduction onto this ring, and equality by the JSON form.  The rings that
+    are their own lift (Z, Z[w]/(f), Z[..]) compute; every ring has zero()
+    and one(), and the rings that print have text and JSON forms."""
 
     is_finite = False
-
-    def zero(self): ...
-    def one(self): ...
-    def from_int(self, n: int): ...
-    def add(self, a, b): ...
-    def neg(self, a): ...
-    def mul(self, a, b): ...
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def scale(self, n: int, a):
-        """n * a for an integer n."""
-        return self.mul(self.from_int(n), a)
 
     @property
     def lift_ring(self) -> CoeffRing:
         """A torsion-free ring this one is a quotient of; itself by default."""
         return self
 
-    def lift(self, a):
-        """An element of lift_ring that reduces to a."""
-        return a
-
     def reduce(self, x):
         """The image of an element of lift_ring in this ring."""
         return x
 
-    def div_int(self, a, n: int):
-        """a / n when n divides a exactly, else None; defined on the
-        torsion-free lift rings only."""
-        raise NotImplementedError(f"{self} has no exact division by integers")
-
-    def pow(self, a, n: int):
-        if n < 0:
-            raise InputError("negative powers are not defined here")
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            if n > 1:
-                base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero())
-
-    def elements(self) -> Iterator:
-        raise InputError(f"{self} is not finite, cannot enumerate")
-
-    def size(self) -> int:
-        raise InputError(f"{self} is not finite")
-
-    def element_str(self, a) -> str: ...
-    def element_from_str(self, text: str): ...
-    def to_json_obj(self) -> dict: ...
+        return a == self.zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffRing):
@@ -195,18 +152,6 @@ class ZModRing(CoeffRing):
     def one(self):
         return 1 % self.m
 
-    def from_int(self, n: int):
-        return n % self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
     def reduce(self, x):
         return x % self.m
 
@@ -259,18 +204,6 @@ class GaloisField(CoeffRing):
 
     def one(self):
         return (1 % self.p,) + (0,) * (self.k - 1)
-
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        return self.reduce(self._lift.mul(a, b))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         for idx in range(self.p ** self.k):
@@ -418,12 +351,32 @@ class PolynomialRing(CoeffRing):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         self.terms += len(a) * len(b)
         if self.terms > TERM_LIMIT:
             raise bound_overflow("a Witt operation over Z[..]", f"{self.terms} product terms",
                                  "rings.TERM_LIMIT", TERM_LIMIT)
         return a * b
+
+    def scale(self, n: int, a):
+        """n * a, formed as a product so that the term count includes it."""
+        return self.mul(self.from_int(n), a)
+
+    def pow(self, a, n: int):
+        if n < 0:
+            raise InputError("negative powers are not defined here")
+        result = self.one()
+        base = a
+        while n:
+            if n & 1:
+                result = self.mul(result, base)
+            if n > 1:
+                base = self.mul(base, base)
+            n >>= 1
+        return result
 
     def div_int(self, a, n: int):
         qs = {m: divmod(c, n) for m, c in a.items()}

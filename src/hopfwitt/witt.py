@@ -5,18 +5,18 @@ W_S(R) has one coordinate a_d per d in S and ghost components
 
     w_n(a) = sum_{d | n, d in S} d * a_d^(n/d).
 
-Every ring operation runs the same way.  The components are lifted to the
-coefficient ring's torsion-free lift (Z for Z/m, Z[w]/(f) for F_q, the
-ring itself for Z and Z[vars]; see rings.py), the ghost components are
-formed there and combined as the operation prescribes (sum, product,
-negation, an integer multiple or power, a ghost shift for the Frobenius),
-and one triangular solve recovers the components, each by an exact
-division by its index, before they are reduced back.  The ghost map is
-injective on a torsion-free ring, and the operations are given by
-universal polynomials with integer coefficients, so the result is the
-same as evaluating those polynomials in the ring itself.  A division
-leaving a remainder would falsify that integrality theorem, so it raises
-FalsificationError.  The universal polynomials themselves are the same
+Every ring operation runs the same way.  A coefficient ring's elements
+already are elements of its torsion-free lift (Z for Z/m, Z[w]/(f) for
+F_q, the ring itself for Z and Z[vars]; see rings.py), so the ghost
+components are formed there as they stand and combined as the operation
+prescribes (sum, product, negation, an integer multiple or power, a ghost
+shift for the Frobenius), and one triangular solve recovers the
+components, each by an exact division by its index, before reduce maps
+them back.  The ghost map is injective on a torsion-free ring, and the
+operations are given by universal polynomials with integer coefficients,
+so the result is the same as evaluating those polynomials in the ring
+itself.  A division leaving a remainder would falsify that integrality
+theorem, so it raises FalsificationError.  The universal polynomials themselves are the same
 computation run on generic vectors over Z[a_d, b_d].
 
 The p-typical theory is the special case S = {1, p, ..., p^(k-1)}.
@@ -211,7 +211,7 @@ class WittVector:
         return (
             self.trunc == other.trunc
             and self.ring == other.ring
-            and all(self.ring.eq(self.comps[d], other.comps[d]) for d in self.trunc)
+            and self.comps == other.comps
         )
 
     def __hash__(self) -> int:
@@ -305,18 +305,18 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
 
 
 def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[dict]:
-    """Ghost components of the lifts of the vectors, in their ring's
-    lift_ring, for vectors over one truncation set.  A public operation
-    forms those of all its inputs in one call, at its start, where a Z[..]
-    lift restarts its count of product terms (rings.TERM_LIMIT bounds one
-    operation) and the sizes are checked once: first the scalars the
-    operation raises to powers, then each vector's components."""
+    """Ghost components of the vectors, formed in their ring's lift_ring,
+    whose elements their components already are, for vectors over one
+    truncation set.  A public operation forms those of all its inputs in
+    one call, at its start, where a Z[..] lift restarts its count of
+    product terms (rings.TERM_LIMIT bounds one operation) and the sizes are
+    checked once: first the scalars the operation raises to powers, then
+    each vector's components."""
     R = vectors[0].ring
     if isinstance(R, PolynomialRing):
         R.terms = 0
     _check_ghost_bits(R, vectors[0].trunc, scalars, *(a.comps.values() for a in vectors))
-    L, lift = R.lift_ring, R.lift
-    return [_ghosts(L, a.trunc, {d: lift(x) for d, x in a.comps.items()}) for a in vectors]
+    return [_ghosts(R.lift_ring, a.trunc, a.comps) for a in vectors]
 
 
 def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
@@ -480,9 +480,9 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     """
     T = a.trunc.quotient(n)
     L = a.ring.lift_ring
-    (g,), tl = _lifted_ghosts(a, scalars=[t]), a.ring.lift(t)
+    g, = _lifted_ghosts(a, scalars=[t])
     return _from_lifted_ghosts(
-        T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(tl, (n - 1) * m), g[m])) for m in T}
+        T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(t, (n - 1) * m), g[m])) for m in T}
     )
 
 
@@ -594,10 +594,9 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
         raise bound_overflow("the kernel search", f"at least {ring.size()} prefixes",
                              "witt.KERNEL_LIMIT", limit)
     L = ring.lift_ring
-    pool = [(r, ring.lift(r)) for r in ring.elements()]
-    tl = ring.lift(t)
+    pool = list(ring.elements())
     S = trunc.members
-    x: dict = {}  # lifted components on the path
+    x: dict = {}  # components on the path, lift elements as they are
     w: dict = {}  # their ghost components
     y: dict = {}  # lifted output components of TF_n
     path: list = []
@@ -612,13 +611,13 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
         m = d // n if d % n == 0 else 0
         base = _lower_sum(L, trunc, x, d)
         if m:
-            twist, known = L.pow(tl, (n - 1) * m), _lower_sum(L, trunc, y, m)
-        for r, xr in pool:
+            twist, known = L.pow(t, (n - 1) * m), _lower_sum(L, trunc, y, m)
+        for r in pool:
             visited += 1
             if visited > limit:
                 raise bound_overflow("the kernel search", f"at least {visited} prefixes",
                                      "witt.KERNEL_LIMIT", limit)
-            wd = L.add(base, L.scale(d, xr))
+            wd = L.add(base, L.scale(d, r))
             if m:
                 # n = 1 gives m = d, and w_d - w_d = 0
                 ghost_m = L.sub(wd, L.mul(twist, w[m] if m < d else wd))
@@ -628,7 +627,7 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
                 if not ring.is_zero(ring.reduce(q)):
                     continue
                 y[m] = q
-            x[d], w[d] = xr, wd
+            x[d], w[d] = r, wd
             path.append(r)
             yield from dive(k + 1)
             path.pop()

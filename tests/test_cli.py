@@ -642,7 +642,7 @@ class TestWindowedWords:
         # the cobar complex of the divided-power coalgebra computes
         # Ext over Z[y]: Z in (0, 0) and (1, 1), nothing else
         rc, out, _ = run_cli(["homology", "cobar", "--coalgebra", "divided-power:8",
-                              "--weight-bound", "8", "--degree-bound", "16"], capsys)
+                              "--weight-bound", "8"], capsys)
         assert rc == 0
         rows = [line.split("\t") for line in out.splitlines()[1:]]
         cells = {(int(q), int(w)) for q, w, _, _ in rows}
@@ -650,6 +650,20 @@ class TestWindowedWords:
                                     for n in range(1, w + 1)}
         assert all(tor == "-" for *_, tor in rows)
         assert {(int(q), int(w)) for q, w, r, _ in rows if r != "0"} == {(0, 0), (1, 1)}
+
+    def test_bar_weight_bound_above_stages_is_refused(self, capsys):
+        # the 3-stage window cut the strands of weights 4-6 and printed ranks
+        # 2, 3 and 1 at (11,4), (13,5) and (15,6); Tor of Z[x]/x^3 there is Z
+        # at (11,4) and (16,6) only, as the 6-stage window prints
+        base = ["homology", "bar", "--algebra", "truncated:3", "--weight-bound", "6"]
+        rc, out, err = run_cli(base + ["--stages", "3"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: --weight-bound 6 is above --stages 3: "
+                       "the window would cut the strands of its top weights\n")
+        rc, out, _ = run_cli(base + ["--stages", "6"], capsys)
+        assert rc == 0
+        rows = [tuple(map(int, line.split("\t")[:3])) for line in out.splitlines()[1:]]
+        assert {(q, w) for q, w, r in rows if r and w >= 4} == {(11, 4), (16, 6)}
 
 
 class TestJsonRoundTrips:
@@ -683,6 +697,15 @@ class TestJsonRoundTrips:
             assert cell["rank"] == int(r)
             assert (tor == "-") == (cell["torsion"] == [])
 
+    def test_comul_json(self, capsys):
+        rc, out, _ = run_cli(["intz", "comul", "C(x,2)", "--format", "json"], capsys)
+        assert rc == 0
+        assert out == '{"coeffs":{"0,2":"1","1,1":"1","2,0":"1"}}\n'
+        coeffs = json.loads(out)["coeffs"]
+        te = intz.TensorElement({tuple(map(int, k.split(","))): int(c)
+                                 for k, c in coeffs.items()})
+        assert te == intz.comult(intz.IntZElement.basis(2))
+
     def test_unipoly_json(self, capsys):
         rc, out, _ = run_cli(["witt", "unipoly", "--trunc", "1,2", "--op",
                               "frobenius", "--n", "2", "--format", "json"],
@@ -691,6 +714,17 @@ class TestJsonRoundTrips:
         obj = json.loads(out)
         assert obj["n"] == 2
         assert sorted(obj["polys"]) == ["1"]
+
+
+def test_witt_add_over_poly_prints_the_universal_sum(capsys):
+    """Over Z[..] the sum of generic vectors is the universal sum, printed
+    through PolynomialRing.element_str."""
+    rc, out, _ = run_cli(["witt", "add", "--trunc", "1,2", "--ring", "Poly",
+                          "--coeffs", "a1,a2", "--coeffs2", "b1,b2"], capsys)
+    assert (rc, out) == (0, "(a1+b1,-a1*b1+a2+b2)\n")
+    rc, uni, _ = run_cli(["witt", "unipoly", "--op", "sum", "--trunc", "1,2"], capsys)
+    assert rc == 0
+    assert out.strip("()\n").split(",") == [line.split(": ")[1] for line in uni.splitlines()]
 
 
 WITT_OPTIONS = {"--trunc", "--ring", "--format"}
@@ -715,7 +749,7 @@ OPTIONS = {
     ("filt", "rees"): {"--bound", "--t", "--format"},
     ("filt", "drinfeld"): {"--m", "--n", "--format"},
     ("homology", "bar"): {"--algebra", "--stages", "--weight-bound", "--format"},
-    ("homology", "cobar"): {"--coalgebra", "--weight-bound", "--degree-bound", "--format"},
+    ("homology", "cobar"): {"--coalgebra", "--weight-bound", "--format"},
 }
 
 
@@ -738,7 +772,11 @@ class TestParserSurface:
         ["filt", "drinfeld", "--m", "2", "--n", "2", "--bound", "4"],
         ["witt", "kernel", "--trunc", "1,2", "--ring", "Zmod:2", "--n", "2", "--t", "1",
          "--bound", "10"],
-    ], ids=["pair-var", "pair-trunc", "drinfeld-bound", "kernel-bound"])
+        # a degree bound below 2W cut the cobar window and printed Z at
+        # (6,4) and Z^3 at (6,5); at 2W or more it changed nothing
+        ["homology", "cobar", "--coalgebra", "divided-power:5", "--weight-bound", "5",
+         "--degree-bound", "6"],
+    ], ids=["pair-var", "pair-trunc", "drinfeld-bound", "kernel-bound", "cobar-degree-bound"])
     def test_removed_options_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hopfwitt import rings
 from hopfwitt.errors import InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import (
@@ -21,6 +22,11 @@ from hopfwitt.rings import (
 from hopfwitt.witt import TruncationSet, WittVector, witt_add
 
 
+def _op(R, name, *args):
+    """A ring operation of R, computed in its lift ring and reduced."""
+    return R.reduce(getattr(R.lift_ring, name)(*args))
+
+
 def test_integer_ring_basics():
     R = IntegerRing()
     assert R.add(R.from_int(3), R.neg(R.from_int(5))) == -2
@@ -30,8 +36,8 @@ def test_integer_ring_basics():
 
 def test_zmod_wraps():
     R = ZModRing(9)
-    assert R.from_int(13) == 4
-    assert R.mul(5, 7) == 8
+    assert _op(R, "from_int", 13) == 4
+    assert _op(R, "mul", 5, 7) == 8
     assert list(R.elements()) == list(range(9))
     assert R.size() == 9
 
@@ -50,20 +56,26 @@ def test_field_axioms_exhaustive(p, k):
     # multiplicative group: every nonzero element has order dividing q-1
     q = p ** k
     for a in els:
-        assert F.add(a, zero) == a
-        assert F.mul(a, one) == a
+        assert _op(F, "add", a, zero) == a
+        assert _op(F, "mul", a, one) == a
         if a != zero:
-            assert F.pow(a, q - 1) == one
+            assert _op(F, "pow", a, q - 1) == one
     # a small associativity/distributivity sample over all triples for F_4
     if q <= 9:
+        def mul(a, b):
+            return _op(F, "mul", a, b)
+
+        def add(a, b):
+            return _op(F, "add", a, b)
+
         for a, b, c in itertools.product(els, repeat=3):
-            assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
-            assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+            assert mul(a, mul(b, c)) == mul(mul(a, b), c)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 # The integer kernels scale, pow and sub of the lift rings, against the ring
-# operations they stand for: Z and the Z[w]/(f) lifts override them, and
-# Z[..] keeps the inherited ones, which count product terms.  Each draw
+# operations they stand for: Z and the Z[w]/(f) lifts compute them directly,
+# and Z[..] forms n * a and a^n as products, which count product terms.  Each draw
 # builds its ring afresh, so no Z[..] term count carries over.
 KERNEL_RINGS = {
     "Z": IntegerRing,
@@ -148,20 +160,61 @@ def test_f4_multiplication_table():
     F = GaloisField(2, 2)
     w = (0, 1)
     # w^2 = w + 1 for the Conway modulus w^2 + w + 1
-    assert F.mul(w, w) == (1, 1)
-    assert F.mul(w, (1, 1)) == (1, 0)  # w^3 = 1
+    assert _op(F, "mul", w, w) == (1, 1)
+    assert _op(F, "mul", w, (1, 1)) == (1, 0)  # w^3 = 1
 
 
 def test_f9_frobenius_fixed_field():
     F = GaloisField(3, 2)
-    fixed = [a for a in F.elements() if F.pow(a, 3) == a]
-    assert sorted(fixed) == sorted([F.from_int(0), F.from_int(1), F.from_int(2)])
+    fixed = [a for a in F.elements() if _op(F, "pow", a, 3) == a]
+    assert sorted(fixed) == sorted([_op(F, "from_int", n) for n in (0, 1, 2)])
 
 
 def test_prime_field_without_extension():
     F = GaloisField(5, 1)
-    assert F.mul(F.from_int(3), F.from_int(4)) == F.from_int(12)
+    assert _op(F, "mul", _op(F, "from_int", 3), _op(F, "from_int", 4)) == _op(F, "from_int", 12)
     assert len(list(F.elements())) == 5
+
+
+# The finite rings as quotients of their lifts: Z/m stores 0..m-1 and F_q
+# coefficient tuples mod p, and reduce is the only map from the lift.
+QUOTIENT_RINGS = [ZModRing(m) for m in (2, 8, 9, 12)] + [GaloisField(5, 1)] + [
+    GaloisField(p, k) for p, k in sorted(_CONWAY)]
+
+
+def _off_range(R):
+    """Lift elements outside R's canonical range: each integer coordinate
+    of a canonical element moved by a nonzero multiple of the modulus."""
+    m = R.m if isinstance(R, ZModRing) else R.p
+    shift = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+    coord = st.tuples(st.integers(0, m - 1), shift).map(lambda cs: cs[0] + m * cs[1])
+    return coord if isinstance(R, ZModRing) else st.tuples(*[coord] * R.k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(QUOTIENT_RINGS), st.data())
+def test_reduce_is_a_ring_map_onto_the_canonical_range(R, data):
+    L, red = R.lift_ring, R.reduce
+    els = list(R.elements())
+    assert all(red(a) == a for a in els)
+    assert (red(L.zero()), red(L.one())) == (R.zero(), R.one())
+    x, y = data.draw(_off_range(R)), data.draw(_off_range(R))
+    assert x not in els and red(x) in els
+    for op in (L.add, L.mul):
+        assert red(op(x, y)) == red(op(red(x), red(y)))
+    assert red(L.neg(x)) == red(L.neg(red(x)))
+
+
+def test_quotient_rings_hold_no_arithmetic():
+    """Z/m and F_q compute in their lift rings only, and no ring has a
+    section of reduce: its elements already are lift elements."""
+    names = {"from_int", "add", "neg", "sub", "mul", "scale", "pow", "div_int", "eq"}
+    for cls in (rings.ZModRing, rings.GaloisField, rings.CoeffRing):
+        assert names.isdisjoint(vars(cls)), cls.__name__
+    classes = [c for c in vars(rings).values()
+               if isinstance(c, type) and c.__module__ == rings.__name__]
+    assert rings.CoeffRing in classes and all(issubclass(c, rings.CoeffRing) for c in classes)
+    assert not any("lift" in vars(c) for c in classes)
 
 
 @pytest.mark.parametrize("p,k", sorted(_CONWAY), ids=str)
