@@ -477,8 +477,17 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output encoding")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage, such as an unknown or removed option, with one
+    `error: ...` line and exit status 2, as every other refusal; its
+    subparsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfwitt",
         description="exact integer-valued polynomial, Witt vector, "
                     "deformation, and bar/cobar computations",

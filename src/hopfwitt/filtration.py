@@ -26,6 +26,12 @@ from .errors import FalsificationError, InputError, bound_overflow
 from .poly import SparsePoly, format_terms
 
 Matrix = list[list[int]]
+Row = linalg.Row
+
+
+def _unit_rows(r: int) -> list[Row]:
+    """The rows of the r x r identity."""
+    return [{j: 1} for j in range(r)]
 
 
 class FilteredModule:
@@ -34,8 +40,8 @@ class FilteredModule:
     ranks[i] is the rank of stage n_min + i; maps[i] is the injection of
     stage n_min + i + 1 into stage n_min + i as an integer matrix acting
     on column vectors, the JSON form.  Everywhere else a stage is a list
-    of rows: its basis vectors in the underlying module (stage n_min).
-    Stage n_max + 1 is zero.
+    of {column: entry} rows: its basis vectors in the underlying module
+    (stage n_min).  Stage n_max + 1 is zero.
     """
 
     def __init__(self, n_min: int, n_max: int, ranks: list[int], maps: list[Matrix]):
@@ -62,22 +68,22 @@ class FilteredModule:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_lattices(cls, ambient_rank: int, n_min: int, lattices: list[Matrix]) -> FilteredModule:
+    def from_lattices(cls, ambient_rank: int, n_min: int, lattices: list[list[Row]]) -> FilteredModule:
         """Build from per-stage spanning rows inside a fixed ambient Z^r.
 
-        lattices[i] is a list of rows, vectors of Z^r that span stage
-        n_min + i.  Each stage must be contained in the previous one;
-        stage 0 must span the ambient.  Each stage's basis is its HNF
+        lattices[i] is a list of rows, {column: entry} vectors of Z^r that
+        span stage n_min + i.  Each stage must be contained in the previous
+        one; stage 0 must span the ambient.  Each stage's basis is its HNF
         rows, and the map into the stage before holds the unique
         coordinates of these rows in that stage's HNF rows, found by
         substitution down its pivots; only these maps act on columns.
         """
         if not lattices:
             raise InputError("need at least one stage")
-        if any(len(v) != ambient_rank for rows in lattices for v in rows):
+        if any(not 0 <= j < ambient_rank for rows in lattices for v in rows for j in v):
             raise InputError("lattice rows must live in the ambient module")
         bases = [linalg.row_hnf(rows) for rows in lattices]
-        if bases[0] != linalg.identity(ambient_rank):
+        if bases[0] != _unit_rows(ambient_rank):
             raise InputError("bottom stage must span the ambient module")
         ranks = [len(H) for H in bases]
         maps: list[Matrix] = []
@@ -86,24 +92,37 @@ class FilteredModule:
             if sols is None:
                 raise InputError(
                     f"stage {n_min + i + 1} is not contained in stage {n_min + i}")
-            maps.append(linalg.transpose(sols) if sols else [[] for _ in range(ranks[i])])
-        return cls(n_min, n_min + len(lattices) - 1, ranks, maps)
+            M = [[0] * ranks[i + 1] for _ in range(ranks[i])]
+            for b, coords in enumerate(sols):
+                for a, q in coords.items():
+                    M[a][b] = q
+            maps.append(M)
+        # coordinates of independent rows: every map is injective already
+        X = cls.__new__(cls)
+        X.n_min, X.n_max, X.ranks, X.maps = n_min, n_min + len(lattices) - 1, ranks, maps
+        return X
 
     # -- queries ------------------------------------------------------
 
-    def stages(self) -> list[Matrix]:
-        """The basis of each stage from n_min to n_max as rows of the
-        underlying module, each the rows of the one before sent through
-        the transposed structure map; a rank-0 stage is []."""
-        out = [linalg.identity(self.ranks[0])]
-        for M in self.maps:
-            T = linalg.transpose(M)
-            out.append(linalg.mat_mul(T, out[-1]) if T else [])
+    def stages(self) -> list[list[Row]]:
+        """The basis of each stage from n_min to n_max as {column: entry}
+        rows of the underlying module, row b of each being the sum of
+        M[a][b] times row a of the one before, M its structure map; a
+        rank-0 stage is []."""
+        out = [_unit_rows(self.ranks[0])]
+        for M, r in zip(self.maps, self.ranks[1:]):
+            prev, rows = out[-1], [{} for _ in range(r)]
+            for Ma, u in zip(M, prev):
+                for b, c in enumerate(Ma):
+                    if c:
+                        linalg.add_scaled(rows[b], c, u)
+            out.append(rows)
         return out
 
     def profile(self) -> tuple:
         return (self.n_min, self.n_max,
-                tuple(tuple(map(tuple, linalg.row_hnf(S))) for S in self.stages()))
+                tuple(tuple(tuple(sorted(h.items())) for h in linalg.row_hnf(S))
+                      for S in self.stages()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredModule):
@@ -187,7 +206,8 @@ def day_tensor(X: FilteredModule, Y: FilteredModule) -> FilteredModule:
     # stage j of Y is all of Y for j <= Y.n_min, and stage i of X shrinks
     # as i grows, so the pairs with j < Y.n_min add nothing new; u (x) v
     # has entry u[a] * v[b] at index a * rank(Y) + b
-    lattices = [[[a * b for a in u for b in v]
+    ry = Y.ranks[0]
+    lattices = [[{a * ry + b: x * y for a, x in u.items() for b, y in v.items()}
                  for i in range(max(X.n_min, n - Y.n_max), min(X.n_max, n - Y.n_min) + 1)
                  for u in sx[i - X.n_min] for v in sy[n - i - Y.n_min]]
                 for n in range(lo, hi + 1)]

@@ -37,7 +37,6 @@ import itertools
 from . import intz, linalg
 from .errors import FalsificationError, InputError, bound_overflow
 
-Matrix = list[list[int]]
 Chain = dict[tuple, int]
 Column = dict[int, int]
 
@@ -578,30 +577,27 @@ class BarHomologyWindow:
         self.algebra = A
         window, self.complex = _bar_window(A, stages, weight_bound)
         self.strands = window.words()
-        self._boundary_hnf: dict[tuple[int, int], Matrix] = {}
+        self._boundary_hnf: dict[tuple[int, int], list[linalg.Row]] = {}
 
-    def _vectorize(self, chain: Chain) -> dict[tuple[int, int], list[int]]:
-        split: dict[tuple[int, int], Chain] = {}
+    def _vectorize(self, chain: Chain) -> dict[tuple[int, int], Column]:
+        """The chain split by strand, each part as {index: coeff} in its
+        strand without zero coefficients."""
+        out: dict[tuple[int, int], Column] = {}
         for word, c in chain.items():
-            split.setdefault(bar_word_bidegree(self.algebra, word), {})[word] = c
-        out = {}
-        for key, part in split.items():
+            key = bar_word_bidegree(self.algebra, word)
             if key not in self.strands:
                 raise InputError(f"chain leaves the computed window at {key}")
-            v = [0] * len(self.strands[key])
-            for word, c in part.items():
-                v[self.strands[key][word]] = c
-            out[key] = v
+            part = out.setdefault(key, {})
+            if c:
+                part[self.strands[key][word]] = c
         return out
 
-    def _boundaries(self, key: tuple[int, int]) -> Matrix:
+    def _boundaries(self, key: tuple[int, int]) -> list[linalg.Row]:
         if key not in self._boundary_hnf:
             q, w = key
             up = self.complex.differential(q + 1, w)
             # the columns of d(q+1) as rows: the row lattice is the boundaries
-            n = len(self.strands[key])
-            rows = linalg.row_hnf([[col.get(i, 0) for i in range(n)] for col in up]) if up else []
-            self._boundary_hnf[key] = rows
+            self._boundary_hnf[key] = linalg.row_hnf(up) if up else []
         return self._boundary_hnf[key]
 
     def reduce_cycle(self, chain: Chain) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -611,11 +607,11 @@ class BarHomologyWindow:
         for key, v in self._vectorize(chain).items():
             q, w = key
             d = self.complex.differential(q, w)
-            if d and any(_apply(d, {j: c for j, c in enumerate(v) if c}).values()):
+            if d and any(_apply(d, v).values()):
                 raise InputError(f"chain is not a cycle in strand {key}")
             _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
-            if any(red):
-                out[key] = tuple(red)
+            if red:
+                out[key] = tuple(red.get(i, 0) for i in range(len(self.strands[key])))
         return out
 
     def shuffle_classes(self, x: Chain, y: Chain) -> dict[tuple[int, int], tuple[int, ...]]:

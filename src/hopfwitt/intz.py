@@ -27,6 +27,7 @@ these closed forms independently, is kept in tests/intz_oracle.py.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from math import ceil, comb, e, log2
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -194,20 +195,26 @@ class TensorElement:
         return self._coeffs == other._coeffs
 
     def multiply(self, other: TensorElement) -> TensorElement:
-        """Componentwise product (f (x) g)(f' (x) g') = ff' (x) gg'."""
+        """Componentwise product (f (x) g)(f' (x) g') = ff' (x) gg'.  Each
+        basis_product is formed once per call for each unordered index
+        pair, however many term pairs meet it."""
+        products: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+        def product(m: int, n: int) -> list[tuple[int, int]]:
+            key = (m, n) if m <= n else (n, m)
+            terms = products.get(key)
+            if terms is None:
+                terms = products[key] = list(basis_product(m, n).items())
+            return terms
+
         out: dict[tuple[int, int], int] = {}
         for (m1, n1), c1 in self._coeffs.items():
             for (m2, n2), c2 in other._coeffs.items():
-                left = basis_product(m1, m2)
-                right = basis_product(n1, n2)
-                for i, a in left.items():
-                    for j, b in right.items():
-                        key = (i, j)
-                        s = out.get(key, 0) + c1 * c2 * a * b
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                right = product(n1, n2)
+                for i, a in product(m1, m2):
+                    ca = c1 * c2 * a
+                    for j, b in right:
+                        out[(i, j)] = out.get((i, j), 0) + ca * b
         return TensorElement(out)
 
     def __str__(self) -> str:
@@ -347,17 +354,29 @@ def graded_constant(m: int, n: int) -> int:
 
 
 # Longest accepted value table p * max(deg f, 1) + 1 for the Frobenius
-# check, whose difference pass is quadratic in it.
+# check, each value of which costs one add per coefficient.
 FROB_TABLE_LIMIT = 2_000
+
+
+def _values(f: IntZElement, count: int) -> list[int]:
+    """f(0), f(1), ..., f(count - 1), by one running sum per coefficient
+    from the top down: Delta^n f(k) = c_n + sum_{j<k} Delta^(n+1) f(j),
+    as Delta^n f(0) = c_n, the coefficient of C(x,n)."""
+    d = max(f._coeffs, default=0)
+    seq = [f._coeffs.get(d, 0)] * count
+    for n in range(d - 1, -1, -1):
+        seq = list(accumulate(seq[:count - 1], initial=f._coeffs.get(n, 0)))
+    return seq
 
 
 def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     """Whether f^p == f modulo p, the perfectness witness mod p.
 
-    The binomial coefficients of g = f^p - f are integer combinations of
-    the values g(0..deg g), so the whole check runs on the value table
-    reduced mod p: build the difference table of (f(k)^p - f(k)) mod p and
-    ask that every leading entry vanishes.  No rational arithmetic and no
+    g = f^p - f has degree at most p*deg f, and the binomial transform
+    between its coefficients and its values g(0..p*deg f) is unitriangular
+    over Z, so the coefficients all vanish mod p exactly when those values
+    do: the check asks that (f(k)^p - f(k)) mod p is 0 for each k, one
+    pass over the values of _values.  No rational arithmetic and no
     degree-p*deg(f) expansion is ever materialized.  A table longer than
     FROB_TABLE_LIMIT is refused before p is tested for primality.
     """
@@ -370,16 +389,7 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
         raise InputError(f"modulus {p} is not prime")
     if d is None:
         return True
-    bound = p * d + 1
-    row = []
-    for k in range(bound):
-        v = eval_at(f, k) % p
-        row.append((pow(v, p, p) - v) % p)
-    while row:
-        if row[0] % p:
-            return False
-        row = [(row[i + 1] - row[i]) % p for i in range(len(row) - 1)]
-    return True
+    return all((pow(v, p, p) - v) % p == 0 for v in _values(f, p * d + 1))
 
 
 # -- duality pairing --------------------------------------------------------

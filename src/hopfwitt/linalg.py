@@ -1,16 +1,18 @@
 """Exact linear algebra over Z: Hermite and Smith normal forms, ranks.
 
-Matrices are lists of row lists of Python ints.  HNF by integer row
-reduction gives canonical lattice forms; coordinates in a lattice, and a
-canonical residue modulo it, are read off its HNF rows by substitution.  No routine tracks transforms.
-Ranks and invariant factors take one route of their own:
+A lattice is given by the rows that span it, each a {column: entry} dict
+of its nonzero entries.  HNF by integer row reduction gives canonical
+lattice forms; coordinates in a lattice, and a canonical residue modulo
+it, are read off its HNF rows by substitution.  No routine tracks
+transforms.  Ranks and invariant factors take one route of their own:
 unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
 (Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
 MODULUS_BITS_LIMIT bits is refused.  The elimination reads each row as
 its (column, entry) pairs, so sparse_invariant_factors takes the items of
-{column: entry} dicts and the dense routines the enumerated rows.
+{column: entry} dicts and the dense routines, on lists of row lists, the
+enumerated rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable, Iterator
 from .errors import InputError, bound_overflow
 
 Matrix = list[list[int]]
+Row = dict[int, int]
 Pairs = Iterable[tuple[int, int]]
 
 
@@ -34,113 +37,106 @@ def shape(A: Matrix) -> tuple[int, int]:
     return (len(A), cols)
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def add_scaled(row: Row, q: int, other: Row) -> None:
+    """row += q * other in place, for q nonzero; entries that cancel leave
+    row, so it keeps no zero entry."""
+    for j, x in other.items():
+        v = row.get(j, 0) + q * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[0] * c for _ in range(r)]
-
-
-def transpose(A: Matrix) -> Matrix:
-    r, c = shape(A)
-    return [[A[i][j] for i in range(r)] for j in range(c)]
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    ra, ca = shape(A)
-    rb, cb = shape(B)
-    if ca != rb:
-        raise InputError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        for k in range(ca):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(cb):
-                    row[j] += a * Bk[j]
-    return out
-
-
-def row_hnf(A: Matrix) -> Matrix:
-    """Row-style Hermite normal form with zero rows dropped.
+def row_hnf(rows: Iterable[Row]) -> list[Row]:
+    """Row-style Hermite normal form of the lattice the rows span, as
+    {column: entry} rows without zero entries.
 
     Canonical for the row lattice: row echelon, positive pivots, entries
-    above each pivot reduced into [0, pivot).  Two matrices span the same
-    row lattice iff their HNFs are identical.
+    above each pivot reduced into [0, pivot).  Two sets of rows span the
+    same lattice iff their HNFs are equal.  Each distinct nonzero row
+    enters once, in the bucket of its leading column.  Columns are taken
+    in increasing order; at each, Euclid runs among the rows of its bucket
+    alone, every row cleared there moving to the bucket of its new leading
+    column, and the row left is the pivot, made positive, which then
+    reduces the entries above it.
     """
-    r, c = shape(A)
-    M = [row[:] for row in A]
-    pivot_row = 0
-    for col in range(c):
-        # find a nonzero entry in this column at or below pivot_row
-        best = None
-        for i in range(pivot_row, len(M)):
-            if M[i][col]:
-                if best is None or abs(M[i][col]) < abs(M[best][col]):
-                    best = i
-        if best is None:
-            continue
-        M[pivot_row], M[best] = M[best], M[pivot_row]
-        # euclid the column below the pivot to zero
-        while True:
-            dirty = False
-            for i in range(pivot_row + 1, len(M)):
-                if M[i][col]:
-                    q = M[i][col] // M[pivot_row][col]
-                    if q:
-                        M[i] = [x - q * y for x, y in zip(M[i], M[pivot_row])]
-                    if M[i][col]:
-                        M[pivot_row], M[i] = M[i], M[pivot_row]
-                        dirty = True
-            if not dirty:
-                break
-        if M[pivot_row][col] < 0:
-            M[pivot_row] = [-x for x in M[pivot_row]]
-        # reduce entries above the pivot
-        p = M[pivot_row][col]
-        for i in range(pivot_row):
-            q = M[i][col] // p
-            if q:
-                M[i] = [x - q * y for x, y in zip(M[i], M[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(M):
-            break
-    return [row for row in M[:pivot_row] if any(row)]
+    seen = set()
+    lead: dict[int, list[Row]] = {}
+    for row in rows:
+        r = {j: x for j, x in row.items() if x}
+        key = frozenset(r.items())
+        if r and key not in seen:
+            seen.add(key)
+            lead.setdefault(min(r), []).append(r)
+    cols = list(lead)
+    heapq.heapify(cols)
+    H: list[Row] = []
+    filled: set[int] = set()  # every column some row of H may hold
+    while cols:
+        col = heapq.heappop(cols)
+        group = lead.pop(col)
+        while len(group) > 1:
+            piv = min(group, key=lambda r: abs(r[col]))
+            p = piv[col]
+            rest = [piv]
+            for r in group:
+                if r is piv:
+                    continue
+                add_scaled(r, -(r[col] // p), piv)
+                if col in r:
+                    rest.append(r)
+                elif r:
+                    j = min(r)
+                    if j not in lead:
+                        lead[j] = []
+                        heapq.heappush(cols, j)
+                    lead[j].append(r)
+            group = rest
+        piv = group[0]
+        p = piv[col]
+        if p < 0:
+            for j in piv:
+                piv[j] = -piv[j]
+            p = -p
+        if col in filled:
+            for h in H:
+                q = h.get(col, 0) // p
+                if q:
+                    add_scaled(h, -q, piv)
+        filled.update(piv)
+        H.append(piv)
+    return H
 
 
-def echelon_reduce(H: Matrix, vectors: list[list[int]]) -> Iterator[tuple[list[int], list[int]]]:
-    """For each vector v, coordinates q and a residue r with v = q H + r.
+def echelon_reduce(H: list[Row], vectors: Iterable[Row]) -> Iterator[tuple[Row, Row]]:
+    """For each vector v, coordinates q and a residue r with v = q H + r,
+    q as {row index: coordinate} and r as a row, both without zeros.
 
     H is in row echelon form with no zero rows, as row_hnf returns it, so
     its rows are independent.  Each row's coordinate is the floor quotient
     at its pivot column once the rows above it are subtracted, since the
-    rows below are zero there; a remainder stays in that column.  With
-    positive pivots, as row_hnf gives, r is the same for every vector of
-    one coset of the row lattice, and v is in the lattice iff r is zero.
+    rows below are zero there; a remainder stays in that column.  Only the
+    pivots v reaches are visited, by the walk of _reduce.  With positive
+    pivots, as row_hnf gives, r is the same for every vector of one coset
+    of the row lattice, and v is in the lattice iff r is empty.
     """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+    pivots = [(min(h), h) for h in H]
+    order = {col: k for k, (col, _) in enumerate(pivots)}
     for v in vectors:
-        res = list(v)
-        coords = []
-        for row, p in zip(H, pivots):
-            q = res[p] // row[p]
-            if q:
-                res[p:] = [x - q * y for x, y in zip(res[p:], row[p:])]
-            coords.append(q)
+        res = {j: x for j, x in v.items() if x}
+        coords: Row = {}
+        _reduce(res, pivots, order, coords)
         yield coords, res
 
 
-def echelon_solve(H: Matrix, vectors: list[list[int]]) -> Matrix | None:
+def echelon_solve(H: list[Row], vectors: Iterable[Row]) -> list[Row] | None:
     """Coordinates of each vector in the row lattice of H, unique since
     its rows are independent, or None when some vector is not in that
-    lattice; H as for echelon_reduce."""
+    lattice; H and the coordinates as for echelon_reduce."""
     out = []
     for coords, res in echelon_reduce(H, vectors):
-        if any(res):
+        if res:
             return None
         out.append(coords)
     return out
@@ -185,8 +181,12 @@ def _unit_pivot_core(rows: Iterable[Pairs]) -> tuple[int, Matrix]:
     return len(pivots), [[row.get(j, 0) for j in cols] for row in core]
 
 
-def _reduce(row: dict[int, int], pivots: list, order: dict[int, int]) -> None:
-    """Clear the pivot columns of row, in the order the pivots were chosen.
+def _reduce(row: Row, pivots: list, order: dict[int, int], coords: Row | None = None) -> None:
+    """Reduce row by the pivot rows, in the order the pivots were chosen:
+    each pivot row is subtracted q times, q the floor quotient of row's
+    entry in its pivot column, and q goes to coords[index] when coords is
+    given.  A unit pivot clears its column, as a // (+-1) = a * (+-1); a
+    positive pivot p leaves an entry in [0, p), whose quotient is 0.
 
     A pivot row is zero in the columns of earlier pivots, so subtracting it
     only ever fills columns of later ones, which the heap then visits.
@@ -194,13 +194,15 @@ def _reduce(row: dict[int, int], pivots: list, order: dict[int, int]) -> None:
     heap = [order[j] for j in row if j in order]
     heapq.heapify(heap)
     while heap:
-        col, prow = pivots[heapq.heappop(heap)]
-        a = row.get(col)
-        if not a:
+        k = heapq.heappop(heap)
+        col, prow = pivots[k]
+        q = row.get(col, 0) // prow[col]
+        if not q:
             continue
-        a *= prow[col]
+        if coords is not None:
+            coords[k] = q
         for j, x in prow.items():
-            v = row.get(j, 0) - a * x
+            v = row.get(j, 0) - q * x
             if not v:
                 del row[j]
                 continue

@@ -595,17 +595,17 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
                              "witt.KERNEL_LIMIT", limit)
     L = ring.lift_ring
     pool = list(ring.elements())
+    zero = ring.zero()
     S = trunc.members
-    x: dict = {}  # components on the path, lift elements as they are
+    x: dict = {}  # components on the path, lift elements as they are, in order of S
     w: dict = {}  # their ghost components
     y: dict = {}  # lifted output components of TF_n
-    path: list = []
     visited = 0
 
     def dive(k: int) -> Iterator[list]:
         nonlocal visited
         if k == len(S):
-            yield list(path)
+            yield list(x.values())
             return
         d = S[k]
         m = d // n if d % n == 0 else 0
@@ -624,13 +624,11 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
                 q = L.div_int(L.sub(ghost_m, known), m)
                 if q is None:
                     raise FalsificationError(f"ghost vector is not integral at index {m}")
-                if not ring.is_zero(ring.reduce(q)):
+                if ring.reduce(q) != zero:
                     continue
                 y[m] = q
             x[d], w[d] = r, wd
-            path.append(r)
             yield from dive(k + 1)
-            path.pop()
 
     return dive(0)
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
+from hopfwitt.binomial import is_prime
 from hopfwitt.errors import FalsificationError, InputError
-from hopfwitt.intz import IntZElement, TensorElement
+from hopfwitt.intz import IntZElement, TensorElement, basis_product, eval_at, filtration_degree
 from hopfwitt.poly import SparsePoly
 
 
@@ -131,6 +132,42 @@ def map_right(te: TensorElement, fn: Callable[[IntZElement], TensorElement]) -> 
         for (j, k), d in fn(IntZElement.basis(n)).items():
             out[(m, j, k)] = out.get((m, j, k), 0) + c * d
     return {key: c for key, c in out.items() if c}
+
+
+def tensor_multiply_by_term_pairs(x: TensorElement, y: TensorElement) -> TensorElement:
+    """(f (x) g)(f' (x) g') = ff' (x) gg', forming both basis products
+    afresh for every pair of terms."""
+    out: dict[tuple[int, int], int] = {}
+    for (m1, n1), c1 in x.items():
+        for (m2, n2), c2 in y.items():
+            for i, a in basis_product(m1, m2).items():
+                for j, b in basis_product(n1, n2).items():
+                    out[(i, j)] = out.get((i, j), 0) + c1 * c2 * a * b
+    return TensorElement(out)
+
+
+# -- the Frobenius congruence by the full difference table -------------
+
+
+def frobenius_by_difference_table(f: IntZElement, p: int) -> bool:
+    """Whether f^p == f modulo p, p prime: the binomial coefficients of
+    g = f^p - f are the leading entries of the difference table of its
+    values g(0..p*deg f), each value from eval_at, built row by row mod p
+    and so quadratic in the table."""
+    if not is_prime(p):
+        raise InputError(f"modulus {p} is not prime")
+    d = filtration_degree(f)
+    if d is None:
+        return True
+    row = []
+    for k in range(p * d + 1):
+        v = eval_at(f, k) % p
+        row.append((pow(v, p, p) - v) % p)
+    while row:
+        if row[0]:
+            return False
+        row = [(b - a) % p for a, b in zip(row, row[1:])]
+    return True
 
 
 # -- truncated integer power series -----------------------------------

@@ -1,18 +1,122 @@
-"""Transform-tracking integer linear algebra, kept as a test oracle.
+"""Dense and transform-tracking integer linear algebra, kept as a test oracle.
 
 The library computes ranks and invariant factors without transforms and
-solves stage inclusions on echelon bases; these slower textbook routes
-(a Smith form carrying U and V, integer solving and kernels through it,
-column-lattice comparison through the HNF) check it independently.  The
-column route of filtered modules, stage embeddings composed from the
-structure maps and the Day tensor glued from Kronecker blocks, checks
-the row stages the library keeps.
+keeps every lattice as sparse {column: entry} rows; these slower textbook
+routes on lists of row lists (the dense Euclid Hermite form, sympy's
+Hermite form, a Smith form carrying U and V, integer solving and kernels
+through it, column-lattice comparison through the HNF) check it
+independently.  The column route of
+filtered modules, stage embeddings composed from the structure maps and
+the Day tensor glued from Kronecker blocks, checks the row stages the
+library keeps.
 """
 
 from __future__ import annotations
 
 from hopfwitt.errors import InputError
-from hopfwitt.linalg import Matrix, identity, mat_mul, row_hnf, shape, transpose, zeros
+from hopfwitt.linalg import Matrix, Row, shape
+
+
+def identity(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def zeros(r: int, c: int) -> Matrix:
+    return [[0] * c for _ in range(r)]
+
+
+def transpose(A: Matrix) -> Matrix:
+    r, c = shape(A)
+    return [[A[i][j] for i in range(r)] for j in range(c)]
+
+
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    ra, ca = shape(A)
+    rb, cb = shape(B)
+    if ca != rb:
+        raise InputError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
+    out = zeros(ra, cb)
+    for i in range(ra):
+        Ai = A[i]
+        for k in range(ca):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                row = out[i]
+                for j in range(cb):
+                    row[j] += a * Bk[j]
+    return out
+
+
+def sparse_rows(A: Matrix) -> list[Row]:
+    """The rows of A as {column: entry} dicts without zero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
+def dense_rows(rows: list[Row], cols: int) -> Matrix:
+    """The {column: entry} rows as lists of length cols."""
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def row_hnf(A: Matrix) -> Matrix:
+    """Row-style Hermite normal form with zero rows dropped, by Euclid
+    down each column of the dense matrix.
+
+    Canonical for the row lattice: row echelon, positive pivots, entries
+    above each pivot reduced into [0, pivot).  Two matrices span the same
+    row lattice iff their HNFs are identical.
+    """
+    r, c = shape(A)
+    M = [row[:] for row in A]
+    pivot_row = 0
+    for col in range(c):
+        # find a nonzero entry in this column at or below pivot_row
+        best = None
+        for i in range(pivot_row, len(M)):
+            if M[i][col]:
+                if best is None or abs(M[i][col]) < abs(M[best][col]):
+                    best = i
+        if best is None:
+            continue
+        M[pivot_row], M[best] = M[best], M[pivot_row]
+        # euclid the column below the pivot to zero
+        while True:
+            dirty = False
+            for i in range(pivot_row + 1, len(M)):
+                if M[i][col]:
+                    q = M[i][col] // M[pivot_row][col]
+                    if q:
+                        M[i] = [x - q * y for x, y in zip(M[i], M[pivot_row])]
+                    if M[i][col]:
+                        M[pivot_row], M[i] = M[i], M[pivot_row]
+                        dirty = True
+            if not dirty:
+                break
+        if M[pivot_row][col] < 0:
+            M[pivot_row] = [-x for x in M[pivot_row]]
+        # reduce entries above the pivot
+        p = M[pivot_row][col]
+        for i in range(pivot_row):
+            q = M[i][col] // p
+            if q:
+                M[i] = [x - q * y for x, y in zip(M[i], M[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(M):
+            break
+    return [row for row in M[:pivot_row] if any(row)]
+
+
+def sympy_row_hnf(A: Matrix) -> Matrix:
+    """sympy's Hermite form in the row convention of row_hnf.  sympy spans
+    the column lattice and puts each basis column's pivot at its last
+    nonzero entry, so its form of the transposed matrix with the
+    coordinates reversed, read back with them reversed again and in
+    reverse order, is the row form."""
+    from sympy import Matrix as SympyMatrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    W = hermite_normal_form(SympyMatrix([row[::-1] for row in A]).T)
+    return [[int(W[i, j]) for i in reversed(range(W.rows))] for j in range(W.cols)][::-1]
 
 
 def mat_vec(A: Matrix, v: list[int]) -> list[int]:

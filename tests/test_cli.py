@@ -781,7 +781,10 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestManPage:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfwitt import intz
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import InputError
 from hopfwitt.intz import (
@@ -37,7 +38,16 @@ from hopfwitt.intz import (
 )
 from hopfwitt.poly import SparsePoly
 
-from intz_oracle import TruncSeries, from_poly, pair_tensor, series_group_law, substitute, to_poly
+from intz_oracle import (
+    TruncSeries,
+    frobenius_by_difference_table,
+    from_poly,
+    pair_tensor,
+    series_group_law,
+    substitute,
+    tensor_multiply_by_term_pairs,
+    to_poly,
+)
 
 
 C = IntZElement.basis
@@ -287,6 +297,38 @@ def test_frobenius_identity_against_slow_multiplication(p, coeffs):
     slow = all(c % p == 0 for _, c in diff.items())
     assert frobenius_mod_p_identity(f, p) == slow
     assert slow  # the identity is a theorem for integer-valued f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 12), st.integers(-40, 40), max_size=6),
+       st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_frobenius_check_equals_the_difference_table(coeffs, p):
+    """The value check against the quadratic table of intz_oracle.  Both
+    answer True on every f, as each value f(k) is an integer (Fermat);
+    what is compared is the route: the values below are eval_at's."""
+    f = IntZElement(coeffs)
+    assert frobenius_mod_p_identity(f, p) == frobenius_by_difference_table(f, p)
+    d = filtration_degree(f)
+    count = p * (d or 0) + 1
+    assert intz._values(f, count) == [eval_at(f, k) for k in range(count)]
+
+
+def test_frobenius_values_of_constants_and_gaps():
+    assert intz._values(IntZElement({0: 5}), 3) == [5, 5, 5]
+    assert intz._values(IntZElement({}), 2) == [0, 0]
+    # C(x,3) - 2 C(x,1) at 0..5: 0, -2, -4, -5, -4, 0
+    assert intz._values(elt(c3=1, c1=-2), 6) == [0, -2, -4, -5, -4, 0]
+
+
+_tensor_terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                st.integers(-9, 9), max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_tensor_terms, _tensor_terms)
+def test_tensor_multiply_equals_the_term_pair_route(x, y):
+    tx, ty = TensorElement(x), TensorElement(y)
+    assert tx.multiply(ty) == tensor_multiply_by_term_pairs(tx, ty)
 
 
 # -- pairing ----------------------------------------------------------------
