@@ -25,7 +25,6 @@ from . import intz, linalg
 from .errors import FalsificationError, InputError, bound_overflow
 from .poly import SparsePoly, format_terms
 
-Matrix = list[list[int]]
 Row = linalg.Row
 
 
@@ -37,33 +36,29 @@ def _unit_rows(r: int) -> list[Row]:
 class FilteredModule:
     """Decreasing filtration X^n of a finite free Z-module.
 
-    ranks[i] is the rank of stage n_min + i; maps[i] is the injection of
-    stage n_min + i + 1 into stage n_min + i as an integer matrix acting
-    on column vectors, the JSON form.  Everywhere else a stage is a list
-    of {column: entry} rows: its basis vectors in the underlying module
-    (stage n_min).  Stage n_max + 1 is zero.
+    ranks[i] is the rank of stage n_min + i.  maps[i], the injection of
+    stage n_min + i + 1 into stage n_min + i, is a list of ranks[i + 1]
+    coordinate rows {a: q}: row b holds the coordinates of basis vector b
+    of stage n_min + i + 1 in the basis of stage n_min + i, so it is
+    column b of the integer matrix of the JSON form, the only place a
+    structure map is dense.  A stage is a list of {column: entry} rows:
+    its basis vectors in the underlying module (stage n_min).  Stage
+    n_max + 1 is zero.  The module keeps the rows it is given and never
+    changes them.
     """
 
-    def __init__(self, n_min: int, n_max: int, ranks: list[int], maps: list[Matrix]):
-        if n_max < n_min:
-            raise InputError("empty filtration range")
-        if len(ranks) != n_max - n_min + 1:
-            raise InputError("rank list does not match the range")
-        if any(r < 0 for r in ranks):
-            raise InputError("ranks must be nonnegative")
-        if len(maps) != len(ranks) - 1:
-            raise InputError("need one structure map per adjacent pair of stages")
-        for i, M in enumerate(maps):
-            r, c = linalg.shape(M)
-            if (r, c) != (ranks[i], ranks[i + 1]):
-                raise InputError(
-                    f"structure map {i} has shape {r}x{c}, expected {ranks[i]}x{ranks[i + 1]}")
-            if linalg.rank(M) != c:
+    def __init__(self, n_min: int, n_max: int, ranks: list[int], maps: list[list[Row]]):
+        _check_frame(n_min, n_max, ranks, maps)
+        for i, rows in enumerate(maps):
+            if len(rows) != ranks[i + 1] or any(not 0 <= a < ranks[i] for v in rows for a in v):
+                raise InputError(f"structure map {i} is not {ranks[i + 1]} coordinate rows "
+                                 f"in rank {ranks[i]}")
+            if linalg.rank(rows) != len(rows):
                 raise InputError(f"structure map into stage {n_min + i} is not injective")
         self.n_min = n_min
         self.n_max = n_max
         self.ranks = list(ranks)
-        self.maps = [[row[:] for row in M] for M in maps]
+        self.maps = list(maps)
 
     # -- constructors -------------------------------------------------
 
@@ -74,9 +69,9 @@ class FilteredModule:
         lattices[i] is a list of rows, {column: entry} vectors of Z^r that
         span stage n_min + i.  Each stage must be contained in the previous
         one; stage 0 must span the ambient.  Each stage's basis is its HNF
-        rows, and the map into the stage before holds the unique
-        coordinates of these rows in that stage's HNF rows, found by
-        substitution down its pivots; only these maps act on columns.
+        rows, and the map into the stage before is the unique coordinates
+        of these rows in that stage's HNF rows, found by substitution down
+        its pivots.
         """
         if not lattices:
             raise InputError("need at least one stage")
@@ -86,17 +81,13 @@ class FilteredModule:
         if bases[0] != _unit_rows(ambient_rank):
             raise InputError("bottom stage must span the ambient module")
         ranks = [len(H) for H in bases]
-        maps: list[Matrix] = []
+        maps = []
         for i in range(len(bases) - 1):
             sols = linalg.echelon_solve(bases[i], bases[i + 1])
             if sols is None:
                 raise InputError(
                     f"stage {n_min + i + 1} is not contained in stage {n_min + i}")
-            M = [[0] * ranks[i + 1] for _ in range(ranks[i])]
-            for b, coords in enumerate(sols):
-                for a, q in coords.items():
-                    M[a][b] = q
-            maps.append(M)
+            maps.append(sols)
         # coordinates of independent rows: every map is injective already
         X = cls.__new__(cls)
         X.n_min, X.n_max, X.ranks, X.maps = n_min, n_min + len(lattices) - 1, ranks, maps
@@ -107,15 +98,16 @@ class FilteredModule:
     def stages(self) -> list[list[Row]]:
         """The basis of each stage from n_min to n_max as {column: entry}
         rows of the underlying module, row b of each being the sum of
-        M[a][b] times row a of the one before, M its structure map; a
-        rank-0 stage is []."""
+        q times row a of the one before over the coordinates {a: q} of
+        row b of its structure map; a rank-0 stage is []."""
         out = [_unit_rows(self.ranks[0])]
-        for M, r in zip(self.maps, self.ranks[1:]):
-            prev, rows = out[-1], [{} for _ in range(r)]
-            for Ma, u in zip(M, prev):
-                for b, c in enumerate(Ma):
-                    if c:
-                        linalg.add_scaled(rows[b], c, u)
+        for coords in self.maps:
+            prev, rows = out[-1], []
+            for c in coords:
+                v: Row = {}
+                for a, q in c.items():
+                    linalg.add_scaled(v, q, prev[a])
+                rows.append(v)
             out.append(rows)
         return out
 
@@ -134,13 +126,20 @@ class FilteredModule:
         return FilteredModule(self.n_min + k, self.n_max + k, self.ranks, self.maps)
 
     def to_json(self) -> str:
+        """Each structure map as the ranks[i] x ranks[i + 1] integer matrix
+        acting on column vectors, column b its coordinate row b."""
+        maps = [[[v.get(a, 0) for v in rows] for a in range(r)]
+                for rows, r in zip(self.maps, self.ranks)]
         return json.dumps(
-            {"n_min": self.n_min, "n_max": self.n_max, "ranks": self.ranks, "maps": self.maps},
+            {"n_min": self.n_min, "n_max": self.n_max, "ranks": self.ranks, "maps": maps},
             separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> FilteredModule:
-        """Read the to_json form, whose values are JSON integers only."""
+        """Read the to_json form, whose values are JSON integers only.
+
+        Each matrix is checked to be rectangular, of the shape the ranks
+        give, and its columns become the coordinate rows."""
         try:
             obj = json.loads(text)
             if not isinstance(obj, dict):
@@ -150,9 +149,32 @@ class FilteredModule:
                 if key not in obj:
                     raise InputError(f"{key} is missing")
                 fields.append(_json_ints(obj[key], key, depth))
-            return cls(*fields)
+            n_min, n_max, ranks, dense = fields
+            _check_frame(n_min, n_max, ranks, dense)
+            maps = []
+            for i, M in enumerate(dense):
+                c = len(M[0]) if M else 0
+                if any(len(row) != c for row in M):
+                    raise InputError("ragged matrix")
+                if (len(M), c) != (ranks[i], ranks[i + 1]):
+                    raise InputError(f"structure map {i} has shape {len(M)}x{c}, "
+                                     f"expected {ranks[i]}x{ranks[i + 1]}")
+                maps.append([{a: row[b] for a, row in enumerate(M) if row[b]} for b in range(c)])
+            return cls(n_min, n_max, ranks, maps)
         except (InputError, ValueError, RecursionError) as exc:
             raise InputError(f"bad filtered module JSON: {exc}") from None
+
+
+def _check_frame(n_min: int, n_max: int, ranks: list[int], maps: list) -> None:
+    """The range, the ranks and the number of structure maps agree."""
+    if n_max < n_min:
+        raise InputError("empty filtration range")
+    if len(ranks) != n_max - n_min + 1:
+        raise InputError("rank list does not match the range")
+    if any(r < 0 for r in ranks):
+        raise InputError("ranks must be nonnegative")
+    if len(maps) != len(ranks) - 1:
+        raise InputError("need one structure map per adjacent pair of stages")
 
 
 def _json_ints(value, field: str, depth: int):
@@ -174,10 +196,7 @@ def degree_filtration_module(N: int) -> FilteredModule:
     if N < 0:
         raise InputError("N must be nonnegative")
     ranks = [N + 1 - q for q in range(N + 1)]
-    maps = []
-    for q in range(N):
-        r = ranks[q]
-        maps.append([[1 if a == b + 1 else 0 for b in range(r - 1)] for a in range(r)])
+    maps = [[{b + 1: 1} for b in range(r - 1)] for r in ranks[:-1]]
     return FilteredModule(0, N, ranks, maps)
 
 
@@ -220,17 +239,11 @@ def associated_graded(X: FilteredModule) -> dict[int, int]:
     Quotients must be free: a structure map whose cokernel has torsion
     (an invariant factor above one) is rejected.
     """
-    out: dict[int, int] = {}
-    for idx in range(len(X.ranks)):
-        n = X.n_min + idx
-        if idx < len(X.maps):
-            M = X.maps[idx]
-            if any(d not in (0, 1) for d in linalg.invariant_factors(M)):
-                raise InputError(
-                    f"graded piece at stage {n} has torsion; only split filtrations are supported")
-            out[n] = X.ranks[idx] - X.ranks[idx + 1]
-        else:
-            out[n] = X.ranks[idx]
+    for i, rows in enumerate(X.maps):
+        if any(d != 1 for d in linalg.invariant_factors(rows)):
+            raise InputError(f"graded piece at stage {X.n_min + i} has torsion; "
+                             "only split filtrations are supported")
+    out = {X.n_min + i: r - s for i, (r, s) in enumerate(zip(X.ranks, X.ranks[1:] + [0]))}
     if sum(out.values()) != X.ranks[0]:
         raise FalsificationError(
             f"graded ranks sum to {sum(out.values())}, not the rank {X.ranks[0]}")

@@ -242,7 +242,9 @@ class ChainComplex:
     is d from (q, w) to (q-1, w) as its list of columns, column j being
     the image of basis element j as {row index: coeff}.  Every column is
     checked against the ranks, and d(q) compose d(q+1) = 0 column by
-    column, for every weight at construction.
+    column, for every weight at construction.  The complex owns the
+    column lists it is given and keeps them as they are; nothing here
+    changes a column.
 
     The columns are the rows of the transpose, and a matrix and its
     transpose share their Smith form (U d V = D gives V^T d^T U^T = D),
@@ -259,7 +261,7 @@ class ChainComplex:
                 if len(cols) != self.rank(q, w) or any(
                         not 0 <= i < rows for col in cols for i in col):
                     raise InputError(f"differential at degree {q}, weight {w} has wrong shape")
-                self.diffs.setdefault(w, {})[q] = [dict(col) for col in cols]
+                self.diffs.setdefault(w, {})[q] = cols
         for w, qs in self.diffs.items():
             for q, cols in qs.items():
                 down = qs.get(q - 1)
@@ -279,7 +281,7 @@ class ChainComplex:
         invariant factors, and the torsion at (q, w) is the factors above 1
         of the differential arriving there.
         """
-        factors = {(q, w): linalg.sparse_invariant_factors(col.items() for col in cols)
+        factors = {(q, w): linalg.invariant_factors(cols)
                    for w, qs in self.diffs.items() for q, cols in qs.items()}
         out = {}
         for w, qs in self.ranks.items():
@@ -439,7 +441,7 @@ class _Window:
             if (q - 1, w) in self.strands:
                 diffs.setdefault(w, {})[q] = [{place[t]: c for t, c in cols[i].items()}
                                               for i in ids]
-        del cols  # freed before the complex copies its columns
+        del cols  # freed before the complex checks its columns
         return ChainComplex(ranks, diffs)
 
 

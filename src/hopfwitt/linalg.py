@@ -9,10 +9,8 @@ unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
 (Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
-MODULUS_BITS_LIMIT bits is refused.  The elimination reads each row as
-its (column, entry) pairs, so sparse_invariant_factors takes the items of
-{column: entry} dicts and the dense routines, on lists of row lists, the
-enumerated rows.
+MODULUS_BITS_LIMIT bits is refused.  Every routine takes the same
+{column: entry} rows; only the small core is held dense, internally.
 """
 
 from __future__ import annotations
@@ -21,20 +19,10 @@ import heapq
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import InputError, bound_overflow
+from .errors import bound_overflow
 
 Matrix = list[list[int]]
 Row = dict[int, int]
-Pairs = Iterable[tuple[int, int]]
-
-
-def shape(A: Matrix) -> tuple[int, int]:
-    if not A:
-        return (0, 0)
-    cols = len(A[0])
-    if any(len(r) != cols for r in A):
-        raise InputError("ragged matrix")
-    return (len(A), cols)
 
 
 def add_scaled(row: Row, q: int, other: Row) -> None:
@@ -147,22 +135,20 @@ def echelon_solve(H: list[Row], vectors: Iterable[Row]) -> list[Row] | None:
 MODULUS_BITS_LIMIT = 1024
 
 
-def _unit_pivot_core(rows: Iterable[Pairs]) -> tuple[int, Matrix]:
+def _unit_pivot_core(rows: Iterable[Row]) -> tuple[int, Matrix]:
     """Unit-pivot sparse elimination: the number of unit pivots and the core.
 
-    Each row, given by its (column, entry) pairs, becomes a {column: entry}
-    dict of its nonzero entries; they are taken sparsest first.  Each row
-    is reduced by
-    the pivot rows and becomes a pivot on one of its +-1 entries if it has
-    one, else it joins the core; passes repeat until one adds no pivot, so
-    the core is zero in every pivot column.  The pivot rows restricted to
-    their pivot columns are unitriangular, so SNF(A) is an identity block
-    beside SNF(core).  The core comes back dense on the columns where it is
-    nonzero.
+    Each row is copied without its zero entries, and the copies are taken
+    sparsest first.  Each row is reduced by the pivot rows and becomes a
+    pivot on one of its +-1 entries if it has one, else it joins the
+    core; passes repeat until one adds no pivot, so the core is zero in
+    every pivot column.  The pivot rows restricted to their pivot columns
+    are unitriangular, so SNF(A) is an identity block beside SNF(core).
+    The core comes back dense on the columns where it is nonzero.
     """
     pivots: list[tuple[int, dict[int, int]]] = []
     order: dict[int, int] = {}
-    core = sorted(({j: x for j, x in row if x} for row in rows), key=len)
+    core = sorted(({j: x for j, x in row.items() if x} for row in rows), key=len)
     grew = True
     while grew:
         grew = False
@@ -321,24 +307,17 @@ def _divisor_chain(diag: list[int]) -> list[int]:
     return d
 
 
-def rank(A: Matrix) -> int:
-    """Unit pivots plus the Bareiss rank of the core."""
-    shape(A)
-    units, core = _unit_pivot_core(map(enumerate, A))
+def rank(rows: Iterable[Row]) -> int:
+    """Rank of the {column: entry} rows: unit pivots plus the Bareiss rank
+    of the core."""
+    units, core = _unit_pivot_core(rows)
     return units + _bareiss(core)[0]
 
 
-def invariant_factors(A: Matrix) -> list[int]:
-    """The nonzero invariant factors of the dense matrix A, each dividing
-    the next: sparse_invariant_factors of its enumerated rows."""
-    shape(A)
-    return sparse_invariant_factors(map(enumerate, A))
-
-
-def sparse_invariant_factors(rows: Iterable[Pairs]) -> list[int]:
-    """The nonzero invariant factors of the matrix whose rows are given by
-    their (column, entry) pairs, such as the items of a {column: entry}
-    dict, each dividing the next; zero entries may be left out.
+def invariant_factors(rows: Iterable[Row]) -> list[int]:
+    """The nonzero invariant factors of the {column: entry} rows, each
+    dividing the next.  A matrix and its transpose share them, so the
+    rows may as well be the columns.
 
     Unit pivots give the factors 1.  For the core of rank r with a nonzero
     r x r minor D, the first r invariant factors of L + D*Z^n are those of

@@ -1,20 +1,31 @@
 """Dense and transform-tracking integer linear algebra, kept as a test oracle.
 
 The library computes ranks and invariant factors without transforms and
-keeps every lattice as sparse {column: entry} rows; these slower textbook
-routes on lists of row lists (the dense Euclid Hermite form, sympy's
-Hermite form, a Smith form carrying U and V, integer solving and kernels
-through it, column-lattice comparison through the HNF) check it
-independently.  The column route of
-filtered modules, stage embeddings composed from the structure maps and
-the Day tensor glued from Kronecker blocks, checks the row stages the
-library keeps.
+keeps every lattice and structure map as sparse {column: entry} rows;
+these slower textbook routes on lists of row lists (the dense Euclid
+Hermite form, sympy's Hermite form, a Smith form carrying U and V,
+integer solving and kernels through it, column-lattice comparison
+through the HNF) check it independently.  The column route of filtered
+modules, stage embeddings composed from the structure matrices of the
+JSON form and the Day tensor glued from Kronecker blocks, checks the row
+stages the library keeps.
 """
 
 from __future__ import annotations
 
+import json
+
 from hopfwitt.errors import InputError
-from hopfwitt.linalg import Matrix, Row, shape
+from hopfwitt.linalg import Matrix, Row
+
+
+def shape(A: Matrix) -> tuple[int, int]:
+    if not A:
+        return (0, 0)
+    cols = len(A[0])
+    if any(len(r) != cols for r in A):
+        raise InputError("ragged matrix")
+    return (len(A), cols)
 
 
 def identity(n: int) -> Matrix:
@@ -294,9 +305,10 @@ def hstack(blocks: list[Matrix], rows: int) -> Matrix:
 def embeddings(X) -> list[Matrix]:
     """The matrix of each stage of the FilteredModule X inside its
     underlying module, from n_min to n_max, its columns spanning the
-    stage: each the one before times the structure map."""
+    stage: each the one before times the structure map, read from the
+    JSON form."""
     out = [identity(X.ranks[0])]
-    for M in X.maps:
+    for M in json.loads(X.to_json())["maps"]:
         out.append(mat_mul(out[-1], M))
     return out
 

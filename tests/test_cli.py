@@ -155,17 +155,43 @@ class TestExitCodes:
         ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[1]}', "maps[0]"),
         ('{"n_min":0,"n_max":0,"maps":[]}', "ranks"),
         ("[" * 100000 + "]" * 100000, "recursion depth"),
+        ('{"n_min":0,"n_max":1,"ranks":[2,1],"maps":[[[1],[2,3]]]}', ": ragged matrix\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[[[1],[2]]]}',
+         ": structure map 0 has shape 2x1, expected 1x1\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,2],"maps":[[[0]]]}',
+         ": structure map 0 has shape 1x1, expected 1x2\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[0,2],"maps":[[]]}',
+         ": structure map 0 has shape 0x0, expected 0x2\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,1],"maps":[[[0]]]}',
+         ": structure map into stage 0 is not injective\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[1,2],"maps":[[[1,1]]]}',
+         ": structure map into stage 0 is not injective\n"),
     ], ids=["float-entry", "bool-entry", "bool-rank", "string-n_min", "string-entry",
             "float-n_min", "negative-rank", "overflowing-n_max", "int-map", "missing-ranks",
-            "deep-nesting"])
+            "deep-nesting", "ragged-map", "tall-map", "short-map", "empty-map-into-rank-0",
+            "zero-map", "rank-one-map"])
     def test_bad_module_json_exits_two(self, payload, field, capsys):
         """A filtered module reads JSON integers only and nonnegative
-        ranks; anything else is one error line naming the field."""
+        ranks, and its structure maps are injective integer matrices of
+        the shape the ranks give; anything else is one error line naming
+        the field or the fault."""
         rc, out, err = run_cli(["filt", "gr", payload], capsys)
         assert (rc, out) == (2, "")
         assert err.startswith("error: bad filtered module JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert field in err
+
+    @pytest.mark.parametrize("payload,expected", [
+        ('{"n_min":0,"n_max":1,"ranks":[2,0],"maps":[[[],[]]]}',
+         '{"n_min":0,"n_max":2,"ranks":[4,0,0],"maps":[[[],[],[],[]],[]]}'),
+        ('{"n_min":0,"n_max":1,"ranks":[0,0],"maps":[[]]}',
+         '{"n_min":0,"n_max":2,"ranks":[0,0,0],"maps":[[],[]]}'),
+    ], ids=["rank-2-then-0", "rank-0"])
+    def test_tensor_square_with_zero_rank_stages(self, payload, expected, capsys):
+        """A map into or out of a rank-0 stage is written as one empty list
+        per row of its stage: 4x0 is [[],[],[],[]], 0x0 is []."""
+        rc, out, err = run_cli(["filt", "tensor", payload, payload], capsys)
+        assert (rc, out, err) == (0, expected + "\n", "")
 
     def test_bad_ring_spec(self, capsys):
         rc, _, err = run_cli(["witt", "ghost", "--trunc", "1", "--ring", "Q",

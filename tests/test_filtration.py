@@ -72,7 +72,13 @@ class TestFilteredModule:
 
     def test_non_injective_rejected(self):
         with pytest.raises(InputError):
-            FilteredModule(0, 1, [1, 1], [[[0]]])
+            FilteredModule(0, 1, [1, 1], [[{}]])
+
+    @pytest.mark.parametrize("maps", [[[{0: 1}, {0: 1}]], [[]], [[{1: 1}]], [[{-1: 1}]]],
+                             ids=["two-rows", "no-row", "past-the-end", "negative"])
+    def test_coordinate_rows_of_the_wrong_shape_rejected(self, maps):
+        with pytest.raises(InputError, match="structure map 0 is not 1 coordinate rows in rank 1"):
+            FilteredModule(0, 1, [1, 1], maps)
 
     def test_from_lattices_containment_enforced(self):
         with pytest.raises(InputError):
@@ -160,7 +166,8 @@ class TestFromLatticesAgainstOracle:
             with pytest.raises(InputError, match=f"stage {stage} is not contained in stage {stage - 1}"):
                 FilteredModule.from_lattices(r, n_min, rows)
         else:
-            assert FilteredModule.from_lattices(r, n_min, rows).maps == expected
+            X = FilteredModule.from_lattices(r, n_min, rows)
+            assert json.loads(X.to_json())["maps"] == expected
 
 
 def _random_module(rng, kind):
@@ -211,7 +218,7 @@ class TestAssociatedGraded:
 
     def test_torsion_rejected(self):
         # Z containing 2Z containing 0 has a torsion quotient
-        X = FilteredModule(0, 1, [1, 1], [[[2]]])
+        X = FilteredModule(0, 1, [1, 1], [[{0: 2}]])
         with pytest.raises(InputError, match="torsion"):
             associated_graded(X)
 
@@ -334,6 +341,38 @@ class TestSparseStages:
                                         for n in range(10)}
         # the maps from_lattices reads off pass the checks of the constructor
         assert FilteredModule(T.n_min, T.n_max, T.ranks, T.maps) == T
+
+    def test_structure_maps_reach_linalg_as_coordinate_rows(self, monkeypatch):
+        """From from_json through the Day tensor to associated_graded, every
+        row handed to linalg's rank, invariant_factors, row_hnf and
+        echelon_solve is a {column: entry} dict without zeros, and linalg
+        keeps no entry point for a dense matrix."""
+        for name in ("shape", "sparse_invariant_factors", "Pairs"):
+            assert not hasattr(linalg, name)
+        handed = []
+
+        def sparse(name, rows):
+            rows = list(rows)
+            if not all(type(row) is dict and all(row.values()) for row in rows):
+                pytest.fail(f"{name} was handed a dense row")
+            handed.append(name)
+            return rows
+
+        for name in ("rank", "invariant_factors", "row_hnf"):
+            monkeypatch.setattr(linalg, name, lambda rows, name=name, real=getattr(linalg, name):
+                                real(sparse(name, rows)))
+        real_solve = linalg.echelon_solve
+        monkeypatch.setattr(linalg, "echelon_solve", lambda H, vs: real_solve(
+            sparse("echelon_solve", H), sparse("echelon_solve", vs)))
+        # the JSON matrices hold zeros, which the coordinate rows leave out
+        X = FilteredModule.from_json(
+            '{"n_min":0,"n_max":2,"ranks":[3,2,1],"maps":[[[0,0],[1,0],[0,1]],[[0],[1]]]}')
+        assert X.maps == [[{1: 1}, {2: 1}], [{1: 1}]]
+        assert handed == ["rank", "rank"]
+        T = day_tensor(X, X)
+        assert associated_graded(T) == {n: min(n, 4 - n) + 1 for n in range(5)}
+        assert set(handed) == {"rank", "invariant_factors", "row_hnf", "echelon_solve"}
+        assert handed.count("invariant_factors") == len(T.maps)
 
 
 def _presentation_json_matches(P):
