@@ -25,9 +25,13 @@ d(word j) as {row index: coeff}: a bar column has at most len(word) - 1
 entries and a cobar column one per split, so no dense matrix is formed.
 Both conventions are certified by the d*d = 0 check every ChainComplex
 runs at construction, column by column.  Homology is computed by Smith
-normal form, so free ranks and torsion are exact.  Bar homology of a
-commutative algebra carries the shuffle product, with signs again on
-shifted degrees.
+normal form, so free ranks and torsion are exact.  Each weight goes from
+the top degree down, and the Smith form of d(q) skips the q-cells that
+are unit-pivot columns of d(q+1)'s elimination (clearing): each is the
++-1 entry of a boundary, and d(q) kills boundaries, so its image, and
+every nonzero invariant factor, is the same without them.  Bar homology
+of a commutative algebra carries the shuffle product, with signs again
+on shifted degrees.
 """
 
 from __future__ import annotations
@@ -248,7 +252,8 @@ class ChainComplex:
 
     The columns are the rows of the transpose, and a matrix and its
     transpose share their Smith form (U d V = D gives V^T d^T U^T = D),
-    so homology hands the columns to the Smith form as they are.
+    so homology hands the columns to the Smith form as they are, less
+    the columns of the cells the differential above clears.
     """
 
     def __init__(self, ranks: dict[int, dict[int, int]],
@@ -280,9 +285,25 @@ class ChainComplex:
         One Smith form per differential: its rank is the number of nonzero
         invariant factors, and the torsion at (q, w) is the factors above 1
         of the differential arriving there.
+
+        Each weight is taken from the top degree down, and d(q) skips the
+        q-cells that are unit-pivot columns of d(q+1)'s elimination
+        (clearing, Chen-Kerber).  Those pivot rows are boundaries,
+        unitriangular on their cells, and d(q) kills every boundary, so
+        the image of each skipped cell lies in the span of the images of
+        the kept ones: the image lattice, and so every nonzero invariant
+        factor, is that of the whole of d(q).  A degree without d(q+1)
+        skips nothing.
         """
-        factors = {(q, w): linalg.invariant_factors(cols)
-                   for w, qs in self.diffs.items() for q, cols in qs.items()}
+        factors = {}
+        for w, qs in self.diffs.items():
+            cleared: set[int] = set()
+            for q in sorted(qs, reverse=True):
+                cols = qs[q]
+                if q + 1 in qs:
+                    cols = [col for j, col in enumerate(cols) if j not in cleared]
+                cleared = set()
+                factors[(q, w)] = linalg.invariant_factors(cols, cleared)
         out = {}
         for w, qs in self.ranks.items():
             for q, r in qs.items():
@@ -327,7 +348,7 @@ class _Window:
     place order, with no sort.  Word i has its prefix's id prefix[i], its
     last letter last[i], its degree[i] and weight[i], and place[i] in its
     strand (None outside the window); ext[(i, a)] is the id of word i
-    followed by letter a.
+    followed by letter a, until complex() takes it.
 
     A word is visited when its length is at most max_len and its weight
     (all letter weights of one strict sign), or else its bounded degree
@@ -408,8 +429,10 @@ class _Window:
     def complex(self, joins) -> ChainComplex:
         """The complex on the strands, d of degree -1, each column built
         from the column of the word's prefix: d(v|a) is d(v)|a plus the
-        faces joining v's end to a, which joins(v, a) gives as
-        (target id, coeff) pairs with their signs."""
+        faces joining v's end to a, which joins(ext, v, a) gives as
+        (target id, coeff) pairs with their signs.  The window's ext is
+        taken, and freed once the columns are built, before they are
+        moved to place indices and checked."""
         # A face of a visited word is visited, so it has an id: a bar face
         # keeps the weight and is one letter shorter, so the pruned weight or
         # the length bound admits it; a cobar face keeps the weight and, with
@@ -419,6 +442,7 @@ class _Window:
         # below.  So each column is held to the visited words, and every
         # column that is read is whole.
         ext, place = self.ext, self.place
+        del self.ext
         cols: list[Column] = [{}]
         for i in range(1, len(self.prefix)):
             a = self.last[i]
@@ -427,13 +451,14 @@ class _Window:
                 t = ext.get((u, a))
                 if t is not None:
                     col[t] = c
-            for t, c in joins(self.prefix[i], a):
+            for t, c in joins(ext, self.prefix[i], a):
                 s = col.get(t, 0) + c
                 if s:
                     col[t] = s
                 else:
                     col.pop(t, None)
             cols.append(col)
+        del ext
         ranks: dict[int, dict[int, int]] = {}
         diffs: dict[int, dict[int, list[Column]]] = {}
         for (q, w), ids in self.strands.items():
@@ -470,14 +495,14 @@ def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
 def _bar_window(A: GradedAugmentedAlgebra, stages: int,
                 weight_bound: int) -> tuple[_Window, ChainComplex]:
     W = _Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)
-    prefix, last, degree, ext = W.prefix, W.last, W.degree, W.ext
+    prefix, last, degree = W.prefix, W.last, W.degree
     ideal = A.augmentation_ideal()
     # (u|b)|a merges b and a at sign exponent deg(u) + |b| + 1
     merges = {(b, a): [(k, c if A.bidegree[b][0] % 2 else -c)
                        for k, c in A.reduced_product(b, a).items()]
               for b in ideal for a in ideal if A.reduced_product(b, a)}
 
-    def joins(v, a):
+    def joins(ext, v, a):
         m = merges.get((last[v], a))
         if m is None:
             return ()
@@ -517,12 +542,12 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
     weight_bound."""
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
-    degree, ext = W.degree, W.ext
+    degree = W.degree
     # v|c splits c into a|b at sign exponent deg(v) + |a|
     splits = {c: [(a, b, -x if C.bidegree[a][0] % 2 else x)
                   for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
 
-    def joins(v, c):
+    def joins(ext, v, c):
         sign = -1 if degree[v] % 2 else 1
         out = []
         for a, b, x in splits[c]:

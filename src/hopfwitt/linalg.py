@@ -9,8 +9,10 @@ unit-pivot sparse elimination (Dumas-Saunders-Villard), then, on the
 small core it leaves, fraction-free Bareiss elimination for the rank and
 a nonzero maximal minor D, and a Smith form computed modulo D
 (Domich-Kannan-Trotter), so no entry outgrows D.  A modulus over
-MODULUS_BITS_LIMIT bits is refused.  Every routine takes the same
-{column: entry} rows; only the small core is held dense, internally.
+MODULUS_BITS_LIMIT bits is refused.  invariant_factors can report its
+unit-pivot columns, the cells homology clears in the differential
+below.  Every routine takes the same {column: entry} rows; only the
+small core is held dense, internally.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def echelon_solve(H: list[Row], vectors: Iterable[Row]) -> list[Row] | None:
 MODULUS_BITS_LIMIT = 1024
 
 
-def _unit_pivot_core(rows: Iterable[Row]) -> tuple[int, Matrix]:
-    """Unit-pivot sparse elimination: the number of unit pivots and the core.
+def _unit_pivot_core(rows: Iterable[Row]) -> tuple[list[int], Matrix]:
+    """Unit-pivot sparse elimination: the unit-pivot columns and the core.
 
     Each row is copied without its zero entries, and the copies are taken
     sparsest first.  Each row is reduced by the pivot rows and becomes a
@@ -164,7 +166,7 @@ def _unit_pivot_core(rows: Iterable[Row]) -> tuple[int, Matrix]:
                 rest.append(row)
         core = rest
     cols = sorted({j for row in core for j in row})
-    return len(pivots), [[row.get(j, 0) for j in cols] for row in core]
+    return [col for col, _ in pivots], [[row.get(j, 0) for j in cols] for row in core]
 
 
 def _reduce(row: Row, pivots: list, order: dict[int, int], coords: Row | None = None) -> None:
@@ -311,13 +313,16 @@ def rank(rows: Iterable[Row]) -> int:
     """Rank of the {column: entry} rows: unit pivots plus the Bareiss rank
     of the core."""
     units, core = _unit_pivot_core(rows)
-    return units + _bareiss(core)[0]
+    return len(units) + _bareiss(core)[0]
 
 
-def invariant_factors(rows: Iterable[Row]) -> list[int]:
+def invariant_factors(rows: Iterable[Row], unit_cols: set[int] | None = None) -> list[int]:
     """The nonzero invariant factors of the {column: entry} rows, each
     dividing the next.  A matrix and its transpose share them, so the
-    rows may as well be the columns.
+    rows may as well be the columns.  The unit-pivot columns are added
+    to unit_cols when it is given, one per leading factor 1 (the core may
+    give more); the pivot rows, integer combinations of the rows, are
+    unitriangular on them.
 
     Unit pivots give the factors 1.  For the core of rank r with a nonzero
     r x r minor D, the first r invariant factors of L + D*Z^n are those of
@@ -326,10 +331,12 @@ def invariant_factors(rows: Iterable[Row]) -> list[int]:
     MODULUS_BITS_LIMIT bits is refused.
     """
     units, core = _unit_pivot_core(rows)
+    if unit_cols is not None:
+        unit_cols.update(units)
     r, D = _bareiss([row[:] for row in core])
     if D.bit_length() > MODULUS_BITS_LIMIT:
         raise bound_overflow("the Smith form modulus", f"{D.bit_length()} bits",
                              "linalg.MODULUS_BITS_LIMIT", MODULUS_BITS_LIMIT)
     core_factors = _divisor_chain(_diagonal_mod(core, D)) if D > 1 else []
-    return [1] * units + (core_factors + [D] * r)[:r]
+    return [1] * len(units) + (core_factors + [D] * r)[:r]
 

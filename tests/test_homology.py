@@ -486,26 +486,34 @@ class TestWindowStrands:
 
 
 def _random_complex(data):
-    """Degrees 0..3 in weight 0, each differential built from the left
-    kernel of the one above it, so d*d = 0; the complex takes the
-    columns of each."""
-    ranks = [data.draw(st.integers(0, 4)) for _ in range(4)]
+    """Degrees 0..4 in weights 0 and 1, each differential built from the
+    left kernel of the one above it, so d*d = 0, and drawn with torsion:
+    a factor of 2 or 3 multiplies some of them, and the kernel
+    combinations need not be primitive.  In each weight one drawn degree
+    may have no differential, a zero map, so the one below it is drawn
+    freely.  The complex takes the columns of each."""
     entries = st.integers(-3, 3)
-    diffs = {}
-    for q in (3, 2, 1):
-        rows, cols = ranks[q - 1], ranks[q]
-        if not rows or not cols:
-            continue
-        up = diffs.get(q + 1)
-        if up is None:
-            M = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
-        else:
-            K = oracle.kernel_basis(oracle.transpose(up))
-            M = [[sum(c * v[j] for c, v in zip(coeffs, K)) for j in range(cols)]
-                 for coeffs in ([data.draw(entries) for _ in K] for _ in range(rows))]
-        diffs[q] = M
-    columns = {q: oracle.columns(M) for q, M in diffs.items()}
-    return ranks, ChainComplex({0: {q: r for q, r in enumerate(ranks) if r}}, {0: columns})
+    ranks, columns = {}, {}
+    for w in (0, 1):
+        rk = [data.draw(st.integers(0, 4)) for _ in range(5)]
+        missing = data.draw(st.sampled_from([None, 2, 3, 4]))
+        diffs = {}
+        for q in (4, 3, 2, 1):
+            rows, cols = rk[q - 1], rk[q]
+            if not rows or not cols or q == missing:
+                continue
+            up = diffs.get(q + 1)
+            scale = data.draw(st.sampled_from([1, 1, 2, 3]))
+            if up is None:
+                M = [[scale * data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+            else:
+                K = oracle.kernel_basis(oracle.transpose(up))
+                M = [[scale * sum(c * v[j] for c, v in zip(coeffs, K)) for j in range(cols)]
+                     for coeffs in ([data.draw(entries) for _ in K] for _ in range(rows))]
+            diffs[q] = M
+        ranks[w] = {q: r for q, r in enumerate(rk) if r}
+        columns[w] = {q: oracle.columns(M) for q, M in diffs.items()}
+    return ChainComplex(ranks, columns)
 
 
 def _sympy_rank(M):
@@ -526,6 +534,25 @@ def _sympy_torsion(M):
     return sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if abs(S[i, i]) > 1)
 
 
+def _homology_from_factors(C, factors):
+    """Free ranks and torsion from the nonzero invariant factors of each
+    differential, {(q, w): factors}."""
+    out = {}
+    for w, qs in C.ranks.items():
+        for q, r in qs.items():
+            if r:
+                here, up = factors.get((q, w), []), factors.get((q + 1, w), [])
+                out[(q, w)] = (r - len(here) - len(up), [d for d in up if d > 1])
+    return out
+
+
+def _per_differential_homology(C):
+    """Homology from one Smith form of each whole differential, every
+    cell kept: the route ChainComplex.homology takes without clearing."""
+    return _homology_from_factors(C, {(q, w): linalg.invariant_factors(cols)
+                                      for w, qs in C.diffs.items() for q, cols in qs.items()})
+
+
 class TestHomologyInvariants:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -533,21 +560,28 @@ class TestHomologyInvariants:
         """Free rank and torsion against sympy's rank and Smith form of the
         dense differentials, a route that shares no code with homology()."""
         pytest.importorskip("sympy")
-        ranks, C = _random_complex(data)
+        C = _random_complex(data)
         H = C.homology()
-        for q, r in enumerate(ranks):
-            if not r:
-                continue
-            d_here, d_up = _dense_differential(C, q, 0), _dense_differential(C, q + 1, 0)
-            free = r - _sympy_rank(d_here) - _sympy_rank(d_up)
-            assert H[(q, 0)] == (free, _sympy_torsion(d_up))
+        for w, qs in C.ranks.items():
+            for q, r in qs.items():
+                d_here, d_up = _dense_differential(C, q, w), _dense_differential(C, q + 1, w)
+                free = r - _sympy_rank(d_here) - _sympy_rank(d_up)
+                assert H[(q, w)] == (free, _sympy_torsion(d_up))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_clearing_matches_one_smith_form_per_differential(self, data):
+        """Skipping the cells the differential above clears leaves every
+        rank and torsion factor as the whole differentials give them."""
+        C = _random_complex(data)
+        assert C.homology() == _per_differential_homology(C)
 
     def test_one_smith_form_per_differential(self, monkeypatch):
         C = bar_complex(_truncated_poly(3), 5, 5)
         calls = []
         real = linalg.invariant_factors
         monkeypatch.setattr(linalg, "invariant_factors",
-                            lambda rows: calls.append(rows) or real(rows))
+                            lambda rows, unit_cols: calls.append(rows) or real(rows, unit_cols))
         monkeypatch.setattr(linalg, "row_hnf", lambda M: pytest.fail("HNF in homology()"))
         C.homology()
         assert len(calls) == sum(len(qs) for qs in C.diffs.values())
@@ -573,13 +607,7 @@ def _oracle_homology(C):
         for q in qs:
             D, _, _ = oracle.smith_normal_form(_dense_differential(C, q, w))
             diag[(q, w)] = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
-    out = {}
-    for w, qs in C.ranks.items():
-        for q, r in qs.items():
-            if r:
-                here, up = diag.get((q, w), []), diag.get((q + 1, w), [])
-                out[(q, w)] = (r - len(here) - len(up), [d for d in up if d > 1])
-    return out
+    return _homology_from_factors(C, diag)
 
 
 ORACLE_CASES = {

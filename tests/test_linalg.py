@@ -1,5 +1,6 @@
 """Integer matrix routines checked against hand values and sympy."""
 
+import itertools
 import math
 import random
 
@@ -348,6 +349,40 @@ class TestInvariantsBeyondTheOracle:
                 assert math.prod(factors) == abs(int(det))
             else:
                 assert len(factors) < 60
+
+
+class TestUnitPivotColumns:
+    """The unit-pivot columns invariant_factors reports, on which
+    ChainComplex.homology skips cells: distinct, one per leading factor 1
+    (the core left by the unit pivots, such as the row (2, 3), may give
+    more), and a block of the rows on them with determinant +-1, since
+    the pivot rows come from the rows that became pivots by a
+    unitriangular change of rows and are unitriangular on their pivot
+    columns."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32),
+           st.sampled_from(["signs", "small", "product"]))
+    def test_distinct_counted_and_unimodular(self, r, c, seed, kind):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        A = {"signs": lambda: _sparse_signs(rng, r, c, 0.5),
+             "small": lambda: _random_matrix(rng, r, c, -3, 3),
+             "product": lambda: _low_rank_product(rng, r, c, min(r, c) - 1)}[kind]()
+        cols: set[int] = set()
+        factors = linalg.invariant_factors(oracle.sparse_rows(A), cols)
+        assert factors == linalg.invariant_factors(oracle.sparse_rows(A))
+        units, core = linalg._unit_pivot_core(oracle.sparse_rows(A))
+        assert len(set(units)) == len(units) and set(units) == cols <= set(range(c))
+        assert factors == [1] * len(cols) + linalg.invariant_factors(oracle.sparse_rows(core))
+        P = sorted(cols)
+        assert any(abs(sympy.Matrix([[A[i][j] for j in P] for i in S]).det()) == 1
+                   for S in itertools.combinations(range(r), len(P)))
+
+    def test_adds_to_the_set_given(self):
+        cols = {7}
+        assert linalg.invariant_factors([{0: 2, 1: 1}, {0: 4, 1: 2}, {2: 3}], cols) == [1, 3]
+        assert cols == {7, 1}
 
 
 class TestOneRoute:
