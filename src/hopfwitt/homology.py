@@ -12,19 +12,23 @@ Koszul signs on shifted degrees:
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
 The words of a window are walked once, by length over the sorted
-letters, and numbered, so each strand comes out in its (length, word)
-place order.  A word's column is its prefix's column with the new letter
-appended to every term, plus the faces at the join:
+letters, and each gets a place in its (degree, weight) group, so each
+strand comes out in its (length, word) place order.  For each group and
+letter the walk keeps a table from a word's place to the place of its
+one-letter extension.  A word's column is built in place coordinates:
+its prefix's column with every term moved by the table of the new
+letter, plus the faces at the join, found through the same tables:
 d(v|a) = d(v)|a +- (v'|last(v).a) in the bar and
-d(v|c) = d(v)|c +- v|diag(c) in the cobar, every target found by id.
-bar_differential_word and cobar_differential_word give the face sum of
-one word; the tests use them as oracles.
+d(v|c) = d(v)|c +- v|diag(c) in the cobar.  bar_differential_word and
+cobar_differential_word give the face sum of one word; the tests use
+them as oracles.
 
 Each differential is stored as its list of columns, column j being
 d(word j) as {row index: coeff}: a bar column has at most len(word) - 1
 entries and a cobar column one per split, so no dense matrix is formed.
 Both conventions are certified by the d*d = 0 check every ChainComplex
-runs at construction, column by column.  Homology is computed by Smith
+runs at construction, column by column, which also checks each row
+index as it reads it.  Homology is computed by Smith
 normal form, so free ranks and torsion are exact.  Each weight goes from
 the top degree down, and the Smith form of d(q) skips the q-cells that
 are unit-pivot columns of d(q+1)'s elimination (clearing): each is the
@@ -244,11 +248,12 @@ class ChainComplex:
 
     ranks[w][q] is the rank in total degree q and weight w; diffs[w][q]
     is d from (q, w) to (q-1, w) as its list of columns, column j being
-    the image of basis element j as {row index: coeff}.  Every column is
-    checked against the ranks, and d(q) compose d(q+1) = 0 column by
-    column, for every weight at construction.  The complex owns the
-    column lists it is given and keeps them as they are; nothing here
-    changes a column.
+    the image of basis element j as {row index: coeff}.  At construction,
+    in every weight, the column counts are checked against the ranks, and
+    d(q-1) d(q) = 0 column by column, each row index of d(q) checked as
+    that composition reads it; a wrong shape is raised before any
+    d*d != 0.  The complex owns the column lists it is given and keeps
+    them as they are; nothing here changes a column.
 
     The columns are the rows of the transpose, and a matrix and its
     transpose share their Smith form (U d V = D gives V^T d^T U^T = D),
@@ -260,18 +265,33 @@ class ChainComplex:
                  diffs: dict[int, dict[int, list[Column]]]):
         self.ranks = {w: dict(qs) for w, qs in ranks.items()}
         self.diffs: dict[int, dict[int, list[Column]]] = {}
+        # Degrees go up, so d(q-1) is checked before d(q) is composed with
+        # it, and each entry of d(q) is read once, its row checked as it
+        # picks the column of d(q-1); d*d != 0 is raised only once every
+        # shape has passed.
+        failed = None
         for w, qs in diffs.items():
-            for q, cols in qs.items():
-                rows = self.rank(q - 1, w)
-                if len(cols) != self.rank(q, w) or any(
-                        not 0 <= i < rows for col in cols for i in col):
-                    raise InputError(f"differential at degree {q}, weight {w} has wrong shape")
+            for q in sorted(qs):
+                cols, down, rows = qs[q], qs.get(q - 1), self.rank(q - 1, w)
+                if len(cols) != self.rank(q, w):
+                    raise _wrong_shape(q, w)
                 self.diffs.setdefault(w, {})[q] = cols
-        for w, qs in self.diffs.items():
-            for q, cols in qs.items():
-                down = qs.get(q - 1)
-                if down is not None and any(any(_apply(down, col).values()) for col in cols):
-                    raise FalsificationError(f"d*d != 0 at degree {q}, weight {w}")
+                if down is None:
+                    if any(not 0 <= i < rows for col in cols for i in col):
+                        raise _wrong_shape(q, w)
+                    continue
+                for col in cols:
+                    out: Column = {}
+                    for j, a in col.items():
+                        if not 0 <= j < rows:
+                            raise _wrong_shape(q, w)
+                        for i, c in down[j].items():
+                            out[i] = out.get(i, 0) + a * c
+                    if failed is None and any(out.values()):
+                        failed = (q, w)
+        if failed is not None:
+            q, w = failed
+            raise FalsificationError(f"d*d != 0 at degree {q}, weight {w}")
 
     def rank(self, q: int, w: int) -> int:
         return self.ranks.get(w, {}).get(q, 0)
@@ -315,6 +335,10 @@ class ChainComplex:
         return out
 
 
+def _wrong_shape(q: int, w: int) -> InputError:
+    return InputError(f"differential at degree {q}, weight {w} has wrong shape")
+
+
 def _apply(cols: list[Column], v: Column) -> Column:
     """The image sum_j v[j] * cols[j], zero entries included."""
     out: Column = {}
@@ -344,18 +368,25 @@ class _Window:
     A word's degree sums its letters' degrees plus shift (+1 bar, -1
     cobar) each.  The walk goes once, by length, over the letters in
     sorted order, so within a length the words come in lexicographic
-    order and each strand lists its words in (length, word) order, their
-    place order, with no sort.  Word i has its prefix's id prefix[i], its
-    last letter last[i], its degree[i] and weight[i], and place[i] in its
-    strand (None outside the window); ext[(i, a)] is the id of word i
-    followed by letter a, until complex() takes it.
+    order.  Every visited word has a group g, its (degree, weight) keys[g]
+    (index[key] is g), and a place in it: the group lists its ids in
+    (length, word) order, their place order, with no sort.  Word i has
+    its prefix's id prefix[i], its last letter last[i], its group[i] and
+    its place[i].  The strands are the groups inside the window, by key,
+    each as its list of ids.
+
+    A word's room, the letters it extends by, depends only on its group,
+    so the walk plans each group once.  ext[g][a] is the table of group g
+    and letter a: entry p is the place of word p of g followed by a, in
+    its own group.  The words of g that the walk extends are its first
+    places, those shorter than max_len, so each table covers them all.
 
     A word is visited when its length is at most max_len and its weight
     (all letter weights of one strict sign), or else its bounded degree
     (all shifted degrees of one strict sign), is within its bound.  That
     quantity moves away from zero with every letter, so the visited words
-    are closed under prefixes.  Every one-letter extension of a visited
-    word shorter than max_len counts against _TUPLE_CAP, visited or not.
+    are closed under prefixes.  Every word the walk forms is visited, and
+    counts against _TUPLE_CAP.
     """
 
     def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
@@ -374,50 +405,64 @@ class _Window:
                     "cannot bound cobar word length: letters need uniformly signed "
                     "weights or degrees uniformly away from one")
             bound = None
-        # along the pruned axis every letter moves one way, so a word with r
-        # left before its bound extends by exactly the letters moving at most r
-        fits: dict[int, list[tuple[str, int, int]]] = {}
         prefix: list[int] = [-1]
         last: list[str | None] = [None]
-        degree, weight = [0], [0]
-        pruned = weight if axis else degree
-        place: list[int | None] = [0]
-        ext: dict[tuple[int, str], int] = {}
-        strands: dict[tuple[int, int], list[int]] = {(0, 0): [0]}  # ids in place order
+        group, place = [0], [0]
+        keys = [(0, 0)]
+        members = [[0]]
+        index = {(0, 0): 0}
+        # per group, once extended: (letter, target group, its members, table)
+        plans: list[list[tuple[str, int, list[int], list[int]]] | None] = [None]
+        fits: dict[int, list[tuple[str, int, int]]] = {}  # room by what is left
+        ext: list[dict[str, list[int]]] = [{}]
         # ids are handed out in walk order, so each length is a range of ids
-        start, length, visited = 0, 0, 0
+        start, length = 0, 0
         while start < len(prefix) and length != max_len:
             end = len(prefix)
             for v in range(start, end):
-                visited += len(steps)
-                if visited > _TUPLE_CAP:
-                    raise bound_overflow("the word window", f"at least {visited} words",
+                g = group[v]
+                plan = plans[g]
+                if plan is None:
+                    # along the pruned axis every letter moves one way, so a
+                    # group with r left before its bound extends by exactly
+                    # the letters moving at most r
+                    d, w = keys[g]
+                    room = steps
+                    if bound is not None:
+                        r = bound - abs(keys[g][axis])
+                        room = fits.get(r)
+                        if room is None:
+                            room = fits[r] = [s for s in steps if abs(s[axis + 1]) <= r]
+                    plan = plans[g] = []
+                    for a, da, wa in room:
+                        key = (d + da, w + wa)
+                        h = index.get(key)
+                        if h is None:
+                            h = index[key] = len(keys)
+                            keys.append(key)
+                            members.append([])
+                            plans.append(None)
+                            ext.append({})
+                        table = ext[g][a] = []
+                        plan.append((a, h, members[h], table))
+                formed = len(prefix) - 1 + len(plan)
+                if formed > _TUPLE_CAP:
+                    raise bound_overflow("the word window", f"at least {formed} words",
                                          "homology._TUPLE_CAP", _TUPLE_CAP)
-                d, w = degree[v], weight[v]
-                room = steps
-                if bound is not None:
-                    r = bound - abs(pruned[v])
-                    room = fits.get(r)
-                    if room is None:
-                        room = fits[r] = [s for s in steps if abs(s[axis + 1]) <= r]
-                for a, da, wa in room:
-                    key = (d + da, w + wa)
-                    ext[v, a] = len(prefix)
-                    if abs(key[1]) <= weight_bound and (degree_bound is None
-                                                        or abs(key[0]) <= degree_bound):
-                        strand = strands.setdefault(key, [])
-                        place.append(len(strand))
-                        strand.append(len(prefix))
-                    else:
-                        place.append(None)
+                for a, h, ids, table in plan:
+                    p = len(ids)
+                    table.append(p)
+                    ids.append(len(prefix))
                     prefix.append(v)
                     last.append(a)
-                    degree.append(key[0])
-                    weight.append(key[1])
+                    group.append(h)
+                    place.append(p)
             start, length = end, length + 1
-        self.prefix, self.last, self.place = prefix, last, place
-        self.degree, self.weight = degree, weight
-        self.ext, self.strands = ext, strands
+        self.prefix, self.last, self.group, self.place = prefix, last, group, place
+        self.keys, self.index, self.ext = keys, index, ext
+        self.strands = {key: members[g] for g, key in enumerate(keys)
+                        if abs(key[1]) <= weight_bound
+                        and (degree_bound is None or abs(key[0]) <= degree_bound)}
 
     def words(self) -> dict[tuple[int, int], dict[tuple, int]]:
         """Each strand as {word: place}, iterating in place order."""
@@ -427,46 +472,47 @@ class _Window:
         return {key: {word[i]: j for j, i in enumerate(ids)} for key, ids in self.strands.items()}
 
     def complex(self, joins) -> ChainComplex:
-        """The complex on the strands, d of degree -1, each column built
-        from the column of the word's prefix: d(v|a) is d(v)|a plus the
-        faces joining v's end to a, which joins(ext, v, a) gives as
-        (target id, coeff) pairs with their signs.  The window's ext is
-        taken, and freed once the columns are built, before they are
-        moved to place indices and checked."""
-        # A face of a visited word is visited, so it has an id: a bar face
+        """The complex on the strands, d of degree -1, each column built in
+        place coordinates from the column of the word's prefix: d(v|a) is
+        d(v)|a, each term moved by the table of a on the group below v,
+        plus the faces joining v's end to a, which joins(v, a) gives as
+        (place, coeff) pairs with their signs, found through the same
+        tables.  Each strand hands the complex its words' columns as they
+        are."""
+        # A face of a visited word is visited, so it has a place: a bar face
         # keeps the weight and is one letter shorter, so the pruned weight or
         # the length bound admits it; a cobar face keeps the weight and, with
         # positive shifted letters, lowers a positive degree by one.  Only a
-        # degree bound on negative shifted letters loses cobar faces, those of
-        # words on the bound, which have no visited extension and no strand
-        # below.  So each column is held to the visited words, and every
-        # column that is read is whole.
-        ext, place = self.ext, self.place
-        del self.ext
+        # degree bound on negative shifted letters, or a length bound, loses
+        # cobar faces, those of words on the bound, which have no visited
+        # extension and no strand below.  So each column is held to the
+        # visited words, and every column that is read is whole.
+        prefix, last, group, index = self.prefix, self.last, self.group, self.index
+        below = [self.ext[index[d - 1, w]] if (d - 1, w) in index else {}
+                 for d, w in self.keys]
         cols: list[Column] = [{}]
-        for i in range(1, len(self.prefix)):
-            a = self.last[i]
-            col: Column = {}
-            for u, c in cols[self.prefix[i]].items():
-                t = ext.get((u, a))
-                if t is not None:
-                    col[t] = c
-            for t, c in joins(ext, self.prefix[i], a):
+        for i in range(1, len(prefix)):
+            v, a = prefix[i], last[i]
+            table = below[group[v]].get(a)
+            if table is None:
+                col: Column = {}
+            else:
+                n = len(table)
+                col = {table[u]: c for u, c in cols[v].items() if u < n}
+            for t, c in joins(v, a):
                 s = col.get(t, 0) + c
                 if s:
                     col[t] = s
                 else:
                     col.pop(t, None)
             cols.append(col)
-        del ext
         ranks: dict[int, dict[int, int]] = {}
         diffs: dict[int, dict[int, list[Column]]] = {}
         for (q, w), ids in self.strands.items():
             ranks.setdefault(w, {})[q] = len(ids)
             if (q - 1, w) in self.strands:
-                diffs.setdefault(w, {})[q] = [{place[t]: c for t, c in cols[i].items()}
-                                              for i in ids]
-        del cols  # freed before the complex checks its columns
+                diffs.setdefault(w, {})[q] = [cols[i] for i in ids]
+        del cols  # only the strands' columns are kept
         return ChainComplex(ranks, diffs)
 
 
@@ -495,20 +541,23 @@ def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
 def _bar_window(A: GradedAugmentedAlgebra, stages: int,
                 weight_bound: int) -> tuple[_Window, ChainComplex]:
     W = _Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)
-    prefix, last, degree = W.prefix, W.last, W.degree
+    prefix, last, group, place, ext = W.prefix, W.last, W.group, W.place, W.ext
+    odd = [d % 2 for d, _ in W.keys]
     ideal = A.augmentation_ideal()
-    # (u|b)|a merges b and a at sign exponent deg(u) + |b| + 1
-    merges = {(b, a): [(k, c if A.bidegree[b][0] % 2 else -c)
-                       for k, c in A.reduced_product(b, a).items()]
-              for b in ideal for a in ideal if A.reduced_product(b, a)}
+    # (u|b)|a merges b and a at sign exponent deg(u) + |b| + 1; the empty
+    # word has no last letter, and merges nothing
+    merges = {None: {}} | {b: {a: [(k, c if A.bidegree[b][0] % 2 else -c)
+                                   for k, c in A.reduced_product(b, a).items()]
+                               for a in ideal if A.reduced_product(b, a)} for b in ideal}
 
-    def joins(ext, v, a):
-        m = merges.get((last[v], a))
+    def joins(v, a):
+        m = merges[last[v]].get(a)
         if m is None:
             return ()
         u = prefix[v]
-        sign = -1 if degree[u] % 2 else 1
-        return [(ext[u, k], sign * c) for k, c in m]
+        tables, p = ext[group[u]], place[u]
+        sign = -1 if odd[group[u]] else 1
+        return [(tables[k][p], sign * c) for k, c in m]
 
     return W, W.complex(joins)
 
@@ -542,19 +591,29 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
     weight_bound."""
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
-    degree = W.degree
-    # v|c splits c into a|b at sign exponent deg(v) + |a|
-    splits = {c: [(a, b, -x if C.bidegree[a][0] % 2 else x)
-                  for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
+    group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext
+    splits = {c: [(a, b, x) for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
+    faces: dict[tuple[int, str], list[tuple[list[int], list[int], int]]] = {}
 
-    def joins(ext, v, c):
-        sign = -1 if degree[v] % 2 else 1
-        out = []
-        for a, b, x in splits[c]:
-            t = ext.get((v, a))
-            if t is not None and (t, b) in ext:
-                out.append((ext[t, b], sign * x))
-        return out
+    def joins(v, c):
+        # v|c splits c into a|b at sign exponent deg(v) + |a|; per group of
+        # v and letter c, the tables reaching v|a|b where the window has it
+        g = group[v]
+        plan = faces.get((g, c))
+        if plan is None:
+            plan = faces[g, c] = []
+            d, w = keys[g]
+            for a, b, x in splits[c]:
+                da, wa = C.bidegree[a]
+                first = ext[g].get(a)
+                if first is None:
+                    continue
+                second = ext[index[d + da - 1, w + wa]].get(b)
+                if second is not None:
+                    plan.append((first, second, -x if (d + da) % 2 else x))
+        p = place[v]
+        return [(second[t], x) for first, second, x in plan
+                if p < len(first) and (t := first[p]) < len(second)]
 
     return W.complex(joins)
 
@@ -627,15 +686,21 @@ class BarHomologyWindow:
             self._boundary_hnf[key] = linalg.row_hnf(up) if up else []
         return self._boundary_hnf[key]
 
+    def _cycle_parts(self, chain: Chain) -> dict[tuple[int, int], Column]:
+        """The chain split by strand; raises on a chain that is not a cycle
+        in every strand."""
+        parts = self._vectorize(chain)
+        for key, v in parts.items():
+            d = self.complex.differential(*key)
+            if d and any(_apply(d, v).values()):
+                raise InputError(f"chain is not a cycle in strand {key}")
+        return parts
+
     def reduce_cycle(self, chain: Chain) -> dict[tuple[int, int], tuple[int, ...]]:
         """Canonical form of a cycle modulo boundaries; raises on a
         chain that is not a cycle in every strand."""
         out = {}
-        for key, v in self._vectorize(chain).items():
-            q, w = key
-            d = self.complex.differential(q, w)
-            if d and any(_apply(d, v).values()):
-                raise InputError(f"chain is not a cycle in strand {key}")
+        for key, v in self._cycle_parts(chain).items():
             _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
             if red:
                 out[key] = tuple(red.get(i, 0) for i in range(len(self.strands[key])))
@@ -643,6 +708,6 @@ class BarHomologyWindow:
 
     def shuffle_classes(self, x: Chain, y: Chain) -> dict[tuple[int, int], tuple[int, ...]]:
         """Shuffle two cycles and reduce the result to canonical form."""
-        self.reduce_cycle(x)
-        self.reduce_cycle(y)
+        self._cycle_parts(x)
+        self._cycle_parts(y)
         return self.reduce_cycle(shuffle_chains(self.algebra, x, y))

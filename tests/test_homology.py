@@ -151,6 +151,19 @@ class TestChainComplex:
         with pytest.raises(InputError, match="shape"):
             ChainComplex({0: {0: 1, 1: 1}, 1: {0: 3}}, {0: {1: [{0: 1, row: 1}]}})
 
+    @pytest.mark.parametrize("ranks,diffs", [
+        # d(1) d(2) != 0 below a row out of range in d(3)
+        ({0: {0: 1, 1: 1, 2: 1, 3: 1}}, {0: {1: [{0: 1}], 2: [{0: 1}], 3: [{5: 1}]}}),
+        # the row out of range is in d(1), which d(2) composes with
+        ({0: {0: 1, 1: 1, 2: 1}}, {0: {1: [{5: 1}], 2: [{0: 1}]}}),
+        # d*d != 0 in weight 0, a row out of range in weight 1
+        ({0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 1: 1}},
+         {0: {1: [{0: 1}], 2: [{0: 1}]}, 1: {1: [{3: 1}]}}),
+    ], ids=["higher-degree", "composed-degree", "other-weight"])
+    def test_wrong_shape_raised_before_square_nonzero(self, ranks, diffs):
+        with pytest.raises(InputError, match="shape"):
+            ChainComplex(ranks, diffs)
+
     def test_explicit_zero_entry(self):
         C = ChainComplex({0: {0: 2, 1: 1}}, {0: {1: [{0: 0, 1: 3}]}})
         assert C.homology() == {(0, 0): (1, [3]), (1, 0): (0, [])}
@@ -280,6 +293,17 @@ class TestCobarComplex:
             cobar_complex(C, 4, 4)
 
 
+def _exterior_times_dual_numbers():
+    """Lambda(s) (x) Z[x]/x^2, with s in (1, 1), x in (2, 1) and sx in
+    (3, 2): the bar words (s|s) and (sx) share the group (4, 2)."""
+    return GradedAugmentedAlgebra(
+        [("1", 0, 0), ("s", 1, 1), ("x", 2, 1), ("sx", 3, 2)], "1",
+        {(a, b): ({"sx": 1} if {a, b} == {"s", "x"} else {}) for a in ("s", "x", "sx")
+         for b in ("s", "x", "sx")}
+        | {("1", a): {a: 1} for a in ("1", "s", "x", "sx")}
+        | {(a, "1"): {a: 1} for a in ("s", "x", "sx")})
+
+
 class TestShuffle:
     def _window(self):
         return BarHomologyWindow(GradedAugmentedAlgebra.exterior(-1, -1), 8, 8)
@@ -322,13 +346,8 @@ class TestShuffle:
     @given(st.lists(st.sampled_from(["s", "x", "sx"]), max_size=3),
            st.lists(st.sampled_from(["s", "x", "sx"]), max_size=3))
     def test_signs_match_koszul_rule_on_permutations(self, xw, yw):
-        # Lambda(s) (x) Z[x]/x^2: shifted degrees 2, 3 and 4, both parities
-        A = GradedAugmentedAlgebra(
-            [("1", 0, 0), ("s", 1, 1), ("x", 2, 1), ("sx", 3, 2)], "1",
-            {(a, b): ({"sx": 1} if {a, b} == {"s", "x"} else {}) for a in ("s", "x", "sx")
-             for b in ("s", "x", "sx")}
-            | {("1", a): {a: 1} for a in ("1", "s", "x", "sx")}
-            | {(a, "1"): {a: 1} for a in ("s", "x", "sx")})
+        # shifted degrees 2, 3 and 4, both parities
+        A = _exterior_times_dual_numbers()
         word = tuple(xw) + tuple(yw)
         shifted = [A.bidegree[a][0] + 1 for a in word]
         p = len(xw)
@@ -350,6 +369,11 @@ class TestShuffle:
         W = BarHomologyWindow(A, 3, 3)
         with pytest.raises(InputError, match="cycle"):
             W.reduce_cycle({("x", "x"): 1})
+        # shuffle_classes refuses either factor before it shuffles; their
+        # product would lie in strand (9, 3)
+        for x, y in (({("x", "x"): 1}, {("x",): 1}), ({("x",): 1}, {("x", "x"): 1})):
+            with pytest.raises(InputError, match=r"not a cycle in strand \(6, 2\)"):
+                W.shuffle_classes(x, y)
 
     def test_outside_window_rejected(self):
         W = self._window()
@@ -660,6 +684,35 @@ COLUMN_CASES = {
 }
 
 
+# bar and cobar (co)algebras for the drawn windows; in the first bar words
+# of several lengths share a group
+DRAWN_ALGEBRAS = {
+    "bar exterior-times-dual-numbers": _exterior_times_dual_numbers,
+    "bar exterior-deg-neg1": lambda: GradedAugmentedAlgebra.exterior(-1, -1),
+    "bar exterior-deg1": lambda: GradedAugmentedAlgebra.exterior(1, 1, label="s"),
+    "bar divided-power algebra 4": lambda: _divided_power_algebra(4),
+    "cobar divided-power:3": lambda: GradedCoalgebra.divided_power(3),
+    "cobar divided-power:6": lambda: GradedCoalgebra.divided_power(6),
+    "cobar flat divided powers 2": lambda: _flat_divided_powers(2),
+    "cobar flat divided powers 3": lambda: _flat_divided_powers(3),
+} | {f"bar truncated:{p}": functools.partial(GradedAugmentedAlgebra.truncated, p)
+     for p in range(2, 6)}
+
+
+def _assert_columns_are_word_images(name, strands, C, image):
+    """Every column of every strand is the per-word image of its word,
+    rows named by the words of the strand below, in place order."""
+    for (q, w), src in strands.items():
+        assert list(src) == sorted(src, key=lambda u: (len(u), u)), name
+        dst = strands.get((q - 1, w))
+        if dst is None:
+            assert C.differential(q, w) is None, name
+            continue
+        words = {i: word for word, i in dst.items()}
+        got = [{words[i]: c for i, c in col.items()} for col in C.differential(q, w)]
+        assert got == [image(word) for word in src], (name, q, w)
+
+
 class TestColumnForm:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_homology_matches_dense_oracle(self, name):
@@ -673,19 +726,26 @@ class TestColumnForm:
             2: [2], 3: [3], 4: [2], 5: [5], 6: []}
 
     def test_columns_are_the_word_images(self):
-        """Every column of every strand is the per-word image of its word,
-        rows named by the words of the strand below, in place order."""
         for name, build in COLUMN_CASES.items():
-            strands, C, image = build()
-            for (q, w), src in strands.items():
-                assert list(src) == sorted(src, key=lambda u: (len(u), u)), name
-                dst = strands.get((q - 1, w))
-                if dst is None:
-                    assert C.differential(q, w) is None, name
-                    continue
-                words = {i: word for word, i in dst.items()}
-                got = [{words[i]: c for i, c in col.items()} for col in C.differential(q, w)]
-                assert got == [image(word) for word in src], (name, q, w)
+            _assert_columns_are_word_images(name, *build())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_drawn_window_columns_are_the_word_images(self, data):
+        """The same over drawn windows: weight bounds above and below the
+        bar stage count, and cobar degree bounds under 2W - 1 that cut
+        strands and faces."""
+        name = data.draw(st.sampled_from(sorted(DRAWN_ALGEBRAS)))
+        kind, algebra = name.split(" ", 1)[0], DRAWN_ALGEBRAS[name]()
+        if kind == "bar":
+            bounds = (data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8)))
+            _assert_columns_are_word_images((name, bounds), *_bar_columns(algebra, *bounds))
+            return
+        wb = data.draw(st.integers(1, 6))
+        # a flat window holds every word up to the degree bound's length
+        top = 5 if "flat" in name else 2 * wb - 2
+        bounds = (data.draw(st.integers(0, top)), wb)
+        _assert_columns_are_word_images((name, bounds), *_cobar_columns(algebra, *bounds))
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None)
