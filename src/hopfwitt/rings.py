@@ -24,10 +24,11 @@ Z[w]/(f) and Z[vars] add, negate, subtract and multiply, form n * a and
 a^n (``scale``, ``pow``) and divide exactly by an integer (``div_int``).
 An identity with integer coefficients, such as a Witt vector operation,
 is computed on the lift, where the Witt ghost map is injective, and then
-reduced.  Z computes scale, sub and pow directly, Z[w]/(f) the first two
-coefficient by coefficient and a^n by squaring from a, and Z[vars] forms
-n * a and a^n as products, so that its count of product terms covers
-them.
+reduced.  Z computes scale, sub and pow directly.  Z[w]/(f) computes add,
+neg, sub and scale coefficient by coefficient, the first three by mapping
+the C functions of the operator module over the coefficients, and a^n by
+squaring from a.  Z[vars] forms n * a and a^n as products, so that its
+count of product terms covers them.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -36,6 +37,7 @@ makes kernel enumerations deterministic.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 from .binomial import is_prime
@@ -71,9 +73,6 @@ class CoeffRing:
     def reduce(self, x):
         """The image of an element of lift_ring in this ring."""
         return x
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffRing):
@@ -197,7 +196,8 @@ class GaloisField(CoeffRing):
         return self._lift
 
     def reduce(self, x):
-        return tuple(c % self.p for c in x)
+        p = self.p
+        return tuple([c % p for c in x])
 
     def zero(self):
         return (0,) * self.k
@@ -269,16 +269,16 @@ class MonicQuotientRing(CoeffRing):
         return (n,) + (0,) * (self.k - 1)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     def scale(self, n: int, a):
-        return tuple(n * x for x in a)
+        return tuple([n * x for x in a])
 
     def mul(self, a, b):
         k = self.k

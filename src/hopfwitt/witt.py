@@ -159,9 +159,10 @@ class WittVector:
     __slots__ = ("trunc", "ring", "comps")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: Mapping[int, object]):
+        members = trunc.members
         # the members are distinct, so equal sizes and every member present mean equal keys
-        if len(comps) != len(trunc) or not all(map(comps.__contains__, trunc)):
-            missing = [d for d in trunc if d not in comps]
+        if len(comps) != len(members) or not all(map(comps.__contains__, members)):
+            missing = [d for d in members if d not in comps]
             extra = [d for d in comps if d not in trunc]
             raise InputError(
                 f"components must match the truncation set {trunc}: "
@@ -169,7 +170,7 @@ class WittVector:
             )
         self.trunc = trunc
         self.ring = ring
-        self.comps = {d: comps[d] for d in trunc}
+        self.comps = {d: comps[d] for d in members}
 
     @classmethod
     def zero(cls, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
@@ -178,11 +179,14 @@ class WittVector:
     @classmethod
     def from_list(cls, trunc: TruncationSet, ring: CoeffRing,
                   values: Sequence) -> WittVector:
-        if len(values) != len(trunc):
+        if len(values) != len(trunc.members):
             raise InputError(
                 f"need {len(trunc)} components for {trunc}, got {len(values)}"
             )
-        return cls(trunc, ring, dict(zip(trunc, values)))
+        # one value per member, so the keys are S's: no second check or copy
+        v = cls.__new__(cls)
+        v.trunc, v.ring, v.comps = trunc, ring, dict(zip(trunc.members, values))
+        return v
 
     def as_list(self) -> list:
         return [self.comps[d] for d in self.trunc]
@@ -195,7 +199,8 @@ class WittVector:
         return WittVector(target, self.ring, {d: self.comps[d] for d in target})
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(v) for v in self.comps.values())
+        zero = self.ring.zero()
+        return all(v == zero for v in self.comps.values())
 
     def _check_compatible(self, other: WittVector) -> None:
         if self.trunc is not other.trunc and self.trunc != other.trunc:
@@ -240,17 +245,21 @@ class WittVector:
 
 
 def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], n: int):
-    """sum_{d | n, d < n, d in S} d * x_d^(n/d), computed in L: the ghost
-    component w_n without its last term n * x_n."""
-    acc = L.zero()
-    for d in trunc.proper_divisors[n]:
+    """sum_{d | n, d < n, d in S} d * x_d^(n/d), computed in L, for n > 1:
+    the ghost component w_n without its last term n * x_n.  The first
+    divisor is 1, in every truncation set, so the sum starts from x_1^n."""
+    acc = L.pow(comps[1], n)
+    for d in trunc.proper_divisors[n][1:]:
         acc = L.add(acc, L.scale(d, L.pow(comps[d], n // d)))
     return acc
 
 
 def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> dict:
-    """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L."""
-    return {n: L.add(_lower_sum(L, trunc, comps, n), L.scale(n, comps[n])) for n in trunc}
+    """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L; w_1 = x_1."""
+    out = {1: comps[1]}
+    for n in trunc.members[1:]:
+        out[n] = L.add(_lower_sum(L, trunc, comps, n), L.scale(n, comps[n]))
+    return out
 
 
 # Largest accepted (bit length of a component) x (largest index) over Z and
@@ -323,14 +332,15 @@ def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
              error: type[Exception] = FalsificationError) -> dict:
     """The components x_n in L whose ghost components are the given ones.
 
-    Triangular: n*x_n = w_n - sum_{d | n, d < n, d in S} d * x_d^(n/d).
+    Triangular: x_1 = w_1 and, for n > 1,
+    n*x_n = w_n - sum_{d | n, d < n, d in S} d * x_d^(n/d).
     L is torsion-free, so the solution is unique; a division by n leaving
     a remainder means the ghost vector is not in the image, which for the
     ghost vector of a ring operation falsifies the integrality theorem the
     construction rests on.
     """
-    out: dict[int, object] = {}
-    for n in trunc:
+    out = {1: ghosts[1]}
+    for n in trunc.members[1:]:
         q = L.div_int(L.sub(ghosts[n], _lower_sum(L, trunc, out, n)), n)
         if q is None:
             raise error(f"ghost vector is not integral at index {n}")
@@ -340,8 +350,8 @@ def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
 
 def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing,
                         ghosts: Mapping[int, object]) -> WittVector:
-    comps = _deghost(ring.lift_ring, trunc, ghosts)
-    return WittVector(trunc, ring, {d: ring.reduce(comps[d]) for d in trunc})
+    comps = _deghost(ring.lift_ring, trunc, ghosts)  # in the order of S
+    return WittVector.from_list(trunc, ring, list(map(ring.reduce, comps.values())))
 
 
 def ghost(a: WittVector) -> list:
@@ -609,20 +619,22 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
             return
         d = S[k]
         m = d // n if d % n == 0 else 0
-        base = _lower_sum(L, trunc, x, d)
+        base = _lower_sum(L, trunc, x, d) if d > 1 else None  # w_1 = x_1
         if m:
-            twist, known = L.pow(t, (n - 1) * m), _lower_sum(L, trunc, y, m)
+            twist = L.pow(t, (n - 1) * m)
+            known = _lower_sum(L, trunc, y, m) if m > 1 else None  # y_1 is its ghost
         for r in pool:
             visited += 1
             if visited > limit:
                 raise bound_overflow("the kernel search", f"at least {visited} prefixes",
                                      "witt.KERNEL_LIMIT", limit)
-            wd = L.add(base, L.scale(d, r))
+            wd = r if base is None else L.add(base, L.scale(d, r))
             if m:
                 # n = 1 gives m = d, and w_d - w_d = 0
                 ghost_m = L.sub(wd, L.mul(twist, w[m] if m < d else wd))
-                q = L.div_int(L.sub(ghost_m, known), m)
-                if q is None:
+                if known is None:
+                    q = ghost_m
+                elif (q := L.div_int(L.sub(ghost_m, known), m)) is None:
                     raise FalsificationError(f"ghost vector is not integral at index {m}")
                 if ring.reduce(q) != zero:
                     continue

@@ -1,14 +1,22 @@
-"""The points of the divided-power line over Z/p^e, kept as a test oracle
-for the t = 0 Witt kernel.
+"""The points of the t-fibres of the Rees algebra of Int(Z) over Z/p^e,
+kept as a test oracle for the twisted Witt kernels.
 
-At t = 0 the twisted Frobenius F_p - [t]^(p-1) is F_p, and over a
-p-nilpotent ring ker F on the p-typical Witt vectors is the divided-power
-additive group G_a^# = Spec Gamma_Z[x] (Drinfeld, arXiv:2005.04746).
-Truncated at N = p^(k-1), a point of Gamma_Z[x] in Z/p^e is a sequence
-a_0 = 1, a_1, ..., a_N with a_i * a_j = C(i+j, i) * a_(i+j) whenever
-i + j <= N, and the coproduct x -> x + y gives the group law
-(a * b)_n = sum_i a_i * b_(n-i), the Vandermonde identity.  This module
-uses math.comb alone and no Witt code.
+The Rees algebra of Int(Z) under its degree filtration lifts the Hilbert
+additive group H = Spec Int(Z) over A^1/G_m.  On the basis b_n = t^n C(x,n)
+its product is
+
+    b_m * b_n = sum_k t^(m+n-k) * C(k, m) * C(m, k-n) * b_k,  max(m,n) <= k <= m+n,
+
+and its coproduct b_n -> sum_(i+j=n) b_i (x) b_j does not involve t.
+Truncated at N = p^(k-1), a point of the fibre at t in Z/p^e is a sequence
+a_0 = 1, a_1, ..., a_N that satisfies the product whenever m + n <= N, and
+the coproduct gives the group law (a * b)_n = sum_i a_i * b_(n-i), the
+Vandermonde identity.  At t = 0 the product is a_i * a_j = C(i+j, i) *
+a_(i+j): the fibre is the divided-power additive group G_a^# =
+Spec Gamma_Z[x], which is ker F on the p-typical Witt vectors over a
+p-nilpotent ring (Drinfeld, arXiv:2005.04746).  Its twisted analogue is
+ker(F_p - [t]^(p-1)).  This module uses math.comb alone and no Witt or
+Int(Z) code.
 """
 
 from __future__ import annotations
@@ -19,16 +27,27 @@ from collections import Counter
 Point = tuple[int, ...]
 
 
-def divided_power_points(p: int, e: int, k: int) -> list[Point]:
-    """Every point (a_0, ..., a_N) in Z/p^e, N = p^(k-1), assigned index by
-    index: a_n is kept when a_i * a_(n-i) = C(n, i) * a_n for 0 < i < n."""
+def fibre_points(p: int, e: int, k: int, t: int) -> list[Point]:
+    """Every point (a_0, ..., a_N) of the fibre at t in Z/p^e, N = p^(k-1),
+    assigned index by index: a_n is kept when, for 0 < i < n,
+    a_i * a_(n-i) = sum_(j <= n) t^(n-j) * C(j, i) * C(i, j-n+i) * a_j,
+    whose only term in a_n is C(n, i) * a_n."""
     q, top = p ** e, p ** (k - 1)
     points: list[list[int]] = [[1]]
     for n in range(1, top + 1):
+        # (i, C(n, i), [(j, t^(n-j) C(j, i) C(i, j-n+i)) for j < n]) for 0 < i < n
+        rules = [(i, math.comb(n, i), [(j, t ** (n - j) * math.comb(j, i) * math.comb(i, j - n + i))
+                                       for j in range(max(i, n - i), n)])
+                 for i in range(1, n)]
         points = [a + [an] for a in points for an in range(q)
-                  if all((a[i] * a[n - i] - math.comb(n, i) * an) % q == 0
-                         for i in range(1, n))]
+                  if all((a[i] * a[n - i] - sum(c * a[j] for j, c in lower) - top_c * an) % q == 0
+                         for i, top_c, lower in rules)]
     return [tuple(a) for a in points]
+
+
+def divided_power_points(p: int, e: int, k: int) -> list[Point]:
+    """The points of the fibre at t = 0, where a_i * a_(n-i) = C(n, i) * a_n."""
+    return fibre_points(p, e, k, 0)
 
 
 def vandermonde(a: Point, b: Point, q: int) -> Point:

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfwitt import witt
+from hopfwitt import intz, witt
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
 from hopfwitt.rings import GaloisField, IntegerRing, PolynomialRing, ZModRing
@@ -44,7 +44,10 @@ from hopfwitt.witt import (
     witt_sub,
 )
 
-from divided_power_oracle import divided_power_points, order_profile, point_order_profile
+from divided_power_oracle import (divided_power_points, fibre_points, order_profile,
+                                  point_order_profile)
+from universal_vector_oracle import X, IntZRing, IntZTensorRing
+from witt_lift_oracle import LiftOracle
 
 ZZ = IntegerRing()
 S12 = TruncationSet([1, 2])
@@ -106,16 +109,19 @@ def test_one_large_member_answers(ring):
 
 def test_term_limit_counts_one_operation():
     """One Z[..] ring serves any number of products, each counted afresh
-    against TERM_LIMIT (the products of one Witt product here form 197
-    terms; a single product past the limit is refused, see TestExitCodes
-    in test_cli.py)."""
+    against TERM_LIMIT (a single product past the limit is refused, see
+    TestBoundOverflow in test_cli.py).  The products of one Witt product
+    here form 186 terms: the ghost route multiplies by no constant 1, so
+    neither w_1 = x_1 nor the term x_1^n of w_n costs a product."""
     R = PolynomialRing()
     S = TruncationSet([1, 2, 4, 8])
     a = WittVector.from_list(S, R, [SparsePoly.parse(p) for p in ("x", "y", "0", "0")])
     b = WittVector.from_list(S, R, [SparsePoly.parse(p) for p in ("1", "x", "0", "0")])
     first = witt_mul(a, b)
+    assert R.terms == 186
     for _ in range(999):
         assert witt_mul(a, b) == first
+        assert R.terms == 186
 
 
 def test_quotient_sets():
@@ -292,6 +298,40 @@ def test_lift_route_matches_universal_polynomials(case):
         assert twisted_frobenius(n, a, t) == _by_polys("sum", lead, _by_polys("neg", tw))
 
 
+# The deeper divisor closures, where ghost components take powers up to 27
+# and every index has several proper divisors; the universal polynomials
+# stop at {1, 2, 3, 6}.  The 24-set costs seconds per product over F_q, so
+# it runs over the other rings only.
+LIFT_RINGS = [ZZ, ZModRing(8), ZModRing(9), GaloisField(2, 2), GaloisField(3, 2)]
+LIFT_SETS = [TruncationSet.divisor_closure([s]) for s in (12, 16, 27, 24)]
+
+
+@st.composite
+def _lift_case(draw):
+    ring = draw(st.sampled_from(LIFT_RINGS))
+    S = draw(st.sampled_from(LIFT_SETS[:3] if isinstance(ring, GaloisField) else LIFT_SETS))
+    els = st.integers(-99, 99) if ring is ZZ else st.sampled_from(list(ring.elements()))
+    a, b = ([draw(els) for _ in S] for _ in range(2))
+    return ring, S, a, b, draw(els), draw(st.sampled_from(S.members[1:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lift_case())
+def test_lift_route_matches_the_integer_lift_oracle(case):
+    """Every operation, recomputed on lifts to Z[y] with other
+    representatives and no reduction mod f until the end."""
+    ring, S, a, b, t, n = case
+    oracle, members = LiftOracle(ring), S.members
+    va, vb = WittVector.from_list(S, ring, a), WittVector.from_list(S, ring, b)
+    assert witt_add(va, vb).as_list() == oracle.add(members, a, b)
+    assert witt_mul(va, vb).as_list() == oracle.mul(members, a, b)
+    assert witt_sub(va, vb).as_list() == oracle.sub(members, a, b)
+    assert ghost(va) == oracle.ghost(members, a)
+    for op, want in ((frobenius(n, va), oracle.frobenius(n, members, a)),
+                     (twisted_frobenius(n, va, t), oracle.twisted_frobenius(n, members, a, t))):
+        assert (op.trunc.members, op.as_list()) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(_oracle_case(), st.integers(-6, 6), st.integers(0, 6))
 def test_multiples_and_powers_match_repeated_operations(case, n, k):
@@ -407,6 +447,50 @@ def test_from_ghost_round_trip():
 def test_from_ghost_rejects_non_image():
     with pytest.raises(InputError):
         from_ghost([0, 1], S12)  # w2 - w1^2 must be even
+
+
+# -- the universal Frobenius-fixed vector over Int(Z) ------------------------
+
+UNIVERSAL_SET = TruncationSet(range(1, 21))
+
+
+@functools.lru_cache(maxsize=None)
+def _universal_vector() -> dict:
+    """The components of the vector over Int(Z) whose ghosts are all x."""
+    return witt._deghost(IntZRing(), UNIVERSAL_SET, dict.fromkeys(UNIVERSAL_SET.members, X))
+
+
+def test_universal_fixed_vector_lives_over_intz():
+    """Its n-th component is an integer-valued polynomial of degree n,
+    whose value at k is the n-th component of the integer vector with
+    ghosts (k, k, ...); over Z[x] the same ghosts are refused at index 2,
+    where (x - x^2)/2 is not in Z[x]."""
+    S, u = UNIVERSAL_SET, _universal_vector()
+    assert [intz.filtration_degree(u[n]) for n in S] == list(S)
+    for k in range(-5, 8):
+        assert [intz.eval_at(u[n], k) for n in S] == from_ghost([k] * len(S), S).as_list()
+    x = SparsePoly.variable("x")
+    with pytest.raises(FalsificationError, match="not integral at index 2$"):
+        witt._deghost(PolynomialRing(), S, dict.fromkeys(S.members, x))
+
+
+def test_universal_fixed_vector_is_fixed_and_hopf():
+    """Every F_n fixes it, checked on ghost components since witt.frobenius
+    sizes its input as integers: its ghosts are x at every index, so ghost m
+    of F_n(u) is x and F_n(u) is u on S/n.  The ring maps x -> -x and
+    x -> x (x) 1 + 1 (x) x send it to the vectors with those ghosts: the
+    antipode and the coproduct of Int(Z) act on it component by component."""
+    S, u, L = UNIVERSAL_SET, _universal_vector(), IntZRing()
+    ghosts = witt._ghosts(L, S, u)
+    assert all(w == X for w in ghosts.values())
+    for n in S.members[1:]:
+        T = S.quotient(n)
+        assert witt._deghost(L, T, {m: ghosts[n * m] for m in T}) == {m: u[m] for m in T}
+    assert witt._deghost(L, S, dict.fromkeys(S.members, -X)) == {
+        n: intz.antipode(un) for n, un in u.items()}
+    T = TruncationSet(range(1, 11))
+    assert witt._deghost(IntZTensorRing(), T, dict.fromkeys(T.members, intz.comult(X))) == {
+        n: intz.comult(u[n]) for n in T}
 
 
 def test_frobenius_congruence_is_additive_not_componentwise():
@@ -639,7 +723,7 @@ def test_stable_kernel_is_the_closed_form(ring, p, e, k):
     {[t] * a : 0 <= a < p^(e+k-1)}, and the plain kernel is the same set."""
     S = TruncationSet.p_typical(p, k)
     if isinstance(ring, GaloisField):
-        units = [t for t in ring.elements() if not ring.is_zero(t)]
+        units = [t for t in ring.elements() if t != ring.zero()]
     else:
         units = sorted({1, 1 + p, ring.m - 1})
     ints = [witt_int(a, S, ring) for a in range(p ** (e + k - 1))]
@@ -674,6 +758,33 @@ def test_t0_kernel_is_the_divided_power_group(p, e, k):
     for kernel in (twisted_kernel(p, 0, S, R), stable_twisted_kernel(p, 0, S, R)):
         assert len(kernel) == len(points)
         assert order_profile(kernel, witt_add, WittVector.is_zero) == profile
+
+
+# (p, e, k, t) for Z/p^e from Z/4 to Z/27, k = 2 and 3, and every distinct
+# t in {0, 1, p, p^2, 1 + p} mod p^e; then deeper k over Z/4, Z/8 and Z/16.
+FIBRE_CASES = [(p, e, k, t)
+               for p, e, top in ((2, 2, 5), (2, 3, 4), (3, 2, 3), (2, 4, 4), (5, 2, 3), (3, 3, 3))
+               for k in range(2, min(top, 3) + 1 if p ** e > 16 else top + 1)
+               for t in sorted({x % p ** e for x in (0, 1, p, p * p, 1 + p)})]
+# Order profiles form up to 27 Witt sums per member; larger kernels are counted only.
+PROFILE_LIMIT = 81
+
+
+@pytest.mark.parametrize("p,e,k,t", FIBRE_CASES,
+                         ids=[f"Z/{p ** e}-k{k}-t{t}" for p, e, k, t in FIBRE_CASES])
+def test_stable_kernel_is_the_rees_fibre(p, e, k, t):
+    """At every t the stable kernel of F_p - [t]^(p-1) on W_{S_k}(Z/p^e) has
+    as many members as the t-fibre of the Rees algebra has points, and,
+    where the profile is formed, the same count of elements of each order:
+    p^(e+k-1) at a unit t, where the fibre is H = Spec Int(Z), and
+    p^(e+k-2) at a non-unit t, as at t = 0."""
+    R, S = ZModRing(p ** e), TruncationSet.p_typical(p, k)
+    points = fibre_points(p, e, k, t)
+    kernel = stable_twisted_kernel(p, t, S, R)
+    assert len(kernel) == len(points) == p ** (e + k - (1 if t % p else 2))
+    if len(kernel) <= PROFILE_LIMIT:
+        assert (order_profile(kernel, witt_add, WittVector.is_zero)
+                == point_order_profile(points, p ** e))
 
 
 def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
