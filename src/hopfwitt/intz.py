@@ -379,6 +379,12 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     pass over the values of _values.  No rational arithmetic and no
     degree-p*deg(f) expansion is ever materialized.  A table longer than
     FROB_TABLE_LIMIT is refused before p is tested for primality.
+
+    Every value f(k) is an integer, so f(k)^p == f(k) mod p by Fermat's
+    little theorem, and once p passes the primality check the answer is
+    True for every f.  The check demonstrates the identity and exercises
+    _values and FROB_TABLE_LIMIT; it cannot detect a wrong product table,
+    which only forming f^p through mult would, at p times the degree.
     """
     d = filtration_degree(f)
     values = p * max(d or 0, 1) + 1

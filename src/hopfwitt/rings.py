@@ -27,7 +27,10 @@ is computed on the lift, where the Witt ghost map is injective, and then
 reduced.  Z computes scale, sub and pow directly.  Z[w]/(f) computes add,
 neg, sub and scale coefficient by coefficient, the first three by mapping
 the C functions of the operator module over the coefficients, and a^n by
-squaring from a.  Z[vars] forms n * a and a^n as products, so that its
+squaring from a.  It multiplies in closed form at k = 1 and k = 2, the
+lifts of F_p and F_{p^2}, and by a convolution reduced through a table
+of w^(k+i) at k >= 3, where a closed form per degree would not pay for
+its code.  Z[vars] forms n * a and a^n as products, so that its
 count of product terms covers them.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
@@ -242,7 +245,13 @@ class GaloisField(CoeffRing):
 class MonicQuotientRing(CoeffRing):
     """Z[w]/(f) for a monic integer polynomial f of degree k: elements are
     length-k tuples of ints, little-endian on the power basis of w.  It is
-    torsion-free, the lift ring of the field with the same modulus."""
+    torsion-free, the lift ring of the field with the same modulus.
+
+    A product at k = 1 (the lifts of the prime fields) is the product of
+    the single coordinates, and at k = 2 (F_4, F_9, ...) it is written out
+    with w^2 = r0 + r1 w; these are the degrees Witt arithmetic over F_q
+    mostly sees.  From k = 3 on it is the convolution reduced through the
+    table of w^(k+i), whose size grows with k."""
 
     def __init__(self, modulus: tuple[int, ...]):
         self.modulus = modulus
@@ -282,6 +291,14 @@ class MonicQuotientRing(CoeffRing):
 
     def mul(self, a, b):
         k = self.k
+        if k == 1:
+            return (a[0] * b[0],)
+        if k == 2:
+            a0, a1 = a
+            b0, b1 = b
+            r0, r1 = self._red[0]  # w^2 = r0 + r1 w
+            c = a1 * b1
+            return (a0 * b0 + r0 * c, a0 * b1 + a1 * b0 + r1 * c)
         conv = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:

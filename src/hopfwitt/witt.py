@@ -285,7 +285,9 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
     by the largest index, and the product may not pass the limit in bits
     either.  Over rings other than their own lift (Z/m, F_q), which
     reduce every value they print, the lifted ghosts together may not pass
-    LIFT_BITS_LIMIT bits, whatever the elements."""
+    LIFT_BITS_LIMIT bits, whatever the elements.  Any other ring that is
+    its own lift, such as a bare Z[w]/(f), has no bound here and is
+    refused."""
     if ring.lift_ring is not ring:
         bits = (ring.size() - 1).bit_length()
         if bits * trunc.member_sum > LIFT_BITS_LIMIT:
@@ -293,6 +295,9 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
                 f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
                 f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
+    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+        raise InputError(f"no Witt vectors over the ring {type(ring).__name__}: "
+                         "the coefficient ring must be Z, Z/m, F_q or Z[..]")
     top = trunc.members[-1]
     cap = 1 << (GHOST_BITS_LIMIT // top)
     for elements in groups:

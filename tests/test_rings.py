@@ -20,6 +20,7 @@ from hopfwitt.rings import (
     ring_from_spec,
 )
 from hopfwitt.witt import TruncationSet, WittVector, witt_add
+from witt_lift_oracle import poly_mul, poly_rem
 
 
 def _op(R, name, *args):
@@ -76,10 +77,15 @@ def test_field_axioms_exhaustive(p, k):
 # The integer kernels scale, pow and sub of the lift rings, against the ring
 # operations they stand for: Z and the Z[w]/(f) lifts compute them directly,
 # and Z[..] forms n * a and a^n as products, which count product terms.  Each draw
-# builds its ring afresh, so no Z[..] term count carries over.
+# builds its ring afresh, so no Z[..] term count carries over.  The Z[w]/(f)
+# lifts cover each way a product is formed: closed forms at degrees 1 and 2,
+# the reduced convolution at 3 and 4.
 KERNEL_RINGS = {
     "Z": IntegerRing,
+    "lift of F_5": lambda: GaloisField(5, 1).lift_ring,
     "lift of F_4": lambda: GaloisField(2, 2).lift_ring,
+    "lift of F_8": lambda: GaloisField(2, 3).lift_ring,
+    "lift of F_16": lambda: GaloisField(2, 4).lift_ring,
     "lift of F_9": lambda: GaloisField(3, 2).lift_ring,
     "Z[w]/(w^2 - 2)": lambda: MonicQuotientRing((-2, 0, 1)),
     "Z[..]": PolynomialRing,
@@ -102,6 +108,8 @@ def test_lift_ring_kernels_match_the_ring_operations(name, data):
     R = KERNEL_RINGS[name]()
     a, b = data.draw(_ring_elements(R)), data.draw(_ring_elements(R))
     n = data.draw(st.integers(-30, 30))
+    if isinstance(R, MonicQuotientRing):
+        assert R.mul(a, b) == poly_rem(poly_mul(a, b), R.modulus)
     assert R.scale(n, a) == R.mul(R.from_int(n), a)
     assert R.sub(a, b) == R.add(a, R.neg(b))
     power = R.one()

@@ -301,8 +301,10 @@ def test_lift_route_matches_universal_polynomials(case):
 # The deeper divisor closures, where ghost components take powers up to 27
 # and every index has several proper divisors; the universal polynomials
 # stop at {1, 2, 3, 6}.  The 24-set costs seconds per product over F_q, so
-# it runs over the other rings only.
-LIFT_RINGS = [ZZ, ZModRing(8), ZModRing(9), GaloisField(2, 2), GaloisField(3, 2)]
+# it runs over the other rings only.  F_2, F_4 and F_8 lift to Z[w]/(f) of
+# degrees 1, 2 and 3, which form their products in three different ways.
+LIFT_RINGS = [ZZ, ZModRing(8), ZModRing(9), GaloisField(2, 1), GaloisField(2, 2),
+              GaloisField(2, 3), GaloisField(3, 2)]
 LIFT_SETS = [TruncationSet.divisor_closure([s]) for s in (12, 16, 27, 24)]
 
 
@@ -476,8 +478,8 @@ def test_universal_fixed_vector_lives_over_intz():
 
 def test_universal_fixed_vector_is_fixed_and_hopf():
     """Every F_n fixes it, checked on ghost components since witt.frobenius
-    sizes its input as integers: its ghosts are x at every index, so ghost m
-    of F_n(u) is x and F_n(u) is u on S/n.  The ring maps x -> -x and
+    refuses a ring it has no size bound for: its ghosts are x at every
+    index, so ghost m of F_n(u) is x and F_n(u) is u on S/n.  The ring maps x -> -x and
     x -> x (x) 1 + 1 (x) x send it to the vectors with those ghosts: the
     antipode and the coproduct of Int(Z) act on it component by component."""
     S, u, L = UNIVERSAL_SET, _universal_vector(), IntZRing()
@@ -491,6 +493,21 @@ def test_universal_fixed_vector_is_fixed_and_hopf():
     T = TruncationSet(range(1, 11))
     assert witt._deghost(IntZTensorRing(), T, dict.fromkeys(T.members, intz.comult(X))) == {
         n: intz.comult(u[n]) for n in T}
+
+
+@pytest.mark.parametrize("ring", [IntZRing(), GaloisField(2, 2).lift_ring],
+                         ids=["Int(Z)", "lift of F_4"])
+def test_operations_refuse_rings_without_a_ghost_bound(ring):
+    """Only Z and Z[..] among the rings that are their own lift have a
+    bound on the ghost components; a vector over any other is refused by
+    name, not failed on comparing its elements with integers."""
+    S = TruncationSet([1, 2])
+    one = ring.one()
+    a = WittVector.from_list(S, ring, [one, one])
+    name = type(ring).__name__
+    for op in (lambda: frobenius(2, a), lambda: witt_add(a, a), lambda: ghost(a)):
+        with pytest.raises(InputError, match=f"no Witt vectors over the ring {name}: "):
+            op()
 
 
 def test_frobenius_congruence_is_additive_not_componentwise():

@@ -42,6 +42,17 @@ def poly_mul(a: Lifted, b: Lifted) -> Lifted:
     return tuple(out)
 
 
+def poly_rem(a: Lifted, f: Sequence[int]) -> Lifted:
+    """a mod the monic f by long division, top degree first: deg f coefficients."""
+    k = len(f) - 1
+    rest = list(a) + [0] * k
+    for top in range(len(rest) - 1, k - 1, -1):
+        c = rest[top]
+        for i, fc in enumerate(f):
+            rest[top - k + i] -= c * fc
+    return tuple(rest[:k])
+
+
 def poly_scale(c: int, a: Lifted) -> Lifted:
     return tuple(c * x for x in a)
 
@@ -78,14 +89,7 @@ class LiftOracle:
             return x[0]
         if self.kind == "Zmod":
             return x[0] % self.m
-        # long division by the monic modulus f, top degree first, then mod p
-        k, f = len(self.modulus) - 1, self.modulus
-        rest = list(x) + [0] * k
-        for top in range(len(rest) - 1, k - 1, -1):
-            c = rest[top]
-            for i, fc in enumerate(f):
-                rest[top - k + i] -= c * fc
-        return tuple(c % self.p for c in rest[:k])
+        return tuple(c % self.p for c in poly_rem(x, self.modulus))
 
     # -- the ghost map and its inverse on lifts ---------------------------
 
