@@ -380,6 +380,8 @@ class _Window:
     and letter a: entry p is the place of word p of g followed by a, in
     its own group.  The words of g that the walk extends are its first
     places, those shorter than max_len, so each table covers them all.
+    steps[a] is letter a's shifted (degree, weight), and locate finds a
+    word's group and place by walking the tables from the empty word.
 
     A word is visited when its length is at most max_len and its weight
     (all letter weights of one strict sign), or else its bounded degree
@@ -460,16 +462,30 @@ class _Window:
             start, length = end, length + 1
         self.prefix, self.last, self.group, self.place = prefix, last, group, place
         self.keys, self.index, self.ext = keys, index, ext
+        self.steps = {a: (da, wa) for a, da, wa in steps}
         self.strands = {key: members[g] for g, key in enumerate(keys)
                         if abs(key[1]) <= weight_bound
                         and (degree_bound is None or abs(key[0]) <= degree_bound)}
 
-    def words(self) -> dict[tuple[int, int], dict[tuple, int]]:
-        """Each strand as {word: place}, iterating in place order."""
-        word: list[tuple] = [()]
-        for i in range(1, len(self.prefix)):
-            word.append(word[self.prefix[i]] + (self.last[i],))
-        return {key: {word[i]: j for j, i in enumerate(ids)} for key, ids in self.strands.items()}
+    def locate(self, word: tuple) -> tuple[tuple[int, int], int | None]:
+        """The (degree, weight) of word, with the shift, and its place in
+        that group, or None for a word the walk did not visit.  The place
+        is found by walking the tables from the empty word, one letter at
+        a time, so it costs O(len); a letter with no step is refused."""
+        steps, ext, index = self.steps, self.ext, self.index
+        d = w = g = p = 0
+        for a in word:
+            step = steps.get(a)
+            if step is None:
+                raise InputError(f"letter {a!r} is not a letter of the window")
+            d, w = d + step[0], w + step[1]
+            if g is not None:
+                table = ext[g].get(a)
+                if table is None or p >= len(table):
+                    g = None
+                else:
+                    g, p = index[d, w], table[p]
+        return (d, w), None if g is None else p
 
     def complex(self, joins) -> ChainComplex:
         """The complex on the strands, d of degree -1, each column built in
@@ -661,21 +677,22 @@ class BarHomologyWindow:
 
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
         self.algebra = A
-        window, self.complex = _bar_window(A, stages, weight_bound)
-        self.strands = window.words()
+        self._window, self.complex = _bar_window(A, stages, weight_bound)
         self._boundary_hnf: dict[tuple[int, int], list[linalg.Row]] = {}
 
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], Column]:
-        """The chain split by strand, each part as {index: coeff} in its
-        strand without zero coefficients."""
+        """The chain split by strand, each part as {place: coeff} in its
+        strand without zero coefficients, each word placed by the
+        window's tables."""
         out: dict[tuple[int, int], Column] = {}
+        locate, strands = self._window.locate, self._window.strands
         for word, c in chain.items():
-            key = bar_word_bidegree(self.algebra, word)
-            if key not in self.strands:
+            key, p = locate(word)
+            if key not in strands or (c and p is None):
                 raise InputError(f"chain leaves the computed window at {key}")
             part = out.setdefault(key, {})
             if c:
-                part[self.strands[key][word]] = c
+                part[p] = c
         return out
 
     def _boundaries(self, key: tuple[int, int]) -> list[linalg.Row]:
@@ -703,7 +720,7 @@ class BarHomologyWindow:
         for key, v in self._cycle_parts(chain).items():
             _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
             if red:
-                out[key] = tuple(red.get(i, 0) for i in range(len(self.strands[key])))
+                out[key] = tuple(red.get(i, 0) for i in range(len(self._window.strands[key])))
         return out
 
     def shuffle_classes(self, x: Chain, y: Chain) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -140,30 +140,37 @@ MODULUS_BITS_LIMIT = 1024
 def _unit_pivot_core(rows: Iterable[Row]) -> tuple[list[int], Matrix]:
     """Unit-pivot sparse elimination: the unit-pivot columns and the core.
 
-    Each row is copied without its zero entries, and the copies are taken
-    sparsest first.  Each row is reduced by the pivot rows and becomes a
-    pivot on one of its +-1 entries if it has one, else it joins the
-    core; passes repeat until one adds no pivot, so the core is zero in
-    every pivot column.  The pivot rows restricted to their pivot columns
-    are unitriangular, so SNF(A) is an identity block beside SNF(core).
-    The core comes back dense on the columns where it is nonzero.
+    Each row is copied, without its zero entries when it has any, since
+    _reduce takes rows without zeros; the copies are taken sparsest
+    first.  A row that meets a pivot column is reduced by the pivot rows,
+    and one that meets none is left as it is, with nothing to subtract.
+    The row then becomes a pivot on its first +-1 entry if it has one,
+    else it joins the core; passes repeat until one adds no pivot, so the
+    core is zero in every pivot column.  The pivot rows restricted to
+    their pivot columns are unitriangular, so SNF(A) is an identity block
+    beside SNF(core).  The core comes back dense on the columns where it
+    is nonzero.
     """
     pivots: list[tuple[int, dict[int, int]]] = []
     order: dict[int, int] = {}
-    core = sorted(({j: x for j, x in row.items() if x} for row in rows), key=len)
+    core = sorted((dict(row) if 0 not in row.values() else {j: x for j, x in row.items() if x}
+                   for row in rows), key=len)
     grew = True
     while grew:
         grew = False
         rest = []
         for row in core:
-            _reduce(row, pivots, order)
-            col = next((j for j, x in row.items() if x == 1 or x == -1), None)
-            if col is not None:
-                order[col] = len(pivots)
-                pivots.append((col, row))
-                grew = True
-            elif row:
-                rest.append(row)
+            if not order.keys().isdisjoint(row):
+                _reduce(row, pivots, order)
+            for col, x in row.items():
+                if x == 1 or x == -1:
+                    order[col] = len(pivots)
+                    pivots.append((col, row))
+                    grew = True
+                    break
+            else:
+                if row:
+                    rest.append(row)
         core = rest
     cols = sorted({j for row in core for j in row})
     return [col for col, _ in pivots], [[row.get(j, 0) for j in cols] for row in core]
@@ -178,6 +185,8 @@ def _reduce(row: Row, pivots: list, order: dict[int, int], coords: Row | None = 
 
     A pivot row is zero in the columns of earlier pivots, so subtracting it
     only ever fills columns of later ones, which the heap then visits.
+    Neither row nor a pivot row may hold a zero entry: an entry that
+    cancels leaves row.
     """
     heap = [order[j] for j in row if j in order]
     heapq.heapify(heap)

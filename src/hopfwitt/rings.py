@@ -64,7 +64,9 @@ class CoeffRing:
     """A coefficient ring as a quotient of its lift: the lift ring, the
     reduction onto this ring, and equality by the JSON form.  The rings that
     are their own lift (Z, Z[w]/(f), Z[..]) compute; every ring has zero()
-    and one(), and the rings that print have text and JSON forms."""
+    and one(), and the rings that print have text and JSON forms.  A ring
+    without a JSON form prints as its class name and equals only the
+    rings of its class that have none."""
 
     is_finite = False
 
@@ -77,13 +79,21 @@ class CoeffRing:
         """The image of an element of lift_ring in this ring."""
         return x
 
+    def _form(self) -> dict | type:
+        """The JSON form, or the class of a ring without one."""
+        return self.to_json_obj() if hasattr(self, "to_json_obj") else type(self)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffRing):
             return NotImplemented
-        return self.to_json_obj() == other.to_json_obj()
+        return self._form() == other._form()
 
     def __hash__(self) -> int:
-        return hash(str(sorted(self.to_json_obj().items())))
+        form = self._form()
+        return hash(str(sorted(form.items())) if isinstance(form, dict) else form)
+
+    def __str__(self) -> str:
+        return type(self).__name__
 
     def __repr__(self) -> str:
         return str(self)

@@ -16,6 +16,7 @@ from hopfwitt.homology import (
     GradedCoalgebra,
     bar_complex,
     bar_differential_word,
+    bar_word_bidegree,
     cobar_complex,
     cobar_differential_word,
     _Window,
@@ -24,6 +25,7 @@ from hopfwitt.homology import (
 )
 
 import linalg_oracle as oracle
+from window_oracle import visited_words, window_words
 
 
 def _truncated_poly(p):
@@ -380,6 +382,25 @@ class TestShuffle:
         with pytest.raises(InputError, match="window"):
             W.reduce_cycle({("e",) * 9: 1})
 
+    def test_word_longer_than_the_window_rejected(self):
+        # (s|s|s|s) and (s|s|sx) share a strand of four stages, but only
+        # the second is in the window of three
+        A = _exterior_times_dual_numbers()
+        assert bar_word_bidegree(A, ("s",) * 4) == bar_word_bidegree(A, ("s", "s", "sx")) == (8, 4)
+        W = BarHomologyWindow(A, 3, 4)
+        assert W.complex.rank(8, 4) > 0
+        with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
+            W.reduce_cycle({("s",) * 4: 1})
+
+    @pytest.mark.parametrize("letter", ["1", "z"])
+    def test_foreign_letter_rejected(self, letter):
+        # the unit is no bar letter, and z is no label at all
+        W = BarHomologyWindow(GradedAugmentedAlgebra.exterior(0, 0), 2, 2)
+        with pytest.raises(InputError, match=f"letter '{letter}' is not a letter of the window"):
+            W.reduce_cycle({(letter,): 1})
+        with pytest.raises(InputError, match=f"letter '{letter}'"):
+            W.reduce_cycle({("e", letter): 1})
+
     def test_boundary_reduces_to_zero(self):
         A = _truncated_poly(3)
         W = BarHomologyWindow(A, 3, 3)
@@ -396,11 +417,13 @@ def _dense_differential(C, q, w):
 @functools.cache
 def _reduce_window(name):
     """One 4-stage bar window per named algebra, kept so the boundary
-    Hermite forms it caches are built once across examples."""
+    Hermite forms it caches are built once across examples, with the
+    words of its strands from the oracle."""
     A = {"truncated:3": lambda: GradedAugmentedAlgebra.truncated(3),
          "truncated:4": lambda: GradedAugmentedAlgebra.truncated(4),
          "exterior-deg-neg1": lambda: GradedAugmentedAlgebra.exterior(-1, -1)}[name]()
-    return BarHomologyWindow(A, 4, 4)
+    return (BarHomologyWindow(A, 4, 4),
+            window_words(_Window(A.augmentation_ideal(), A.bidegree, 1, 4, 4)))
 
 
 class TestReduceCycleProperties:
@@ -412,10 +435,10 @@ class TestReduceCycleProperties:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["truncated:3", "truncated:4", "exterior-deg-neg1"]), st.data())
     def test_representative_of_the_class(self, name, data):
-        W = _reduce_window(name)
-        key = data.draw(st.sampled_from(sorted(W.strands)))
+        W, strands = _reduce_window(name)
+        key = data.draw(st.sampled_from(sorted(strands)))
         q, w = key
-        words = {i: word for word, i in W.strands[key].items()}
+        words = {i: word for word, i in strands[key].items()}
         coeffs = st.integers(-5, 5)
         down, up = _dense_differential(W.complex, q, w), _dense_differential(W.complex, q + 1, w)
         if down:
@@ -470,13 +493,28 @@ def _strictly_one_sign(values):
     return all(v > 0 for v in values) or all(v < 0 for v in values)
 
 
+def _check_locate(window, letters, bidegree, shift, max_len):
+    """locate gives every word up to one letter past max_len its shifted
+    (degree, weight), with the place the walk gave it, or None for a word
+    the walk did not visit."""
+    ids = {word: i for i, word in enumerate(visited_words(window))}
+    for n in range(max_len + 2):
+        for word in itertools.product(letters, repeat=n):
+            key = (sum(bidegree[a][0] + shift for a in word), sum(bidegree[a][1] for a in word))
+            i = ids.get(word)
+            assert window.locate(word) == (key, None if i is None else window.place[i])
+            assert i is None or window.keys[window.group[i]] == key
+
+
 class TestWindowStrands:
     @settings(max_examples=200, deadline=None)
     @given(_letter_sets, st.integers(0, 4), st.integers(0, 4))
     def test_bar_window_equals_filtered_product(self, bidegrees, stages, wb):
         letters, bidegree = _labelled(bidegrees)
-        got = _Window(letters, bidegree, 1, stages, wb).words()
+        window = _Window(letters, bidegree, 1, stages, wb)
+        got = window_words(window)
         assert got == _brute_strands(letters, bidegree, 1, stages, wb)
+        _check_locate(window, letters, bidegree, 1, stages)
         # iteration order is place order, the order of the columns
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
 
@@ -492,8 +530,10 @@ class TestWindowStrands:
             return
         # |weight| or |degree| is at least the word length, so no word in
         # the window is longer than max(wb, db)
-        got = _Window(letters, bidegree, -1, None, wb, db).words()
+        window = _Window(letters, bidegree, -1, None, wb, db)
+        got = window_words(window)
         assert got == _brute_strands(letters, bidegree, -1, max(wb, db), wb, db)
+        _check_locate(window, letters, bidegree, -1, max(wb, db))
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
 
     def test_cap_counts_words_visited_not_kept(self, monkeypatch):
@@ -503,7 +543,7 @@ class TestWindowStrands:
         with pytest.raises(InputError, match="bound overflow"):
             _Window(["a", "b"], bidegree, 1, 12, 0, degree_bound=None)
         bidegree = {"a": (1, 5), "b": (-1, 5)}
-        assert _Window(["a", "b"], bidegree, 1, 12, 0).words() == {(0, 0): {(): 0}}
+        assert window_words(_Window(["a", "b"], bidegree, 1, 12, 0)) == {(0, 0): {(): 0}}
 
 
 # -- homology from one Smith form per differential --------------------------
@@ -647,13 +687,13 @@ ORACLE_CASES = {
 
 
 def _bar_columns(A, stages, weight_bound):
-    return (_Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound).words(),
+    return (window_words(_Window(A.augmentation_ideal(), A.bidegree, 1, stages, weight_bound)),
             bar_complex(A, stages, weight_bound), lambda word: bar_differential_word(A, word))
 
 
 def _cobar_columns(C, degree_bound, weight_bound):
     letters = [c for c in C.labels if c != C.coaug]
-    return (_Window(letters, C.bidegree, -1, None, weight_bound, degree_bound).words(),
+    return (window_words(_Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)),
             cobar_complex(C, degree_bound, weight_bound),
             lambda word: cobar_differential_word(C, word))
 

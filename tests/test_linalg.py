@@ -1,5 +1,6 @@
 """Integer matrix routines checked against hand values and sympy."""
 
+import functools
 import itertools
 import math
 import random
@@ -10,6 +11,13 @@ from hypothesis import strategies as st
 
 from hopfwitt import linalg
 from hopfwitt.errors import InputError
+from hopfwitt.homology import (
+    ChainComplex,
+    GradedAugmentedAlgebra,
+    GradedCoalgebra,
+    bar_complex,
+    cobar_complex,
+)
 
 import linalg_oracle as oracle
 
@@ -351,6 +359,23 @@ class TestInvariantsBeyondTheOracle:
                 assert len(factors) < 60
 
 
+def _check_unit_columns(A, rows):
+    """The unit-pivot columns of rows, the rows of A with or without
+    their zero entries, are distinct, one per leading factor 1, and the
+    rows of A on them have a unimodular block.  Returns the factors."""
+    sympy = pytest.importorskip("sympy")
+    cols: set[int] = set()
+    factors = linalg.invariant_factors(rows, cols)
+    assert factors == linalg.invariant_factors(rows)
+    units, core = linalg._unit_pivot_core(rows)
+    assert len(set(units)) == len(units) and set(units) == cols <= set(range(len(A[0])))
+    assert factors == [1] * len(cols) + linalg.invariant_factors(oracle.sparse_rows(core))
+    P = sorted(cols)
+    assert any(abs(sympy.Matrix([[A[i][j] for j in P] for i in S]).det()) == 1
+               for S in itertools.combinations(range(len(A)), len(P)))
+    return factors
+
+
 class TestUnitPivotColumns:
     """The unit-pivot columns invariant_factors reports, on which
     ChainComplex.homology skips cells: distinct, one per leading factor 1
@@ -364,20 +389,11 @@ class TestUnitPivotColumns:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32),
            st.sampled_from(["signs", "small", "product"]))
     def test_distinct_counted_and_unimodular(self, r, c, seed, kind):
-        sympy = pytest.importorskip("sympy")
         rng = random.Random(seed)
         A = {"signs": lambda: _sparse_signs(rng, r, c, 0.5),
              "small": lambda: _random_matrix(rng, r, c, -3, 3),
              "product": lambda: _low_rank_product(rng, r, c, min(r, c) - 1)}[kind]()
-        cols: set[int] = set()
-        factors = linalg.invariant_factors(oracle.sparse_rows(A), cols)
-        assert factors == linalg.invariant_factors(oracle.sparse_rows(A))
-        units, core = linalg._unit_pivot_core(oracle.sparse_rows(A))
-        assert len(set(units)) == len(units) and set(units) == cols <= set(range(c))
-        assert factors == [1] * len(cols) + linalg.invariant_factors(oracle.sparse_rows(core))
-        P = sorted(cols)
-        assert any(abs(sympy.Matrix([[A[i][j] for j in P] for i in S]).det()) == 1
-                   for S in itertools.combinations(range(r), len(P)))
+        _check_unit_columns(A, oracle.sparse_rows(A))
 
     def test_adds_to_the_set_given(self):
         cols = {7}
@@ -385,10 +401,52 @@ class TestUnitPivotColumns:
         assert cols == {7, 1}
 
 
+class TestExplicitZeros:
+    """Rows may carry explicit zero entries: rank and invariant_factors
+    take rows as their callers give them, and a ChainComplex hands its
+    columns to the Smith form as they are.  Every zero changes nothing:
+    the answers equal those of the rows without zeros, and sympy's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32),
+           st.sampled_from(["signs", "small"]))
+    def test_rows_with_every_zero(self, r, c, seed, kind):
+        rng = random.Random(seed)
+        A = {"signs": lambda: _sparse_signs(rng, r, c, 0.5),
+             "small": lambda: _random_matrix(rng, r, c, -3, 3)}[kind]()
+        rows = [dict(enumerate(row)) for row in A]
+        factors, rank = _check_unit_columns(A, rows), linalg.rank(rows)
+        assert (factors, rank) == _sympy_factors_and_rank(A)
+        plain = oracle.sparse_rows(A)
+        assert (linalg.invariant_factors(plain), linalg.rank(plain)) == (factors, rank)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["bar truncated:3", "bar truncated:4", "cobar divided-power:4"]),
+           st.integers(0, 2**32))
+    def test_complex_columns_with_zeros(self, name, seed):
+        C = _zero_free_complex(name)
+        rng = random.Random(seed)
+
+        def with_zeros(col, rows):
+            free = [i for i in range(rows) if i not in col]
+            return col | dict.fromkeys(rng.sample(free, min(2, len(free))), 0)
+
+        diffs = {w: {q: [with_zeros(col, C.rank(q - 1, w)) for col in cols]
+                     for q, cols in qs.items()}
+                 for w, qs in C.diffs.items()}
+        assert ChainComplex(C.ranks, diffs).homology() == C.homology()
+
+
+@functools.cache
+def _zero_free_complex(name):
+    return {"bar truncated:3": lambda: bar_complex(GradedAugmentedAlgebra.truncated(3), 7, 7),
+            "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 5, 8),
+            "cobar divided-power:4": lambda: cobar_complex(GradedCoalgebra.divided_power(4), 8, 4),
+            }[name]()
+
+
 class TestOneRoute:
     def test_no_transforms_and_no_hermite_form(self, monkeypatch):
-        from hopfwitt.homology import ChainComplex
-
         def refuse(*_):
             pytest.fail("invariants went through a transform-tracking route")
 

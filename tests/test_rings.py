@@ -20,6 +20,7 @@ from hopfwitt.rings import (
     ring_from_spec,
 )
 from hopfwitt.witt import TruncationSet, WittVector, witt_add
+from universal_vector_oracle import IntZRing, IntZTensorRing
 from witt_lift_oracle import poly_mul, poly_rem
 
 
@@ -162,6 +163,22 @@ def test_monic_quotient_rings_compare_by_modulus():
     assert GaloisField(2, 2).lift_ring == a
     assert hash(a) == hash(MonicQuotientRing((1, 1, 1)))
     assert len({a, b, GaloisField(3, 2).lift_ring}) == 2
+
+
+def test_rings_without_a_json_form_print_and_compare():
+    """A ring without text or JSON form, such as the Int(Z) rings of the
+    oracle, prints as its class name and equals the rings of its class
+    alone; the rings that print keep their own text."""
+    a, b = IntZRing(), IntZTensorRing()
+    assert (str(a), repr(b)) == ("IntZRing", "IntZTensorRing")
+    assert [str(R) for R in (IntegerRing(), ZModRing(8), GaloisField(3, 2),
+                             GaloisField(2, 2).lift_ring, PolynomialRing())] == [
+        "Z", "Z/8", "F_9", "Z[w]/(1, 1, 1)", "Z[..]"]
+    assert a == IntZRing() and hash(a) == hash(IntZRing())
+    assert a != b and b != a
+    for R in (IntegerRing(), PolynomialRing(), GaloisField(2, 2).lift_ring):
+        assert a != R and R != a and b != R and R != b
+    assert len({a, b, IntZRing(), IntegerRing()}) == 3
 
 
 def test_f4_multiplication_table():
