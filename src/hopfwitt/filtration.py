@@ -248,18 +248,8 @@ def associated_graded(X: FilteredModule) -> dict[int, int]:
 
 # -- graded algebra presentations ------------------------------------
 
-# A constant of Z[t] is held as {t-exponent: nonzero int}.
+# A constant of Z[t] as given: {t-exponent: int}.
 TPoly = dict[int, int]
-
-
-def _t_terms(value, where: str) -> TPoly:
-    """A constant given as a {t-exponent: int} table, checked to be an
-    integer polynomial in t."""
-    if not isinstance(value, dict) or not all(
-            type(e) is int and e >= 0 and type(c) is int for e, c in value.items()):
-        raise InputError(f"constant for {where} is not integral: "
-                         "want {t-exponent: int} with nonnegative exponents")
-    return {e: c for e, c in value.items() if c}
 
 
 def t_poly(terms: TPoly) -> SparsePoly:
@@ -275,6 +265,11 @@ def t_poly_str(terms: TPoly) -> str:
                         for e in sorted(terms, reverse=True))
 
 
+def _not_integral(k: str, i: str, j: str) -> InputError:
+    return InputError(f"constant for {k} in ({i},{j}) is not integral: "
+                      "want {t-exponent: int} with nonnegative exponents")
+
+
 class GradedAlgebraPresentation:
     """Weight-graded commutative algebra given by generators and constants.
 
@@ -285,11 +280,12 @@ class GradedAlgebraPresentation:
     weights sum to at most `bound`.  A presentation whose constants are
     free of t is an ordinary graded algebra over Z.
 
-    Constants are given, checked once and kept in one form,
-    constants[(i, j)] = {k: {t-exponent: int}}; products, the
+    Constants are given as {k: {t-exponent: int}} per generator pair and
+    checked once, each pair in the orientation given.  Weight homogeneity
+    leaves each constant a single term c * t^(w_i + w_j - w_k), so the
+    exponent is read off the weights and constants[(i, j)] = {k: c} keeps
+    the nonzero integers c, the same table under (j, i); products, the
     associativity check and specialization run on these integers.
-    Weight homogeneity leaves each constant a single term c * t^d, so
-    the associativity check reads the table as plain integers {k: c}.
     """
 
     def __init__(self, generators: list[tuple[str, int]], unit: str,
@@ -299,47 +295,48 @@ class GradedAlgebraPresentation:
             raise InputError("duplicate generator labels")
         if any(w < 0 for _, w in generators):
             raise InputError("generator weights must be nonnegative")
-        self.generators = list(generators)
-        self.weights = dict(generators)
-        if unit not in self.weights or self.weights[unit] != 0:
+        self.generators = gens = list(generators)
+        self.weights = weight = dict(gens)
+        if unit not in weight or weight[unit] != 0:
             raise InputError("unit must be a generator of weight zero")
         self.unit = unit
         self.bound = bound
-        self.constants: dict[tuple[str, str], dict[str, TPoly]] = {}
+        self.constants: dict[tuple[str, str], dict[str, int]] = {}
         for (i, j), out in constants.items():
-            terms = {k: _t_terms(v, f"{k} in ({i},{j})") for k, v in out.items()}
-            cleaned = {k: ts for k, ts in terms.items() if ts}
-            self.constants[(i, j)] = cleaned
-            self.constants[(j, i)] = cleaned
-        self._validate()
-
-    def _validate(self):
-        for (i, j), out in self.constants.items():
-            if i not in self.weights or j not in self.weights:
+            if i not in weight or j not in weight:
                 raise InputError(f"constants reference unknown labels {i}, {j}")
-            w = self.weights[i] + self.weights[j]
-            if w > self.bound:
+            w = weight[i] + weight[j]
+            if w > bound:
                 raise InputError(f"product ({i},{j}) exceeds the weight bound")
+            table: dict[str, int] = {}
             for k, terms in out.items():
-                if k not in self.weights:
-                    raise InputError(f"product ({i},{j}) hits unknown label {k}")
-                for d in terms:
-                    if self.weights[k] + d != w:
-                        raise InputError(
-                            f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
-        for a, (g, wg) in enumerate(self.generators):
-            for j, wj in self.generators[a:]:
-                if wg + wj <= self.bound and (g, j) not in self.constants:
+                if not isinstance(terms, dict):
+                    raise _not_integral(k, i, j)
+                for d, c in terms.items():
+                    if type(d) is not int or d < 0 or type(c) is not int:
+                        raise _not_integral(k, i, j)
+                    if c:
+                        if k not in weight:
+                            raise InputError(f"product ({i},{j}) hits unknown label {k}")
+                        if weight[k] + d != w:
+                            raise InputError(
+                                f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
+                        table[k] = c
+            self.constants[(i, j)] = self.constants[(j, i)] = table
+        for a, (g, wg) in enumerate(gens):
+            for j, wj in gens[a:]:
+                if wg + wj <= bound and (g, j) not in self.constants:
                     raise InputError(f"product ({g},{j}) within the weight bound is not given")
-            if wg <= self.bound and self.constants[(self.unit, g)] != {g: {0: 1}}:
+            if wg <= bound and self.constants[(unit, g)] != {g: 1}:
                 raise InputError(f"unit law fails on {g}")
 
     def product(self, i: str, j: str) -> dict[str, TPoly]:
         """The constants of the stored product i * j, as {k: {t-exponent: int}}:
-        the stored table itself, which callers must not change."""
+        a new table, each c * t^(w_i + w_j - w_k) formed from the stored c."""
         if (i, j) not in self.constants:
             raise InputError(f"product ({i},{j}) not stored (weight bound {self.bound})")
-        return self.constants[(i, j)]
+        w = self.weights
+        return {k: {w[i] + w[j] - w[k]: c} for k, c in self.constants[(i, j)].items()}
 
     def product_text(self, i: str, j: str) -> dict[str, str]:
         """The constants of product(i, j) in their canonical text form."""
@@ -349,11 +346,11 @@ class GradedAlgebraPresentation:
         """(xy)z = x(yz) for generator triples within the weight bound.
 
         Each constant is a single term n t^d, and any bracketing of a, b, c
-        puts t^(w_a+w_b+w_c-w_l) on label l, so the integers n decide it.
-        The table is symmetric and the unit law holds, so (ab)c = a(bc) =
-        b(ac) for a <= b <= c besides the unit covers every ordered triple."""
-        table = {pair: {k: n for k, terms in out.items() for n in terms.values()}
-                 for pair, out in self.constants.items()}
+        puts t^(w_a+w_b+w_c-w_l) on label l, so the stored integers n
+        decide it.  The table is symmetric and the unit law holds, so
+        (ab)c = a(bc) = b(ac) for a <= b <= c besides the unit covers every
+        ordered triple."""
+        table = self.constants
 
         def times(x: dict[str, int], g: str) -> dict[str, int]:
             acc: dict[str, int] = {}
@@ -383,22 +380,26 @@ class GradedAlgebraPresentation:
 
     def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,
-        one entry per unordered generator pair.  A value that would take
-        some c * t^e past intz.EVAL_BITS_LIMIT bits is refused first."""
+        one entry per unordered generator pair, keyed in label order.  A
+        value that would take some c * t^e past intz.EVAL_BITS_LIMIT bits
+        is refused first."""
+        w = self.weights
+        # each unordered pair once, under its key in label order
+        pairs = [(i, j, w[i] + w[j], cs) for (i, j), cs in self.constants.items() if i <= j]
         t_bits = abs(value).bit_length()
         if t_bits > 1:
-            need = max((c.bit_length() + e * t_bits for cs in self.constants.values()
-                        for terms in cs.values() for e, c in terms.items()), default=0)
+            need = max((c.bit_length() + (wij - w[k]) * t_bits
+                        for _, _, wij, cs in pairs for k, c in cs.items()), default=0)
             if need > intz.EVAL_BITS_LIMIT:
                 raise bound_overflow("specializing t", f"{need} bits in one constant",
                                      "intz.EVAL_BITS_LIMIT", intz.EVAL_BITS_LIMIT)
         out: dict[tuple[str, str], dict[str, int]] = {}
-        for (i, j), cs in self.constants.items():
-            key = tuple(sorted((i, j)))
-            if key in out:
-                continue
-            spec = {k: sum(c * value ** e for e, c in terms.items()) for k, terms in cs.items()}
-            out[key] = {k: v for k, v in spec.items() if v}
+        for i, j, wij, cs in pairs:
+            spec = out[i, j] = {}
+            for k, c in cs.items():
+                v = c * value ** (wij - w[k])
+                if v:
+                    spec[k] = v
         return out
 
     def to_json(self) -> str:
@@ -406,16 +407,14 @@ class GradedAlgebraPresentation:
         for g, w in self.generators:
             weights.setdefault(str(w), []).append(g)
         order = {g: (w, g) for g, w in self.generators}
+        # each unordered pair once, lighter generator first
+        keys = sorted(((order[i], order[j]), i, j) for i, j in self.constants
+                      if order[i] <= order[j])
         pairs = []
-        seen = set()
-        for (i, j) in sorted(self.constants, key=lambda p: (order[p[0]], order[p[1]])):
-            key = tuple(sorted((i, j), key=lambda g: order[g]))
-            if key in seen:
-                continue
-            seen.add(key)
+        for _, i, j in keys:
             out = self.product_text(i, j)
-            pairs.append({"i": key[0], "j": key[1],
-                          "out": {k: out[k] for k in sorted(out, key=lambda g: order[g])}})
+            pairs.append({"i": i, "j": j,
+                          "out": {k: out[k] for k in sorted(out, key=order.__getitem__)}})
         obj = {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit}
         return json.dumps(obj, separators=(",", ":"))
 
@@ -441,11 +440,11 @@ def rees(bound: int = 10) -> GradedAlgebraPresentation:
         raise InputError("bound must be nonnegative")
     intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
                      bound, "the Rees table")
-    gens = [(_gen_label(k), k) for k in range(bound + 1)]
-    constants = {(_gen_label(i), _gen_label(j)):
-                 {_gen_label(k): {i + j - k: c} for k, c in intz.basis_product(i, j).items()}
+    labels = [_gen_label(k) for k in range(bound + 1)]
+    constants = {(labels[i], labels[j]):
+                 {labels[k]: {i + j - k: c} for k, c in intz.basis_product(i, j).items()}
                  for i in range(bound + 1) for j in range(i, bound + 1 - i)}
-    return GradedAlgebraPresentation(gens, "1", constants, bound)
+    return GradedAlgebraPresentation(list(zip(labels, range(bound + 1))), "1", constants, bound)
 
 
 def drinfeld_structure_constants(m: int, n: int) -> dict[int, SparsePoly]:

@@ -683,12 +683,13 @@ class BarHomologyWindow:
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], Column]:
         """The chain split by strand, each part as {place: coeff} in its
         strand without zero coefficients, each word placed by the
-        window's tables."""
+        window's tables.  A word the window never visited is refused
+        whatever its coefficient."""
         out: dict[tuple[int, int], Column] = {}
         locate, strands = self._window.locate, self._window.strands
         for word, c in chain.items():
             key, p = locate(word)
-            if key not in strands or (c and p is None):
+            if p is None or key not in strands:
                 raise InputError(f"chain leaves the computed window at {key}")
             part = out.setdefault(key, {})
             if c:

@@ -1,9 +1,10 @@
 """The Z[t] route to the associativity of a graded algebra presentation,
 kept as a test oracle.
 
-The library reads each constant as one integer and compares (ab)c with
-a(bc) and b(ac) once per unordered triple of generators besides the unit.
-This route multiplies {label: {t-exponent: int}} combinations in Z[t] and
+The library stores each constant as one integer c, its t-exponent read
+off the weights, and compares (ab)c with a(bc) and b(ac) once per
+unordered triple of generators besides the unit.  This route multiplies
+the {label: {t-exponent: int}} tables that product() forms in Z[t] and
 tries every ordered triple within the weight bound, the unit included, so
 its verdict rests neither on weight homogeneity nor on the symmetry of the
 table.

@@ -60,6 +60,8 @@ CASES = [
     ("filt-drinfeld-22", ["filt", "drinfeld", "--m", "2", "--n", "2"]),
     ("filt-rees-b6-json", ["filt", "rees", "--bound", "6", "--format", "json"]),
     ("filt-rees-b5-tneg2", ["filt", "rees", "--bound", "5", "--t", "-2"]),
+    ("filt-rees-b12-json", ["filt", "rees", "--bound", "12", "--format", "json"]),
+    ("filt-rees-b12-t3", ["filt", "rees", "--bound", "12", "--t", "3"]),
     ("filt-drinfeld-75-json", ["filt", "drinfeld", "--m", "7", "--n", "5",
                                "--format", "json"]),
     ("filt-gr", ["filt", "gr", DEG2]),

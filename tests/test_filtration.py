@@ -470,6 +470,56 @@ class TestGradedAlgebraPresentation:
         assert json.loads(P.to_json())["constants"][-1] == \
             {"i": "C1", "j": "C1", "out": {"C1": "t", "C2": "2"}}
 
+    def test_specialize_refusal_counts_bits(self):
+        # the largest t-exponent of rees(12) is 6, on a constant of 7 bits
+        with pytest.raises(InputError) as info:
+            rees(12).specialize(-(3 ** 1300))
+        assert str(info.value) == ("bound overflow: specializing t needs 12367 bits in one "
+                                   "constant, over intz.EVAL_BITS_LIMIT = 10000")
+
+
+_NOT_INTEGRAL = "is not integral: want {t-exponent: int} with nonnegative exponents"
+
+# One fault each in the tiny presentation 1, C1, C2 at bound 2: the
+# pairs to replace (None drops the pair) and the exact refusal.
+_SINGLE_FAULTS = {
+    "not a dict": ({("C1", "C1"): {"C1": {1: 1}, "C2": 2}},
+                   f"constant for C2 in (C1,C1) {_NOT_INTEGRAL}"),
+    "bool exponent": ({("C1", "C1"): {"C1": {True: 1}, "C2": {0: 2}}},
+                      f"constant for C1 in (C1,C1) {_NOT_INTEGRAL}"),
+    "negative exponent": ({("C1", "C1"): {"C1": {-1: 1}, "C2": {0: 2}}},
+                          f"constant for C1 in (C1,C1) {_NOT_INTEGRAL}"),
+    "bool coefficient": ({("C1", "C1"): {"C1": {1: 1}, "C2": {0: True}}},
+                         f"constant for C2 in (C1,C1) {_NOT_INTEGRAL}"),
+    "unknown pair label": ({("C1", "C3"): {}}, "constants reference unknown labels C1, C3"),
+    "unknown product label": ({("C1", "C1"): {"C1": {1: 1}, "C3": {0: 2}}},
+                              "product (C1,C1) hits unknown label C3"),
+    "pair over the bound": ({("C1", "C2"): {}}, "product (C1,C2) exceeds the weight bound"),
+    "two-term constant": ({("C1", "C1"): {"C1": {1: 1}, "C2": {0: 2, 1: 3}}},
+                          "constant t^1*C2 in (C1,C1) breaks weight homogeneity"),
+    "wrong exponent": ({("C1", "C1"): {"C1": {0: 1}, "C2": {0: 2}}},
+                       "constant t^0*C1 in (C1,C1) breaks weight homogeneity"),
+    "missing product": ({("C1", "C1"): None},
+                        "product (C1,C1) within the weight bound is not given"),
+    "broken unit law": ({("1", "C1"): {"C1": {0: -1}}}, "unit law fails on C1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SINGLE_FAULTS))
+def test_single_fault_refusal_text(fault):
+    constants = {("1", "1"): {"1": {0: 1}}, ("1", "C1"): {"C1": {0: 1}},
+                 ("1", "C2"): {"C2": {0: 1}}, ("C1", "C1"): {"C1": {1: 1}, "C2": {0: 2}}}
+    GradedAlgebraPresentation([("1", 0), ("C1", 1), ("C2", 2)], "1", constants, 2)
+    changes, message = _SINGLE_FAULTS[fault]
+    for pair, out in changes.items():
+        if out is None:
+            del constants[pair]
+        else:
+            constants[pair] = out
+    with pytest.raises(InputError) as info:
+        GradedAlgebraPresentation([("1", 0), ("C1", 1), ("C2", 2)], "1", constants, 2)
+    assert str(info.value) == message
+
 
 @st.composite
 def _random_presentation(draw):

@@ -389,8 +389,10 @@ class TestShuffle:
         assert bar_word_bidegree(A, ("s",) * 4) == bar_word_bidegree(A, ("s", "s", "sx")) == (8, 4)
         W = BarHomologyWindow(A, 3, 4)
         assert W.complex.rank(8, 4) > 0
-        with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
-            W.reduce_cycle({("s",) * 4: 1})
+        # whatever its coefficient: a zero entry names an unvisited word too
+        for coeff in (1, 0):
+            with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
+                W.reduce_cycle({("s",) * 4: coeff})
 
     @pytest.mark.parametrize("letter", ["1", "z"])
     def test_foreign_letter_rejected(self, letter):
