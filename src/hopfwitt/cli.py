@@ -281,26 +281,20 @@ def _cmd_filt_rees(args) -> str:
     from . import filtration
 
     P = filtration.rees(args.bound)
-    position = {g: k for k, (g, _) in enumerate(P.generators)}
-    # only pairs inside the weight bound are stored
-    gens = [(g, w) for g, w in P.generators if g != P.unit]
-    pairs = [(gens[a][0], gens[b][0])
-             for a in range(len(gens)) for b in range(a, len(gens))
-             if gens[a][1] + gens[b][1] <= P.bound]
+    if args.t is None and args.format == "json":
+        return P.to_json() + "\n"
+    # the unit's products are not listed
+    pairs = [(i, j) for i, j in P.pairs() if i != P.unit]
     if args.t is None:
+        out = {(i, j): P.product_text(i, j) for i, j in pairs}
+    else:
+        table = P.specialize(args.t)
+        out = {(i, j): table[tuple(sorted((i, j)))] for i, j in pairs}
         if args.format == "json":
-            return P.to_json() + "\n"
-        lines = [f"{i}*{j} = {_comb_str(P.product_text(i, j), position)}"
-                 for i, j in pairs]
-        return "\n".join(lines) + "\n"
-    table = P.specialize(args.t)
-    if args.format == "json":
-        rows = [{"i": i, "j": j, "out": table[tuple(sorted((i, j)))]}
-                for i, j in pairs]
-        return _json_line({"constants": rows, "t": args.t})
-    lines = [f"{i}*{j} = {_comb_str(table[tuple(sorted((i, j)))], position)}"
-             for i, j in pairs]
-    return "\n".join(lines) + "\n"
+            rows = [{"i": i, "j": j, "out": o} for (i, j), o in out.items()]
+            return _json_line({"constants": rows, "t": args.t})
+    # the basis index of each label is its weight
+    return "".join(f"{i}*{j} = {_comb_str(o, P.weights)}\n" for (i, j), o in out.items())
 
 
 def _cmd_filt_drinfeld(args) -> str:

@@ -6,13 +6,12 @@ every stage equals the underlying module, above n_max every stage is
 zero.  This shape makes the convolution tensor product a plain sum of
 image lattices, computed exactly with Hermite normal forms.
 
-GradedAlgebraPresentation holds a weight-graded commutative algebra over
-Z or Z[t] by generators and integer structure constants, each given as a
-{t-exponent: int} table.  rees()
-produces the one-parameter deformation of the binomial ring whose
-specializations at t=1 and t=0 recover the original product and its
-divided-power shadow.  The same deformation is realized polynomially by
-the basis b_n(x,t) = x(x-t)...(x-t(n-1))/n! = t^n C(x/t, n), so both
+GradedAlgebraPresentation, built by rees(), is the Rees algebra of
+Int(Z) over Z[t]: the one-parameter deformation of the binomial ring
+whose specializations at t=1 and t=0 recover the original product and
+its divided-power shadow, stored as one integer per term of the closed
+form intz.basis_product.  The same deformation is realized polynomially
+by the basis b_n(x,t) = x(x-t)...(x-t(n-1))/n! = t^n C(x/t, n), so both
 read one closed form: C(x,m) C(x,n) = sum_k c_mnk C(x,k) gives
 b_m b_n = sum_k c_mnk t^(m+n-k) b_k.
 """
@@ -120,10 +119,6 @@ class FilteredModule:
         if not isinstance(other, FilteredModule):
             return NotImplemented
         return self.ranks[0] == other.ranks[0] and self.profile() == other.profile()
-
-    def shift(self, k: int) -> FilteredModule:
-        """Reindex: stage n of the shift is stage n - k of the original."""
-        return FilteredModule(self.n_min + k, self.n_max + k, self.ranks, self.maps)
 
     def to_json(self) -> str:
         """Each structure map as the ranks[i] x ranks[i + 1] integer matrix
@@ -246,9 +241,9 @@ def associated_graded(X: FilteredModule) -> dict[int, int]:
     return {X.n_min + i: r - s for i, (r, s) in enumerate(zip(X.ranks, X.ranks[1:] + [0]))}
 
 
-# -- graded algebra presentations ------------------------------------
+# -- the Rees algebra of the binomial ring ---------------------------
 
-# A constant of Z[t] as given: {t-exponent: int}.
+# A constant of Z[t] as output: {t-exponent: int}.
 TPoly = dict[int, int]
 
 
@@ -265,70 +260,50 @@ def t_poly_str(terms: TPoly) -> str:
                         for e in sorted(terms, reverse=True))
 
 
-def _not_integral(k: str, i: str, j: str) -> InputError:
-    return InputError(f"constant for {k} in ({i},{j}) is not integral: "
-                      "want {t-exponent: int} with nonnegative exponents")
+def _gen_label(k: int) -> str:
+    return "1" if k == 0 else f"C{k}"
 
 
 class GradedAlgebraPresentation:
-    """Weight-graded commutative algebra given by generators and constants.
+    """The Rees algebra of Int(Z) over Z[t] up to weight `bound`, built by
+    rees(bound): the one-parameter deformation of the filtered binomial ring.
 
-    Generators are labels with nonnegative weights; structure constants
-    are integer polynomials in t, where t itself carries weight one, so
-    a term t^d * k in the product i * j needs weight(k) + d equal to
-    weight(i) + weight(j).  Products are stored for generator pairs whose
-    weights sum to at most `bound`.  A presentation whose constants are
-    free of t is an ordinary graded algebra over Z.
-
-    Constants are given as {k: {t-exponent: int}} per generator pair and
-    checked once, each pair in the orientation given.  Weight homogeneity
-    leaves each constant a single term c * t^(w_i + w_j - w_k), so the
-    exponent is read off the weights and constants[(i, j)] = {k: c} keeps
-    the nonzero integers c, the same table under (j, i); products, the
-    associativity check and specialization run on these integers.
+    The generator of weight k is the basis element of degree k, labelled
+    "1" (the unit) for k = 0 and Ck above; t has weight one.  The product
+    i * j is stored when w_i + w_j <= bound.  A product coefficient landing
+    on basis index k acquires t^(i+j-k), so constants[(i, j)] = {k: c}
+    keeps the integers c of the closed form intz.basis_product and the
+    exponent is read off the weights; one dict serves (i, j) and (j, i).
+    Its indices k never pass i+j (the degree filtration is multiplicative),
+    and basis_product(0, j) = {j: 1} is the unit law.  Products, the
+    associativity check and specialization run on these integers; the
+    {k: {t-exponent: int}} tables are formed only for output.
     """
 
-    def __init__(self, generators: list[tuple[str, int]], unit: str,
-                 constants: dict[tuple[str, str], dict[str, TPoly]], bound: int):
-        labels = [g for g, _ in generators]
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate generator labels")
-        if any(w < 0 for _, w in generators):
-            raise InputError("generator weights must be nonnegative")
-        self.generators = gens = list(generators)
-        self.weights = weight = dict(gens)
-        if unit not in weight or weight[unit] != 0:
-            raise InputError("unit must be a generator of weight zero")
-        self.unit = unit
+    def __init__(self, bound: int):
+        """The table has at most min(i,j)+1 terms per stored pair (i, j);
+        more than intz.WORK_LIMIT of them weighted by the bound is refused."""
+        if bound < 0:
+            raise InputError("bound must be nonnegative")
+        intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
+                         bound, "the Rees table")
+        labels = [_gen_label(k) for k in range(bound + 1)]
+        self.generators = list(zip(labels, range(bound + 1)))
+        self.weights = dict(self.generators)
+        self.unit = labels[0]
         self.bound = bound
+        # each pair lighter generator first, in weight order, then its mirror
         self.constants: dict[tuple[str, str], dict[str, int]] = {}
-        for (i, j), out in constants.items():
-            if i not in weight or j not in weight:
-                raise InputError(f"constants reference unknown labels {i}, {j}")
-            w = weight[i] + weight[j]
-            if w > bound:
-                raise InputError(f"product ({i},{j}) exceeds the weight bound")
-            table: dict[str, int] = {}
-            for k, terms in out.items():
-                if not isinstance(terms, dict):
-                    raise _not_integral(k, i, j)
-                for d, c in terms.items():
-                    if type(d) is not int or d < 0 or type(c) is not int:
-                        raise _not_integral(k, i, j)
-                    if c:
-                        if k not in weight:
-                            raise InputError(f"product ({i},{j}) hits unknown label {k}")
-                        if weight[k] + d != w:
-                            raise InputError(
-                                f"constant t^{d}*{k} in ({i},{j}) breaks weight homogeneity")
-                        table[k] = c
-            self.constants[(i, j)] = self.constants[(j, i)] = table
-        for a, (g, wg) in enumerate(gens):
-            for j, wj in gens[a:]:
-                if wg + wj <= bound and (g, j) not in self.constants:
-                    raise InputError(f"product ({g},{j}) within the weight bound is not given")
-            if wg <= bound and self.constants[(unit, g)] != {g: 1}:
-                raise InputError(f"unit law fails on {g}")
+        for i in range(bound + 1):
+            for j in range(i, bound + 1 - i):
+                self.constants[labels[i], labels[j]] = self.constants[labels[j], labels[i]] = \
+                    {labels[k]: c for k, c in intz.basis_product(i, j).items()}
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """Each stored unordered pair once, lighter generator first, in the
+        order stored."""
+        w = self.weights
+        return [(i, j) for i, j in self.constants if (w[i], i) <= (w[j], j)]
 
     def product(self, i: str, j: str) -> dict[str, TPoly]:
         """The constants of the stored product i * j, as {k: {t-exponent: int}}:
@@ -406,45 +381,14 @@ class GradedAlgebraPresentation:
         weights: dict[str, list[str]] = {}
         for g, w in self.generators:
             weights.setdefault(str(w), []).append(g)
-        order = {g: (w, g) for g, w in self.generators}
-        # each unordered pair once, lighter generator first
-        keys = sorted(((order[i], order[j]), i, j) for i, j in self.constants
-                      if order[i] <= order[j])
-        pairs = []
-        for _, i, j in keys:
-            out = self.product_text(i, j)
-            pairs.append({"i": i, "j": j,
-                          "out": {k: out[k] for k in sorted(out, key=order.__getitem__)}})
+        pairs = [{"i": i, "j": j, "out": self.product_text(i, j)} for i, j in self.pairs()]
         obj = {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit}
         return json.dumps(obj, separators=(",", ":"))
 
 
-# -- the Rees deformation of the binomial ring -----------------------
-
-
-def _gen_label(k: int) -> str:
-    return "1" if k == 0 else f"C{k}"
-
-
 def rees(bound: int = 10) -> GradedAlgebraPresentation:
-    """One-parameter deformation of the filtered binomial ring.
-
-    The generator of weight k is the basis element of degree k; a
-    product coefficient landing on basis index k acquires t^(i+j-k).
-    The constants come from the closed form intz.basis_product, whose
-    indices k never pass i+j: the degree filtration is multiplicative.
-    The table has at most min(i,j)+1 terms per stored pair (i, j); more
-    than intz.WORK_LIMIT of them weighted by the bound is refused.
-    """
-    if bound < 0:
-        raise InputError("bound must be nonnegative")
-    intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
-                     bound, "the Rees table")
-    labels = [_gen_label(k) for k in range(bound + 1)]
-    constants = {(labels[i], labels[j]):
-                 {labels[k]: {i + j - k: c} for k, c in intz.basis_product(i, j).items()}
-                 for i in range(bound + 1) for j in range(i, bound + 1 - i)}
-    return GradedAlgebraPresentation(list(zip(labels, range(bound + 1))), "1", constants, bound)
+    """The Rees algebra of Int(Z) over Z[t] up to weight `bound`."""
+    return GradedAlgebraPresentation(bound)
 
 
 def drinfeld_structure_constants(m: int, n: int) -> dict[int, SparsePoly]:

@@ -1,13 +1,16 @@
-"""The Z[t] route to the associativity of a graded algebra presentation,
-kept as a test oracle.
+"""The Z[t] route to the associativity of a graded algebra table, kept
+as a test oracle.
 
-The library stores each constant as one integer c, its t-exponent read
-off the weights, and compares (ab)c with a(bc) and b(ac) once per
-unordered triple of generators besides the unit.  This route multiplies
-the {label: {t-exponent: int}} tables that product() forms in Z[t] and
-tries every ordered triple within the weight bound, the unit included, so
-its verdict rests neither on weight homogeneity nor on the symmetry of the
-table.
+The library's GradedAlgebraPresentation is the Rees algebra of Int(Z):
+it stores each constant as one integer c, its t-exponent read off the
+weights, and compares (ab)c with a(bc) and b(ac) once per unordered
+triple of generators besides the unit.  The tests also install other
+weight-homogeneous tables, not associative in general, on a rees()
+instance, so that check meets tables where each comparison matters on
+its own.  This route multiplies the {label: {t-exponent: int}} tables
+that product() forms in Z[t] and tries every ordered triple within the
+weight bound, the unit included, so its verdict rests neither on weight
+homogeneity nor on the symmetry of the table.
 """
 
 from __future__ import annotations

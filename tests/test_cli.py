@@ -523,6 +523,15 @@ class TestFiltLimits:
         assert lines[-1] == f"C60*C60 = {self._terms(60, 60, 'C')}"
 
     @pytest.mark.parametrize("argv", [
+        ["filt", "rees", "--bound", "0"],
+        ["filt", "rees", "--bound", "1"],
+        ["filt", "rees", "--bound", "1", "--t", "5"],
+    ], ids=["b0", "b1", "b1-t5"])
+    def test_rees_without_products_prints_nothing(self, argv, capsys):
+        # only the unit's products are stored, and the listing leaves them out
+        assert run_cli(argv, capsys) == (0, "", "")
+
+    @pytest.mark.parametrize("argv", [
         ["filt", "drinfeld", "--m", "1000000", "--n", "1000000"],
         ["filt", "rees", "--bound", "100000"],
     ], ids=["drinfeld", "rees"])
