@@ -267,12 +267,13 @@ def _cmd_filt_gr(args) -> str:
     return "".join(f"{n}\t{ranks[n]}\n" for n in sorted(ranks))
 
 
-def _comb_str(out: dict[str, object], position: dict[str, int]) -> str:
+def _comb_str(out: dict[str, object]) -> str:
+    """The terms in the order given, which is basis order for every caller."""
     if not out:
         return "0"
     terms = []
-    for label in sorted(out, key=position.__getitem__):
-        cs = str(out[label])
+    for label, c in out.items():
+        cs = str(c)
         terms.append(label if cs == "1" else f"{cs}*{label}")
     return " + ".join(terms)
 
@@ -289,12 +290,11 @@ def _cmd_filt_rees(args) -> str:
         out = {(i, j): P.product_text(i, j) for i, j in pairs}
     else:
         table = P.specialize(args.t)
-        out = {(i, j): table[tuple(sorted((i, j)))] for i, j in pairs}
+        out = {(i, j): table[i, j] for i, j in pairs}
         if args.format == "json":
             rows = [{"i": i, "j": j, "out": o} for (i, j), o in out.items()]
             return _json_line({"constants": rows, "t": args.t})
-    # the basis index of each label is its weight
-    return "".join(f"{i}*{j} = {_comb_str(o, P.weights)}\n" for (i, j), o in out.items())
+    return "".join(f"{i}*{j} = {_comb_str(o)}\n" for (i, j), o in out.items())
 
 
 def _cmd_filt_drinfeld(args) -> str:
@@ -306,9 +306,7 @@ def _cmd_filt_drinfeld(args) -> str:
             {"constants": {str(k): str(p) for k, p in cs.items()},
              "m": args.m, "n": args.n}
         )
-    labels = {f"b{k}": k for k in cs}
-    body = _comb_str({b: cs[k] for b, k in labels.items()}, labels)
-    return f"b{args.m}*b{args.n} = {body}\n"
+    return f"b{args.m}*b{args.n} = {_comb_str({f'b{k}': p for k, p in cs.items()})}\n"
 
 
 # -- homology subcommands --------------------------------------------

@@ -303,7 +303,7 @@ class GradedAlgebraPresentation:
         """Each stored unordered pair once, lighter generator first, in the
         order stored."""
         w = self.weights
-        return [(i, j) for i, j in self.constants if (w[i], i) <= (w[j], j)]
+        return [(i, j) for i, j in self.constants if w[i] < w[j] or w[i] == w[j] and i <= j]
 
     def product(self, i: str, j: str) -> dict[str, TPoly]:
         """The constants of the stored product i * j, as {k: {t-exponent: int}}:
@@ -355,12 +355,11 @@ class GradedAlgebraPresentation:
 
     def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,
-        one entry per unordered generator pair, keyed in label order.  A
-        value that would take some c * t^e past intz.EVAL_BITS_LIMIT bits
-        is refused first."""
+        one entry per unordered generator pair, keyed and ordered as
+        pairs() gives them.  A value that would take some c * t^e past
+        intz.EVAL_BITS_LIMIT bits is refused first."""
         w = self.weights
-        # each unordered pair once, under its key in label order
-        pairs = [(i, j, w[i] + w[j], cs) for (i, j), cs in self.constants.items() if i <= j]
+        pairs = [(i, j, w[i] + w[j], self.constants[i, j]) for i, j in self.pairs()]
         t_bits = abs(value).bit_length()
         if t_bits > 1:
             need = max((c.bit_length() + (wij - w[k]) * t_bits

@@ -12,7 +12,9 @@ Koszul signs on shifted degrees:
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
 The words of a window are walked once, by length over the sorted
-letters, and each gets a place in its (degree, weight) group, so each
+letters, pruned by weight, or by bar length where the letter weights
+do not share a sign, so every face of a walked word is walked too.
+Each word gets a place in its (degree, weight) group, so each
 strand comes out in its (length, word) place order.  For each group and
 letter the walk keeps a table from a word's place to the place of its
 one-letter extension.  A word's column is built in place coordinates:
@@ -222,7 +224,7 @@ class GradedCoalgebra:
         return cls([("1", 0, 0)], "1", {"1": {("1", "1"): 1}})
 
     @classmethod
-    def divided_power(cls, bound: int, label: str = "g") -> GradedCoalgebra:
+    def divided_power(cls, bound: int) -> GradedCoalgebra:
         """Divided-power coalgebra on a generator in degree 2, weight 1,
         truncated at weight `bound`: Int(Z) on its binomial basis, the
         k-th element being C(x,k), with diagonal intz.comult."""
@@ -231,11 +233,11 @@ class GradedCoalgebra:
         if (bound + 1) ** 3 > VALIDATION_LIMIT:
             raise bound_overflow(f"checking divided-power:{bound}", f"{(bound + 1) ** 3} triples",
                                  "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
-        basis = [(f"{label}{k}", 2 * k, k) for k in range(bound + 1)]
-        delta = {f"{label}{n}": {(f"{label}{i}", f"{label}{j}"): c for (i, j), c
-                                 in intz.comult(intz.IntZElement.basis(n)).items()}
+        basis = [(f"g{k}", 2 * k, k) for k in range(bound + 1)]
+        delta = {f"g{n}": {(f"g{i}", f"g{j}"): c for (i, j), c
+                           in intz.comult(intz.IntZElement.basis(n)).items()}
                  for n in range(bound + 1)}
-        return cls(basis, f"{label}0", delta)
+        return cls(basis, "g0", delta)
 
     def reduced_diagonal(self, c: str) -> dict[tuple[str, str], int]:
         """Diagonal with every coaugmented term dropped (cobar split); the
@@ -383,29 +385,28 @@ class _Window:
     steps[a] is letter a's shifted (degree, weight), and locate finds a
     word's group and place by walking the tables from the empty word.
 
-    A word is visited when its length is at most max_len and its weight
-    (all letter weights of one strict sign), or else its bounded degree
-    (all shifted degrees of one strict sign), is within its bound.  That
-    quantity moves away from zero with every letter, so the visited words
-    are closed under prefixes.  Every word the walk forms is visited, and
-    counts against _TUPLE_CAP.
+    A word is visited when its length is at most max_len and, where every
+    letter weight has one strict sign, its weight is within weight_bound;
+    letters of mixed weights are pruned by length alone, and a cobar
+    window, with no max_len, refuses them.  The weight moves away from
+    zero with every letter, so the visited words are closed under
+    prefixes.  They are closed under faces too: a face keeps its word's
+    weight, and a bar face is one letter shorter, so every face of a
+    visited word is visited and has its place in the tables.  Every word
+    the walk forms is visited, and counts against _TUPLE_CAP.
     """
 
     def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
-                 max_len: int | None, weight_bound: int, degree_bound: int | None = None):
-        if min(max_len or 0, weight_bound, degree_bound or 0) < 0:
+                 max_len: int | None, weight_bound: int):
+        if min(max_len or 0, weight_bound) < 0:
             raise InputError("bounds must be nonnegative")
         steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in sorted(letters)]
-        # prune on the first monotone quantity, by its place in (degree, weight)
-        for axis, bound in ((1, weight_bound), (0, degree_bound)):
-            moves = [s[axis + 1] for s in steps]
-            if bound is not None and (all(v > 0 for v in moves) or all(v < 0 for v in moves)):
-                break
-        else:
+        weights = [wa for _, _, wa in steps]
+        bound = weight_bound
+        if not (all(v > 0 for v in weights) or all(v < 0 for v in weights)):
             if max_len is None:
-                raise InputError(
-                    "cannot bound cobar word length: letters need uniformly signed "
-                    "weights or degrees uniformly away from one")
+                raise InputError("cannot bound cobar word length: letters need weights "
+                                 "of one strict sign")
             bound = None
         prefix: list[int] = [-1]
         last: list[str | None] = [None]
@@ -425,16 +426,16 @@ class _Window:
                 g = group[v]
                 plan = plans[g]
                 if plan is None:
-                    # along the pruned axis every letter moves one way, so a
-                    # group with r left before its bound extends by exactly
-                    # the letters moving at most r
+                    # every letter moves the weight one way, so a group with
+                    # r left before the bound extends by exactly the letters
+                    # of weight at most r
                     d, w = keys[g]
                     room = steps
                     if bound is not None:
-                        r = bound - abs(keys[g][axis])
+                        r = bound - abs(w)
                         room = fits.get(r)
                         if room is None:
-                            room = fits[r] = [s for s in steps if abs(s[axis + 1]) <= r]
+                            room = fits[r] = [s for s in steps if abs(s[2]) <= r]
                     plan = plans[g] = []
                     for a, da, wa in room:
                         key = (d + da, w + wa)
@@ -464,8 +465,7 @@ class _Window:
         self.keys, self.index, self.ext = keys, index, ext
         self.steps = {a: (da, wa) for a, da, wa in steps}
         self.strands = {key: members[g] for g, key in enumerate(keys)
-                        if abs(key[1]) <= weight_bound
-                        and (degree_bound is None or abs(key[0]) <= degree_bound)}
+                        if abs(key[1]) <= weight_bound}
 
     def locate(self, word: tuple) -> tuple[tuple[int, int], int | None]:
         """The (degree, weight) of word, with the shift, and its place in
@@ -495,14 +495,6 @@ class _Window:
         (place, coeff) pairs with their signs, found through the same
         tables.  Each strand hands the complex its words' columns as they
         are."""
-        # A face of a visited word is visited, so it has a place: a bar face
-        # keeps the weight and is one letter shorter, so the pruned weight or
-        # the length bound admits it; a cobar face keeps the weight and, with
-        # positive shifted letters, lowers a positive degree by one.  Only a
-        # degree bound on negative shifted letters, or a length bound, loses
-        # cobar faces, those of words on the bound, which have no visited
-        # extension and no strand below.  So each column is held to the
-        # visited words, and every column that is read is whole.
         prefix, last, group, index = self.prefix, self.last, self.group, self.index
         below = [self.ext[index[d - 1, w]] if (d - 1, w) in index else {}
                  for d, w in self.keys]
@@ -510,11 +502,7 @@ class _Window:
         for i in range(1, len(prefix)):
             v, a = prefix[i], last[i]
             table = below[group[v]].get(a)
-            if table is None:
-                col: Column = {}
-            else:
-                n = len(table)
-                col = {table[u]: c for u, c in cols[v].items() if u < n}
+            col: Column = {} if table is None else {table[u]: c for u, c in cols[v].items()}
             for t, c in joins(v, a):
                 s = col.get(t, 0) + c
                 if s:
@@ -533,12 +521,6 @@ class _Window:
 
 
 # -- bar construction -------------------------------------------------
-
-
-def bar_word_bidegree(A: GradedAugmentedAlgebra, word: tuple) -> tuple[int, int]:
-    d = sum(A.bidegree[a][0] for a in word) + len(word)
-    w = sum(A.bidegree[a][1] for a in word)
-    return (d, w)
 
 
 def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
@@ -604,16 +586,20 @@ def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
 def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> ChainComplex:
     """Cobar complex of the reduced coalgebra, keeping words of absolute
     total degree at most degree_bound and absolute weight at most
-    weight_bound."""
+    weight_bound.  The window is walked by weight alone, and the degree
+    bound trims its strands."""
+    if degree_bound < 0:
+        raise InputError("bounds must be nonnegative")
     letters = [c for c in C.labels if c != C.coaug]
-    W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
+    W = _Window(letters, C.bidegree, -1, None, weight_bound)
+    W.strands = {key: ids for key, ids in W.strands.items() if abs(key[0]) <= degree_bound}
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext
     splits = {c: [(a, b, x) for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
     faces: dict[tuple[int, str], list[tuple[list[int], list[int], int]]] = {}
 
     def joins(v, c):
         # v|c splits c into a|b at sign exponent deg(v) + |a|; per group of
-        # v and letter c, the tables reaching v|a|b where the window has it
+        # v and letter c, the tables reaching v|a|b
         g = group[v]
         plan = faces.get((g, c))
         if plan is None:
@@ -621,15 +607,10 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
             d, w = keys[g]
             for a, b, x in splits[c]:
                 da, wa = C.bidegree[a]
-                first = ext[g].get(a)
-                if first is None:
-                    continue
-                second = ext[index[d + da - 1, w + wa]].get(b)
-                if second is not None:
-                    plan.append((first, second, -x if (d + da) % 2 else x))
+                second = ext[index[d + da - 1, w + wa]][b]
+                plan.append((ext[g][a], second, -x if (d + da) % 2 else x))
         p = place[v]
-        return [(second[t], x) for first, second, x in plan
-                if p < len(first) and (t := first[p]) < len(second)]
+        return [(second[first[p]], x) for first, second, x in plan]
 
     return W.complex(joins)
 
@@ -678,7 +659,6 @@ class BarHomologyWindow:
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
         self.algebra = A
         self._window, self.complex = _bar_window(A, stages, weight_bound)
-        self._boundary_hnf: dict[tuple[int, int], list[linalg.Row]] = {}
 
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], Column]:
         """The chain split by strand, each part as {place: coeff} in its
@@ -696,14 +676,6 @@ class BarHomologyWindow:
                 part[p] = c
         return out
 
-    def _boundaries(self, key: tuple[int, int]) -> list[linalg.Row]:
-        if key not in self._boundary_hnf:
-            q, w = key
-            up = self.complex.differential(q + 1, w)
-            # the columns of d(q+1) as rows: the row lattice is the boundaries
-            self._boundary_hnf[key] = linalg.row_hnf(up) if up else []
-        return self._boundary_hnf[key]
-
     def _cycle_parts(self, chain: Chain) -> dict[tuple[int, int], Column]:
         """The chain split by strand; raises on a chain that is not a cycle
         in every strand."""
@@ -718,10 +690,12 @@ class BarHomologyWindow:
         """Canonical form of a cycle modulo boundaries; raises on a
         chain that is not a cycle in every strand."""
         out = {}
-        for key, v in self._cycle_parts(chain).items():
-            _, red = next(linalg.echelon_reduce(self._boundaries(key), [v]))
+        for (q, w), v in self._cycle_parts(chain).items():
+            # the columns of d(q+1) as rows: the row lattice is the boundaries
+            up = self.complex.differential(q + 1, w)
+            _, red = next(linalg.echelon_reduce(linalg.row_hnf(up) if up else [], [v]))
             if red:
-                out[key] = tuple(red.get(i, 0) for i in range(len(self._window.strands[key])))
+                out[q, w] = tuple(red.get(i, 0) for i in range(len(self._window.strands[q, w])))
         return out
 
     def shuffle_classes(self, x: Chain, y: Chain) -> dict[tuple[int, int], tuple[int, ...]]:

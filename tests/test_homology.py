@@ -16,7 +16,6 @@ from hopfwitt.homology import (
     GradedCoalgebra,
     bar_complex,
     bar_differential_word,
-    bar_word_bidegree,
     cobar_complex,
     cobar_differential_word,
     _Window,
@@ -294,6 +293,11 @@ class TestCobarComplex:
         with pytest.raises(InputError, match="bound cobar"):
             cobar_complex(C, 4, 4)
 
+    def test_weight_zero_letters_rejected(self):
+        # weight 0 lets cobar words grow without end at a fixed weight
+        with pytest.raises(InputError, match="cannot bound cobar word length"):
+            cobar_complex(_flat_divided_powers(2), 3, 0)
+
 
 def _exterior_times_dual_numbers():
     """Lambda(s) (x) Z[x]/x^2, with s in (1, 1), x in (2, 1) and sx in
@@ -386,8 +390,10 @@ class TestShuffle:
         # (s|s|s|s) and (s|s|sx) share a strand of four stages, but only
         # the second is in the window of three
         A = _exterior_times_dual_numbers()
-        assert bar_word_bidegree(A, ("s",) * 4) == bar_word_bidegree(A, ("s", "s", "sx")) == (8, 4)
         W = BarHomologyWindow(A, 3, 4)
+        assert W._window.locate(("s",) * 4) == ((8, 4), None)
+        key, place = W._window.locate(("s", "s", "sx"))
+        assert key == (8, 4) and place is not None
         assert W.complex.rank(8, 4) > 0
         # whatever its coefficient: a zero entry names an unvisited word too
         for coeff in (1, 0):
@@ -418,9 +424,8 @@ def _dense_differential(C, q, w):
 
 @functools.cache
 def _reduce_window(name):
-    """One 4-stage bar window per named algebra, kept so the boundary
-    Hermite forms it caches are built once across examples, with the
-    words of its strands from the oracle."""
+    """One 4-stage bar window per named algebra, built once across
+    examples, with the words of its strands from the oracle."""
     A = {"truncated:3": lambda: GradedAugmentedAlgebra.truncated(3),
          "truncated:4": lambda: GradedAugmentedAlgebra.truncated(4),
          "exterior-deg-neg1": lambda: GradedAugmentedAlgebra.exterior(-1, -1)}[name]()
@@ -524,18 +529,16 @@ class TestWindowStrands:
     @given(_letter_sets, st.integers(0, 4), st.integers(0, 5))
     def test_cobar_window_equals_filtered_product(self, bidegrees, wb, db):
         letters, bidegree = _labelled(bidegrees)
-        weights = [w for _, w in bidegrees]
-        shifted = [d - 1 for d, _ in bidegrees]
-        if not (_strictly_one_sign(weights) or _strictly_one_sign(shifted)):
+        if not _strictly_one_sign([w for _, w in bidegrees]):
             with pytest.raises(InputError, match="cannot bound"):
-                _Window(letters, bidegree, -1, None, wb, db)
+                _Window(letters, bidegree, -1, None, wb)
             return
-        # |weight| or |degree| is at least the word length, so no word in
-        # the window is longer than max(wb, db)
-        window = _Window(letters, bidegree, -1, None, wb, db)
-        got = window_words(window)
-        assert got == _brute_strands(letters, bidegree, -1, max(wb, db), wb, db)
-        _check_locate(window, letters, bidegree, -1, max(wb, db))
+        # |weight| is at least the word length, so no word in the window
+        # is longer than wb; the degree bound filters the strands
+        window = _Window(letters, bidegree, -1, None, wb)
+        got = {key: s for key, s in window_words(window).items() if abs(key[0]) <= db}
+        assert got == _brute_strands(letters, bidegree, -1, wb, wb, db)
+        _check_locate(window, letters, bidegree, -1, wb)
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
 
     def test_cap_counts_words_visited_not_kept(self, monkeypatch):
@@ -543,7 +546,7 @@ class TestWindowStrands:
         monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 1000)
         bidegree = {"a": (1, 0), "b": (-1, 0)}
         with pytest.raises(InputError, match="bound overflow"):
-            _Window(["a", "b"], bidegree, 1, 12, 0, degree_bound=None)
+            _Window(["a", "b"], bidegree, 1, 12, 0)
         bidegree = {"a": (1, 5), "b": (-1, 5)}
         assert window_words(_Window(["a", "b"], bidegree, 1, 12, 0)) == {(0, 0): {(): 0}}
 
@@ -695,15 +698,15 @@ def _bar_columns(A, stages, weight_bound):
 
 def _cobar_columns(C, degree_bound, weight_bound):
     letters = [c for c in C.labels if c != C.coaug]
-    return (window_words(_Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)),
+    words = window_words(_Window(letters, C.bidegree, -1, None, weight_bound))
+    return ({key: s for key, s in words.items() if abs(key[0]) <= degree_bound},
             cobar_complex(C, degree_bound, weight_bound),
             lambda word: cobar_differential_word(C, word))
 
 
 def _flat_divided_powers(n):
-    """Divided powers g_0..g_n, all in bidegree (0, 0): every shifted letter
-    degree is -1 and every weight 0, so only the degree bound cuts the
-    cobar window, and the splits of its longest words fall outside it."""
+    """Divided powers g_0..g_n, all in bidegree (0, 0): every weight is 0,
+    so nothing bounds the length of a cobar word."""
     lab = [f"g{k}" for k in range(n + 1)]
     delta = {lab[k]: {(lab[i], lab[k - i]): 1 for i in range(k + 1)} for k in range(n + 1)}
     return GradedCoalgebra([(g, 0, 0) for g in lab], lab[0], delta)
@@ -722,7 +725,6 @@ COLUMN_CASES = {
     "bar divided-power algebra 6": lambda: _bar_columns(_divided_power_algebra(6), 4, 6),
     "cobar divided-power:5": lambda: _cobar_columns(GradedCoalgebra.divided_power(5), 7, 5),
     "cobar divided-power:7": lambda: _cobar_columns(GradedCoalgebra.divided_power(7), 10, 7),
-    "cobar flat divided powers": lambda: _cobar_columns(_flat_divided_powers(3), 3, 0),
 }
 
 
@@ -735,8 +737,6 @@ DRAWN_ALGEBRAS = {
     "bar divided-power algebra 4": lambda: _divided_power_algebra(4),
     "cobar divided-power:3": lambda: GradedCoalgebra.divided_power(3),
     "cobar divided-power:6": lambda: GradedCoalgebra.divided_power(6),
-    "cobar flat divided powers 2": lambda: _flat_divided_powers(2),
-    "cobar flat divided powers 3": lambda: _flat_divided_powers(3),
 } | {f"bar truncated:{p}": functools.partial(GradedAugmentedAlgebra.truncated, p)
      for p in range(2, 6)}
 
@@ -776,7 +776,7 @@ class TestColumnForm:
     def test_drawn_window_columns_are_the_word_images(self, data):
         """The same over drawn windows: weight bounds above and below the
         bar stage count, and cobar degree bounds under 2W - 1 that cut
-        strands and faces."""
+        strands."""
         name = data.draw(st.sampled_from(sorted(DRAWN_ALGEBRAS)))
         kind, algebra = name.split(" ", 1)[0], DRAWN_ALGEBRAS[name]()
         if kind == "bar":
@@ -784,9 +784,7 @@ class TestColumnForm:
             _assert_columns_are_word_images((name, bounds), *_bar_columns(algebra, *bounds))
             return
         wb = data.draw(st.integers(1, 6))
-        # a flat window holds every word up to the degree bound's length
-        top = 5 if "flat" in name else 2 * wb - 2
-        bounds = (data.draw(st.integers(0, top)), wb)
+        bounds = (data.draw(st.integers(0, 2 * wb - 2)), wb)
         _assert_columns_are_word_images((name, bounds), *_cobar_columns(algebra, *bounds))
 
     @seed(20261018)

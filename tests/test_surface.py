@@ -26,8 +26,6 @@ KEPT = {
               "acceptance criterion 1 checks the counit law with it",
     "graded_constant": "the divided-power constants of gr Int(Z); the bar homology "
                        "of the associated graded is checked against them",
-    "bar_word_bidegree": "the (degree, weight) of one bar word; perfbench/tracing.py "
-                         "counts its calls by name under homology.words",
     "cobar_differential_word": "the per-word cobar differential, the twin of "
                                "bar_differential_word; the cobar windows are checked against it",
     "restrict": "W_S -> W_T for T in S, the map twisted_frobenius subtracts; acceptance "
