@@ -364,6 +364,13 @@ def homology_tsv(C: ChainComplex) -> str:
 # -- words in a window, by strand ---------------------------------------
 
 
+def _one_sign(weights) -> bool:
+    """Whether every weight has one strict sign, so that each letter
+    moves a word's weight away from zero and a weight bound prunes."""
+    weights = list(weights)
+    return all(v > 0 for v in weights) or all(v < 0 for v in weights)
+
+
 class _Window:
     """The words of a (degree, weight) window, each with an integer id.
 
@@ -401,9 +408,8 @@ class _Window:
         if min(max_len or 0, weight_bound) < 0:
             raise InputError("bounds must be nonnegative")
         steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in sorted(letters)]
-        weights = [wa for _, _, wa in steps]
         bound = weight_bound
-        if not (all(v > 0 for v in weights) or all(v < 0 for v in weights)):
+        if not _one_sign(wa for _, _, wa in steps):
             if max_len is None:
                 raise InputError("cannot bound cobar word length: letters need weights "
                                  "of one strict sign")
@@ -620,31 +626,30 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
 
 def shuffle_chains(A: GradedAugmentedAlgebra, x: Chain, y: Chain) -> Chain:
     """Eilenberg-Zilber shuffle of bar chains, with Koszul signs on the
-    shifted degrees |a| + 1 of the letters."""
+    shifted degrees |a| + 1 of the letters.
+
+    An x letter placed at spot s after i x letters hops the s - i y
+    letters before it, so the sign exponent is the sum, over the x
+    letters of odd shifted degree, of the number of odd y letters among
+    the first s - i: a prefix sum read once per y word."""
+    odd = {a: (d + 1) % 2 for a, (d, _) in A.bidegree.items()}
+    ys = [(yw, yc, list(itertools.accumulate((odd[b] for b in yw), initial=0)))
+          for yw, yc in y.items()]
     out: Chain = {}
     for xw, xc in x.items():
-        for yw, yc in y.items():
-            p, q = len(xw), len(yw)
-            sx = [A.bidegree[a][0] + 1 for a in xw]
-            sy = [A.bidegree[b][0] + 1 for b in yw]
-            for positions in itertools.combinations(range(p + q), p):
-                posset = set(positions)
-                word = []
-                sign_exp = 0
-                xi = yi = 0
-                y_placed = 0  # shifted degrees of the y letters placed so far
-                for spot in range(p + q):
-                    if spot in posset:
-                        # every y letter already placed hops past this x letter
-                        sign_exp += sx[xi] * y_placed
-                        word.append(xw[xi])
-                        xi += 1
-                    else:
-                        y_placed += sy[yi]
-                        word.append(yw[yi])
-                        yi += 1
-                sign = -1 if sign_exp % 2 else 1
-                _add_term(out, tuple(word), sign * xc * yc)
+        p = len(xw)
+        xo = [i for i, a in enumerate(xw) if odd[a]]
+        for yw, yc, before in ys:
+            c = xc * yc
+            for positions in itertools.combinations(range(p + len(yw)), p):
+                # spots go up, so each x letter is inserted at its own spot
+                word = list(yw)
+                for i, s in enumerate(positions):
+                    word.insert(s, xw[i])
+                e = 0
+                for i in xo:
+                    e += before[positions[i] - i]
+                _add_term(out, tuple(word), -c if e % 2 else c)
     return out
 
 
@@ -654,17 +659,48 @@ class BarHomologyWindow:
     reduce_cycle maps a chain to its canonical representative modulo
     boundaries, strand by strand; comparing reduced forms decides
     equality of homology classes.
+
+    The window is built only up to the largest |weight| its chains have
+    reached.  The bar differential keeps weight, so a strand and the
+    differentials at and above it are the same, in columns and in place
+    order, in every window of these stages whose weight bound reaches
+    it; a chain that reaches further rebuilds the window at its weight.
+    Letters of mixed or zero weight prune by length alone, so the first
+    call builds the whole window.  complex is the whole window's complex.
+    Every complex built is d*d-checked, and _TUPLE_CAP refuses at the
+    call that would form the words.
     """
 
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
-        self.algebra = A
-        self._window, self.complex = _bar_window(A, stages, weight_bound)
+        if min(stages, weight_bound) < 0:
+            raise InputError("bounds must be nonnegative")
+        self.algebra, self.stages, self.weight_bound = A, stages, weight_bound
+        weights = {a: A.bidegree[a][1] for a in A.augmentation_ideal()}
+        self._weights = weights if _one_sign(weights.values()) else None
+        self._reach = -1  # the weight bound of the window built, if any
+
+    def _build(self, reach: int) -> None:
+        if reach > self._reach:
+            self._window, self._complex = _bar_window(self.algebra, self.stages, reach)
+            self._reach = reach
+
+    @property
+    def complex(self) -> ChainComplex:
+        """The complex of the whole window, built on first read."""
+        self._build(self.weight_bound)
+        return self._complex
 
     def _vectorize(self, chain: Chain) -> dict[tuple[int, int], Column]:
         """The chain split by strand, each part as {place: coeff} in its
         strand without zero coefficients, each word placed by the
-        window's tables.  A word the window never visited is refused
-        whatever its coefficient."""
+        window's tables, built first up to the chain's largest |weight|.
+        A word the window never visited is refused whatever its
+        coefficient."""
+        reach, weights = self.weight_bound, self._weights
+        if weights is not None:
+            reach = min(reach, max((abs(sum(weights.get(a, 0) for a in word)) for word in chain),
+                                   default=0))
+        self._build(reach)
         out: dict[tuple[int, int], Column] = {}
         locate, strands = self._window.locate, self._window.strands
         for word, c in chain.items():
@@ -681,7 +717,7 @@ class BarHomologyWindow:
         in every strand."""
         parts = self._vectorize(chain)
         for key, v in parts.items():
-            d = self.complex.differential(*key)
+            d = self._complex.differential(*key)
             if d and any(_apply(d, v).values()):
                 raise InputError(f"chain is not a cycle in strand {key}")
         return parts
@@ -692,7 +728,7 @@ class BarHomologyWindow:
         out = {}
         for (q, w), v in self._cycle_parts(chain).items():
             # the columns of d(q+1) as rows: the row lattice is the boundaries
-            up = self.complex.differential(q + 1, w)
+            up = self._complex.differential(q + 1, w)
             _, red = next(linalg.echelon_reduce(linalg.row_hnf(up) if up else [], [v]))
             if red:
                 out[q, w] = tuple(red.get(i, 0) for i in range(len(self._window.strands[q, w])))

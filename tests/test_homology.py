@@ -19,6 +19,7 @@ from hopfwitt.homology import (
     cobar_complex,
     cobar_differential_word,
     _Window,
+    _add_term,
     homology_tsv,
     shuffle_chains,
 )
@@ -365,10 +366,10 @@ class TestShuffle:
             # every pair put out of order contributes its shifted degrees
             e = sum(shifted[perm[b]] * shifted[perm[a]] for a in range(len(perm))
                     for b in range(a + 1, len(perm)) if perm[a] > perm[b])
-            key = tuple(word[i] for i in perm)
-            expect[key] = expect.get(key, 0) + (-1) ** e
-        expect = {k: 3 * c for k, c in expect.items() if c}
-        assert shuffle_chains(A, {tuple(xw): 1}, {tuple(yw): 3}) == expect
+            # the shuffles come in the order of their x spots, and a word
+            # whose sum cancels leaves the dict until it comes again
+            _add_term(expect, tuple(word[i] for i in perm), 3 * (-1) ** e)
+        assert list(shuffle_chains(A, {tuple(xw): 1}, {tuple(yw): 3}).items()) == list(expect.items())
 
     def test_non_cycle_rejected(self):
         A = _truncated_poly(3)
@@ -390,15 +391,46 @@ class TestShuffle:
         # (s|s|s|s) and (s|s|sx) share a strand of four stages, but only
         # the second is in the window of three
         A = _exterior_times_dual_numbers()
-        W = BarHomologyWindow(A, 3, 4)
-        assert W._window.locate(("s",) * 4) == ((8, 4), None)
-        key, place = W._window.locate(("s", "s", "sx"))
+        whole, fresh = BarHomologyWindow(A, 3, 4), BarHomologyWindow(A, 3, 4)
+        assert whole.complex.rank(8, 4) > 0
+        assert whole._window.locate(("s",) * 4) == ((8, 4), None)
+        key, place = whole._window.locate(("s", "s", "sx"))
         assert key == (8, 4) and place is not None
-        assert W.complex.rank(8, 4) > 0
-        # whatever its coefficient: a zero entry names an unvisited word too
-        for coeff in (1, 0):
-            with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
-                W.reduce_cycle({("s",) * 4: coeff})
+        # whatever its coefficient: a zero entry names an unvisited word too,
+        # in the whole window and in one the chain builds to its weight 4
+        for W in (whole, fresh):
+            for coeff in (1, 0):
+                with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
+                    W.reduce_cycle({("s",) * 4: coeff})
+        assert fresh._window.locate(("s",) * 4) == ((8, 4), None)
+        assert fresh._window.locate(("s", "s", "sx")) == (key, place)
+
+    @pytest.mark.parametrize("chain,refusal", [
+        # a foreign letter is named even in a word past the window's edge
+        ({("x", "x", "x", "z"): 1}, "letter 'z' is not a letter of the window"),
+        ({("z",): 1, ("x",) * 4: 1}, "letter 'z' is not a letter of the window"),
+        # the words are placed in chain order, all before any cycle check
+        ({("x",) * 4: 1, ("z",): 1}, r"chain leaves the computed window at \(12, 4\)"),
+        ({("x", "x"): 1, ("x",) * 4: 1}, r"chain leaves the computed window at \(12, 4\)"),
+        ({("x", "x2", "x", "x"): 1}, r"chain leaves the computed window at \(14, 5\)"),
+        ({("x", "x"): 1, ("x",): 1}, r"chain is not a cycle in strand \(6, 2\)"),
+    ])
+    def test_refusals_keep_their_order(self, chain, refusal):
+        # alike whether the window is built by the chain or read whole first
+        A = _truncated_poly(3)
+        whole = BarHomologyWindow(A, 3, 3)
+        whole.complex
+        for W in (BarHomologyWindow(A, 3, 3), whole):
+            with pytest.raises(InputError, match=refusal):
+                W.reduce_cycle(chain)
+
+    def test_word_cap_refuses_at_the_call_that_forms_the_words(self):
+        # `homology bar --algebra truncated:17 --stages 20 --weight-bound 20`
+        # is over _TUPLE_CAP; a chain of weight 1 forms two words of it
+        W = BarHomologyWindow(GradedAugmentedAlgebra.truncated(17), 20, 20)
+        assert W.reduce_cycle({("x",): 1}) == {(3, 1): (1,)}
+        with pytest.raises(InputError, match=r"bound overflow: .* homology\._TUPLE_CAP"):
+            W.complex
 
     @pytest.mark.parametrize("letter", ["1", "z"])
     def test_foreign_letter_rejected(self, letter):
@@ -414,6 +446,30 @@ class TestShuffle:
         W = BarHomologyWindow(A, 3, 3)
         boundary = bar_differential_word(A, ("x", "x", "x"))
         assert W.reduce_cycle(boundary) == {}
+
+    def test_shuffle_builds_only_the_weights_it_reads(self, monkeypatch):
+        # cycles as the benchmark seeds them: letters x and x2 plus a
+        # multiple of d[x|x|x]; each factor has weight 3, and so has the
+        # product, whose terms of weights 4 to 6 cancel; its class is 0,
+        # since x2 = +-d[x|x]
+        from hopfwitt import homology
+
+        built = []
+        real = homology._bar_window
+        monkeypatch.setattr(homology, "_bar_window",
+                            lambda A, s, b: built.append(b) or real(A, s, b))
+        A = GradedAugmentedAlgebra.truncated(3)
+        d = bar_differential_word(A, ("x", "x", "x"))
+        x = {("x",): 2, ("x2",): -3} | {w: -c for w, c in d.items()}
+        y = {("x",): -1, ("x2",): 5} | {w: 2 * c for w, c in d.items()}
+        W = BarHomologyWindow(A, 6, 6)
+        assert {sum(A.bidegree[a][1] for a in w) for w in shuffle_chains(A, x, y)} == {3}
+        got = W.shuffle_classes(x, y)
+        assert got == {} and built == [3]
+        assert W.complex.rank(16, 6) > 0 and built == [3, 6]
+        whole = BarHomologyWindow(A, 6, 6)
+        whole.complex
+        assert whole.shuffle_classes(x, y) == got and built == [3, 6, 6]
 
 
 def _dense_differential(C, q, w):
@@ -463,6 +519,8 @@ class TestReduceCycleProperties:
 
         red = W.reduce_cycle(chain(z))
         assert W.reduce_cycle(chain([x + y for x, y in zip(z, dc)])) == red
+        # W's complex was read whole; a fresh window builds what z reaches
+        assert BarHomologyWindow(W.algebra, 4, 4).reduce_cycle(chain(z)) == red
         diff = [x - y for x, y in zip(z, red.get(key, [0] * len(z)))]
         if up:
             assert oracle.member_of_column_lattice(up, diff)
@@ -513,6 +571,17 @@ def _check_locate(window, letters, bidegree, shift, max_len):
             assert i is None or window.keys[window.group[i]] == key
 
 
+_NESTED_ALGEBRAS = {
+    "trivial": GradedAugmentedAlgebra.trivial,
+    **{f"exterior({d}, {w})": functools.partial(GradedAugmentedAlgebra.exterior, d, w)
+       for d in (-1, 1) for w in (-1, 1)},
+    "exterior(0, 0)": functools.partial(GradedAugmentedAlgebra.exterior, 0, 0),
+    "truncated:3": functools.partial(GradedAugmentedAlgebra.truncated, 3),
+    "truncated:4": functools.partial(GradedAugmentedAlgebra.truncated, 4),
+    "exterior x dual numbers": _exterior_times_dual_numbers,
+}
+
+
 class TestWindowStrands:
     @settings(max_examples=200, deadline=None)
     @given(_letter_sets, st.integers(0, 4), st.integers(0, 4))
@@ -540,6 +609,19 @@ class TestWindowStrands:
         assert got == _brute_strands(letters, bidegree, -1, wb, wb, db)
         _check_locate(window, letters, bidegree, -1, wb)
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
+
+    @pytest.mark.parametrize("name", sorted(_NESTED_ALGEBRAS))
+    def test_bar_strands_do_not_depend_on_the_weight_bound(self, name):
+        # d keeps weight, so a window of weight bound b is the window of
+        # any b' >= b cut to the weights |w| <= b: the same strands, ranks
+        # and column lists, in place order
+        A = _NESTED_ALGEBRAS[name]()
+        for stages in range(7):
+            complexes = [bar_complex(A, stages, b) for b in range(7)]
+            for b, C in enumerate(complexes):
+                for D in complexes[b:]:
+                    assert {w: qs for w, qs in D.ranks.items() if abs(w) <= b} == C.ranks
+                    assert {w: qs for w, qs in D.diffs.items() if abs(w) <= b} == C.diffs
 
     def test_cap_counts_words_visited_not_kept(self, monkeypatch):
         # weight-zero letters cannot be pruned: 2^12 words visited, one kept
