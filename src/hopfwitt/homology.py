@@ -12,8 +12,10 @@ Koszul signs on shifted degrees:
          f_i = sum_{j<i} (|c_j| - 1) + |c_i'|, over the reduced diagonal.
 
 The words of a window are walked once, by length over the sorted
-letters, pruned by weight, or by bar length where the letter weights
-do not share a sign, so every face of a walked word is walked too.
+letters, pruned by weight alone, so every face of a walked word is
+walked too.  The letter weights must share one strict sign, so every
+strand of a window is the whole complex's strand; a length or degree
+bound that would cut one is refused, never applied.
 Each word gets a place in its (degree, weight) group, so each
 strand comes out in its (length, word) place order.  For each group and
 letter the walk keeps a table from a word's place to the place of its
@@ -364,13 +366,6 @@ def homology_tsv(C: ChainComplex) -> str:
 # -- words in a window, by strand ---------------------------------------
 
 
-def _one_sign(weights) -> bool:
-    """Whether every weight has one strict sign, so that each letter
-    moves a word's weight away from zero and a weight bound prunes."""
-    weights = list(weights)
-    return all(v > 0 for v in weights) or all(v < 0 for v in weights)
-
-
 class _Window:
     """The words of a (degree, weight) window, each with an integer id.
 
@@ -381,26 +376,27 @@ class _Window:
     (index[key] is g), and a place in it: the group lists its ids in
     (length, word) order, their place order, with no sort.  Word i has
     its prefix's id prefix[i], its last letter last[i], its group[i] and
-    its place[i].  The strands are the groups inside the window, by key,
-    each as its list of ids.
+    its place[i].  The strands are the groups, by key, each as its list
+    of ids.
 
     A word's room, the letters it extends by, depends only on its group,
     so the walk plans each group once.  ext[g][a] is the table of group g
     and letter a: entry p is the place of word p of g followed by a, in
-    its own group.  The words of g that the walk extends are its first
-    places, those shorter than max_len, so each table covers them all.
-    steps[a] is letter a's shifted (degree, weight), and locate finds a
-    word's group and place by walking the tables from the empty word.
+    its own group.  The walk extends every word of g, so each table
+    covers them all.  steps[a] is letter a's shifted (degree, weight),
+    and locate finds a word's group and place by walking the tables from
+    the empty word.
 
-    A word is visited when its length is at most max_len and, where every
-    letter weight has one strict sign, its weight is within weight_bound;
-    letters of mixed weights are pruned by length alone, and a cobar
-    window, with no max_len, refuses them.  The weight moves away from
-    zero with every letter, so the visited words are closed under
-    prefixes.  They are closed under faces too: a face keeps its word's
-    weight, and a bar face is one letter shorter, so every face of a
-    visited word is visited and has its place in the tables.  Every word
-    the walk forms is visited, and counts against _TUPLE_CAP.
+    A word is visited when its |weight| is within weight_bound.  Letters
+    whose weights do not share one strict sign are refused: every letter
+    then moves the weight away from zero, so no word is longer than its
+    |weight|, the visited words are closed under prefixes, and each group
+    holds every word of its (degree, weight), a whole strand.  The
+    visited words are closed under faces too: a face keeps its word's
+    weight, so every face of a visited word has its place in the tables.  A
+    max_len below the longest word, weight_bound over the lightest
+    letter's |weight|, is refused before the walk; it never cuts one.
+    Every word the walk forms is visited, and counts against _TUPLE_CAP.
     """
 
     def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
@@ -408,12 +404,14 @@ class _Window:
         if min(max_len or 0, weight_bound) < 0:
             raise InputError("bounds must be nonnegative")
         steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in sorted(letters)]
-        bound = weight_bound
-        if not _one_sign(wa for _, _, wa in steps):
-            if max_len is None:
-                raise InputError("cannot bound cobar word length: letters need weights "
-                                 "of one strict sign")
-            bound = None
+        weights = [wa for _, _, wa in steps]
+        if not (all(wa > 0 for wa in weights) or all(wa < 0 for wa in weights)):
+            raise InputError("cannot bound word length: letters need weights of one strict sign")
+        longest = max((weight_bound // abs(wa) for wa in weights), default=0)
+        if max_len is not None and longest > max_len:
+            raise InputError(f"weight bound {weight_bound} needs words of length {longest}, "
+                             f"above stages {max_len}: the window would cut the strands "
+                             "of its top weights")
         prefix: list[int] = [-1]
         last: list[str | None] = [None]
         group, place = [0], [0]
@@ -425,8 +423,8 @@ class _Window:
         fits: dict[int, list[tuple[str, int, int]]] = {}  # room by what is left
         ext: list[dict[str, list[int]]] = [{}]
         # ids are handed out in walk order, so each length is a range of ids
-        start, length = 0, 0
-        while start < len(prefix) and length != max_len:
+        start = 0
+        while start < len(prefix):
             end = len(prefix)
             for v in range(start, end):
                 g = group[v]
@@ -436,12 +434,10 @@ class _Window:
                     # r left before the bound extends by exactly the letters
                     # of weight at most r
                     d, w = keys[g]
-                    room = steps
-                    if bound is not None:
-                        r = bound - abs(w)
-                        room = fits.get(r)
-                        if room is None:
-                            room = fits[r] = [s for s in steps if abs(s[2]) <= r]
+                    r = weight_bound - abs(w)
+                    room = fits.get(r)
+                    if room is None:
+                        room = fits[r] = [s for s in steps if abs(s[2]) <= r]
                     plan = plans[g] = []
                     for a, da, wa in room:
                         key = (d + da, w + wa)
@@ -466,12 +462,11 @@ class _Window:
                     last.append(a)
                     group.append(h)
                     place.append(p)
-            start, length = end, length + 1
+            start = end
         self.prefix, self.last, self.group, self.place = prefix, last, group, place
         self.keys, self.index, self.ext = keys, index, ext
         self.steps = {a: (da, wa) for a, da, wa in steps}
-        self.strands = {key: members[g] for g, key in enumerate(keys)
-                        if abs(key[1]) <= weight_bound}
+        self.strands = dict(zip(keys, members))
 
     def locate(self, word: tuple) -> tuple[tuple[int, int], int | None]:
         """The (degree, weight) of word, with the shift, and its place in
@@ -499,7 +494,12 @@ class _Window:
         d(v)|a, each term moved by the table of a on the group below v,
         plus the faces joining v's end to a, which joins(v, a) gives as
         (place, coeff) pairs with their signs, found through the same
-        tables.  Each strand hands the complex its words' columns as they
+        tables.  The letter weights share one strict sign, so no join face
+        is a moved term: a moved term ends in a, a bar join in a product
+        last(v).a, whose weight is not a's, and a cobar join in the second
+        half of a split of a, whose weight is not a's either.  The join
+        faces of one word are distinct words too, so each is set, not
+        added.  Each strand hands the complex its words' columns as they
         are."""
         prefix, last, group, index = self.prefix, self.last, self.group, self.index
         below = [self.ext[index[d - 1, w]] if (d - 1, w) in index else {}
@@ -510,11 +510,7 @@ class _Window:
             table = below[group[v]].get(a)
             col: Column = {} if table is None else {table[u]: c for u, c in cols[v].items()}
             for t, c in joins(v, a):
-                s = col.get(t, 0) + c
-                if s:
-                    col[t] = s
-                else:
-                    col.pop(t, None)
+                col[t] = c
             cols.append(col)
         ranks: dict[int, dict[int, int]] = {}
         diffs: dict[int, dict[int, list[Column]]] = {}
@@ -522,7 +518,7 @@ class _Window:
             ranks.setdefault(w, {})[q] = len(ids)
             if (q - 1, w) in self.strands:
                 diffs.setdefault(w, {})[q] = [cols[i] for i in ids]
-        del cols  # only the strands' columns are kept
+        del cols  # only the columns with a strand below are kept
         return ChainComplex(ranks, diffs)
 
 
@@ -567,8 +563,9 @@ def _bar_window(A: GradedAugmentedAlgebra, stages: int,
 
 
 def bar_complex(A: GradedAugmentedAlgebra, stages: int, weight_bound: int) -> ChainComplex:
-    """Normalized bar complex through the given number of tensor stages,
-    keeping strands of absolute weight at most weight_bound."""
+    """Normalized bar complex on the words of absolute weight at most
+    weight_bound, every strand whole; stages below the longest such word
+    are refused, never used to cut one."""
     return _bar_window(A, stages, weight_bound)[1]
 
 
@@ -590,15 +587,16 @@ def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
 
 
 def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> ChainComplex:
-    """Cobar complex of the reduced coalgebra, keeping words of absolute
-    total degree at most degree_bound and absolute weight at most
-    weight_bound.  The window is walked by weight alone, and the degree
-    bound trims its strands."""
-    if degree_bound < 0:
-        raise InputError("bounds must be nonnegative")
+    """Cobar complex of the reduced coalgebra on the words of absolute
+    weight at most weight_bound, every strand whole; a degree_bound below
+    the window's top absolute degree is refused, never used to trim
+    one."""
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound)
-    W.strands = {key: ids for key, ids in W.strands.items() if abs(key[0]) <= degree_bound}
+    top = max(abs(d) for d, _ in W.keys)
+    if degree_bound < top:
+        raise InputError(f"degree bound {degree_bound} is below the top |degree| {top} "
+                         "of the window: it would cut its strands")
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext
     splits = {c: [(a, b, x) for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
     faces: dict[tuple[int, str], list[tuple[list[int], list[int], int]]] = {}
@@ -663,20 +661,18 @@ class BarHomologyWindow:
     The window is built only up to the largest |weight| its chains have
     reached.  The bar differential keeps weight, so a strand and the
     differentials at and above it are the same, in columns and in place
-    order, in every window of these stages whose weight bound reaches
-    it; a chain that reaches further rebuilds the window at its weight.
-    Letters of mixed or zero weight prune by length alone, so the first
-    call builds the whole window.  complex is the whole window's complex.
-    Every complex built is d*d-checked, and _TUPLE_CAP refuses at the
-    call that would form the words.
+    order, in every window whose weight bound reaches it; a chain that
+    reaches further rebuilds the window at its weight.  complex is the
+    whole window's complex.  Every complex built is d*d-checked, and a
+    window whose words stages cannot hold, like one over _TUPLE_CAP, is
+    refused at the call that would build it.
     """
 
     def __init__(self, A: GradedAugmentedAlgebra, stages: int, weight_bound: int):
         if min(stages, weight_bound) < 0:
             raise InputError("bounds must be nonnegative")
         self.algebra, self.stages, self.weight_bound = A, stages, weight_bound
-        weights = {a: A.bidegree[a][1] for a in A.augmentation_ideal()}
-        self._weights = weights if _one_sign(weights.values()) else None
+        self._weights = {a: A.bidegree[a][1] for a in A.augmentation_ideal()}
         self._reach = -1  # the weight bound of the window built, if any
 
     def _build(self, reach: int) -> None:
@@ -696,16 +692,14 @@ class BarHomologyWindow:
         window's tables, built first up to the chain's largest |weight|.
         A word the window never visited is refused whatever its
         coefficient."""
-        reach, weights = self.weight_bound, self._weights
-        if weights is not None:
-            reach = min(reach, max((abs(sum(weights.get(a, 0) for a in word)) for word in chain),
-                                   default=0))
-        self._build(reach)
+        weights = self._weights
+        self._build(min(self.weight_bound, max(
+            (abs(sum(weights.get(a, 0) for a in word)) for word in chain), default=0)))
         out: dict[tuple[int, int], Column] = {}
-        locate, strands = self._window.locate, self._window.strands
+        locate = self._window.locate
         for word, c in chain.items():
             key, p = locate(word)
-            if p is None or key not in strands:
+            if p is None:
                 raise InputError(f"chain leaves the computed window at {key}")
             part = out.setdefault(key, {})
             if c:

@@ -74,6 +74,18 @@ CASES = [
                              "--stages", "3"]),
     ("homology-cobar-dp5", ["homology", "cobar", "--coalgebra",
                             "divided-power:5", "--weight-bound", "5"]),
+    ("intz-frobtest-json", ["intz", "frobtest", "C(x,3)", "--primes", "2,3,5",
+                            "--format", "json"]),
+    ("witt-ghost-json", ["witt", "ghost", "--trunc", "1,2", "--ring", "Z",
+                         "--coeffs", "1,0", "--format", "json"]),
+    ("witt-kernel-f4-json", ["witt", "kernel", "--trunc", "1,2", "--ring", "Fq:2,2",
+                             "--n", "2", "--t", "1,0", "--format", "json"]),
+    ("filt-gr-json", ["filt", "gr", DEG2, "--format", "json"]),
+    ("filt-rees-b3-t2-json", ["filt", "rees", "--bound", "3", "--t", "2", "--format", "json"]),
+    ("homology-bar-trivial", ["homology", "bar", "--algebra", "trivial", "--stages", "3"]),
+    ("homology-bar-extdeg1", ["homology", "bar", "--algebra", "exterior-deg1",
+                              "--stages", "4"]),
+    ("homology-cobar-trivial", ["homology", "cobar", "--coalgebra", "trivial"]),
 ]
 
 
@@ -138,6 +150,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["nosuch"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,err", [
+        (["homology", "bar", "--algebra", "truncated:x", "--stages", "2"],
+         "error: bad algebra name 'truncated:x'\n"),
+        (["homology", "cobar", "--coalgebra", "divided-power:x"],
+         "error: bad coalgebra name 'divided-power:x'\n"),
+        (["homology", "cobar", "--coalgebra", "nosuch"],
+         "error: unknown coalgebra 'nosuch'; choose trivial or divided-power:N\n"),
+        (["witt", "ghost", "--trunc", "1,x", "--ring", "Z", "--coeffs", "1,0"],
+         "error: --trunc wants comma-separated integers, got '1,x'\n"),
+    ], ids=["truncated-x", "divided-power-x", "unknown-coalgebra", "trunc-not-integer"])
+    def test_bad_name_or_number_exits_two(self, argv, err, capsys):
+        assert run_cli(argv, capsys) == (2, "", err)
 
     def test_bad_element_payload(self, capsys):
         rc, out, err = run_cli(["intz", "mul", "C(x", "C(x,1)"], capsys)
@@ -709,7 +734,7 @@ class TestWindowedWords:
         base = ["homology", "bar", "--algebra", "truncated:3", "--weight-bound", "6"]
         rc, out, err = run_cli(base + ["--stages", "3"], capsys)
         assert (rc, out) == (2, "")
-        assert err == ("error: --weight-bound 6 is above --stages 3: "
+        assert err == ("error: weight bound 6 needs words of length 6, above stages 3: "
                        "the window would cut the strands of its top weights\n")
         rc, out, _ = run_cli(base + ["--stages", "6"], capsys)
         assert rc == 0

@@ -236,9 +236,9 @@ class TestBarComplex:
             assert chain == hom
 
     def test_bound_overflow(self):
-        # two weight-zero letters escape the weight filter, so the word
-        # count doubles with every stage until the guard trips
-        basis = [("1", 0, 0), ("a", 2, 0), ("b", 2, 0)]
+        # two weight-one letters: 2^(w+1) - 1 words up to weight w, so the
+        # word count doubles with every weight until the guard trips
+        basis = [("1", 0, 0), ("a", 2, 1), ("b", 2, 1)]
         prods = {}
         for x in ("1", "a", "b"):
             prods[("1", x)] = {x: 1}
@@ -248,7 +248,44 @@ class TestBarComplex:
                 prods[(x, y)] = {}
         A = GradedAugmentedAlgebra(basis, "1", prods)
         with pytest.raises(InputError, match="overflow"):
-            bar_complex(A, 18, 0)
+            bar_complex(A, 18, 18)
+
+    @pytest.mark.parametrize("weights", [(0,), (1, -1), (2, 0)], ids=["zero", "mixed", "one-zero"])
+    def test_letters_of_mixed_or_zero_weight_rejected(self, weights):
+        # nothing bounds the length of a word at a fixed weight, so no
+        # window holds a whole strand; exterior(0, 0) is the first case
+        letters = [f"e{i}" for i in range(len(weights))]
+        basis = [("1", 0, 0)] + [(e, 1, w) for e, w in zip(letters, weights)]
+        prods = {(x, y): {} for x in letters for y in letters}
+        prods |= {("1", x): {x: 1} for x in ["1"] + letters}
+        prods |= {(x, "1"): {x: 1} for x in letters}
+        algebras = [GradedAugmentedAlgebra(basis, "1", prods)]
+        if weights == (0,):
+            algebras.append(GradedAugmentedAlgebra.exterior(0, 0))
+        refusal = "cannot bound word length: letters need weights of one strict sign"
+        for A in algebras:
+            with pytest.raises(InputError, match=refusal):
+                bar_complex(A, 4, 4)
+            with pytest.raises(InputError, match=refusal):
+                BarHomologyWindow(A, 4, 4).complex
+            with pytest.raises(InputError, match=refusal):
+                BarHomologyWindow(A, 4, 4).reduce_cycle({("e0",): 1})
+
+    def test_stages_short_of_the_longest_word_rejected(self):
+        # ROADMAP item 7: the 3-stage window of weight 6 printed ranks 2, 3
+        # and 1 at (11,4), (13,5) and (15,6), where the whole complex has
+        # 1, 0 and 0
+        A = GradedAugmentedAlgebra.truncated(3)
+        with pytest.raises(InputError, match=r"^weight bound 6 needs words of length 6, above "
+                                             r"stages 3: the window would cut the strands "
+                                             r"of its top weights$"):
+            bar_complex(A, 3, 6)
+        H = bar_complex(A, 6, 6).homology()
+        assert [H[key] for key in ((11, 4), (13, 5), (15, 6))] == [(1, []), (0, []), (0, [])]
+        # the lightest letter decides: sx alone has weight 2, s weight 1
+        bar_complex(_exterior_times_dual_numbers(), 4, 4)
+        with pytest.raises(InputError, match="needs words of length 4, above stages 3"):
+            bar_complex(_exterior_times_dual_numbers(), 3, 4)
 
 
 class TestCobarComplex:
@@ -291,13 +328,27 @@ class TestCobarComplex:
             {"1": {("1", "1"): 1},
              "a": {("1", "a"): 1, ("a", "1"): 1},
              "b": {("1", "b"): 1, ("b", "1"): 1}})
-        with pytest.raises(InputError, match="bound cobar"):
+        with pytest.raises(InputError, match="cannot bound word length"):
             cobar_complex(C, 4, 4)
 
     def test_weight_zero_letters_rejected(self):
         # weight 0 lets cobar words grow without end at a fixed weight
-        with pytest.raises(InputError, match="cannot bound cobar word length"):
+        with pytest.raises(InputError, match="cannot bound word length"):
             cobar_complex(_flat_divided_powers(2), 3, 0)
+
+    def test_degree_bound_below_the_window_rejected(self):
+        # ROADMAP item 7: the degree bound 6 trimmed the weight-5 window and
+        # printed Z at (6,4) and Z^3 at (6,5), where the cohomology of BH
+        # is Z at (0,0) and (1,1) only; g5 alone has degree 9
+        C = GradedCoalgebra.divided_power(5)
+        with pytest.raises(InputError, match=r"^degree bound 6 is below the top \|degree\| 9 "
+                                             r"of the window: it would cut its strands$"):
+            cobar_complex(C, 6, 5)
+        cobar_complex(C, 9, 5)
+        with pytest.raises(InputError, match=r"degree bound 8 is below the top \|degree\| 9"):
+            cobar_complex(C, 8, 5)
+        with pytest.raises(InputError, match=r"degree bound -1 is below the top \|degree\| 0"):
+            cobar_complex(GradedCoalgebra.trivial(), -1, 5)
 
 
 def _exterior_times_dual_numbers():
@@ -388,22 +439,40 @@ class TestShuffle:
             W.reduce_cycle({("e",) * 9: 1})
 
     def test_word_longer_than_the_window_rejected(self):
-        # (s|s|s|s) and (s|s|sx) share a strand of four stages, but only
-        # the second is in the window of three
+        # (s|s|s|s) and (s|s|sx) share the strand (8, 4), past the weight
+        # bound 3; four stages hold it, three do not
         A = _exterior_times_dual_numbers()
-        whole, fresh = BarHomologyWindow(A, 3, 4), BarHomologyWindow(A, 3, 4)
-        assert whole.complex.rank(8, 4) > 0
+        whole, fresh = BarHomologyWindow(A, 4, 3), BarHomologyWindow(A, 4, 3)
+        assert whole.complex.rank(8, 4) == 0
         assert whole._window.locate(("s",) * 4) == ((8, 4), None)
-        key, place = whole._window.locate(("s", "s", "sx"))
-        assert key == (8, 4) and place is not None
         # whatever its coefficient: a zero entry names an unvisited word too,
-        # in the whole window and in one the chain builds to its weight 4
+        # in the whole window and in one the chain builds to its bound 3
         for W in (whole, fresh):
             for coeff in (1, 0):
-                with pytest.raises(InputError, match=r"leaves the computed window at \(8, 4\)"):
-                    W.reduce_cycle({("s",) * 4: coeff})
-        assert fresh._window.locate(("s",) * 4) == ((8, 4), None)
-        assert fresh._window.locate(("s", "s", "sx")) == (key, place)
+                for word in (("s",) * 4, ("s", "s", "sx")):
+                    with pytest.raises(InputError,
+                                       match=r"leaves the computed window at \(8, 4\)"):
+                        W.reduce_cycle({word: coeff})
+        assert fresh._window.locate(("s", "s", "sx")) == ((8, 4), None)
+        # with three stages the chain's weight 4 is refused at the call
+        short = BarHomologyWindow(A, 3, 4)
+        assert short.reduce_cycle({("s",): 1}) == {(2, 1): (1,)}
+        for coeff in (1, 0):
+            with pytest.raises(InputError, match="needs words of length 4, above stages 3"):
+                short.reduce_cycle({("s",) * 4: coeff})
+
+    def test_stages_refuse_only_the_windows_they_cannot_hold(self):
+        # ROADMAP item 7: three stages hold the weight-2 window of
+        # Z[x]/x^3, not the weight-6 one, which .complex would build
+        A = GradedAugmentedAlgebra.truncated(3)
+        W = BarHomologyWindow(A, 3, 6)
+        assert W.reduce_cycle({("x2",): 1}) == {}  # x2 = -d[x|x]
+        assert W.reduce_cycle({("x",): 3}) == {(3, 1): (3,)}
+        with pytest.raises(InputError, match="weight bound 6 needs words of length 6, "
+                                             "above stages 3"):
+            W.complex
+        with pytest.raises(InputError, match="weight bound 4 needs words of length 4"):
+            W.reduce_cycle({("x2", "x2"): 1})
 
     @pytest.mark.parametrize("chain,refusal", [
         # a foreign letter is named even in a word past the window's edge
@@ -435,7 +504,7 @@ class TestShuffle:
     @pytest.mark.parametrize("letter", ["1", "z"])
     def test_foreign_letter_rejected(self, letter):
         # the unit is no bar letter, and z is no label at all
-        W = BarHomologyWindow(GradedAugmentedAlgebra.exterior(0, 0), 2, 2)
+        W = BarHomologyWindow(GradedAugmentedAlgebra.exterior(1, 1), 2, 2)
         with pytest.raises(InputError, match=f"letter '{letter}' is not a letter of the window"):
             W.reduce_cycle({(letter,): 1})
         with pytest.raises(InputError, match=f"letter '{letter}'"):
@@ -587,6 +656,19 @@ class TestWindowStrands:
     @given(_letter_sets, st.integers(0, 4), st.integers(0, 4))
     def test_bar_window_equals_filtered_product(self, bidegrees, stages, wb):
         letters, bidegree = _labelled(bidegrees)
+        weights = [w for _, w in bidegrees]
+        if not _strictly_one_sign(weights):
+            with pytest.raises(InputError, match="cannot bound word length"):
+                _Window(letters, bidegree, 1, stages, wb)
+            return
+        # the longest word repeats the lightest letter; stages short of it
+        # are refused, not cut
+        longest = max((wb // abs(w) for w in weights), default=0)
+        if longest > stages:
+            with pytest.raises(InputError, match=f"needs words of length {longest}, "
+                                                 f"above stages {stages}"):
+                _Window(letters, bidegree, 1, stages, wb)
+            return
         window = _Window(letters, bidegree, 1, stages, wb)
         got = window_words(window)
         assert got == _brute_strands(letters, bidegree, 1, stages, wb)
@@ -614,23 +696,68 @@ class TestWindowStrands:
     def test_bar_strands_do_not_depend_on_the_weight_bound(self, name):
         # d keeps weight, so a window of weight bound b is the window of
         # any b' >= b cut to the weights |w| <= b: the same strands, ranks
-        # and column lists, in place order
+        # and column lists, in place order, at any stages that hold it
         A = _NESTED_ALGEBRAS[name]()
+        if name == "exterior(0, 0)":
+            with pytest.raises(InputError, match="cannot bound word length"):
+                bar_complex(A, 6, 6)
+            return
+        whole = bar_complex(A, 6, 6)
         for stages in range(7):
-            complexes = [bar_complex(A, stages, b) for b in range(7)]
-            for b, C in enumerate(complexes):
-                for D in complexes[b:]:
-                    assert {w: qs for w, qs in D.ranks.items() if abs(w) <= b} == C.ranks
-                    assert {w: qs for w, qs in D.diffs.items() if abs(w) <= b} == C.diffs
+            for b in range(stages + 1):
+                C = bar_complex(A, stages, b)
+                assert {w: qs for w, qs in whole.ranks.items() if abs(w) <= b} == C.ranks
+                assert {w: qs for w, qs in whole.diffs.items() if abs(w) <= b} == C.diffs
+            # the lightest letter of each weighs 1
+            if A.augmentation_ideal():
+                with pytest.raises(InputError, match="above stages"):
+                    bar_complex(A, stages, stages + 1)
 
-    def test_cap_counts_words_visited_not_kept(self, monkeypatch):
-        # weight-zero letters cannot be pruned: 2^12 words visited, one kept
-        monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 1000)
-        bidegree = {"a": (1, 0), "b": (-1, 0)}
-        with pytest.raises(InputError, match="bound overflow"):
-            _Window(["a", "b"], bidegree, 1, 12, 0)
-        bidegree = {"a": (1, 5), "b": (-1, 5)}
-        assert window_words(_Window(["a", "b"], bidegree, 1, 12, 0)) == {(0, 0): {(): 0}}
+    def test_cap_counts_words_formed(self, monkeypatch):
+        # two letters of weight 1: every word is kept, 2^(w+1) - 2 words
+        # are formed up to weight w, and the walk counts them with the
+        # extensions of the word it is at
+        bidegree = {"a": (1, 1), "b": (-1, 1)}
+        monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 510)
+        window = _Window(["a", "b"], bidegree, 1, 8, 8)
+        assert len(window.prefix) - 1 == 510 == sum(map(len, window.strands.values())) - 1
+        monkeypatch.setattr("hopfwitt.homology._TUPLE_CAP", 509)
+        with pytest.raises(InputError, match=r"needs at least 510 words, over "
+                                             r"homology\._TUPLE_CAP = 509$"):
+            _Window(["a", "b"], bidegree, 1, 8, 8)
+
+    BAR_ROWS = {
+        "trivial": GradedAugmentedAlgebra.trivial,
+        "exterior-deg-neg1": functools.partial(GradedAugmentedAlgebra.exterior, -1, -1),
+        "exterior-deg1": functools.partial(GradedAugmentedAlgebra.exterior, 1, 1, label="s"),
+        "truncated:3": functools.partial(GradedAugmentedAlgebra.truncated, 3),
+        "truncated:4": functools.partial(GradedAugmentedAlgebra.truncated, 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAR_ROWS))
+    def test_bar_rows_do_not_depend_on_the_window(self, name):
+        # ROADMAP item 7: every printed row of the window of weight bound
+        # W, at any stages that hold it, is the row of every window W' >= W
+        # at stages W' there
+        A = self.BAR_ROWS[name]()
+        rows = {(b, top): bar_complex(A, top, b).homology()
+                for top in range(7) for b in range(top + 1)}
+        for (b, top), H in rows.items():
+            for wider in range(top, 7):
+                assert {k: v for k, v in rows[wider, wider].items() if abs(k[1]) <= b} == H
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_cobar_rows_do_not_depend_on_the_window(self, n):
+        # the same for the cobar window of divided-power:n at degree bound
+        # 2W', the CLI's choice, which covers every word of weight W'
+        C = GradedCoalgebra.divided_power(n)
+        rows = {(b, top): cobar_complex(C, 2 * top, b).homology()
+                for top in range(8) for b in range(top + 1)}
+        for (b, top), H in rows.items():
+            for wider in range(top, 8):
+                assert {k: v for k, v in rows[wider, wider].items() if abs(k[1]) <= b} == H
+        if n == 7:
+            assert {k for k, v in rows[7, 7].items() if v != (0, [])} == {(0, 0), (1, 1)}
 
 
 # -- homology from one Smith form per differential --------------------------
@@ -762,12 +889,12 @@ def _oracle_homology(C):
 
 
 ORACLE_CASES = {
-    "bar truncated:3": lambda: bar_complex(GradedAugmentedAlgebra.truncated(3), 8, 16),
-    "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 6, 18),
+    "bar truncated:3": lambda: bar_complex(GradedAugmentedAlgebra.truncated(3), 12, 12),
+    "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 11, 11),
     "bar exterior-deg-1": lambda: bar_complex(GradedAugmentedAlgebra.exterior(-1, -1), 6, 6),
     "bar exterior-deg1": lambda: bar_complex(
         GradedAugmentedAlgebra.exterior(1, 1, label="s"), 6, 6),
-    "bar divided-power algebra 6": lambda: bar_complex(_divided_power_algebra(6), 4, 6),
+    "bar divided-power algebra 6": lambda: bar_complex(_divided_power_algebra(6), 6, 6),
     "cobar divided-power:5": lambda: cobar_complex(GradedCoalgebra.divided_power(5), 10, 5),
     "cobar divided-power:7": lambda: cobar_complex(GradedCoalgebra.divided_power(7), 14, 7),
 }
@@ -780,8 +907,7 @@ def _bar_columns(A, stages, weight_bound):
 
 def _cobar_columns(C, degree_bound, weight_bound):
     letters = [c for c in C.labels if c != C.coaug]
-    words = window_words(_Window(letters, C.bidegree, -1, None, weight_bound))
-    return ({key: s for key, s in words.items() if abs(key[0]) <= degree_bound},
+    return (window_words(_Window(letters, C.bidegree, -1, None, weight_bound)),
             cobar_complex(C, degree_bound, weight_bound),
             lambda word: cobar_differential_word(C, word))
 
@@ -795,18 +921,18 @@ def _flat_divided_powers(n):
 
 
 # exterior-deg-neg1 has shifted letter degree 0; in truncated:12 the labels
-# x10 and x11 sort before x2; the cobar degree bounds fall below 2w
+# x10 and x11 sort before x2
 COLUMN_CASES = {
     "bar trivial": lambda: _bar_columns(GradedAugmentedAlgebra.trivial(), 5, 5),
     "bar exterior-deg-neg1": lambda: _bar_columns(GradedAugmentedAlgebra.exterior(-1, -1), 6, 6),
     "bar exterior-deg1": lambda: _bar_columns(
         GradedAugmentedAlgebra.exterior(1, 1, label="s"), 6, 6),
-    "bar truncated:3": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(3), 8, 12),
-    "bar truncated:4": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(4), 6, 12),
-    "bar truncated:12": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(12), 4, 16),
-    "bar divided-power algebra 6": lambda: _bar_columns(_divided_power_algebra(6), 4, 6),
-    "cobar divided-power:5": lambda: _cobar_columns(GradedCoalgebra.divided_power(5), 7, 5),
-    "cobar divided-power:7": lambda: _cobar_columns(GradedCoalgebra.divided_power(7), 10, 7),
+    "bar truncated:3": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(3), 12, 12),
+    "bar truncated:4": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(4), 11, 11),
+    "bar truncated:12": lambda: _bar_columns(GradedAugmentedAlgebra.truncated(12), 11, 11),
+    "bar divided-power algebra 6": lambda: _bar_columns(_divided_power_algebra(6), 6, 6),
+    "cobar divided-power:5": lambda: _cobar_columns(GradedCoalgebra.divided_power(5), 10, 5),
+    "cobar divided-power:7": lambda: _cobar_columns(GradedCoalgebra.divided_power(7), 14, 7),
 }
 
 
@@ -856,17 +982,17 @@ class TestColumnForm:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_drawn_window_columns_are_the_word_images(self, data):
-        """The same over drawn windows: weight bounds above and below the
-        bar stage count, and cobar degree bounds under 2W - 1 that cut
-        strands."""
+        """The same over drawn windows: bar stages at and above the
+        longest word, and cobar degree bounds at and above the top degree
+        2W - 1; every letter of these weighs at least 1."""
         name = data.draw(st.sampled_from(sorted(DRAWN_ALGEBRAS)))
         kind, algebra = name.split(" ", 1)[0], DRAWN_ALGEBRAS[name]()
+        wb = data.draw(st.integers(0 if kind == "bar" else 1, 6))
         if kind == "bar":
-            bounds = (data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8)))
+            bounds = (data.draw(st.integers(wb, 8)), wb)
             _assert_columns_are_word_images((name, bounds), *_bar_columns(algebra, *bounds))
             return
-        wb = data.draw(st.integers(1, 6))
-        bounds = (data.draw(st.integers(0, 2 * wb - 2)), wb)
+        bounds = (data.draw(st.integers(2 * wb - 1, 2 * wb + 1)), wb)
         _assert_columns_are_word_images((name, bounds), *_cobar_columns(algebra, *bounds))
 
     @seed(20261018)

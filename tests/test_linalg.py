@@ -440,7 +440,7 @@ class TestExplicitZeros:
 @functools.cache
 def _zero_free_complex(name):
     return {"bar truncated:3": lambda: bar_complex(GradedAugmentedAlgebra.truncated(3), 7, 7),
-            "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 5, 8),
+            "bar truncated:4": lambda: bar_complex(GradedAugmentedAlgebra.truncated(4), 8, 8),
             "cobar divided-power:4": lambda: cobar_complex(GradedCoalgebra.divided_power(4), 8, 4),
             }[name]()
 
