@@ -44,6 +44,7 @@ on shifted degrees.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from . import intz, linalg
@@ -366,6 +367,34 @@ def homology_tsv(C: ChainComplex) -> str:
 # -- words in a window, by strand ---------------------------------------
 
 
+def _top_degree(steps: list[tuple[str, int, int]], weight_bound: int) -> int | None:
+    """The largest |degree| of a word of |weight| at most weight_bound over
+    steps (letter, shifted degree, weight), whose weights share one strict
+    sign: a knapsack for the least and the greatest degree, and the number
+    of words, at each reachable |weight|, taken in increasing order, so each
+    is final when it is read.  None once more than _TUPLE_CAP words are
+    counted below weights still to read: the walk refuses that window."""
+    span = {0: (0, 0, 1)}  # |weight| -> (least degree, greatest degree, words)
+    heap = [0]
+    words = 0
+    while heap:
+        r = heapq.heappop(heap)
+        lo, hi, n = span[r]
+        words += n
+        for _, da, wa in steps:
+            s = r + abs(wa)
+            if s > weight_bound:
+                continue
+            if (old := span.get(s)) is None:
+                heapq.heappush(heap, s)
+                span[s] = (lo + da, hi + da, n)
+            else:
+                span[s] = (min(old[0], lo + da), max(old[1], hi + da), old[2] + n)
+        if words > _TUPLE_CAP and heap:
+            return None
+    return max(max(hi, -lo) for lo, hi, _ in span.values())
+
+
 class _Window:
     """The words of a (degree, weight) window, each with an integer id.
 
@@ -395,12 +424,14 @@ class _Window:
     visited words are closed under faces too: a face keeps its word's
     weight, so every face of a visited word has its place in the tables.  A
     max_len below the longest word, weight_bound over the lightest
-    letter's |weight|, is refused before the walk; it never cuts one.
-    Every word the walk forms is visited, and counts against _TUPLE_CAP.
+    letter's |weight|, is refused before the walk; it never cuts one.  So
+    is a degree_bound below the window's top |degree|, read off the letters
+    by _top_degree unless the window is over _TUPLE_CAP.  Every word the
+    walk forms is visited, and counts against _TUPLE_CAP.
     """
 
     def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
-                 max_len: int | None, weight_bound: int):
+                 max_len: int | None, weight_bound: int, degree_bound: int | None = None):
         if min(max_len or 0, weight_bound) < 0:
             raise InputError("bounds must be nonnegative")
         steps = [(a, bidegree[a][0] + shift, bidegree[a][1]) for a in sorted(letters)]
@@ -412,6 +443,10 @@ class _Window:
             raise InputError(f"weight bound {weight_bound} needs words of length {longest}, "
                              f"above stages {max_len}: the window would cut the strands "
                              "of its top weights")
+        top = None if degree_bound is None else _top_degree(steps, weight_bound)
+        if top is not None and degree_bound < top:
+            raise InputError(f"degree bound {degree_bound} is below the top |degree| {top} "
+                             "of the window: it would cut its strands")
         prefix: list[int] = [-1]
         last: list[str | None] = [None]
         group, place = [0], [0]
@@ -592,11 +627,7 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> C
     the window's top absolute degree is refused, never used to trim
     one."""
     letters = [c for c in C.labels if c != C.coaug]
-    W = _Window(letters, C.bidegree, -1, None, weight_bound)
-    top = max(abs(d) for d, _ in W.keys)
-    if degree_bound < top:
-        raise InputError(f"degree bound {degree_bound} is below the top |degree| {top} "
-                         "of the window: it would cut its strands")
+    W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext
     splits = {c: [(a, b, x) for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
     faces: dict[tuple[int, str], list[tuple[list[int], list[int], int]]] = {}

@@ -24,14 +24,15 @@ Z[w]/(f) and Z[vars] add, negate, subtract and multiply, form n * a and
 a^n (``scale``, ``pow``) and divide exactly by an integer (``div_int``).
 An identity with integer coefficients, such as a Witt vector operation,
 is computed on the lift, where the Witt ghost map is injective, and then
-reduced.  Z computes scale, sub and pow directly.  Z[w]/(f) computes add,
-neg, sub and scale coefficient by coefficient, the first three by mapping
-the C functions of the operator module over the coefficients, and a^n by
-squaring from a.  It multiplies in closed form at k = 1 and k = 2, the
-lifts of F_p and F_{p^2}, and by a convolution reduced through a table
-of w^(k+i) at k >= 3, where a closed form per degree would not pay for
-its code.  Z[vars] forms n * a and a^n as products, so that its
-count of product terms covers them.
+reduced.  Z adds, negates, subtracts, multiplies and scales by the C
+functions of the operator module themselves, and computes pow and
+div_int directly.  Z[w]/(f) computes add, neg, sub and scale coefficient
+by coefficient, the first three by mapping the same C functions over the
+coefficients, and a^n by squaring from a.  It multiplies in closed form
+at k = 1 and k = 2, the lifts of F_p and F_{p^2}, and by a convolution
+reduced through a table of w^(k+i) at k >= 3, where a closed form per
+degree would not pay for its code.  Z[vars] forms n * a and a^n as
+products, so that its count of product terms covers them.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -100,6 +101,14 @@ class CoeffRing:
 
 
 class IntegerRing(CoeffRing):
+    # The operator module's C functions: a builtin is not a descriptor, so
+    # the instance attribute is the function itself, called without self.
+    add = operator.add
+    neg = operator.neg
+    sub = operator.sub
+    mul = operator.mul
+    scale = operator.mul  # n * a
+
     def zero(self):
         return 0
 
@@ -108,21 +117,6 @@ class IntegerRing(CoeffRing):
 
     def from_int(self, n: int):
         return n
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, n: int, a):
-        return n * a
 
     def pow(self, a, n: int):
         if n < 0:

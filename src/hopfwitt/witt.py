@@ -12,10 +12,11 @@ components are formed there as they stand and combined as the operation
 prescribes (sum, product, negation, an integer multiple or power, a ghost
 shift for the Frobenius), and one triangular solve recovers the
 components, each by an exact division by its index, before reduce maps
-them back.  The ghost map is injective on a torsion-free ring, and the
-operations are given by universal polynomials with integer coefficients,
-so the result is the same as evaluating those polynomials in the ring
-itself.  A division leaving a remainder would falsify that integrality
+them straight into the result.  Over Z and Z/m the lift's arithmetic is
+the C functions of the operator module.  The ghost map is injective on a
+torsion-free ring, and the operations are given by universal polynomials
+with integer coefficients, so the result is the same as evaluating those
+polynomials in the ring itself.  A division leaving a remainder would falsify that integrality
 theorem, so it raises FalsificationError.  The universal polynomials themselves are the same
 computation run on generic vectors over Z[a_d, b_d].
 
@@ -33,10 +34,14 @@ Over a finite ring, kernel_enumerate applies any operator to every
 vector.  The kernels of TF_n are searched depth-first instead, assigning
 components in truncation order: every prefix of S is a truncation set and
 restriction commutes with TF_n, so output component m is fixed once a_nm
-is assigned, and a prefix that makes it nonzero is dropped.  Every kernel
-returned is certified a subgroup exactly, by growing the span of its
-members from {0} one coset at a time: at most |K| - 1 + log2|K| Witt sums,
-fewer than 2|K|, with |K| already bounded by KERNEL_LIMIT.
+is assigned, and a prefix that makes it nonzero is dropped.  The stable
+kernel searches the deepened set and stops each prefix at its first lift
+past the last position of S, since one lift settles that the prefix's
+part in S is stable; KERNEL_LIMIT counts the prefixes actually visited.
+Every kernel returned is certified a subgroup exactly, by growing the
+span of its members from {0} one coset at a time: at most
+|K| - 1 + log2|K| Witt sums, fewer than 2|K|, with |K| already bounded
+by KERNEL_LIMIT.
 """
 
 from __future__ import annotations
@@ -78,9 +83,11 @@ def divisors(n: int) -> list[int]:
 class TruncationSet:
     """A finite divisor-closed set of positive integers, with the sum of
     its members and the proper divisors of each, over which the ghost map
-    sums.  It is immutable, so each quotient S/n is built once."""
+    sums; lower_terms holds, for each member n, the pairs (d, n/d) of its
+    proper divisors d above 1, the terms d * x_d^(n/d) of w_n after x_1^n.
+    It is immutable, so each quotient S/n is built once."""
 
-    __slots__ = ("members", "member_sum", "proper_divisors", "_quotients")
+    __slots__ = ("members", "member_sum", "proper_divisors", "lower_terms", "_quotients")
 
     def __init__(self, members: Iterable[int]):
         present = set(members)
@@ -100,6 +107,8 @@ class TruncationSet:
                     raise InputError(
                         f"truncation set is not divisor-closed: {d} divides {n}"
                     )
+        self.lower_terms = {n: tuple((d, n // d) for d in ds[1:])
+                            for n, ds in self.proper_divisors.items()}
         self.members = tuple(ms)
         self.member_sum = total
         self._quotients: dict[int, TruncationSet] = {}
@@ -249,8 +258,8 @@ def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], 
     the ghost component w_n without its last term n * x_n.  The first
     divisor is 1, in every truncation set, so the sum starts from x_1^n."""
     acc = L.pow(comps[1], n)
-    for d in trunc.proper_divisors[n][1:]:
-        acc = L.add(acc, L.scale(d, L.pow(comps[d], n // d)))
+    for d, e in trunc.lower_terms[n]:
+        acc = L.add(acc, L.scale(d, L.pow(comps[d], e)))
     return acc
 
 
@@ -355,8 +364,14 @@ def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
 
 def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing,
                         ghosts: Mapping[int, object]) -> WittVector:
-    comps = _deghost(ring.lift_ring, trunc, ghosts)  # in the order of S
-    return WittVector.from_list(trunc, ring, list(map(ring.reduce, comps.values())))
+    """The vector over ring whose lifted ghost components are the given
+    ones: the solved components, keyed by S in its order, reduced straight
+    into the result's dict."""
+    reduce = ring.reduce
+    v = WittVector.__new__(WittVector)
+    v.trunc, v.ring = trunc, ring
+    v.comps = {d: reduce(x) for d, x in _deghost(ring.lift_ring, trunc, ghosts).items()}
+    return v
 
 
 def ghost(a: WittVector) -> list:
@@ -594,13 +609,16 @@ def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
             span.update(coset)
 
 
-def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator[list]:
+def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
+                   last: int) -> Iterator[list]:
     """The component lists of ker(TF_n(-; t)) on W_S(R), R finite, in the
-    order of all_vectors, by the search the module docstring describes.
-    Depth d forms only the new lifted ghost w_d; when n | d, output
-    component m = d/n has ghost w_d - t^((n-1)m) w_m and is solved with
-    the lifted output components kept along the path.  KERNEL_LIMIT caps
-    the prefixes visited."""
+    order of all_vectors, by the search the module docstring describes,
+    except that a prefix through position last of S yields only its first
+    completion: past the last position a caller keeps, one member settles
+    the prefix.  Depth d forms only the new lifted ghost w_d; when n | d,
+    output component m = d/n has ghost w_d - t^((n-1)m) w_m and is solved
+    with the lifted output components kept along the path.  KERNEL_LIMIT
+    caps the prefixes visited."""
     if not ring.is_finite:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
     trunc.quotient(n)  # refuses an empty S/n
@@ -645,7 +663,7 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> Iterator
                     continue
                 y[m] = q
             x[d], w[d] = r, wd
-            yield from dive(k + 1)
+            yield from dive(k + 1) if k != last else itertools.islice(dive(k + 1), 1)
 
     return dive(0)
 
@@ -655,7 +673,7 @@ def twisted_kernel(n: int, t, trunc: TruncationSet, ring: CoeffRing) -> list[Wit
     search of _kernel_search: the members kernel_enumerate finds for
     twisted_frobenius, in the same order."""
     kernel = [WittVector.from_list(trunc, ring, comps)
-              for comps in _kernel_search(n, t, trunc, ring)]
+              for comps in _kernel_search(n, t, trunc, ring, len(trunc) - 1)]
     _check_subgroup(kernel, trunc, ring)
     return kernel
 
@@ -668,9 +686,12 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet,
     The twisted kernels form an inverse system as the truncation set
     grows; the honest finite-level kernel can overshoot the limit because
     the constraint coming from the next level is invisible.  One extra
-    level is enough to stabilize over the finite rings handled here, and
-    the enumeration stays exhaustive: search ker(TF_n) on the deepened
-    set and project.
+    level is enough to stabilize over the finite rings handled here: search
+    ker(TF_n) on the deepened set and project.  One lift settles that a
+    kept part is stable, so the search takes only the first completion of
+    each prefix through the last kept position; a member of the deepened
+    set outside S may still come before that position, and the repeats
+    it brings are dropped, so the order is that of the full projection.
     """
     deep = TruncationSet.divisor_closure(
         set(trunc.members) | {n * d for d in trunc}
@@ -678,7 +699,7 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet,
     keep = [i for i, d in enumerate(deep) if d in trunc]
     found: list[WittVector] = []
     seen: set[tuple] = set()
-    for comps in _kernel_search(n, t, deep, ring):
+    for comps in _kernel_search(n, t, deep, ring, keep[-1]):
         small = tuple(comps[i] for i in keep)
         if small not in seen:
             seen.add(small)

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hopfwitt import intz, linalg
+from hopfwitt import homology, intz, linalg
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.homology import (
@@ -350,6 +350,26 @@ class TestCobarComplex:
         with pytest.raises(InputError, match=r"degree bound -1 is below the top \|degree\| 0"):
             cobar_complex(GradedCoalgebra.trivial(), -1, 5)
 
+    def test_degree_bound_refused_before_the_walk(self, monkeypatch):
+        # divided_power(18) at weight 18 has more words than _TUPLE_CAP, and
+        # divided_power(17) at 17 has 2^17 - 1 besides the empty word; the top
+        # |degree| is read off the letters, so the bound is named even when
+        # the walk would overflow
+        for n, top in ((18, 35), (17, 33)):
+            with pytest.raises(InputError, match=rf"^degree bound 1 is below the top "
+                                                 rf"\|degree\| {top} of the window"):
+                cobar_complex(GradedCoalgebra.divided_power(n), 1, n)
+        # a window whose words pass the cap below weights the knapsack has
+        # not read is left to the walk, which refuses it as before
+        with pytest.raises(InputError, match=r"^bound overflow: the word window needs at "
+                                             r"least 200001 words, over homology._TUPLE_CAP"):
+            cobar_complex(GradedCoalgebra.divided_power(3), 1, 10 ** 9)
+        monkeypatch.setattr(homology, "_TUPLE_CAP", 2 ** 17 - 2)
+        with pytest.raises(InputError, match=r"top \|degree\| 33 of the window"):
+            cobar_complex(GradedCoalgebra.divided_power(17), 1, 17)
+        with pytest.raises(InputError, match=r"word window needs at least \d+ words"):
+            cobar_complex(GradedCoalgebra.divided_power(17), 34, 17)
+
 
 def _exterior_times_dual_numbers():
     """Lambda(s) (x) Z[x]/x^2, with s in (1, 1), x in (2, 1) and sx in
@@ -521,8 +541,6 @@ class TestShuffle:
         # multiple of d[x|x|x]; each factor has weight 3, and so has the
         # product, whose terms of weights 4 to 6 cancel; its class is 0,
         # since x2 = +-d[x|x]
-        from hopfwitt import homology
-
         built = []
         real = homology._bar_window
         monkeypatch.setattr(homology, "_bar_window",
@@ -691,6 +709,19 @@ class TestWindowStrands:
         assert got == _brute_strands(letters, bidegree, -1, wb, wb, db)
         _check_locate(window, letters, bidegree, -1, wb)
         assert all(list(s.values()) == list(range(len(s))) for s in got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(1, 2)), max_size=3),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(0, 4))
+    def test_top_degree_is_the_walked_window_s(self, bidegrees, sign, shift, wb):
+        # the knapsack's top |degree| is the largest |degree| the walk reaches:
+        # a degree bound there passes and one below it is refused
+        letters, bidegree = _labelled([(d, sign * w) for d, w in bidegrees])
+        top = max(abs(d) for d, _ in _Window(letters, bidegree, shift, None, wb).keys)
+        assert _Window(letters, bidegree, shift, None, wb, top).keys
+        with pytest.raises(InputError, match=rf"^degree bound {top - 1} is below the top "
+                                             rf"\|degree\| {top} of the window"):
+            _Window(letters, bidegree, shift, None, wb, top - 1)
 
     @pytest.mark.parametrize("name", sorted(_NESTED_ALGEBRAS))
     def test_bar_strands_do_not_depend_on_the_weight_bound(self, name):

@@ -699,6 +699,34 @@ def test_kernel_search_bound_counts_prefixes(monkeypatch):
         twisted_kernel(2, R.one(), S, R)
 
 
+def test_stable_search_stops_at_the_first_lift(monkeypatch):
+    """W_{1,2,4}(Z/8) at n = 2, t = 1 deepens to {1,2,4,8}.  The search
+    visits 8 + 64 + 128 prefixes through 4, keeping 8, 16 and 32, and
+    then each kept one only up to its first completion by a_8: 80 visits
+    of the 256 a full search makes, whose 64 members give the same 32."""
+    R, S = ZModRing(8), TruncationSet([1, 2, 4])
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 280)
+    assert len(stable_twisted_kernel(2, R.one(), S, R)) == 32
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 279)
+    with pytest.raises(InputError,
+                       match="needs at least 280 prefixes, over witt.KERNEL_LIMIT = 279"):
+        stable_twisted_kernel(2, R.one(), S, R)
+
+
+@pytest.mark.parametrize("ring", [ZModRing(2), GaloisField(2, 2)], ids=str)
+def test_stable_kernel_with_a_deeper_member_before_the_last_kept(ring):
+    """S = {1,2,3,6} at n = 2 deepens to {1,2,3,4,6,12}, where 4, outside
+    S, comes before 6: the stable kernel is still the deepened
+    brute-force kernel projected to S, first occurrences kept."""
+    S = TruncationSet([1, 2, 3, 6])
+    deep = TruncationSet([1, 2, 3, 4, 6, 12])
+    assert TruncationSet.divisor_closure(set(S) | {2 * d for d in S}) == deep
+    for t in ring.elements():
+        full = kernel_enumerate(lambda a: twisted_frobenius(2, a, t), deep, ring)
+        projected = list(dict.fromkeys(str(a.restrict(S)) for a in full))
+        assert [str(v) for v in stable_twisted_kernel(2, t, S, ring)] == projected
+
+
 def test_kernel_search_refuses_infinite_rings_and_empty_quotients():
     with pytest.raises(InputError, match="cannot enumerate"):
         twisted_kernel(2, 1, S12, ZZ)
