@@ -248,8 +248,12 @@ TPoly = dict[int, int]
 
 
 def t_poly(terms: TPoly) -> SparsePoly:
-    """The constant as a polynomial in t."""
-    return SparsePoly({(("t", e),) if e else (): c for e, c in terms.items()})
+    """The constant as a polynomial in t.  Its monomials are powers of t
+    alone, so it is built directly: zeros are dropped and nothing else
+    is checked."""
+    p = SparsePoly.__new__(SparsePoly)
+    p._terms = {(("t", e),) if e else (): c for e, c in terms.items() if c}
+    return p
 
 
 def t_poly_str(terms: TPoly) -> str:

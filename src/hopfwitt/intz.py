@@ -15,6 +15,12 @@ forms, so integrality holds by construction:
 - antipode  S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k),
   from C(-x,n) = (-1)^n C(x+n-1,n) and Vandermonde.
 
+The public constructors and parse check what comes from outside:
+indices are nonnegative, and an element's coefficients are integers.
+Every operation builds its result once, in one dict, and hands it to a
+private constructor that drops the zero coefficients and checks nothing
+else.
+
 The same module holds the degree filtration (span of C(x,k), k <= n),
 the congruence f^p = f mod p, and the pairing against Z[[u]], u = t-1,
 under which C(x,n) is dual to u^n.  A series there is its list of
@@ -52,6 +58,14 @@ class IntZElement:
                 if c:
                     clean[n] = c
         self._coeffs = clean
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, int]) -> IntZElement:
+        """The element of coefficients the library formed, in a dict it
+        hands over: zeros are dropped and nothing else is checked."""
+        f = cls.__new__(cls)
+        f._coeffs = {n: c for n, c in coeffs.items() if c} if 0 in coeffs.values() else coeffs
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -94,21 +108,17 @@ class IntZElement:
     def __add__(self, other: IntZElement) -> IntZElement:
         out = dict(self._coeffs)
         for n, c in other._coeffs.items():
-            s = out.get(n, 0) + c
-            if s:
-                out[n] = s
-            else:
-                out.pop(n, None)
-        return IntZElement(out)
+            out[n] = out.get(n, 0) + c
+        return IntZElement._of(out)
 
     def __neg__(self) -> IntZElement:
-        return IntZElement({n: -c for n, c in self._coeffs.items()})
+        return IntZElement._of({n: -c for n, c in self._coeffs.items()})
 
     def __sub__(self, other: IntZElement) -> IntZElement:
         return self + (-other)
 
     def scale(self, k: int) -> IntZElement:
-        return IntZElement({n: k * c for n, c in self._coeffs.items()})
+        return IntZElement._of({n: k * c for n, c in self._coeffs.items()})
 
     # -- text and JSON forms ----------------------------------------------
 
@@ -179,12 +189,16 @@ class TensorElement:
         self._coeffs = clean
 
     @classmethod
+    def _of(cls, coeffs: dict[tuple[int, int], int]) -> TensorElement:
+        """The tensor of coefficients the library formed, in a dict it
+        hands over: zeros are dropped and nothing else is checked."""
+        t = cls.__new__(cls)
+        t._coeffs = {mn: c for mn, c in coeffs.items() if c} if 0 in coeffs.values() else coeffs
+        return t
+
+    @classmethod
     def simple(cls, f: IntZElement, g: IntZElement) -> TensorElement:
-        out: dict[tuple[int, int], int] = {}
-        for m, a in f.items():
-            for n, b in g.items():
-                out[(m, n)] = a * b
-        return cls(out)
+        return cls._of({(m, n): a * b for m, a in f._coeffs.items() for n, b in g._coeffs.items()})
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0][0])))
@@ -215,7 +229,7 @@ class TensorElement:
                     ca = c1 * c2 * a
                     for j, b in right:
                         out[(i, j)] = out.get((i, j), 0) + ca * b
-        return TensorElement(out)
+        return TensorElement._of(out)
 
     def __str__(self) -> str:
         def side(n: int) -> str:
@@ -264,7 +278,7 @@ def _accumulate(parts: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> IntZE
     for c, terms in parts:
         for k, d in terms:
             out[k] = out.get(k, 0) + c * d
-    return IntZElement(out)
+    return IntZElement._of(out)
 
 
 def basis_product(m: int, n: int) -> dict[int, int]:
@@ -283,12 +297,8 @@ def mult(f: IntZElement, g: IntZElement) -> IntZElement:
 def comult(f: IntZElement) -> TensorElement:
     """Delta C(x,n) = sum_{i+j=n} C(x,i) (x) C(x,j), extended Z-linearly."""
     _check_work((n + 1 for n in f._coeffs), max(f._coeffs, default=0), "the coproduct")
-    out: dict[tuple[int, int], int] = {}
-    for n, c in f.items():
-        for i in range(n + 1):
-            key = (i, n - i)
-            out[key] = out.get(key, 0) + c
-    return TensorElement(out)
+    # each (i, n - i) is written once: pairs from different n never meet
+    return TensorElement._of({(i, n - i): c for n, c in f._coeffs.items() for i in range(n + 1)})
 
 
 def counit(f: IntZElement) -> int:
@@ -310,19 +320,22 @@ def eval_at(f: IntZElement, a: int) -> int:
     return sum(c * binomial_int(a, n) for n, c in f.items())
 
 
-def antipode_basis(n: int) -> IntZElement:
-    """S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k); S(1) = 1."""
-    if n < 0:
-        raise InputError("basis index must be nonnegative")
-    if n == 0:
-        return IntZElement.one()
-    sign = -1 if n % 2 else 1
-    return IntZElement({k: sign * comb(n - 1, k - 1) for k in range(1, n + 1)})
-
-
 def antipode(f: IntZElement) -> IntZElement:
+    """S(C(x,n)) = C(-x,n) = (-1)^n sum_{k=1..n} C(n-1,k-1) C(x,k) and S(1) = 1,
+    extended Z-linearly: every term adds into one dict, and the terms
+    that cancel are dropped."""
     _check_work(f._coeffs, max(f._coeffs, default=0), "the antipode")
-    return _accumulate((c, antipode_basis(n).items()) for n, c in f._coeffs.items())
+    out: dict[int, int] = {}
+    for n, c in f._coeffs.items():
+        if n == 0:
+            out[0] = c  # no other n reaches C(x,0)
+            continue
+        if n % 2:
+            c = -c
+        for k in range(1, n + 1):  # c runs through (-1)^n c_n C(n-1,k-1)
+            out[k] = out.get(k, 0) + c
+            c = c * (n - k) // k
+    return IntZElement._of(out)
 
 
 # -- filtration -------------------------------------------------------------

@@ -208,8 +208,8 @@ class WittVector:
         return WittVector(target, self.ring, {d: self.comps[d] for d in target})
 
     def is_zero(self) -> bool:
-        zero = self.ring.zero()
-        return all(v == zero for v in self.comps.values())
+        comps = list(self.comps.values())
+        return comps.count(self.ring.zero()) == len(comps)
 
     def _check_compatible(self, other: WittVector) -> None:
         if self.trunc is not other.trunc and self.trunc != other.trunc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from hopfwitt.errors import FalsificationError, InputError
 from hopfwitt.poly import SparsePoly
@@ -94,6 +95,19 @@ def elimination_constants(m: int, n: int) -> dict[int, SparsePoly]:
         residue = residue - c * drinfeld_poly(k).poly
     if not residue.is_zero():
         raise FalsificationError(f"elimination left a nonzero residue for ({m},{n})")
+    return out
+
+
+def factorial_constants(m: int, n: int) -> dict[int, int]:
+    """c_mnk = k! / ((k-m)! (k-n)! (m+n-k)!) for max(m,n) <= k <= m+n, the
+    constants of C(x,m) C(x,n) = sum_k c_mnk C(x,k), from factorials
+    alone; a division that leaves a remainder raises FalsificationError."""
+    out = {}
+    for k in range(max(m, n), m + n + 1):
+        c, r = divmod(factorial(k), factorial(k - m) * factorial(k - n) * factorial(m + n - k))
+        if r:
+            raise FalsificationError(f"c_({m},{n},{k}) is not an integer")
+        out[k] = c
     return out
 
 

@@ -24,7 +24,8 @@ from hopfwitt.filtration import (
 from hopfwitt.poly import SparsePoly
 
 import linalg_oracle as oracle
-from drinfeld_oracle import drinfeld_group_law_samples, drinfeld_poly, elimination_constants
+from drinfeld_oracle import (drinfeld_group_law_samples, drinfeld_poly, elimination_constants,
+                             factorial_constants)
 from intz_oracle import binomial_poly, degree_in
 from presentation_oracle import failing_triples
 
@@ -664,6 +665,25 @@ class TestDrinfeldBasis:
                 cs = elimination_constants(i, j)
                 want = {("1" if k == 0 else f"C{k}"): c for k, c in cs.items()}
                 assert {k: t_poly(ts) for k, ts in R.product(f"C{i}", f"C{j}").items()} == want
+
+    def test_constants_against_factorials(self):
+        """c_mnk from factorials alone, for every m, n <= 24: the closed
+        form basis_product, the pairs stored in rees(24), and the Drinfeld
+        constants c_mnk t^(m+n-k), formed here by SparsePoly arithmetic."""
+        t = SparsePoly.variable("t")
+        powers = [t ** e for e in range(49)]
+        for m in range(25):
+            for n in range(25):
+                want = factorial_constants(m, n)
+                assert intz.basis_product(m, n) == want
+                assert drinfeld_structure_constants(m, n) == {
+                    k: powers[m + n - k] * c for k, c in want.items()}
+        R = rees(24)
+        w = R.weights
+        assert sorted((w[i], w[j]) for i, j in R.constants) == [
+            (i, j) for i in range(25) for j in range(25 - i)]
+        for (i, j), cs in R.constants.items():
+            assert {w[k]: c for k, c in cs.items()} == factorial_constants(w[i], w[j])
 
     def test_group_law_samples(self):
         samples = [(a, b, t) for a in (-2, 1, 3) for b in (-1, 2) for t in (-1, 0, 2)]

@@ -20,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 from hopfwitt import intz
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import InputError
+from hopfwitt.filtration import drinfeld_structure_constants
 from hopfwitt.intz import (
     IntZElement,
     TensorElement,
     antipode,
-    antipode_basis,
     basis_product,
     comult,
     counit,
@@ -95,6 +95,48 @@ def test_parse_text_form():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(InputError):
         IntZElement.parse(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IntZElement({-1: 1}),
+    lambda: IntZElement({1: True}),
+    lambda: IntZElement({1: 1.5}),
+    lambda: TensorElement({(0, -1): 1}),
+])
+def test_constructors_refuse_outside_input(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def _canonical(x, cls):
+    """x holds no zero coefficient and is what the public constructor
+    builds from its own coefficients."""
+    coeffs = dict(x.items())
+    return 0 not in coeffs.values() and cls(coeffs) == x
+
+
+# Small indices, C(x,0) included, and small coefficients, so that sums,
+# products and antipodes often cancel a term.
+_small = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=5).map(IntZElement)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_small, _small, st.integers(-2, 2), st.integers(0, 6), st.integers(0, 6))
+def test_results_are_canonical(f, g, k, m, n):
+    """Every result the library forms drops the coefficients that cancel;
+    f + (-f) cancels all of them."""
+    for h in (antipode(f), mult(f, g), f + g, f - g, f + (-f), f.scale(k)):
+        assert _canonical(h, IntZElement)
+    tf, tg = comult(f), comult(g)
+    for t in (tf, tf.multiply(tg), TensorElement.simple(f, g)):
+        assert _canonical(t, TensorElement)
+    for c in drinfeld_structure_constants(m, n).values():
+        assert _canonical(c, SparsePoly)
+
+
+def test_antipode_drops_the_term_that_cancels():
+    """S(C(x,1)) = -C(x,1) cancels the C(x,1) of S(C(x,2)) = C(x,1) + C(x,2)."""
+    assert dict(antipode(C(1) + C(2)).items()) == {2: 1}
 
 
 def test_json_round_trip():
@@ -199,15 +241,15 @@ def test_eval_at_negative_points():
 
 
 def test_antipode_known_values():
-    assert antipode_basis(0) == IntZElement.one()
-    assert antipode_basis(1) == elt(c1=-1)
-    assert antipode_basis(2) == elt(c1=1, c2=1)
+    assert antipode(C(0)) == IntZElement.one()
+    assert antipode(C(1)) == elt(c1=-1)
+    assert antipode(C(2)) == elt(c1=1, c2=1)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_antipode_matches_substitution_oracle(n):
     """S(f) = f(-x), computed by substitution in Q[x]."""
-    flipped = to_poly(antipode_basis(n))
+    flipped = to_poly(antipode(C(n)))
     direct = substitute(to_poly(C(n)), {"x": -SparsePoly.variable("x")})
     assert flipped == direct
 
@@ -229,7 +271,7 @@ def test_antipode_agrees_with_q_of_x_route(f):
 
 def test_antipode_basis_is_not_recursive():
     n = 2 * sys.getrecursionlimit()
-    assert eval_at(antipode_basis(n), 3) == binomial_int(-3, n)
+    assert eval_at(antipode(C(n)), 3) == binomial_int(-3, n)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -237,7 +279,7 @@ def test_antipode_law_on_basis(n):
     """m(S (x) id) Delta = unit . counit on C(x,n)."""
     acc = IntZElement()
     for (i, j), c in comult(C(n)).items():
-        acc = acc + mult(antipode_basis(i), C(j)).scale(c)
+        acc = acc + mult(antipode(C(i)), C(j)).scale(c)
     expected = IntZElement.one().scale(counit(C(n)))
     assert acc == expected
 

@@ -370,6 +370,18 @@ def test_ring_laws_on_random_vectors(seed):
     assert witt_mul(one, a) == a
 
 
+@pytest.mark.parametrize("ring", [ZZ, ZModRing(8), GaloisField(2, 2), PolynomialRing()], ids=str)
+def test_is_zero_sees_every_component(ring):
+    """Over Z, Z/8, F_4 (whose zero is a tuple) and Z[..], a vector with
+    one nonzero component, in each position in turn, is not zero."""
+    zero = ring.zero()
+    assert WittVector.from_list(S1236, ring, [zero] * len(S1236)).is_zero()
+    for i in range(len(S1236)):
+        comps = [zero] * len(S1236)
+        comps[i] = ring.one()
+        assert not WittVector.from_list(S1236, ring, comps).is_zero()
+
+
 def test_integer_images_add_up():
     assert witt_int(0, S12, ZZ).is_zero()
     for m in range(-5, 6):
@@ -818,9 +830,10 @@ PROFILE_LIMIT = 81
 @pytest.mark.parametrize("p,e,k,t", FIBRE_CASES,
                          ids=[f"Z/{p ** e}-k{k}-t{t}" for p, e, k, t in FIBRE_CASES])
 def test_stable_kernel_is_the_rees_fibre(p, e, k, t):
-    """At every t the stable kernel of F_p - [t]^(p-1) on W_{S_k}(Z/p^e) has
-    as many members as the t-fibre of the Rees algebra has points, and,
-    where the profile is formed, the same count of elements of each order:
+    """For e >= 2, at every t the stable kernel of F_p - [t]^(p-1) on
+    W_{S_k}(Z/p^e) has as many members as the t-fibre of the Rees algebra
+    has points, and, where the profile is formed, the same count of
+    elements of each order:
     p^(e+k-1) at a unit t, where the fibre is H = Spec Int(Z), and
     p^(e+k-2) at a non-unit t, as at t = 0."""
     R, S = ZModRing(p ** e), TruncationSet.p_typical(p, k)
@@ -830,6 +843,19 @@ def test_stable_kernel_is_the_rees_fibre(p, e, k, t):
     if len(kernel) <= PROFILE_LIMIT:
         assert (order_profile(kernel, witt_add, WittVector.is_zero)
                 == point_order_profile(points, p ** e))
+
+
+E1_CASES = [(p, k, t) for p in (2, 3) for k in (2, 3) for t in (0, 1)]
+
+
+@pytest.mark.parametrize("p,k,t", E1_CASES, ids=[f"Z/{p}-k{k}-t{t}" for p, k, t in E1_CASES])
+def test_stable_kernel_over_z_mod_p(p, k, t):
+    """e = 1 lies outside the fibre count.  Over Z/p the stable kernel has
+    p^k members at t = 1, as the fibre has points, but at t = 0 it is the
+    zero vector alone, while the fibre has p points."""
+    kernel = stable_twisted_kernel(p, t, TruncationSet.p_typical(p, k), ZModRing(p))
+    assert len(kernel) == (p ** k if t else 1)
+    assert len(fibre_points(p, 1, k, t)) == (p ** k if t else p)
 
 
 def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
