@@ -282,17 +282,17 @@ def _cmd_filt_rees(args) -> str:
     P = filtration.rees(args.bound)
     if args.t is None and args.format == "json":
         return P.to_json() + "\n"
-    # the unit's products are not listed
-    pairs = [(i, j) for i, j in P.pairs() if i != P.unit]
+    # the unit's products, those of index 0, are not listed; specialize
+    # keys its table in pairs() order
+    pairs = P.pairs()
     if args.t is None:
-        out = {(i, j): P.product_text(i, j) for i, j in pairs}
+        out = {(i, j): P.product_text(i, j) for i, j in pairs if i}
     else:
-        table = P.specialize(args.t)
-        out = {(i, j): table[i, j] for i, j in pairs}
+        out = {(i, j): o for (i, j), o in zip(pairs, P.specialize(args.t).values()) if i}
         if args.format == "json":
-            rows = [{"i": i, "j": j, "out": o} for (i, j), o in out.items()]
+            rows = [{"i": f"C{i}", "j": f"C{j}", "out": o} for (i, j), o in out.items()]
             return _json_line({"constants": rows, "t": args.t})
-    return "".join(f"{i}*{j} = {_comb_str(o)}\n" for (i, j), o in out.items())
+    return "".join(f"C{i}*C{j} = {_comb_str(o)}\n" for (i, j), o in out.items())
 
 
 def _cmd_filt_drinfeld(args) -> str:

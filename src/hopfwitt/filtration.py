@@ -9,8 +9,10 @@ image lattices, computed exactly with Hermite normal forms.
 GradedAlgebraPresentation, built by rees(), is the Rees algebra of
 Int(Z) over Z[t]: the one-parameter deformation of the binomial ring
 whose specializations at t=1 and t=0 recover the original product and
-its divided-power shadow, stored as one integer per term of the closed
-form intz.basis_product.  The same deformation is realized polynomially
+its divided-power shadow.  Its generator k is t^k C(x,k), so one integer
+is its index, its weight and its label, and its table stores one integer
+per term of the closed form intz.basis_product, keyed by index.  The
+same deformation is realized polynomially
 by the basis b_n(x,t) = x(x-t)...(x-t(n-1))/n! = t^n C(x/t, n), so both
 read one closed form: C(x,m) C(x,n) = sum_k c_mnk C(x,k) gives
 b_m b_n = sum_k c_mnk t^(m+n-k) b_k.
@@ -256,32 +258,30 @@ def t_poly(terms: TPoly) -> SparsePoly:
     return p
 
 
-def t_poly_str(terms: TPoly) -> str:
-    """str(t_poly(terms)) without building the polynomial: the terms are
-    sorted by their t-exponents alone, where SparsePoly's general
-    monomial sort would dominate the text form of a large Rees table."""
-    return format_terms(("" if e == 0 else "t" if e == 1 else f"t^{e}", terms[e])
-                        for e in sorted(terms, reverse=True))
-
-
 def _gen_label(k: int) -> str:
     return "1" if k == 0 else f"C{k}"
+
+
+def _labels(bound: int) -> list[str]:
+    return [_gen_label(k) for k in range(bound + 1)]
+
+
+def _t_power(e: int) -> str:
+    return "" if e == 0 else "t" if e == 1 else f"t^{e}"
 
 
 class GradedAlgebraPresentation:
     """The Rees algebra of Int(Z) over Z[t] up to weight `bound`, built by
     rees(bound): the one-parameter deformation of the filtered binomial ring.
 
-    The generator of weight k is the basis element of degree k, labelled
-    "1" (the unit) for k = 0 and Ck above; t has weight one.  The product
-    i * j is stored when w_i + w_j <= bound.  A product coefficient landing
-    on basis index k acquires t^(i+j-k), so constants[(i, j)] = {k: c}
-    keeps the integers c of the closed form intz.basis_product and the
-    exponent is read off the weights; one dict serves (i, j) and (j, i).
-    Its indices k never pass i+j (the degree filtration is multiplicative),
-    and basis_product(0, j) = {j: 1} is the unit law.  Products, the
-    associativity check and specialization run on these integers; the
-    {k: {t-exponent: int}} tables are formed only for output.
+    Generator k is b_k = t^k C(x,k): one integer is its index, its weight
+    and its label, "1" (the unit) for k = 0 and Ck above; t has weight
+    one.  constants[(i, j)] = intz.basis_product(i, j), one dict for both
+    orders, is stored for i + j <= bound, and its integer c on k stands for
+    the constant c * t^(i+j-k).  Its indices k never pass i+j (the degree
+    filtration is multiplicative), and basis_product(0, j) = {j: 1} is the
+    unit law.  The associativity check and specialization run on these
+    integers; labels are formed only for output.
     """
 
     def __init__(self, bound: int):
@@ -291,101 +291,82 @@ class GradedAlgebraPresentation:
             raise InputError("bound must be nonnegative")
         intz._check_work((i + 1 for i in range(bound + 1) for _ in range(i, bound + 1 - i)),
                          bound, "the Rees table")
-        labels = [_gen_label(k) for k in range(bound + 1)]
-        self.generators = list(zip(labels, range(bound + 1)))
-        self.weights = dict(self.generators)
-        self.unit = labels[0]
         self.bound = bound
-        # each pair lighter generator first, in weight order, then its mirror
-        self.constants: dict[tuple[str, str], dict[str, int]] = {}
+        # each pair lighter generator first, in index order, then its mirror
+        self.constants: dict[tuple[int, int], dict[int, int]] = {}
         for i in range(bound + 1):
             for j in range(i, bound + 1 - i):
-                self.constants[labels[i], labels[j]] = self.constants[labels[j], labels[i]] = \
-                    {labels[k]: c for k, c in intz.basis_product(i, j).items()}
+                self.constants[i, j] = self.constants[j, i] = intz.basis_product(i, j)
 
-    def pairs(self) -> list[tuple[str, str]]:
-        """Each stored unordered pair once, lighter generator first, in the
-        order stored."""
-        w = self.weights
-        return [(i, j) for i, j in self.constants if w[i] < w[j] or w[i] == w[j] and i <= j]
+    def pairs(self) -> list[tuple[int, int]]:
+        """Each stored unordered pair once, as indices i <= j, in the order
+        stored."""
+        return [(i, j) for i, j in self.constants if i <= j]
 
-    def product(self, i: str, j: str) -> dict[str, TPoly]:
-        """The constants of the stored product i * j, as {k: {t-exponent: int}}:
-        a new table, each c * t^(w_i + w_j - w_k) formed from the stored c."""
+    def product_text(self, i: int, j: int) -> dict[str, str]:
+        """The constants of the stored product b_i * b_j in their canonical
+        text form, {label_k: text of c * t^(i+j-k)}."""
         if (i, j) not in self.constants:
             raise InputError(f"product ({i},{j}) not stored (weight bound {self.bound})")
-        w = self.weights
-        return {k: {w[i] + w[j] - w[k]: c} for k, c in self.constants[(i, j)].items()}
-
-    def product_text(self, i: str, j: str) -> dict[str, str]:
-        """The constants of product(i, j) in their canonical text form."""
-        return {k: t_poly_str(terms) for k, terms in self.product(i, j).items()}
+        return {_gen_label(k): format_terms(((_t_power(i + j - k), c),))
+                for k, c in self.constants[i, j].items()}
 
     def check_associative(self) -> None:
         """(xy)z = x(yz) for generator triples within the weight bound.
 
         Each constant is a single term n t^d, and any bracketing of a, b, c
-        puts t^(w_a+w_b+w_c-w_l) on label l, so the stored integers n
-        decide it.  The table is symmetric and the unit law holds, so
-        (ab)c = a(bc) = b(ac) for a <= b <= c besides the unit covers every
-        ordered triple."""
-        table = self.constants
+        puts t^(a+b+c-k) on generator k, so the stored integers n decide
+        it.  The table is symmetric and the unit law holds, so
+        (ab)c = a(bc) = b(ac) for 1 <= a <= b <= c covers every ordered
+        triple."""
+        table, bound = self.constants, self.bound
 
-        def times(x: dict[str, int], g: str) -> dict[str, int]:
-            acc: dict[str, int] = {}
+        def times(x: dict[int, int], g: int) -> dict[int, int]:
+            acc: dict[int, int] = {}
             for k, m in x.items():
-                for j, n in table[(k, g)].items():
+                for j, n in table[k, g].items():
                     acc[j] = acc.get(j, 0) + m * n
             return {j: n for j, n in acc.items() if n}
 
-        w = self.weights
-        # in weight order, so each loop stops at the first generator past the bound
-        gens = sorted((g for g, _ in self.generators if g != self.unit), key=w.__getitem__)
-        for x, a in enumerate(gens):
-            for y in range(x, len(gens)):
-                b = gens[y]
-                room = self.bound - w[a] - w[b]
-                if room < 0:
-                    break
-                ab = table[(a, b)]
-                for c in gens[y:]:
-                    if w[c] > room:
-                        break
+        for a in range(1, bound // 3 + 1):
+            for b in range(a, (bound - a) // 2 + 1):
+                ab = table[a, b]
+                for c in range(b, bound - a - b + 1):
                     ab_c = times(ab, c)
-                    if ab_c != times(table[(b, c)], a):
-                        raise FalsificationError(f"associativity fails on ({a},{b},{c})")
-                    if ab_c != times(table[(a, c)], b):
-                        raise FalsificationError(f"associativity fails on ({b},{a},{c})")
+                    if ab_c != times(table[b, c], a):
+                        raise FalsificationError(f"associativity fails on (C{a},C{b},C{c})")
+                    if ab_c != times(table[a, c], b):
+                        raise FalsificationError(f"associativity fails on (C{b},C{a},C{c})")
 
     def specialize(self, value: int) -> dict[tuple[str, str], dict[str, int]]:
         """Substitute an integer for t; returns plain integer constants,
-        one entry per unordered generator pair, keyed and ordered as
-        pairs() gives them.  A value that would take some c * t^e past
+        one entry per unordered generator pair, keyed by labels and ordered
+        as pairs() gives them.  A value that would take some c * t^e past
         intz.EVAL_BITS_LIMIT bits is refused first."""
-        w = self.weights
-        pairs = [(i, j, w[i] + w[j], self.constants[i, j]) for i, j in self.pairs()]
+        table, pairs = self.constants, self.pairs()
         t_bits = abs(value).bit_length()
         if t_bits > 1:
-            need = max((c.bit_length() + (wij - w[k]) * t_bits
-                        for _, _, wij, cs in pairs for k, c in cs.items()), default=0)
+            need = max((c.bit_length() + (i + j - k) * t_bits
+                        for i, j in pairs for k, c in table[i, j].items()), default=0)
             if need > intz.EVAL_BITS_LIMIT:
                 raise bound_overflow("specializing t", f"{need} bits in one constant",
                                      "intz.EVAL_BITS_LIMIT", intz.EVAL_BITS_LIMIT)
+        labels = _labels(self.bound)
         out: dict[tuple[str, str], dict[str, int]] = {}
-        for i, j, wij, cs in pairs:
-            spec = out[i, j] = {}
-            for k, c in cs.items():
-                v = c * value ** (wij - w[k])
+        for i, j in pairs:
+            spec = out[labels[i], labels[j]] = {}
+            for k, c in table[i, j].items():
+                v = c * value ** (i + j - k)
                 if v:
-                    spec[k] = v
+                    spec[labels[k]] = v
         return out
 
     def to_json(self) -> str:
-        weights: dict[str, list[str]] = {}
-        for g, w in self.generators:
-            weights.setdefault(str(w), []).append(g)
-        pairs = [{"i": i, "j": j, "out": self.product_text(i, j)} for i, j in self.pairs()]
-        obj = {"weights": weights, "constants": pairs, "bound": self.bound, "unit": self.unit}
+        labels = _labels(self.bound)
+        pairs = [{"i": labels[i], "j": labels[j], "out": self.product_text(i, j)}
+                 for i, j in self.pairs()]
+        obj = {"weights": {str(k): [g] for k, g in enumerate(labels)}, "constants": pairs,
+               "bound": self.bound, "unit": labels[0]}
         return json.dumps(obj, separators=(",", ":"))
 
 

@@ -42,6 +42,14 @@ from .errors import InputError, bound_overflow
 from .poly import format_terms
 
 
+def _checked(c) -> int:
+    """A coefficient from outside the library, refused unless an integer
+    (a bool is not one)."""
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise InputError("basis coefficients must be integers")
+    return c
+
+
 class IntZElement:
     """An integer-valued polynomial in binomial-basis coordinates."""
 
@@ -53,9 +61,7 @@ class IntZElement:
             for n, c in coeffs.items():
                 if n < 0:
                     raise InputError("basis indices must be nonnegative")
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise InputError("basis coefficients must be integers")
-                if c:
+                if _checked(c):
                     clean[n] = c
         self._coeffs = clean
 
@@ -184,7 +190,7 @@ class TensorElement:
             for (m, n), c in coeffs.items():
                 if m < 0 or n < 0:
                     raise InputError("basis indices must be nonnegative")
-                if c:
+                if _checked(c):
                     clean[(m, n)] = c
         self._coeffs = clean
 

@@ -19,7 +19,6 @@ from hopfwitt.filtration import (
     drinfeld_structure_constants,
     rees,
     t_poly,
-    t_poly_str,
 )
 from hopfwitt.poly import SparsePoly
 
@@ -380,19 +379,23 @@ class TestSparseStages:
         assert handed.count("invariant_factors") == len(T.maps)
 
 
+def _label(k):
+    return "1" if k == 0 else f"C{k}"
+
+
 def _presentation_json_matches(P):
-    """P.to_json() parses to P's generators by weight, bound, unit and one
-    entry per stored unordered pair whose texts are P.product_text."""
+    """P.to_json() parses to one generator per weight up to the bound, the
+    bound, the unit and one entry per stored unordered pair whose texts
+    are P.product_text."""
     obj = json.loads(P.to_json())
     assert sorted(obj) == ["bound", "constants", "unit", "weights"]
-    assert (obj["bound"], obj["unit"]) == (P.bound, P.unit)
-    assert sorted((g, int(w)) for w, gs in obj["weights"].items() for g in gs) == \
-        sorted(P.generators)
-    pairs = {frozenset((e["i"], e["j"])): e for e in obj["constants"]}
-    assert len(pairs) == len(obj["constants"])
-    assert set(pairs) == {frozenset(key) for key in P.constants}
-    for e in obj["constants"]:
-        assert e["out"] == P.product_text(e["i"], e["j"])
+    assert (obj["bound"], obj["unit"]) == (P.bound, "1")
+    assert obj["weights"] == {str(k): [_label(k)] for k in range(P.bound + 1)}
+    assert [(e["i"], e["j"]) for e in obj["constants"]] == \
+        [(_label(i), _label(j)) for i, j in P.pairs()]
+    assert {frozenset(pair) for pair in P.pairs()} == {frozenset(key) for key in P.constants}
+    for e, (i, j) in zip(obj["constants"], P.pairs()):
+        assert e["out"] == P.product_text(i, j)
 
 
 class TestGradedAlgebraPresentation:
@@ -402,10 +405,10 @@ class TestGradedAlgebraPresentation:
 
     def test_product_lookup_symmetric(self):
         P = self._tiny()
-        assert P.product("C1", "C1")["C2"] == {0: 2}
-        assert P.product("1", "C2") == P.product("C2", "1") == {"C2": {0: 1}}
+        assert P.constants[1, 1] == {1: 1, 2: 2}
+        assert P.constants[0, 2] == P.constants[2, 0] == {2: 1}
         with pytest.raises(InputError, match="not stored"):
-            P.product("C1", "C2")
+            P.product_text(1, 2)
 
     def test_specialize(self):
         P = self._tiny()
@@ -413,7 +416,8 @@ class TestGradedAlgebraPresentation:
         assert P.specialize(0)[("C1", "C1")] == {"C2": 2}
         # keyed in pairs() order, lighter generator first: ("C2", "C10")
         P = rees(12)
-        assert list(P.specialize(1)) == P.pairs()
+        assert P.pairs() == [(i, j) for i in range(13) for j in range(i, 13 - i)]
+        assert list(P.specialize(1)) == [(_label(i), _label(j)) for i, j in P.pairs()]
 
     def test_json_round_trip(self):
         P = self._tiny()
@@ -431,44 +435,30 @@ class TestGradedAlgebraPresentation:
 
 @st.composite
 def _random_presentation(draw):
-    """Generators g1.. of weight 0..3 besides the unit, and arbitrary
-    (not associative) weight-homogeneous constants on every pair in the
-    bound: label k in the product i * j carries c * t^(w_i + w_j - w_k),
-    zero coefficients included."""
-    weights = [("1", 0)] + [(f"g{a}", draw(st.integers(0, 3)))
-                            for a in range(draw(st.integers(1, 4)))]
+    """Generators 0..bound, generator k of weight k and 0 the unit, and
+    arbitrary (not associative) constants on every pair in the bound:
+    {k: c} in the product i * j stands for c * t^(i + j - k), zero
+    coefficients included."""
     bound = draw(st.integers(0, 6))
     constants = {}
-    for a, (i, wi) in enumerate(weights):
-        for j, wj in weights[a:]:
-            if wi + wj > bound:
-                continue
-            if i == "1":
-                constants[(i, j)] = {j: {0: 1}}
+    for i in range(bound + 1):
+        for j in range(i, bound + 1 - i):
+            if i == 0:
+                constants[i, j] = {j: 1}
             else:
-                labels = [k for k, wk in weights if wk <= wi + wj]
-                coeffs = draw(st.dictionaries(st.sampled_from(labels), st.integers(-9, 9),
-                                              max_size=3))
-                w = dict(weights)
-                constants[(i, j)] = {k: {wi + wj - w[k]: c} for k, c in coeffs.items()}
-    return weights, constants, bound
+                constants[i, j] = draw(st.dictionaries(st.integers(0, i + j),
+                                                       st.integers(-9, 9), max_size=3))
+    return constants, bound
 
 
-def _installed(generators, constants, bound):
-    """rees(0) with the given weight-homogeneous {k: {t-exponent: int}}
-    tables installed in its stored form: the nonzero integers c under both
-    orientations of each pair, and the unit "1"."""
+def _installed(constants, bound):
+    """rees(0) with the given {k: c} tables for the pairs i <= j installed
+    in its stored form: the nonzero integers c under both orders of each
+    pair, in the order given."""
     P = rees(0)
-    P.generators, P.weights, P.bound = list(generators), dict(generators), bound
-    P.constants = {}
+    P.bound, P.constants = bound, {}
     for (i, j), out in constants.items():
-        table = {}
-        for k, terms in out.items():
-            for e, c in terms.items():
-                assert e == P.weights[i] + P.weights[j] - P.weights[k]
-                if c:
-                    table[k] = c
-        P.constants[i, j] = P.constants[j, i] = table
+        P.constants[i, j] = P.constants[j, i] = {k: c for k, c in out.items() if c}
     return P
 
 
@@ -476,30 +466,28 @@ def _scaled_rees(bound, s):
     """rees(bound) with t replaced by s*t, a ring map of Z[t]: still
     associative and weight-homogeneous, and at s = 0 the divided powers."""
     R = rees(bound)
-    constants = {(i, j): {k: {e: c * s ** e for e, c in terms.items()}
-                          for k, terms in R.product(i, j).items()}
-                 for (i, j) in R.constants}
-    return R.generators, constants
+    return {(i, j): {k: c * s ** (i + j - k) for k, c in R.constants[i, j].items()}
+            for i, j in R.pairs()}
 
 
-_SCALED_REES = st.builds(lambda bound, s: (*_scaled_rees(bound, s), bound),
+_SCALED_REES = st.builds(lambda bound, s: (_scaled_rees(bound, s), bound),
                         st.integers(0, 7), st.integers(-3, 3))
 
 
-def _weight_zero_case(products):
-    """Generators 1, g0, g1, g2 of weight zero at bound zero, with the
-    given products among g0, g1, g2 and zero for the others."""
-    gens = [("1", 0), ("g0", 0), ("g1", 0), ("g2", 0)]
-    constants = {(i, j): {} for a, (i, _) in enumerate(gens[1:]) for j, _ in gens[a + 1:]}
-    constants.update({("1", g): {g: {0: 1}} for g, _ in gens})
-    constants.update({pair: {k: {0: 1}} for pair, k in products.items()})
-    return gens, constants, 0
+def _sparse_case(bound, products):
+    """Generators 0..bound with the unit law and the given products
+    {(i, j): {k: c}}, every other product zero."""
+    constants = {(i, j): {} for i in range(bound + 1) for j in range(i, bound + 1 - i)}
+    constants.update({(0, j): {j: 1} for j in range(bound + 1)})
+    constants.update(products)
+    return constants, bound
 
 
-# Each fails on one comparison only: (g0 g1) g1 = 0 but g0 (g1 g1) = g0,
-# and (g0 g1) g2 = 0 = g0 (g1 g2) but g1 (g0 g2) = g1.
-_ONLY_A_BC_FAILS = _weight_zero_case({("g0", "g0"): "g0", ("g1", "g1"): "g0"})
-_ONLY_B_AC_FAILS = _weight_zero_case({("g0", "g2"): "g1", ("g1", "g1"): "g1"})
+# Each fails on one comparison only: (b1 b2) b2 = b5 but b1 (b2 b2) = 0,
+# while b2 (b1 b2) = b5 as the table is symmetric; and (b1 b2) b3 = 0 =
+# b1 (b2 b3) but b2 (b1 b3) = b6.
+_ONLY_A_BC_FAILS = _sparse_case(5, {(1, 2): {3: 1}, (2, 3): {5: 1}})
+_ONLY_B_AC_FAILS = _sparse_case(6, {(1, 3): {4: 1}, (2, 4): {6: 1}})
 
 
 class TestIntegerPresentation:
@@ -508,19 +496,19 @@ class TestIntegerPresentation:
     @given(_random_presentation())
     @settings(max_examples=100, deadline=None)
     def test_matches_sparse_poly_route(self, case):
-        weights, constants, bound = case
-        P = _installed(weights, constants, bound)
-        pairs = set(P.pairs())
+        constants, bound = case
+        P = _installed(constants, bound)
+        assert P.pairs() == list(constants)
         for (i, j), out in constants.items():
-            given_out = {k: {e: c for e, c in terms.items() if c} for k, terms in out.items()}
-            given_out = {k: terms for k, terms in given_out.items() if terms}
-            assert P.product(i, j) == given_out
-            assert P.product(j, i) == given_out
-            assert P.product_text(i, j) == {k: str(t_poly(ts)) for k, ts in given_out.items()}
+            given_out = {k: c for k, c in out.items() if c}
+            assert P.constants[i, j] == P.constants[j, i] == given_out
+            assert P.product_text(i, j) == {
+                _label(k): str(t_poly({i + j - k: c})) for k, c in given_out.items()}
             for v in range(-5, 6):
-                want = {k: t_poly(ts).evaluate({"t": v}) for k, ts in given_out.items()}
+                want = {_label(k): t_poly({i + j - k: c}).evaluate({"t": v})
+                        for k, c in given_out.items()}
                 want = {k: x for k, x in want.items() if x}
-                assert P.specialize(v)[(i, j) if (i, j) in pairs else (j, i)] == want
+                assert P.specialize(v)[_label(i), _label(j)] == want
         _presentation_json_matches(P)
 
     @given(st.one_of(_random_presentation(), _SCALED_REES))
@@ -530,8 +518,8 @@ class TestIntegerPresentation:
     def test_associativity_matches_z_t_route(self, case):
         """The integer check raises exactly when some ordered triple fails
         in Z[t], and names one that does."""
-        weights, constants, bound = case
-        P = _installed(weights, constants, bound)
+        constants, bound = case
+        P = _installed(constants, bound)
         failing = failing_triples(P)
         if not failing:
             P.check_associative()
@@ -539,49 +527,59 @@ class TestIntegerPresentation:
         with pytest.raises(FalsificationError, match="associativity fails on") as info:
             P.check_associative()
         named = str(info.value).split(" on (")[1].rstrip(")")
-        assert tuple(named.split(",")) in failing
+        assert tuple(int(g[1:]) for g in named.split(",")) in failing
 
-    @given(st.dictionaries(st.integers(0, 60), st.integers(-10 ** 30, 10 ** 30)))
-    def test_text_form_is_sparse_poly_str(self, terms):
-        terms = {e: c for e, c in terms.items() if c}
-        assert t_poly_str(terms) == str(t_poly(terms))
+    @pytest.mark.parametrize("case,named", [(_ONLY_A_BC_FAILS, "(C1,C2,C2)"),
+                                            (_ONLY_B_AC_FAILS, "(C2,C1,C3)")],
+                             ids=["a(bc)", "b(ac)"])
+    def test_explicit_cases_fail_one_comparison_each(self, case, named):
+        """Each explicit table fails on the one comparison its comment names."""
+        P = _installed(*case)
+        assert failing_triples(P)
+        with pytest.raises(FalsificationError) as info:
+            P.check_associative()
+        assert str(info.value) == f"associativity fails on {named}"
+
+    def test_text_form_is_sparse_poly_str(self):
+        """Each text is one term c * t^(i+j-k), printed as SparsePoly prints it."""
+        R = rees(30)
+        for i, j in R.pairs():
+            assert R.product_text(i, j) == {
+                _label(k): str(t_poly({i + j - k: c})) for k, c in R.constants[i, j].items()}
 
     @given(st.integers(4, 6), st.integers(-3, 3), st.data())
     @settings(max_examples=60, deadline=None)
     def test_perturbed_constant_breaks_associativity(self, bound, s, data):
-        weights, constants = _scaled_rees(bound, s)
-        _installed(weights, constants, bound).check_associative()
-        # Perturb c_ab at a label k of weight at most w_a + w_b by
-        # d*t^(w_a + w_b - w_k).  For a third generator c outside {a, b}
-        # within the bound, (ab)c gains d*t^e*C_k*C_c, whose top label has
-        # weight w_k + w_c and a constant free of t, while a(bc) gains at
-        # most a multiple of d*t^e*C_k: the triple (a, b, c) fails.
-        weight = dict(weights)
-        pairs = sorted((i, j) for (i, j) in constants if "1" not in (i, j) and any(
-            g not in ("1", i, j) and weight[i] + weight[j] + w <= bound for g, w in weights))
+        constants = _scaled_rees(bound, s)
+        _installed(constants, bound).check_associative()
+        # Perturb c_ab at an index k <= a + b by d*t^(a + b - k).  For a
+        # third generator c outside {a, b} within the bound, (ab)c gains
+        # d*t^e*C_k*C_c, whose top index is k + c with a constant free of
+        # t, while a(bc) gains at most a multiple of d*t^e*C_k: the triple
+        # (a, b, c) fails.
+        pairs = [(i, j) for i, j in constants if i and any(
+            g not in (0, i, j) and i + j + g <= bound for g in range(bound + 1))]
         i, j = data.draw(st.sampled_from(pairs))
-        k = data.draw(st.sampled_from([g for g, w in weights if w <= weight[i] + weight[j]]))
-        e = weight[i] + weight[j] - weight[k]
-        out = dict(constants[(i, j)])
-        terms = dict(out.get(k, {}))
-        terms[e] = terms.get(e, 0) + data.draw(st.sampled_from([-2, -1, 1, 2]))
-        out[k] = terms
-        constants[(i, j)] = constants[(j, i)] = out
-        bad = _installed(weights, constants, bound)
+        k = data.draw(st.integers(0, i + j))
+        out = dict(constants[i, j])
+        out[k] = out.get(k, 0) + data.draw(st.sampled_from([-2, -1, 1, 2]))
+        constants[i, j] = out
+        bad = _installed(constants, bound)
         with pytest.raises(FalsificationError, match="associativity"):
             bad.check_associative()
 
 
 class TestRees:
     def test_weight_ranks(self):
+        # generator k has weight k: one generator in each weight 0..6
         R = rees(6)
-        for n in range(7):
-            assert sum(1 for _, w in R.generators if w <= n) == n + 1
+        assert sorted({i for i, _ in R.constants}) == list(range(7))
 
     def test_frozen_basic_product(self):
         # x^2 = x(x-1) + x lifts to C1*C1 = t*C1 + 2*C2
         R = rees(4)
-        assert R.product("C1", "C1") == {"C1": {1: 1}, "C2": {0: 2}}
+        assert R.constants[1, 1] == {1: 1, 2: 2}
+        assert R.product_text(1, 1) == {"C1": "t", "C2": "2"}
 
     def test_specialize_one_matches_binomial_ring(self):
         R = rees(6)
@@ -662,9 +660,8 @@ class TestDrinfeldBasis:
         R = rees(5)
         for i in range(1, 3):
             for j in range(i, 4):
-                cs = elimination_constants(i, j)
-                want = {("1" if k == 0 else f"C{k}"): c for k, c in cs.items()}
-                assert {k: t_poly(ts) for k, ts in R.product(f"C{i}", f"C{j}").items()} == want
+                assert {k: t_poly({i + j - k: c}) for k, c in R.constants[i, j].items()} == \
+                    elimination_constants(i, j)
 
     def test_constants_against_factorials(self):
         """c_mnk from factorials alone, for every m, n <= 24: the closed
@@ -679,11 +676,9 @@ class TestDrinfeldBasis:
                 assert drinfeld_structure_constants(m, n) == {
                     k: powers[m + n - k] * c for k, c in want.items()}
         R = rees(24)
-        w = R.weights
-        assert sorted((w[i], w[j]) for i, j in R.constants) == [
-            (i, j) for i in range(25) for j in range(25 - i)]
+        assert sorted(R.constants) == [(i, j) for i in range(25) for j in range(25 - i)]
         for (i, j), cs in R.constants.items():
-            assert {w[k]: c for k, c in cs.items()} == factorial_constants(w[i], w[j])
+            assert cs == factorial_constants(i, j)
 
     def test_group_law_samples(self):
         samples = [(a, b, t) for a in (-2, 1, 3) for b in (-1, 2) for t in (-1, 0, 2)]

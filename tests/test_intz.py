@@ -102,10 +102,22 @@ def test_parse_rejects_malformed(bad):
     lambda: IntZElement({1: True}),
     lambda: IntZElement({1: 1.5}),
     lambda: TensorElement({(0, -1): 1}),
+    lambda: TensorElement({(0, 1): 1.5}),
+    lambda: TensorElement({(1, 0): True}),
 ])
 def test_constructors_refuse_outside_input(make):
     with pytest.raises(InputError):
         make()
+
+
+@pytest.mark.parametrize("c", [1.5, True], ids=["float", "bool"])
+def test_constructors_refuse_a_coefficient_alike(c):
+    """Both public constructors give the one refusal for a coefficient
+    that is not an integer."""
+    for make in (lambda: IntZElement({1: c}), lambda: TensorElement({(0, 1): c})):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == "basis coefficients must be integers"
 
 
 def _canonical(x, cls):

@@ -45,7 +45,7 @@ from hopfwitt.witt import (
 )
 
 from divided_power_oracle import (divided_power_points, fibre_points, order_profile,
-                                  point_order_profile)
+                                  point_order_profile, vandermonde)
 from universal_vector_oracle import X, IntZRing, IntZTensorRing
 from witt_lift_oracle import LiftOracle
 
@@ -469,9 +469,9 @@ UNIVERSAL_SET = TruncationSet(range(1, 21))
 
 
 @functools.lru_cache(maxsize=None)
-def _universal_vector() -> dict:
-    """The components of the vector over Int(Z) whose ghosts are all x."""
-    return witt._deghost(IntZRing(), UNIVERSAL_SET, dict.fromkeys(UNIVERSAL_SET.members, X))
+def _universal_vector(S: TruncationSet = UNIVERSAL_SET) -> dict:
+    """The components of the vector over Int(Z) on S whose ghosts are all x."""
+    return witt._deghost(IntZRing(), S, dict.fromkeys(S.members, X))
 
 
 def test_universal_fixed_vector_lives_over_intz():
@@ -843,6 +843,49 @@ def test_stable_kernel_is_the_rees_fibre(p, e, k, t):
     if len(kernel) <= PROFILE_LIMIT:
         assert (order_profile(kernel, witt_add, WittVector.is_zero)
                 == point_order_profile(points, p ** e))
+
+
+def _vandermonde_span(generators, q, unit):
+    """The points the generators reach from unit under the Vandermonde law."""
+    span, frontier = {unit}, [unit]
+    while frontier:
+        frontier = list({vandermonde(a, g, q) for a in frontier for g in generators} - span)
+        span.update(frontier)
+    return span
+
+
+@pytest.mark.parametrize("p,e,k,t", FIBRE_CASES,
+                         ids=[f"Z/{p ** e}-k{k}-t{t}" for p, e, k, t in FIBRE_CASES])
+def test_fibre_maps_onto_the_stable_kernel(p, e, k, t):
+    """With c_nj the coefficient of C(x,j) in component n of the universal
+    Frobenius-fixed vector on S_k, a -> (sum_j c_nj t^(n-j) a_j mod p^e)_n
+    is a bijection from the t-fibre onto the stable kernel.  Where the
+    kernel has at most PROFILE_LIMIT members it takes the Vandermonde law
+    to witt_add: checked for every point against each member of a set of
+    points that generates the fibre, which makes it a homomorphism."""
+    q, R, S = p ** e, ZModRing(p ** e), TruncationSet.p_typical(p, k)
+    coeffs = [(n, list(u.items())) for n, u in _universal_vector(S).items()]
+
+    def image(a):
+        return WittVector.from_list(S, R, [sum(c * t ** (n - j) * a[j] for j, c in cs) % q
+                                           for n, cs in coeffs])
+
+    points = fibre_points(p, e, k, t)
+    images = {a: image(a) for a in points}
+    assert len(set(images.values())) == len(points)
+    assert set(images.values()) == set(stable_twisted_kernel(p, t, S, R))
+    if len(points) > PROFILE_LIMIT:
+        return
+    unit = (1,) + (0,) * (len(points[0]) - 1)
+    span, generators = {unit}, []
+    for a in points:
+        if a not in span:
+            generators.append(a)
+            span = _vandermonde_span(generators, q, unit)
+    assert span == set(points)
+    for a in points:
+        for g in generators:
+            assert images[vandermonde(a, g, q)] == witt_add(images[a], images[g])
 
 
 E1_CASES = [(p, k, t) for p in (2, 3) for k in (2, 3) for t in (0, 1)]
