@@ -25,14 +25,15 @@ a^n (``scale``, ``pow``) and divide exactly by an integer (``div_int``).
 An identity with integer coefficients, such as a Witt vector operation,
 is computed on the lift, where the Witt ghost map is injective, and then
 reduced.  Z adds, negates, subtracts, multiplies and scales by the C
-functions of the operator module themselves, and computes pow and
-div_int directly.  Z[w]/(f) computes add, neg, sub and scale coefficient
-by coefficient, the first three by mapping the same C functions over the
-coefficients, and a^n by squaring from a.  It multiplies in closed form
-at k = 1 and k = 2, the lifts of F_p and F_{p^2}, and by a convolution
-reduced through a table of w^(k+i) at k >= 3, where a closed form per
-degree would not pay for its code.  Z[vars] forms n * a and a^n as
-products, so that its count of product terms covers them.
+functions of the operator module themselves, and pow and div_int by
+Python methods.  Z[w]/(f) computes add, neg, sub and scale coefficient by
+coefficient, the first three by mapping the same C functions over the
+coefficients, and a^n as an int power at k = 1, else by squaring from a.
+It multiplies in closed form at k = 1 and k = 2, the lifts of F_p and
+F_{p^2}, and by a convolution reduced through a table of w^(k+i) at
+k >= 3, where a closed form per degree would not pay for its code.
+Z[vars] forms n * a and a^n as products, so that its count of product
+terms covers them.
 
 The finite rings enumerate their elements in a fixed order (Z/m as
 0..m-1, F_q by the base-p little-endian integer index), which is what
@@ -318,9 +319,11 @@ class MonicQuotientRing(CoeffRing):
         return tuple(out)
 
     def pow(self, a, n: int):
-        """a^n by squaring from a itself, one product fewer than from one()."""
+        """a^n: an int power at k = 1, else by squaring from a (a product fewer than from one())."""
         if n < 0:
             raise InputError("negative powers are not defined here")
+        if self.k == 1:
+            return (a[0] ** n,)
         if n == 0:
             return self.one()
         while not n & 1:

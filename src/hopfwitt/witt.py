@@ -12,12 +12,13 @@ components are formed there as they stand and combined as the operation
 prescribes (sum, product, negation, an integer multiple or power, a ghost
 shift for the Frobenius), and one triangular solve recovers the
 components, each by an exact division by its index, before reduce maps
-them straight into the result.  Over Z and Z/m the lift's arithmetic is
-the C functions of the operator module.  The ghost map is injective on a
-torsion-free ring, and the operations are given by universal polynomials
-with integer coefficients, so the result is the same as evaluating those
-polynomials in the ring itself.  A division leaving a remainder would falsify that integrality
-theorem, so it raises FalsificationError.  The universal polynomials themselves are the same
+them straight into the result; the ghost map and the solve are one loop
+each over the position plan of S, on lists in member order.  The ghost
+map is injective on a torsion-free ring, and the operations are given by
+universal polynomials with integer coefficients, so the result is the
+same as evaluating those polynomials in the ring itself.  A division
+leaving a remainder would falsify that integrality theorem, so it raises
+FalsificationError.  The universal polynomials themselves are the same
 computation run on generic vectors over Z[a_d, b_d].
 
 The p-typical theory is the special case S = {1, p, ..., p^(k-1)}.
@@ -61,6 +62,21 @@ from .rings import CoeffRing, IntegerRing, PolynomialRing
 TRUNC_SUM_LIMIT = 10_000
 
 
+# Largest accepted (bit length of a component) x (largest index) over Z and
+# Z[vars], whose values are printed unreduced: ghost components then stay
+# near this many bits and those of a product or a twisted Frobenius near
+# twice as many, so every printed value stays under Python's 4300-digit
+# limit on int/str conversion.
+GHOST_BITS_LIMIT = 6000
+
+
+# Largest accepted (bits of the largest element index) x (member sum) over
+# Z/m and F_q, whose lifts are formed unreduced: the lifted ghost component
+# w_n takes about n times an element's bits, so this is near the bits of
+# all of them together, and the ghost map and its inverse grow with it.
+LIFT_BITS_LIMIT = 1_000_000
+
+
 def divisors(n: int) -> list[int]:
     """The positive divisors of n in increasing order, by trial division up
     to sqrt(n); n over TRUNC_SUM_LIMIT, whose set would pass it, is refused
@@ -81,17 +97,17 @@ def divisors(n: int) -> list[int]:
 
 
 class TruncationSet:
-    """A finite divisor-closed set of positive integers, with the sum of
-    its members and the proper divisors of each, over which the ghost map
-    sums; lower_terms holds, for each member n, the pairs (d, n/d) of its
-    proper divisors d above 1, the terms d * x_d^(n/d) of w_n after x_1^n.
-    It is immutable, so each quotient S/n is built once."""
+    """A finite divisor-closed set of positive integers, with its member
+    sum, the cap 2^(GHOST_BITS_LIMIT // max S) on a component over Z, and
+    the position plan of the ghost route: index maps each member to its
+    position, and plan holds (i, n, terms) for each position i > 0, with
+    one (position of d, d, n/d) in terms per term d * x_d^(n/d) of w_n,
+    1 < d < n.  It is immutable, so each quotient S/n is built once."""
 
-    __slots__ = ("members", "member_sum", "proper_divisors", "lower_terms", "_quotients")
+    __slots__ = ("members", "member_sum", "index", "plan", "ghost_cap", "_quotients")
 
     def __init__(self, members: Iterable[int]):
-        present = set(members)
-        ms = sorted(present)
+        ms = sorted(set(members))
         if not ms:
             raise InputError("truncation set must be nonempty")
         if ms[0] < 1:
@@ -100,17 +116,16 @@ class TruncationSet:
         if total > TRUNC_SUM_LIMIT:
             raise bound_overflow("a truncation set", f"member sum {total}",
                                  "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
-        self.proper_divisors = {n: divisors(n)[:-1] for n in ms}
-        for n, ds in self.proper_divisors.items():
-            for d in ds:
-                if d not in present:
-                    raise InputError(
-                        f"truncation set is not divisor-closed: {d} divides {n}"
-                    )
-        self.lower_terms = {n: tuple((d, n // d) for d in ds[1:])
-                            for n, ds in self.proper_divisors.items()}
+        self.index = index = {n: i for i, n in enumerate(ms)}
+        for n in ms:
+            for d in divisors(n)[:-1]:
+                if d not in index:
+                    raise InputError(f"truncation set is not divisor-closed: {d} divides {n}")
+        self.plan = tuple((i, n, tuple((index[d], d, n // d) for d in divisors(n)[1:-1]))
+                          for i, n in enumerate(ms[1:], 1))
         self.members = tuple(ms)
         self.member_sum = total
+        self.ghost_cap = 1 << (GHOST_BITS_LIMIT // ms[-1])
         self._quotients: dict[int, TruncationSet] = {}
 
     @classmethod
@@ -139,7 +154,7 @@ class TruncationSet:
         return q
 
     def __contains__(self, n: int) -> bool:
-        return n in self.members
+        return n in self.index
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -198,7 +213,7 @@ class WittVector:
         return v
 
     def as_list(self) -> list:
-        return [self.comps[d] for d in self.trunc]
+        return list(self.comps.values())  # every constructor keys comps in the order of S
 
     def restrict(self, target: TruncationSet) -> WittVector:
         """Drop components outside a smaller truncation set."""
@@ -253,62 +268,69 @@ class WittVector:
 # -- the ghost route -------------------------------------------------------
 
 
-def _lower_sum(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object], n: int):
-    """sum_{d | n, d < n, d in S} d * x_d^(n/d), computed in L, for n > 1:
-    the ghost component w_n without its last term n * x_n.  The first
-    divisor is 1, in every truncation set, so the sum starts from x_1^n."""
-    acc = L.pow(comps[1], n)
-    for d, e in trunc.lower_terms[n]:
-        acc = L.add(acc, L.scale(d, L.pow(comps[d], e)))
-    return acc
-
-
-def _ghosts(L: CoeffRing, trunc: TruncationSet, comps: Mapping[int, object]) -> dict:
-    """w_n = sum_{d | n, d in S} d * x_d^(n/d), computed in L; w_1 = x_1."""
-    out = {1: comps[1]}
-    for n in trunc.members[1:]:
-        out[n] = L.add(_lower_sum(L, trunc, comps, n), L.scale(n, comps[n]))
+def _ghost_map(L: CoeffRing, trunc: TruncationSet, comps: Sequence) -> list:
+    """w_n = sum_{d | n, d in S} d * x_d^(n/d) in L, by position in S;
+    w_1 = x_1, and every other w_n starts from x_1^n, as 1 is in S."""
+    pow, add, scale = L.pow, L.add, L.scale
+    x1 = comps[0]
+    out = [x1]
+    for i, n, terms in trunc.plan:
+        acc = pow(x1, n)
+        for j, d, e in terms:
+            acc = add(acc, scale(d, pow(comps[j], e)))
+        out.append(add(acc, scale(n, comps[i])))
     return out
 
 
-# Largest accepted (bit length of a component) x (largest index) over Z and
-# Z[vars], whose values are printed unreduced: ghost components then stay
-# near this many bits and those of a product or a twisted Frobenius near
-# twice as many, so every printed value stays under Python's 4300-digit
-# limit on int/str conversion.
-GHOST_BITS_LIMIT = 6000
+def _solve(L: CoeffRing, trunc: TruncationSet, ghosts: Sequence,
+           error: type[Exception] = FalsificationError) -> list:
+    """The components x_n in L, in member order, whose ghost components
+    are the given ones.
+
+    Triangular: x_1 = w_1 and, for n > 1,
+    n*x_n = w_n - sum_{d | n, d < n, d in S} d * x_d^(n/d).
+    L is torsion-free, so the solution is unique; a division by n leaving
+    a remainder means the ghost vector is not in the image, which for the
+    ghost vector of a ring operation falsifies the integrality theorem the
+    construction rests on.
+    """
+    pow, add, scale, sub, div_int = L.pow, L.add, L.scale, L.sub, L.div_int
+    x1 = ghosts[0]
+    out = [x1]
+    for i, n, terms in trunc.plan:
+        acc = pow(x1, n)
+        for j, d, e in terms:
+            acc = add(acc, scale(d, pow(out[j], e)))
+        if (q := div_int(sub(ghosts[i], acc), n)) is None:
+            raise error(f"ghost vector is not integral at index {n}")
+        out.append(q)
+    return out
 
 
-# Largest accepted (bits of the largest element index) x (member sum) over
-# Z/m and F_q, whose lifts are formed unreduced: the lifted ghost component
-# w_n takes about n times an element's bits, so this is near the bits of
-# all of them together, and the ghost map and its inverse grow with it.
-LIFT_BITS_LIMIT = 1_000_000
-
-
-def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) -> None:
-    """Refuse elements whose ghost components over trunc would pass
-    GHOST_BITS_LIMIT bits, before any is formed; each group of elements is
-    checked in turn, and a refusal names the largest of the first group
-    past the limit.  Over Z[..] the top ghost also multiplies each exponent
-    by the largest index, and the product may not pass the limit in bits
-    either.  Over rings other than their own lift (Z/m, F_q), which
+def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, power: int,
+                      *groups: Iterable) -> None:
+    """Refuse elements whose ghost components over trunc, raised to the
+    power given (k for witt_pow, else 1), would pass GHOST_BITS_LIMIT bits,
+    before any is formed; each group is checked in turn, and a refusal
+    names the largest of the first group past the limit.  Over Z[..] each
+    exponent times the largest index and the power may not pass the limit
+    in bits either.  Over rings other than their own lift (Z/m, F_q), which
     reduce every value they print, the lifted ghosts together may not pass
     LIFT_BITS_LIMIT bits, whatever the elements.  Any other ring that is
-    its own lift, such as a bare Z[w]/(f), has no bound here and is
-    refused."""
+    its own lift, such as a bare Z[w]/(f), has no bound and is refused."""
     if ring.lift_ring is not ring:
         bits = (ring.size() - 1).bit_length()
-        if bits * trunc.member_sum > LIFT_BITS_LIMIT:
+        if (total := bits * trunc.member_sum * power) > LIFT_BITS_LIMIT:
             raise bound_overflow(
-                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
-                f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
+                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}"
+                + (f" to the power {power}" if power > 1 else ""),
+                f"{total} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
     if not isinstance(ring, (IntegerRing, PolynomialRing)):
         raise InputError(f"no Witt vectors over the ring {type(ring).__name__}: "
                          "the coefficient ring must be Z, Z/m, F_q or Z[..]")
-    top = trunc.members[-1]
-    cap = 1 << (GHOST_BITS_LIMIT // top)
+    top = trunc.members[-1] * power
+    cap = trunc.ghost_cap if power == 1 else 1 << (GHOST_BITS_LIMIT // top)
     for elements in groups:
         exp = 0
         if isinstance(ring, PolynomialRing):
@@ -327,56 +349,33 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) 
                                  GHOST_BITS_LIMIT)
 
 
-def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[dict]:
-    """Ghost components of the vectors, formed in their ring's lift_ring,
-    whose elements their components already are, for vectors over one
-    truncation set.  A public operation forms those of all its inputs in
-    one call, at its start, where a Z[..] lift restarts its count of
-    product terms (rings.TERM_LIMIT bounds one operation) and the sizes are
-    checked once: first the scalars the operation raises to powers, then
-    each vector's components."""
-    R = vectors[0].ring
+def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = (), power: int = 1) -> list[list]:
+    """Ghost lists of the vectors, formed in their ring's lift_ring, whose
+    elements their components already are, for vectors over one truncation
+    set.  A public operation forms those of all its inputs in one call, at
+    its start, where a Z[..] lift restarts its count of product terms
+    (rings.TERM_LIMIT bounds one operation) and the sizes are checked once:
+    first the scalars, lift elements the operation raises to powers or
+    multiplies by, then each vector's components."""
+    R, trunc = vectors[0].ring, vectors[0].trunc
     if isinstance(R, PolynomialRing):
         R.terms = 0
-    _check_ghost_bits(R, vectors[0].trunc, scalars, *(a.comps.values() for a in vectors))
-    return [_ghosts(R.lift_ring, a.trunc, a.comps) for a in vectors]
+    _check_ghost_bits(R, trunc, power, scalars, *[a.comps.values() for a in vectors])
+    return [_ghost_map(R.lift_ring, trunc, tuple(a.comps.values())) for a in vectors]
 
 
-def _deghost(L: CoeffRing, trunc: TruncationSet, ghosts: Mapping[int, object],
-             error: type[Exception] = FalsificationError) -> dict:
-    """The components x_n in L whose ghost components are the given ones.
-
-    Triangular: x_1 = w_1 and, for n > 1,
-    n*x_n = w_n - sum_{d | n, d < n, d in S} d * x_d^(n/d).
-    L is torsion-free, so the solution is unique; a division by n leaving
-    a remainder means the ghost vector is not in the image, which for the
-    ghost vector of a ring operation falsifies the integrality theorem the
-    construction rests on.
-    """
-    out = {1: ghosts[1]}
-    for n in trunc.members[1:]:
-        q = L.div_int(L.sub(ghosts[n], _lower_sum(L, trunc, out, n)), n)
-        if q is None:
-            raise error(f"ghost vector is not integral at index {n}")
-        out[n] = q
-    return out
-
-
-def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing,
-                        ghosts: Mapping[int, object]) -> WittVector:
-    """The vector over ring whose lifted ghost components are the given
-    ones: the solved components, keyed by S in its order, reduced straight
-    into the result's dict."""
-    reduce = ring.reduce
-    v = WittVector.__new__(WittVector)
+def _from_lifted_ghosts(trunc: TruncationSet, ring: CoeffRing, ghosts: Sequence) -> WittVector:
+    """The vector over ring with the given lifted ghost list: the solved
+    components, reduced straight into the result's dict."""
+    v, reduce = WittVector.__new__(WittVector), ring.reduce
     v.trunc, v.ring = trunc, ring
-    v.comps = {d: reduce(x) for d, x in _deghost(ring.lift_ring, trunc, ghosts).items()}
+    v.comps = {d: reduce(x) for d, x in zip(trunc.members, _solve(ring.lift_ring, trunc, ghosts))}
     return v
 
 
 def ghost(a: WittVector) -> list:
     """All ghost components, in truncation-set order."""
-    return [a.ring.reduce(g) for g in _lifted_ghosts(a)[0].values()]
+    return list(map(a.ring.reduce, _lifted_ghosts(a)[0]))
 
 
 # -- universal polynomials --------------------------------------------------
@@ -412,17 +411,17 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
 # -- arithmetic -------------------------------------------------------------
 
 
-def _unary(a: WittVector, f: Callable) -> WittVector:
-    """The vector whose lifted ghost components are f of those of a."""
-    return _from_lifted_ghosts(
-        a.trunc, a.ring, {m: f(g) for m, g in _lifted_ghosts(a)[0].items()}
-    )
+def _unary(a: WittVector, f: Callable, scalars: Sequence = (), power: int = 1) -> WittVector:
+    """The vector whose lifted ghost components are f of those of a; the
+    scalars and the power f uses are size-checked with a."""
+    g, = _lifted_ghosts(a, scalars=scalars, power=power)
+    return _from_lifted_ghosts(a.trunc, a.ring, list(map(f, g)))
 
 
 def _binary(a: WittVector, b: WittVector, f: Callable) -> WittVector:
     a._check_compatible(b)
     ga, gb = _lifted_ghosts(a, b)
-    return _from_lifted_ghosts(a.trunc, a.ring, {m: f(ga[m], gb[m]) for m in a.trunc})
+    return _from_lifted_ghosts(a.trunc, a.ring, list(map(f, ga, gb)))
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
@@ -444,13 +443,13 @@ def witt_neg(a: WittVector) -> WittVector:
 def witt_int(n: int, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
     """The image of the integer n under Z -> W_S(R): every ghost is n."""
     k = ring.lift_ring.from_int(n)
-    return _unary(WittVector.zero(trunc, ring), lambda g: k)
+    return _unary(WittVector.zero(trunc, ring), lambda g: k, scalars=[k])
 
 
 def witt_scalar(n: int, a: WittVector) -> WittVector:
     """n-fold additive multiple of a."""
     L = a.ring.lift_ring
-    return _unary(a, lambda g: L.scale(n, g))
+    return _unary(a, lambda g: L.scale(n, g), scalars=[L.from_int(n)])
 
 
 def witt_pow(a: WittVector, k: int) -> WittVector:
@@ -458,7 +457,7 @@ def witt_pow(a: WittVector, k: int) -> WittVector:
     if k < 0:
         raise InputError("negative Witt powers are not defined")
     L = a.ring.lift_ring
-    return _unary(a, lambda g: L.pow(g, k))
+    return _unary(a, lambda g: L.pow(g, k), power=max(k, 1))
 
 
 # -- the standard operators -------------------------------------------------
@@ -466,9 +465,7 @@ def witt_pow(a: WittVector, k: int) -> WittVector:
 
 def teichmuller(r, trunc: TruncationSet, ring: CoeffRing) -> WittVector:
     """[r] = (r, 0, ..., 0)."""
-    comps = {d: ring.zero() for d in trunc}
-    comps[1] = r
-    return WittVector(trunc, ring, comps)
+    return WittVector.from_list(trunc, ring, [r] + [ring.zero()] * (len(trunc) - 1))
 
 
 def frobenius(n: int, a: WittVector) -> WittVector:
@@ -477,7 +474,8 @@ def frobenius(n: int, a: WittVector) -> WittVector:
         raise InputError("Frobenius index must be positive")
     T = a.trunc.quotient(n)
     g, = _lifted_ghosts(a)
-    return _from_lifted_ghosts(T, a.ring, {m: g[n * m] for m in T})
+    at = a.trunc.index
+    return _from_lifted_ghosts(T, a.ring, [g[at[n * m]] for m in T.members])
 
 
 def verschiebung(n: int, a: WittVector, target: TruncationSet) -> WittVector:
@@ -492,13 +490,9 @@ def verschiebung(n: int, a: WittVector, target: TruncationSet) -> WittVector:
         raise InputError(
             f"target {target} does not satisfy T/{n} = {a.trunc}"
         )
-    comps = {}
-    for m in target:
-        if m % n == 0 and (m // n) in a.trunc:
-            comps[m] = a.comps[m // n]
-        else:
-            comps[m] = a.ring.zero()
-    return WittVector(target, a.ring, comps)
+    zero = a.ring.zero()  # T/n = S, so m/n is in S whenever n | m
+    return WittVector.from_list(target, a.ring, [a.comps[m // n] if m % n == 0 else zero
+                                                 for m in target.members])
 
 
 def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
@@ -509,10 +503,10 @@ def twisted_frobenius(n: int, a: WittVector, t) -> WittVector:
     w_nm(a) - t^((n-1)m) * w_m(a).
     """
     T = a.trunc.quotient(n)
-    L = a.ring.lift_ring
+    L, at = a.ring.lift_ring, a.trunc.index
     g, = _lifted_ghosts(a, scalars=[t])
     return _from_lifted_ghosts(
-        T, a.ring, {m: L.sub(g[n * m], L.mul(L.pow(t, (n - 1) * m), g[m])) for m in T}
+        T, a.ring, [L.sub(g[at[n * m]], L.mul(L.pow(t, (n - 1) * m), g[at[m]])) for m in T.members]
     )
 
 
@@ -529,8 +523,7 @@ def from_ghost(values: Sequence[int], trunc: TruncationSet) -> WittVector:
     ring = IntegerRing()
     if len(values) != len(trunc):
         raise InputError("ghost vector length does not match the truncation set")
-    comps = _deghost(ring, trunc, dict(zip(trunc, values)), InputError)
-    return WittVector(trunc, ring, comps)
+    return WittVector.from_list(trunc, ring, _solve(ring, trunc, values, InputError))
 
 
 def divides_additively(p: int, a: WittVector) -> bool:
@@ -589,20 +582,20 @@ def _check_subgroup(vectors: list[WittVector], trunc: TruncationSet,
                     ring: CoeffRing) -> None:
     """Exact: from H = {0}, each member g outside H adds the cosets j*g + H, each the last
     plus g, until j*g is back in H.  Every sum must be a member, so H ends as K, a subgroup,
-    after at most |K| - 1 + log2|K| sums.  Each member of H keeps the lifted ghosts of the
-    sum that reached it, a lift of it, so only each g has its ghosts formed."""
-    members = {tuple(v.as_list()): v for v in vectors}
-    if (zero := tuple(WittVector.zero(trunc, ring).as_list())) not in members:
+    after at most |K| - 1 + log2|K| sums.  Each member of H keeps the lifted ghost list of
+    the sum that reached it, a lift of it, so only each g has its ghosts formed."""
+    members = dict.fromkeys(tuple(v.as_list()) for v in vectors)
+    if (zero := (ring.zero(),) * len(trunc)) not in members:
         raise FalsificationError("kernel does not contain zero")
-    L = ring.lift_ring
-    span = {zero: {m: L.zero() for m in trunc}}  # member -> lifted ghosts
-    def plus(gh: dict, gg: dict) -> tuple:  # h + g, as witt_add forms it, with its ghosts
-        total = {m: L.add(gh[m], gg[m]) for m in trunc}
-        if (key := tuple(_from_lifted_ghosts(trunc, ring, total).as_list())) not in members:
+    L, reduce = ring.lift_ring, ring.reduce
+    span = {zero: [L.zero()] * len(trunc)}  # member -> lifted ghosts
+    def plus(gh: list, gg: list) -> tuple:  # h + g, as witt_add forms it, with its ghosts
+        total = list(map(L.add, gh, gg))
+        if (key := tuple(map(reduce, _solve(L, trunc, total)))) not in members:
             raise FalsificationError("kernel is not closed under addition; operator not additive?")
         return key, total
     for g in (k for k in members if k not in span):
-        gg = _lifted_ghosts(members[g])[0]
+        gg = _ghost_map(L, trunc, g)
         coset = list(span.items())  # H, zero first
         while (rep := plus(coset[0][1], gg))[0] not in span:
             coset = [rep] + [plus(gh, gg) for _, gh in coset[1:]]
@@ -615,54 +608,60 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     order of all_vectors, by the search the module docstring describes,
     except that a prefix through position last of S yields only its first
     completion: past the last position a caller keeps, one member settles
-    the prefix.  Depth d forms only the new lifted ghost w_d; when n | d,
-    output component m = d/n has ghost w_d - t^((n-1)m) w_m and is solved
-    with the lifted output components kept along the path.  KERNEL_LIMIT
-    caps the prefixes visited."""
+    the prefix.  Depth k forms only the new lifted ghost w_d, d = S[k], by
+    the plan of S; when n | d, output component m = d/n has ghost
+    w_d - t^((n-1)m) w_m and is solved by the plan of S/n with the lifted
+    output components kept along the path.  KERNEL_LIMIT caps the visits."""
     if not ring.is_finite:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
-    trunc.quotient(n)  # refuses an empty S/n
+    T = trunc.quotient(n)  # refuses an empty S/n
     limit = KERNEL_LIMIT
     if ring.size() > limit:  # the first level alone visits |R| prefixes
         raise bound_overflow("the kernel search", f"at least {ring.size()} prefixes",
                              "witt.KERNEL_LIMIT", limit)
     L = ring.lift_ring
-    pool = list(ring.elements())
-    zero = ring.zero()
-    S = trunc.members
-    x: dict = {}  # components on the path, lift elements as they are, in order of S
-    w: dict = {}  # their ghost components
-    y: dict = {}  # lifted output components of TF_n
-    visited = 0
+    pow, add, scale, sub, mul, div_int = L.pow, L.add, L.scale, L.sub, L.mul, L.div_int
+    pool, zero, size = list(ring.elements()), ring.zero(), len(trunc)
+    # for each position of S holding some n*m: the positions of m in S and in S/n, m, t^((n-1)m)
+    outputs = {trunc.index[n * m]: (trunc.index[m], j, m, pow(t, (n - 1) * m))
+               for j, m in enumerate(T.members)}
+    # by position: the path's components as lift elements, their ghosts, TF_n's lifted outputs
+    x, w, y, visited = [zero] * size, [zero] * size, [zero] * len(T), 0
+
+    def lower(v: list, plan: tuple, i: int):  # ghost i > 0 of v without its last term
+        _, m, terms = plan[i - 1]
+        acc = pow(v[0], m)
+        for j, d, e in terms:
+            acc = add(acc, scale(d, pow(v[j], e)))
+        return acc
 
     def dive(k: int) -> Iterator[list]:
         nonlocal visited
-        if k == len(S):
-            yield list(x.values())
+        if k == size:
+            yield x.copy()
             return
-        d = S[k]
-        m = d // n if d % n == 0 else 0
-        base = _lower_sum(L, trunc, x, d) if d > 1 else None  # w_1 = x_1
-        if m:
-            twist = L.pow(t, (n - 1) * m)
-            known = _lower_sum(L, trunc, y, m) if m > 1 else None  # y_1 is its ghost
+        d = trunc.members[k]
+        base = lower(x, trunc.plan, k) if k else None  # w_1 = x_1
+        if out := outputs.get(k):
+            i, j, m, twist = out
+            known = lower(y, T.plan, j) if j else None  # y_1 is its ghost
         for r in pool:
             visited += 1
             if visited > limit:
                 raise bound_overflow("the kernel search", f"at least {visited} prefixes",
                                      "witt.KERNEL_LIMIT", limit)
-            wd = r if base is None else L.add(base, L.scale(d, r))
-            if m:
+            wd = r if base is None else add(base, scale(d, r))
+            if out:
                 # n = 1 gives m = d, and w_d - w_d = 0
-                ghost_m = L.sub(wd, L.mul(twist, w[m] if m < d else wd))
+                ghost_m = sub(wd, mul(twist, w[i] if i < k else wd))
                 if known is None:
                     q = ghost_m
-                elif (q := L.div_int(L.sub(ghost_m, known), m)) is None:
+                elif (q := div_int(sub(ghost_m, known), m)) is None:
                     raise FalsificationError(f"ghost vector is not integral at index {m}")
                 if ring.reduce(q) != zero:
                     continue
-                y[m] = q
-            x[d], w[d] = r, wd
+                y[j] = q
+            x[k], w[k] = r, wd
             yield from dive(k + 1) if k != last else itertools.islice(dive(k + 1), 1)
 
     return dive(0)
@@ -693,10 +692,8 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet,
     set outside S may still come before that position, and the repeats
     it brings are dropped, so the order is that of the full projection.
     """
-    deep = TruncationSet.divisor_closure(
-        set(trunc.members) | {n * d for d in trunc}
-    )
-    keep = [i for i, d in enumerate(deep) if d in trunc]
+    deep = TruncationSet.divisor_closure(set(trunc.members) | {n * d for d in trunc})
+    keep = [deep.index[d] for d in trunc]
     found: list[WittVector] = []
     seen: set[tuple] = set()
     for comps in _kernel_search(n, t, deep, ring, keep[-1]):

@@ -10,6 +10,8 @@ and comparing with the reduction of the computation over Z.
 import functools
 import json
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,7 @@ from hopfwitt.witt import (
 from divided_power_oracle import (divided_power_points, fibre_points, order_profile,
                                   point_order_profile, vandermonde)
 from universal_vector_oracle import X, IntZRing, IntZTensorRing
+from witt_lattice_oracle import kernel_type, type_order_profile
 from witt_lift_oracle import LiftOracle
 
 ZZ = IntegerRing()
@@ -92,9 +95,19 @@ def test_truncation_members_over_the_limit_are_refused():
         TruncationSet.divisor_closure([10 ** 999])
 
 
-def test_proper_divisors_are_kept():
-    S = TruncationSet.divisor_closure([12, 9])
-    assert S.proper_divisors == {n: [d for d in S if d < n and n % d == 0] for n in S}
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=4))
+def test_proper_divisors_are_kept(seeds):
+    """On the divisor closure of random seeds, the index gives each member
+    its position, and the plan holds, for each position i > 0, i, its
+    member n and one (position of d, d, n/d) per divisor 1 < d < n, as
+    divisors defines them."""
+    S = TruncationSet.divisor_closure(seeds)
+    members = sorted({d for n in seeds for d in divisors(n)})
+    assert S.members == tuple(members)
+    assert S.index == {n: i for i, n in enumerate(members)}
+    assert S.plan == tuple((i, n, tuple((members.index(d), d, n // d) for d in divisors(n)[1:-1]))
+                           for i, n in enumerate(members[1:], 1))
 
 
 @pytest.mark.parametrize("ring", [ZModRing(8), GaloisField(3, 2)], ids=str)
@@ -471,7 +484,7 @@ UNIVERSAL_SET = TruncationSet(range(1, 21))
 @functools.lru_cache(maxsize=None)
 def _universal_vector(S: TruncationSet = UNIVERSAL_SET) -> dict:
     """The components of the vector over Int(Z) on S whose ghosts are all x."""
-    return witt._deghost(IntZRing(), S, dict.fromkeys(S.members, X))
+    return dict(zip(S.members, witt._solve(IntZRing(), S, [X] * len(S))))
 
 
 def test_universal_fixed_vector_lives_over_intz():
@@ -485,7 +498,7 @@ def test_universal_fixed_vector_lives_over_intz():
         assert [intz.eval_at(u[n], k) for n in S] == from_ghost([k] * len(S), S).as_list()
     x = SparsePoly.variable("x")
     with pytest.raises(FalsificationError, match="not integral at index 2$"):
-        witt._deghost(PolynomialRing(), S, dict.fromkeys(S.members, x))
+        witt._solve(PolynomialRing(), S, [x] * len(S))
 
 
 def test_universal_fixed_vector_is_fixed_and_hopf():
@@ -495,16 +508,15 @@ def test_universal_fixed_vector_is_fixed_and_hopf():
     x -> x (x) 1 + 1 (x) x send it to the vectors with those ghosts: the
     antipode and the coproduct of Int(Z) act on it component by component."""
     S, u, L = UNIVERSAL_SET, _universal_vector(), IntZRing()
-    ghosts = witt._ghosts(L, S, u)
+    ghosts = dict(zip(S.members, witt._ghost_map(L, S, list(u.values()))))
     assert all(w == X for w in ghosts.values())
     for n in S.members[1:]:
         T = S.quotient(n)
-        assert witt._deghost(L, T, {m: ghosts[n * m] for m in T}) == {m: u[m] for m in T}
-    assert witt._deghost(L, S, dict.fromkeys(S.members, -X)) == {
-        n: intz.antipode(un) for n, un in u.items()}
+        assert witt._solve(L, T, [ghosts[n * m] for m in T]) == [u[m] for m in T]
+    assert witt._solve(L, S, [-X] * len(S)) == [intz.antipode(un) for un in u.values()]
     T = TruncationSet(range(1, 11))
-    assert witt._deghost(IntZTensorRing(), T, dict.fromkeys(T.members, intz.comult(X))) == {
-        n: intz.comult(u[n]) for n in T}
+    assert witt._solve(IntZTensorRing(), T, [intz.comult(X)] * len(T)) == [
+        intz.comult(u[n]) for n in T]
 
 
 @pytest.mark.parametrize("ring", [IntZRing(), GaloisField(2, 2).lift_ring],
@@ -888,6 +900,79 @@ def test_fibre_maps_onto_the_stable_kernel(p, e, k, t):
             assert images[vandermonde(a, g, q)] == witt_add(images[a], images[g])
 
 
+# Kernels of at most this many members have their element orders compared.
+LATTICE_PROFILE_LIMIT = 5000
+
+
+def _lattice_ring(R, t):
+    """(f, c, lift of t) for the lattice oracle: Z/m is Z/(m) and F_q is
+    Z[w]/(f) modulo p."""
+    if isinstance(R, ZModRing):
+        return (0, 1), R.m, (t,)
+    return R.modulus, R.p, t
+
+
+def _witt_order_profile(kernel) -> dict[int, int]:
+    """{order: how many members have it}, by witt_scalar alone: for each
+    prime power p^a exactly dividing |K|, the p-part of the order of x is p
+    to the number of times p must multiply (|K| / p^a) * x to reach zero."""
+    size, rest, parts, p = len(kernel), len(kernel), [], 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        if q > 1:
+            parts.append((p, q))
+        p += 1
+    orders: Counter = Counter()
+    for x in kernel:
+        order = 1
+        for p, q in parts:
+            y = witt_scalar(size // q, x)
+            while not y.is_zero():
+                y, order = witt_scalar(p, y), order * p
+        orders[order] += 1
+    return dict(orders)
+
+
+def _match_ghost_lattices(S, R, n, t) -> list[int]:
+    """The plain and the stable kernel of TF_n(-; t) on W_S(R) against the
+    lattice oracle: the order always, and the count of members of each
+    order up to LATTICE_PROFILE_LIMIT members.  Returns the stable type."""
+    f, c, lift = _lattice_ring(R, t)
+    for stable, search in ((False, twisted_kernel), (True, stable_twisted_kernel)):
+        kernel = search(n, t, TruncationSet(S), R)
+        factors = kernel_type(list(S), f, c, n, lift, stable)
+        assert len(kernel) == prod(factors)
+        if len(kernel) <= LATTICE_PROFILE_LIMIT:
+            assert _witt_order_profile(kernel) == type_order_profile(factors)
+    return factors
+
+
+@pytest.mark.parametrize("p,e,k,t", FIBRE_CASES,
+                         ids=[f"Z/{p ** e}-k{k}-t{t}" for p, e, k, t in FIBRE_CASES])
+def test_fibre_kernels_match_the_ghost_lattices(p, e, k, t):
+    """On S_k over Z/p^e, e >= 2, the stable kernel is cyclic of order
+    p^(e+k-1) at a unit t, and Z/p^(e-1) + (Z/p)^(k-1) at a non-unit t."""
+    factors = _match_ghost_lattices(TruncationSet.p_typical(p, k).members, ZModRing(p ** e), p, t)
+    assert factors == ([p ** (e + k - 1)] if t % p else [p] * (k - 1) + [p ** (e - 1)])
+
+
+LATTICE_RINGS = [ZModRing(m) for m in (2, 3, 4, 5, 6, 8, 9, 12)] + [
+    GaloisField(p, r) for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))]
+LATTICE_SETS = [(1, 2), (1, 3), (1, 2, 4), (1, 2, 3), (1, 2, 3, 6), (1, 3, 9), (1, 2, 4, 8)]
+# (ring, S, n) with S/n nonempty and at most 5,000 vectors on S
+LATTICE_CASES = [(R, S, n) for R in LATTICE_RINGS for S in LATTICE_SETS for n in (2, 3)
+                 if n in S and R.size() ** len(S) <= LATTICE_PROFILE_LIMIT]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(LATTICE_CASES), st.data())
+def test_kernels_match_the_ghost_lattices(case, data):
+    R, S, n = case
+    _match_ghost_lattices(S, R, n, data.draw(st.sampled_from(list(R.elements()))))
+
+
 E1_CASES = [(p, k, t) for p in (2, 3) for k in (2, 3) for t in (0, 1)]
 
 
@@ -909,18 +994,18 @@ def test_subgroup_check_forms_ghosts_once_per_member(monkeypatch):
     R, S = ZModRing(9), TruncationSet([1, 2, 3])
     members = list(all_vectors(S, R))
     formed, deghosted = [], []
-    lifted, from_lifted = witt._lifted_ghosts, witt._from_lifted_ghosts
+    ghost_map, solve = witt._ghost_map, witt._solve
 
-    def counting_lifted(*vectors):
-        formed.extend(str(a) for a in vectors)
-        return lifted(*vectors)
+    def counting_ghost_map(L, trunc, comps):
+        formed.append(str(WittVector.from_list(trunc, R, comps)))
+        return ghost_map(L, trunc, comps)
 
-    def counting_from_lifted(*args):
+    def counting_solve(*args):
         deghosted.append(args)
-        return from_lifted(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(witt, "_lifted_ghosts", counting_lifted)
-    monkeypatch.setattr(witt, "_from_lifted_ghosts", counting_from_lifted)
+    monkeypatch.setattr(witt, "_ghost_map", counting_ghost_map)
+    monkeypatch.setattr(witt, "_solve", counting_solve)
     witt._check_subgroup(members, S, R)
     assert len(members) == 729
     assert len(formed) == len(set(formed)) <= 9
@@ -1027,6 +1112,41 @@ def test_ghost_bits_limit_is_exact_and_spares_reducing_rings():
     R = ZModRing(2 ** (bits + 1))
     v = WittVector.from_list(S, R, [2 ** bits + 1, 0, 0, 0])
     assert witt_mul(v, v).ring == R
+
+
+def test_integer_multiples_and_powers_are_sized_before_any_ghost():
+    """n in witt_int and witt_scalar counts as one more component, and the
+    exponent k of witt_pow multiplies the largest index: at these sizes
+    each answered with components of 39,900 to 797,234 bits, past what
+    str() converts."""
+    S = TruncationSet([1, 2, 4])
+    a = zvec(S, 99, 98, 97)
+    for route in (lambda: witt_int(10 ** 3000, S, ZZ), lambda: witt_scalar(10 ** 3000, a)):
+        with pytest.raises(InputError, match="a 9966-bit component to the power 4 needs 39864 "
+                                             "bits, over witt.GHOST_BITS_LIMIT = 6000"):
+            route()
+    with pytest.raises(InputError, match="a 7-bit component to the power 120000 needs 840000 "
+                                         "bits, over witt.GHOST_BITS_LIMIT = 6000"):
+        witt_pow(a, 30000)
+    # 7 bits x 4 x 214 = 5,992 bits answers; 7 x 4 x 215 = 6,020 does not
+    assert str(witt_pow(a, 214))
+    with pytest.raises(InputError, match="power 860 needs 6020 bits"):
+        witt_pow(a, 215)
+
+
+def test_lift_bits_limit_counts_the_power(monkeypatch):
+    """Over Z/8 on {1, 2, 4}, 3 bits x member sum 7 x k: witt_pow grows
+    with k, and past LIFT_BITS_LIMIT it is refused like any operation."""
+    S = TruncationSet([1, 2, 4])
+    v = WittVector.from_list(S, ZModRing(8), [5, 3, 1])
+    with pytest.raises(InputError, match="3-bit elements over member sum 7 to the power "
+                                         "1000000 needs 21000000 bits, over "
+                                         "witt.LIFT_BITS_LIMIT = 1000000"):
+        witt_pow(v, 10 ** 6)
+    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", 105)
+    assert witt_pow(v, 5) == witt_mul(witt_mul(witt_mul(v, v), witt_mul(v, v)), v)
+    with pytest.raises(InputError, match="needs 126 bits, over witt.LIFT_BITS_LIMIT = 105"):
+        witt_pow(v, 6)
 
 
 def test_lift_bits_limit_counts_member_sum_times_element_bits(monkeypatch):
