@@ -98,13 +98,12 @@ def divisors(n: int) -> list[int]:
 
 class TruncationSet:
     """A finite divisor-closed set of positive integers, with its member
-    sum, the cap 2^(GHOST_BITS_LIMIT // max S) on a component over Z, and
-    the position plan of the ghost route: index maps each member to its
-    position, and plan holds (i, n, terms) for each position i > 0, with
-    one (position of d, d, n/d) in terms per term d * x_d^(n/d) of w_n,
-    1 < d < n.  It is immutable, so each quotient S/n is built once."""
+    sum and the position plan of the ghost route: index maps each member
+    to its position, and plan holds (i, n, terms) for each position i > 0,
+    with one (position of d, d, n/d) in terms per term d * x_d^(n/d) of
+    w_n, 1 < d < n.  It is immutable, so each quotient S/n is built once."""
 
-    __slots__ = ("members", "member_sum", "index", "plan", "ghost_cap", "_quotients")
+    __slots__ = ("members", "member_sum", "index", "plan", "_quotients")
 
     def __init__(self, members: Iterable[int]):
         ms = sorted(set(members))
@@ -117,15 +116,17 @@ class TruncationSet:
             raise bound_overflow("a truncation set", f"member sum {total}",
                                  "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
         self.index = index = {n: i for i, n in enumerate(ms)}
-        for n in ms:
-            for d in divisors(n)[:-1]:
+        plan = []
+        for i, n in enumerate(ms):
+            ds = divisors(n)
+            for d in ds[:-1]:
                 if d not in index:
                     raise InputError(f"truncation set is not divisor-closed: {d} divides {n}")
-        self.plan = tuple((i, n, tuple((index[d], d, n // d) for d in divisors(n)[1:-1]))
-                          for i, n in enumerate(ms[1:], 1))
+            if i:
+                plan.append((i, n, tuple((index[d], d, n // d) for d in ds[1:-1])))
+        self.plan = tuple(plan)
         self.members = tuple(ms)
         self.member_sum = total
-        self.ghost_cap = 1 << (GHOST_BITS_LIMIT // ms[-1])
         self._quotients: dict[int, TruncationSet] = {}
 
     @classmethod
@@ -268,9 +269,23 @@ class WittVector:
 # -- the ghost route -------------------------------------------------------
 
 
+def _lower_sum(pow: Callable, add: Callable, scale: Callable, v: Sequence, entry: tuple):
+    """sum_{d | n, d < n, d in S} d * v_d^(n/d) for the plan entry
+    (i, n, terms) of S, with v by position and the lift's pow, add and
+    scale: the ghost component w_n without its last term n * v_n.  The
+    first divisor is 1, at position 0 of every set, so the sum starts from
+    v_1^n."""
+    _, n, terms = entry
+    acc = pow(v[0], n)
+    for j, d, e in terms:
+        acc = add(acc, scale(d, pow(v[j], e)))
+    return acc
+
+
 def _ghost_map(L: CoeffRing, trunc: TruncationSet, comps: Sequence) -> list:
     """w_n = sum_{d | n, d in S} d * x_d^(n/d) in L, by position in S;
-    w_1 = x_1, and every other w_n starts from x_1^n, as 1 is in S."""
+    w_1 = x_1.  This loop and _solve's, which every operation runs, write
+    out _lower_sum's sum, since a call per member costs them measurably."""
     pow, add, scale = L.pow, L.add, L.scale
     x1 = comps[0]
     out = [x1]
@@ -307,30 +322,29 @@ def _solve(L: CoeffRing, trunc: TruncationSet, ghosts: Sequence,
     return out
 
 
-def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, power: int,
-                      *groups: Iterable) -> None:
-    """Refuse elements whose ghost components over trunc, raised to the
-    power given (k for witt_pow, else 1), would pass GHOST_BITS_LIMIT bits,
-    before any is formed; each group is checked in turn, and a refusal
-    names the largest of the first group past the limit.  Over Z[..] each
-    exponent times the largest index and the power may not pass the limit
-    in bits either.  Over rings other than their own lift (Z/m, F_q), which
+def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) -> None:
+    """Refuse elements whose ghost components over trunc would pass
+    GHOST_BITS_LIMIT bits, before any is formed; each group of elements is
+    checked in turn, and a refusal names the largest of the first group
+    past the limit.  Over Z[..] the top ghost also multiplies each exponent
+    by the largest index, and the product may not pass the limit in bits
+    either.  Over rings other than their own lift (Z/m, F_q), which
     reduce every value they print, the lifted ghosts together may not pass
-    LIFT_BITS_LIMIT bits, whatever the elements.  Any other ring that is
-    its own lift, such as a bare Z[w]/(f), has no bound and is refused."""
+    LIFT_BITS_LIMIT bits, whatever the elements, which are not read there.
+    Any other ring that is its own lift, such as a bare Z[w]/(f), has no
+    bound here and is refused."""
     if ring.lift_ring is not ring:
         bits = (ring.size() - 1).bit_length()
-        if (total := bits * trunc.member_sum * power) > LIFT_BITS_LIMIT:
+        if bits * trunc.member_sum > LIFT_BITS_LIMIT:
             raise bound_overflow(
-                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}"
-                + (f" to the power {power}" if power > 1 else ""),
-                f"{total} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
+                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
+                f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
     if not isinstance(ring, (IntegerRing, PolynomialRing)):
         raise InputError(f"no Witt vectors over the ring {type(ring).__name__}: "
                          "the coefficient ring must be Z, Z/m, F_q or Z[..]")
-    top = trunc.members[-1] * power
-    cap = trunc.ghost_cap if power == 1 else 1 << (GHOST_BITS_LIMIT // top)
+    top = trunc.members[-1]
+    cap = 1 << (GHOST_BITS_LIMIT // top)
     for elements in groups:
         exp = 0
         if isinstance(ring, PolynomialRing):
@@ -349,18 +363,45 @@ def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, power: int,
                                  GHOST_BITS_LIMIT)
 
 
-def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = (), power: int = 1) -> list[list]:
+def _check_power_bits(ring: CoeffRing, ghosts: Sequence, k: int) -> None:
+    """Refuse raising lifted ghost components to the power k when the
+    powers would pass GHOST_BITS_LIMIT bits (Z, Z[..]: the largest one) or
+    LIFT_BITS_LIMIT bits (Z/m, F_q: all together), before any is formed.
+    A ghost's size is the bit length of the sum of the absolute values of
+    its integers, which bounds that of its power by k times as many (in
+    Z[w]/(f) up to the growth of w^j's reduction); 0 and +-1 keep theirs
+    and are not counted."""
+    def size(g) -> int:  # an int, a SparsePoly's coefficients or a Z[w]/(f) tuple
+        if isinstance(g, int):
+            return g.bit_length()
+        return sum(abs(c) for c in ([c for _, c in g.items()] if isinstance(g, SparsePoly)
+                                    else g)).bit_length()
+
+    L = ring.lift_ring
+    fixed = (L.zero(), L.one(), L.neg(L.one()))
+    bits = [size(g) for g in ghosts if g not in fixed]
+    if L is not ring:
+        if (total := sum(bits) * k) > LIFT_BITS_LIMIT:
+            raise bound_overflow(f"the lifted ghosts to the power {k}", f"{total} bits",
+                                 "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
+    elif bits and (top := max(bits)) * k > GHOST_BITS_LIMIT:
+        raise bound_overflow(f"a {top}-bit ghost component to the power {k}",
+                             f"{top * k} bits", "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
+
+
+def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[list]:
     """Ghost lists of the vectors, formed in their ring's lift_ring, whose
     elements their components already are, for vectors over one truncation
     set.  A public operation forms those of all its inputs in one call, at
     its start, where a Z[..] lift restarts its count of product terms
     (rings.TERM_LIMIT bounds one operation) and the sizes are checked once:
     first the scalars, lift elements the operation raises to powers or
-    multiplies by, then each vector's components."""
+    multiplies by, then each vector's components.  Over Z/m and F_q the
+    check reads neither (see _check_ghost_bits)."""
     R, trunc = vectors[0].ring, vectors[0].trunc
     if isinstance(R, PolynomialRing):
         R.terms = 0
-    _check_ghost_bits(R, trunc, power, scalars, *[a.comps.values() for a in vectors])
+    _check_ghost_bits(R, trunc, scalars, *[a.comps.values() for a in vectors])
     return [_ghost_map(R.lift_ring, trunc, tuple(a.comps.values())) for a in vectors]
 
 
@@ -411,10 +452,10 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
 # -- arithmetic -------------------------------------------------------------
 
 
-def _unary(a: WittVector, f: Callable, scalars: Sequence = (), power: int = 1) -> WittVector:
-    """The vector whose lifted ghost components are f of those of a; the
-    scalars and the power f uses are size-checked with a."""
-    g, = _lifted_ghosts(a, scalars=scalars, power=power)
+def _unary(a: WittVector, f: Callable, scalars: Sequence = ()) -> WittVector:
+    """The vector whose lifted ghost components are f of those of a; over
+    Z and Z[..] the scalars f uses are size-checked with a."""
+    g, = _lifted_ghosts(a, scalars=scalars)
     return _from_lifted_ghosts(a.trunc, a.ring, list(map(f, g)))
 
 
@@ -456,8 +497,10 @@ def witt_pow(a: WittVector, k: int) -> WittVector:
     """k-th Witt power of a, k >= 0."""
     if k < 0:
         raise InputError("negative Witt powers are not defined")
-    L = a.ring.lift_ring
-    return _unary(a, lambda g: L.pow(g, k), power=max(k, 1))
+    pow = a.ring.lift_ring.pow
+    g, = _lifted_ghosts(a)
+    _check_power_bits(a.ring, g, k)
+    return _from_lifted_ghosts(a.trunc, a.ring, [pow(x, k) for x in g])
 
 
 # -- the standard operators -------------------------------------------------
@@ -628,23 +671,16 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     # by position: the path's components as lift elements, their ghosts, TF_n's lifted outputs
     x, w, y, visited = [zero] * size, [zero] * size, [zero] * len(T), 0
 
-    def lower(v: list, plan: tuple, i: int):  # ghost i > 0 of v without its last term
-        _, m, terms = plan[i - 1]
-        acc = pow(v[0], m)
-        for j, d, e in terms:
-            acc = add(acc, scale(d, pow(v[j], e)))
-        return acc
-
     def dive(k: int) -> Iterator[list]:
         nonlocal visited
         if k == size:
             yield x.copy()
             return
         d = trunc.members[k]
-        base = lower(x, trunc.plan, k) if k else None  # w_1 = x_1
+        base = _lower_sum(pow, add, scale, x, trunc.plan[k - 1]) if k else None  # w_1 = x_1
         if out := outputs.get(k):
             i, j, m, twist = out
-            known = lower(y, T.plan, j) if j else None  # y_1 is its ghost
+            known = _lower_sum(pow, add, scale, y, T.plan[j - 1]) if j else None  # y_1 is its ghost
         for r in pool:
             visited += 1
             if visited > limit:

@@ -1115,37 +1115,51 @@ def test_ghost_bits_limit_is_exact_and_spares_reducing_rings():
 
 
 def test_integer_multiples_and_powers_are_sized_before_any_ghost():
-    """n in witt_int and witt_scalar counts as one more component, and the
-    exponent k of witt_pow multiplies the largest index: at these sizes
-    each answered with components of 39,900 to 797,234 bits, past what
-    str() converts."""
+    """n in witt_int and witt_scalar counts as one more component, and
+    witt_pow multiplies the bits of each ghost of a by k before any power
+    is formed: at these sizes each answered with components of 39,900 to
+    797,234 bits, past what str() converts."""
     S = TruncationSet([1, 2, 4])
-    a = zvec(S, 99, 98, 97)
+    a = zvec(S, 99, 98, 97)  # ghosts 99, 9997 and 96079197: 7, 14 and 27 bits
     for route in (lambda: witt_int(10 ** 3000, S, ZZ), lambda: witt_scalar(10 ** 3000, a)):
         with pytest.raises(InputError, match="a 9966-bit component to the power 4 needs 39864 "
                                              "bits, over witt.GHOST_BITS_LIMIT = 6000"):
             route()
-    with pytest.raises(InputError, match="a 7-bit component to the power 120000 needs 840000 "
-                                         "bits, over witt.GHOST_BITS_LIMIT = 6000"):
+    with pytest.raises(InputError, match="a 27-bit ghost component to the power 30000 needs "
+                                         "810000 bits, over witt.GHOST_BITS_LIMIT = 6000"):
         witt_pow(a, 30000)
-    # 7 bits x 4 x 214 = 5,992 bits answers; 7 x 4 x 215 = 6,020 does not
-    assert str(witt_pow(a, 214))
-    with pytest.raises(InputError, match="power 860 needs 6020 bits"):
-        witt_pow(a, 215)
+    # 27 bits x 222 = 5,994 bits answers; 27 x 223 = 6,021 does not
+    assert str(witt_pow(a, 222))
+    with pytest.raises(InputError, match="power 223 needs 6021 bits"):
+        witt_pow(a, 223)
+
+
+def test_powers_of_ghosts_zero_and_one_answer_at_any_exponent():
+    """Ghosts 0 and +-1 keep their size under any power, so witt_pow
+    answers for them however large k is, over every ring."""
+    S, big = TruncationSet([1, 2, 4]), TruncationSet(range(1, 61))
+    assert witt_pow(zvec(S, 1, 0, 0), 10 ** 9) == zvec(S, 1, 0, 0)
+    assert witt_pow(zvec(S, 0, 0, 0), 10 ** 9) == zvec(S, 0, 0, 0)
+    assert witt_pow(teichmuller(1, big, ZZ), 101) == teichmuller(1, big, ZZ)
+    minus = witt_neg(zvec(S, 1, 0, 0))  # every ghost -1
+    assert witt_pow(minus, 10 ** 9 + 1) == minus
+    for ring in (ZModRing(8), GaloisField(3, 2)):
+        one = teichmuller(ring.one(), S, ring)
+        assert witt_pow(one, 10 ** 9) == one
 
 
 def test_lift_bits_limit_counts_the_power(monkeypatch):
-    """Over Z/8 on {1, 2, 4}, 3 bits x member sum 7 x k: witt_pow grows
-    with k, and past LIFT_BITS_LIMIT it is refused like any operation."""
+    """Over Z/8 on {1, 2, 4}, a = (5, 3, 1) has lifted ghosts 5, 31 and
+    647 (3 + 5 + 10 bits): witt_pow counts 18 x k bits, and past
+    LIFT_BITS_LIMIT it is refused like any operation."""
     S = TruncationSet([1, 2, 4])
     v = WittVector.from_list(S, ZModRing(8), [5, 3, 1])
-    with pytest.raises(InputError, match="3-bit elements over member sum 7 to the power "
-                                         "1000000 needs 21000000 bits, over "
-                                         "witt.LIFT_BITS_LIMIT = 1000000"):
+    with pytest.raises(InputError, match="the lifted ghosts to the power 1000000 needs "
+                                         "18000000 bits, over witt.LIFT_BITS_LIMIT = 1000000"):
         witt_pow(v, 10 ** 6)
-    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", 105)
+    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", 90)
     assert witt_pow(v, 5) == witt_mul(witt_mul(witt_mul(v, v), witt_mul(v, v)), v)
-    with pytest.raises(InputError, match="needs 126 bits, over witt.LIFT_BITS_LIMIT = 105"):
+    with pytest.raises(InputError, match="needs 108 bits, over witt.LIFT_BITS_LIMIT = 90"):
         witt_pow(v, 6)
 
 
