@@ -18,8 +18,11 @@ map is injective on a torsion-free ring, and the operations are given by
 universal polynomials with integer coefficients, so the result is the
 same as evaluating those polynomials in the ring itself.  A division
 leaving a remainder would falsify that integrality theorem, so it raises
-FalsificationError.  The universal polynomials themselves are the same
-computation run on generic vectors over Z[a_d, b_d].
+FalsificationError.  Before any power is formed, one size check holds
+every operation to GHOST_BITS_LIMIT over Z and Z[vars] and LIFT_BITS_LIMIT
+over Z/m and F_q, by one measure of its inputs or, in witt_pow, its ghosts.
+The universal polynomials themselves are the same computation run on
+generic vectors over Z[a_d, b_d].
 
 The p-typical theory is the special case S = {1, p, ..., p^(k-1)}.
 
@@ -62,18 +65,16 @@ from .rings import CoeffRing, IntegerRing, PolynomialRing
 TRUNC_SUM_LIMIT = 10_000
 
 
-# Largest accepted (bit length of a component) x (largest index) over Z and
-# Z[vars], whose values are printed unreduced: ghost components then stay
-# near this many bits and those of a product or a twisted Frobenius near
-# twice as many, so every printed value stays under Python's 4300-digit
-# limit on int/str conversion.
+# Largest accepted bits of a ghost component over Z and Z[vars], as
+# _check_size bounds them; their values are printed unreduced, and those of
+# a product or a twisted Frobenius reach near twice as many bits, so every
+# printed value stays under Python's 4300-digit limit on int/str conversion.
 GHOST_BITS_LIMIT = 6000
 
 
-# Largest accepted (bits of the largest element index) x (member sum) over
-# Z/m and F_q, whose lifts are formed unreduced: the lifted ghost component
-# w_n takes about n times an element's bits, so this is near the bits of
-# all of them together, and the ghost map and its inverse grow with it.
+# Largest accepted bits of all the lifted ghosts together over Z/m and F_q,
+# as _check_size bounds them: the lifts are formed unreduced, and the ghost
+# map and its inverse grow with these bits.
 LIFT_BITS_LIMIT = 1_000_000
 
 
@@ -322,71 +323,68 @@ def _solve(L: CoeffRing, trunc: TruncationSet, ghosts: Sequence,
     return out
 
 
-def _check_ghost_bits(ring: CoeffRing, trunc: TruncationSet, *groups: Iterable) -> None:
-    """Refuse elements whose ghost components over trunc would pass
-    GHOST_BITS_LIMIT bits, before any is formed; each group of elements is
-    checked in turn, and a refusal names the largest of the first group
-    past the limit.  Over Z[..] the top ghost also multiplies each exponent
-    by the largest index, and the product may not pass the limit in bits
-    either.  Over rings other than their own lift (Z/m, F_q), which
-    reduce every value they print, the lifted ghosts together may not pass
-    LIFT_BITS_LIMIT bits, whatever the elements, which are not read there.
-    Any other ring that is its own lift, such as a bare Z[w]/(f), has no
-    bound here and is refused."""
+def _size(x) -> int:
+    """The size of a lift element: 0 for 0 and +-1, whose powers keep
+    their size; else the bit length of |x| for an int, and of the sum of
+    the absolute values of its integers for a Z[w]/(f) tuple or a Z[..]
+    polynomial.  A k-th power is at most k times as large (in Z[w]/(f) up
+    to the growth of w^j's reduction)."""
+    if isinstance(x, int):
+        return x.bit_length() if x > 1 or x < -1 else 0
+    const, cs = ((x.coefficient(()), [c for _, c in x.items()]) if isinstance(x, SparsePoly)
+                 else (x[0], x))
+    total = sum(map(abs, cs))
+    return 0 if total == abs(const) <= 1 else total.bit_length()
+
+
+def _check_size(ring: CoeffRing, trunc: TruncationSet, elements: Iterable,
+                vectors: Sequence[WittVector] = (), k: int | None = None) -> None:
+    """Refuse, before any is formed, powers of lift elements that would
+    pass a size limit.  With k, the elements are ghosts that witt_pow
+    raises to the power k; without, they are the scalars of an operation
+    on vectors over trunc, whose ghost map raises them and the vectors'
+    components to powers up to max S, which is then the power.
+
+    Over Z and Z[..], which print their values unreduced, the largest
+    _size times the power may not pass GHOST_BITS_LIMIT; over Z[..] the
+    bits of the largest exponent times the power may not either.  Over
+    Z/m and F_q, which reduce what they print, the lifted ghosts together
+    may not pass LIFT_BITS_LIMIT: k times the sum of the ghosts' sizes, or
+    max(bits(|R| - 1), each scalar's size) times the member sum, the
+    components, at most |R| - 1 each, counted without being read.  Any
+    other ring that is its own lift, such as a bare Z[w]/(f), has no bound
+    here and is refused."""
     if ring.lift_ring is not ring:
-        bits = (ring.size() - 1).bit_length()
-        if bits * trunc.member_sum > LIFT_BITS_LIMIT:
-            raise bound_overflow(
-                f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}",
-                f"{bits * trunc.member_sum} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
+        if k is None:
+            bits = (ring.size() - 1).bit_length()
+            for x in elements:  # a loop, which costs least where there is no scalar
+                bits = max(bits, _size(x))
+            total = bits * trunc.member_sum
+        else:
+            total = sum(map(_size, elements)) * k
+        if total > LIFT_BITS_LIMIT:
+            what = (f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}"
+                    if k is None else f"the lifted ghosts to the power {k}")
+            raise bound_overflow(what, f"{total} bits", "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
         return
-    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+    power = trunc.members[-1] if k is None else k
+    xs = list(itertools.chain(elements, *[a.comps.values() for a in vectors]))
+    if isinstance(ring, IntegerRing):
+        top = _size(max(map(abs, xs), default=0))  # at C level: the size grows with |x|
+    elif isinstance(ring, PolynomialRing):
+        top = max(map(_size, xs), default=0)
+        exp = max((e for x in xs for m, _ in x.items() for _, e in m), default=0)
+        if (exp * power).bit_length() > GHOST_BITS_LIMIT:
+            raise bound_overflow(f"a {exp.bit_length()}-bit exponent times {power}",
+                                 f"{(exp * power).bit_length()} bits", "witt.GHOST_BITS_LIMIT",
+                                 GHOST_BITS_LIMIT)
+    else:
         raise InputError(f"no Witt vectors over the ring {type(ring).__name__}: "
                          "the coefficient ring must be Z, Z/m, F_q or Z[..]")
-    top = trunc.members[-1]
-    cap = 1 << (GHOST_BITS_LIMIT // top)
-    for elements in groups:
-        exp = 0
-        if isinstance(ring, PolynomialRing):
-            terms = [t for x in elements for t in x.items()]
-            elements = [c for _, c in terms]
-            exp = max((e for m, _ in terms for _, e in m), default=0)
-        else:
-            elements = list(elements)
-        if elements and (max(elements) >= cap or min(elements) <= -cap):
-            bits = max(x.bit_length() for x in elements)
-            raise bound_overflow(f"a {bits}-bit component to the power {top}",
-                                 f"{bits * top} bits", "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
-        if exp and (exp * top).bit_length() > GHOST_BITS_LIMIT:
-            raise bound_overflow(f"a {exp.bit_length()}-bit exponent times {top}",
-                                 f"{(exp * top).bit_length()} bits", "witt.GHOST_BITS_LIMIT",
-                                 GHOST_BITS_LIMIT)
-
-
-def _check_power_bits(ring: CoeffRing, ghosts: Sequence, k: int) -> None:
-    """Refuse raising lifted ghost components to the power k when the
-    powers would pass GHOST_BITS_LIMIT bits (Z, Z[..]: the largest one) or
-    LIFT_BITS_LIMIT bits (Z/m, F_q: all together), before any is formed.
-    A ghost's size is the bit length of the sum of the absolute values of
-    its integers, which bounds that of its power by k times as many (in
-    Z[w]/(f) up to the growth of w^j's reduction); 0 and +-1 keep theirs
-    and are not counted."""
-    def size(g) -> int:  # an int, a SparsePoly's coefficients or a Z[w]/(f) tuple
-        if isinstance(g, int):
-            return g.bit_length()
-        return sum(abs(c) for c in ([c for _, c in g.items()] if isinstance(g, SparsePoly)
-                                    else g)).bit_length()
-
-    L = ring.lift_ring
-    fixed = (L.zero(), L.one(), L.neg(L.one()))
-    bits = [size(g) for g in ghosts if g not in fixed]
-    if L is not ring:
-        if (total := sum(bits) * k) > LIFT_BITS_LIMIT:
-            raise bound_overflow(f"the lifted ghosts to the power {k}", f"{total} bits",
-                                 "witt.LIFT_BITS_LIMIT", LIFT_BITS_LIMIT)
-    elif bits and (top := max(bits)) * k > GHOST_BITS_LIMIT:
-        raise bound_overflow(f"a {top}-bit ghost component to the power {k}",
-                             f"{top * k} bits", "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
+    if top * power > GHOST_BITS_LIMIT:
+        noun = "component" if k is None else "ghost component"
+        raise bound_overflow(f"a {top}-bit {noun} to the power {power}", f"{top * power} bits",
+                             "witt.GHOST_BITS_LIMIT", GHOST_BITS_LIMIT)
 
 
 def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[list]:
@@ -394,14 +392,14 @@ def _lifted_ghosts(*vectors: WittVector, scalars: Sequence = ()) -> list[list]:
     elements their components already are, for vectors over one truncation
     set.  A public operation forms those of all its inputs in one call, at
     its start, where a Z[..] lift restarts its count of product terms
-    (rings.TERM_LIMIT bounds one operation) and the sizes are checked once:
-    first the scalars, lift elements the operation raises to powers or
-    multiplies by, then each vector's components.  Over Z/m and F_q the
-    check reads neither (see _check_ghost_bits)."""
+    (rings.TERM_LIMIT bounds one operation) and _check_size sizes the
+    scalars, lift elements the operation raises to powers or multiplies
+    by, on every ring, with the vectors' components over Z and Z[..]; over
+    Z/m and F_q it counts the components without reading them."""
     R, trunc = vectors[0].ring, vectors[0].trunc
     if isinstance(R, PolynomialRing):
         R.terms = 0
-    _check_ghost_bits(R, trunc, scalars, *[a.comps.values() for a in vectors])
+    _check_size(R, trunc, scalars, vectors)
     return [_ghost_map(R.lift_ring, trunc, tuple(a.comps.values())) for a in vectors]
 
 
@@ -453,8 +451,8 @@ def universal_poly(op: str, S: TruncationSet, n: int | None = None) -> dict[int,
 
 
 def _unary(a: WittVector, f: Callable, scalars: Sequence = ()) -> WittVector:
-    """The vector whose lifted ghost components are f of those of a; over
-    Z and Z[..] the scalars f uses are size-checked with a."""
+    """The vector whose lifted ghost components are f of those of a; the
+    scalars f uses are sized with a, on every ring."""
     g, = _lifted_ghosts(a, scalars=scalars)
     return _from_lifted_ghosts(a.trunc, a.ring, list(map(f, g)))
 
@@ -499,7 +497,7 @@ def witt_pow(a: WittVector, k: int) -> WittVector:
         raise InputError("negative Witt powers are not defined")
     pow = a.ring.lift_ring.pow
     g, = _lifted_ghosts(a)
-    _check_power_bits(a.ring, g, k)
+    _check_size(a.ring, a.trunc, g, k=k)
     return _from_lifted_ghosts(a.trunc, a.ring, [pow(x, k) for x in g])
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -669,6 +670,30 @@ class TestBoundOverflow:
     def test_refusal_text_lives_in_errors_only(self):
         holders = sorted(p.name for p in SRC.glob("*.py") if "bound overflow" in p.read_text())
         assert holders == ["errors.py"]
+
+    def test_readme_limits_table_matches_the_code(self):
+        """README's table under "Exit codes" has one row per limit that src/
+        passes to errors.bound_overflow, found by ast, and each row states
+        its limit's cap (1,000 or 10^12 as written there)."""
+        readme = (SRC.parent.parent / "README.md").read_text()
+        section = readme[readme.index("### Exit codes"):]
+        rows = {}
+        for line in section[:section.index("\n- `3`")].splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+            if len(cells) == 4 and cells[0].startswith("`") and "." in cells[0]:
+                base, _, exp = cells[2].replace(",", "").partition("^")
+                rows[cells[0].strip("`")] = int(base) ** int(exp or 1)
+        for limit, cap in rows.items():
+            module, name = limit.split(".")
+            assert getattr(importlib.import_module(f"hopfwitt.{module}"), name) == cap, limit
+        passed = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bound_overflow":
+                    limit = node.args[2]
+                    assert isinstance(limit, ast.Constant), f"{path.name}:{node.lineno}"
+                    passed.add(limit.value)
+        assert passed == set(rows)
 
 
 class TestWindowedWords:

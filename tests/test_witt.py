@@ -10,6 +10,7 @@ and comparing with the reduction of the computation over Z.
 import functools
 import json
 import random
+import time
 from collections import Counter
 from math import prod
 
@@ -118,6 +119,26 @@ def test_one_large_member_answers(ring):
     a, b = (WittVector.from_list(S, ring, [els[i], els[j]]) for i, j in ((2, 5), (7, 3)))
     assert ghost(witt_mul(a, b)) == [ring.reduce(ring.lift_ring.mul(x, y))
                                      for x, y in zip(ghost(a), ghost(b))]
+
+
+def test_one_large_member_answers_over_z_with_unit_components():
+    """Over Z, 0 and +-1 keep their size under any power, so on {1, 9973}
+    vectors of them answer every operation with printable values, where
+    the component cap refused any nonzero one past max S = 6000; a
+    component of 2 (2 bits x 9973) is still refused."""
+    S = TruncationSet([1, 9973])
+    vectors = [zvec(S, x, y) for x in (0, 1, -1) for y in (0, 1, -1)]
+    for a in vectors:
+        results = [witt_neg(a)] + [twisted_frobenius(n, a, t) for n in S for t in (0, 1, -1)]
+        results += [f(a, b) for b in vectors for f in (witt_add, witt_sub, witt_mul)]
+        assert all(str(r) for r in results)
+    assert witt_add(zvec(S, 1, 0), zvec(S, 0, 0)) == zvec(S, 1, 0)
+    assert witt_mul(zvec(S, 1, 1), zvec(S, 1, 1)) == from_ghost([1, 9974 ** 2], S)
+    for route in (lambda: witt_add(zvec(S, 2, 0), zvec(S, 0, 0)),
+                  lambda: twisted_frobenius(9973, zvec(S, 1, 0), 2)):
+        with pytest.raises(InputError, match="a 2-bit component to the power 9973 needs "
+                                             "19946 bits, over witt.GHOST_BITS_LIMIT"):
+            route()
 
 
 def test_term_limit_counts_one_operation():
@@ -1177,3 +1198,79 @@ def test_lift_bits_limit_counts_member_sum_times_element_bits(monkeypatch):
     F = GaloisField(3, 2)  # index 8, 4 bits
     with pytest.raises(InputError, match="needs 12 bits, over witt.LIFT_BITS_LIMIT = 8"):
         ghost(WittVector.from_list(S, F, [F.one(), F.zero()]))
+
+
+def test_integer_scalars_are_sized_over_reducing_rings():
+    """Over Z/m and F_q, n in witt_int and witt_scalar is an unreduced lift
+    element whose powers the solve forms: its size counts beside the
+    element bits of R, so 10^100000 (332,193 bits) and 10^30000 (99,658
+    bits) over member sum 31 are refused at once, where they answered
+    after 3.5 s and 0.5 s, and 10^3000 (9,966 bits) still answers."""
+    S, F = TruncationSet([1, 2, 4, 8, 16]), GaloisField(3, 2)
+    huge, big = 10 ** 100000, 10 ** 30000
+    a = WittVector.from_list(S, F, [F.one()] + [F.zero()] * 4)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="the lifted ghosts of 332193-bit elements over member "
+                                         "sum 31 needs 10297983 bits, over witt.LIFT_BITS_LIMIT"):
+        witt_int(huge, S, ZModRing(8))
+    with pytest.raises(InputError, match="99658-bit elements over member sum 31 needs 3089398 "
+                                         "bits, over witt.LIFT_BITS_LIMIT"):
+        witt_scalar(big, a)
+    assert time.perf_counter() - start < 0.1
+    assert ghost(witt_int(10 ** 3000, S, ZModRing(8))) == [10 ** 3000 % 8] * 5
+
+
+def test_poly_components_are_sized_by_their_coefficient_sum():
+    """A Z[..] component's size is the bit length of the sum of its
+    |coefficients|: on {1, 2, 4, 8}, 2^749 x has 750 bits x 8 = 6,000 and
+    answers, while 2^749 (x + y) has 751 x 8 = 6,008 and is refused,
+    though its largest coefficient is the same."""
+    S, R = TruncationSet([1, 2, 4, 8]), PolynomialRing()
+    x, y = SparsePoly.variable("x"), SparsePoly.variable("y")
+    zero = SparsePoly()
+    assert str(ghost(WittVector.from_list(S, R, [x * 2 ** 749, zero, zero, zero]))[-1])
+    with pytest.raises(InputError, match="a 751-bit component to the power 8 needs 6008 bits"):
+        ghost(WittVector.from_list(S, R, [(x + y) * 2 ** 749, zero, zero, zero]))
+
+
+@st.composite
+def _inputs_near_the_ghost_limit(draw):
+    """A divisor-closed set with max S up to 9,973 inside TRUNC_SUM_LIMIT,
+    its seed past 6,000 or dividing GHOST_BITS_LIMIT a third of the time
+    each, and inputs drawn half the time from 0 and +-1 and half from
+    +-(2^b + d), b within one of the largest size the limit admits on that
+    set and |d| <= 1."""
+    seed = (st.integers(6001, 9973) | st.sampled_from(divisors(witt.GHOST_BITS_LIMIT))
+            | st.integers(1, 6000))
+    S = draw(st.tuples(seed, st.integers(1, 60))
+             .filter(lambda seeds: sum(set(divisors(seeds[0]) + divisors(seeds[1])))
+                     <= TRUNC_SUM_LIMIT)
+             .map(TruncationSet.divisor_closure))
+    top = witt.GHOST_BITS_LIMIT // S.members[-1]
+    element = st.sampled_from([0, 1, -1]) | st.sampled_from(
+        [s * (2 ** b + d) for b in range(max(top - 1, 0), top + 2) for d in (-1, 0, 1)
+         for s in (1, -1)])
+    a, b = (draw(st.lists(element, min_size=len(S), max_size=len(S))) for _ in "ab")
+    return S, a, b, draw(element), draw(element), draw(st.sampled_from(S.members))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_inputs_near_the_ghost_limit())
+def test_ghost_limit_refuses_exactly_past_the_largest_size_times_max_s(case):
+    """Over Z, an operation is refused exactly when the largest size of its
+    inputs (0 for 0 and +-1, else the bit length) times max S passes
+    GHOST_BITS_LIMIT, and every value it admits prints (str() refuses
+    ints past 4,300 digits)."""
+    S, a, b, t, c, n = case
+    va, vb = zvec(S, *a), zvec(S, *b)
+    routes = [(a + b, lambda: witt_add(va, vb)), (a + b, lambda: witt_sub(va, vb)),
+              (a + b, lambda: witt_mul(va, vb)), (a, lambda: witt_neg(va)),
+              (a + [t], lambda: twisted_frobenius(n, va, t)),
+              (a + [c], lambda: witt_scalar(c, va)), ([c], lambda: witt_int(c, S, ZZ))]
+    for inputs, route in routes:
+        size = max(0 if abs(x) <= 1 else abs(x).bit_length() for x in inputs)
+        if size * S.members[-1] > witt.GHOST_BITS_LIMIT:
+            with pytest.raises(InputError, match="GHOST_BITS_LIMIT"):
+                route()
+        else:
+            assert all(map(str, route().as_list()))
