@@ -272,6 +272,9 @@ class MonicQuotientRing(CoeffRing):
                 rep = [0] + rep[:-1]  # multiply by w
                 rep = [rep[i] + carry * top[i] for i in range(k)]
                 self._red.append(tuple(rep))
+        # ceil(log2 M), M the largest l1 norm of a row of the table, at least 1:
+        # the l1 norm of a product is at most M times those of its factors multiplied
+        self.growth_bits = (max([1, *(sum(map(abs, row)) for row in self._red)]) - 1).bit_length()
 
     def zero(self):
         return (0,) * self.k

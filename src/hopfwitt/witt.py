@@ -38,10 +38,13 @@ Over a finite ring, kernel_enumerate applies any operator to every
 vector.  The kernels of TF_n are searched depth-first instead, assigning
 components in truncation order: every prefix of S is a truncation set and
 restriction commutes with TF_n, so output component m is fixed once a_nm
-is assigned, and a prefix that makes it nonzero is dropped.  The stable
-kernel searches the deepened set and stops each prefix at its first lift
-past the last position of S, since one lift settles that the prefix's
-part in S is stable; KERNEL_LIMIT counts the prefixes actually visited.
+is assigned.  It is affine in a_nm, so the residues that make it zero
+solve a linear congruence, and a prefix is extended only by those, looked
+up in a table built once per search.  The stable kernel searches the
+deepened set and stops each prefix at its first lift past the last
+position of S, since one lift settles that the prefix's part in S is
+stable; KERNEL_LIMIT counts the residues extended and the congruences
+looked up.
 Every kernel returned is certified a subgroup exactly, by growing the
 span of its members from {0} one coset at a time: at most
 |K| - 1 + log2|K| Witt sums, fewer than 2|K|, with |K| already bounded
@@ -56,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FalsificationError, InputError, bound_overflow
 from .poly import SparsePoly
-from .rings import CoeffRing, IntegerRing, PolynomialRing
+from .rings import CoeffRing, IntegerRing, MonicQuotientRing, PolynomialRing
 
 
 # Largest accepted sum of the members of a truncation set.  Over a lift
@@ -102,9 +105,10 @@ class TruncationSet:
     sum and the position plan of the ghost route: index maps each member
     to its position, and plan holds (i, n, terms) for each position i > 0,
     with one (position of d, d, n/d) in terms per term d * x_d^(n/d) of
-    w_n, 1 < d < n.  It is immutable, so each quotient S/n is built once."""
+    w_n, 1 < d < n.  It is immutable, so each quotient S/n and each
+    deepened set is built once."""
 
-    __slots__ = ("members", "member_sum", "index", "plan", "_quotients")
+    __slots__ = ("members", "member_sum", "index", "plan", "_quotients", "_deepened")
 
     def __init__(self, members: Iterable[int]):
         ms = sorted(set(members))
@@ -129,6 +133,7 @@ class TruncationSet:
         self.members = tuple(ms)
         self.member_sum = total
         self._quotients: dict[int, TruncationSet] = {}
+        self._deepened: dict[int, TruncationSet] = {}
 
     @classmethod
     def divisor_closure(cls, seeds: Iterable[int]) -> TruncationSet:
@@ -154,6 +159,14 @@ class TruncationSet:
                 raise InputError(f"S/{n} is empty for S = {list(self.members)}")
             q = self._quotients[n] = TruncationSet(ms)
         return q
+
+    def deepened(self, n: int) -> TruncationSet:
+        """The divisor closure of S and nS, on which the stable kernel of
+        TF_n is searched."""
+        if (deep := self._deepened.get(n)) is None:
+            deep = self._deepened[n] = TruncationSet.divisor_closure(
+                set(self.members) | {n * d for d in self.members})
+        return deep
 
     def __contains__(self, n: int) -> bool:
         return n in self.index
@@ -327,8 +340,9 @@ def _size(x) -> int:
     """The size of a lift element: 0 for 0 and +-1, whose powers keep
     their size; else the bit length of |x| for an int, and of the sum of
     the absolute values of its integers for a Z[w]/(f) tuple or a Z[..]
-    polynomial.  A k-th power is at most k times as large (in Z[w]/(f) up
-    to the growth of w^j's reduction)."""
+    polynomial.  A k-th power is at most k times as large, in Z[w]/(f)
+    plus (k - 1) times the lift's growth_bits, the growth of w^j's
+    reduction."""
     if isinstance(x, int):
         return x.bit_length() if x > 1 or x < -1 else 0
     const, cs = ((x.coefficient(()), [c for _, c in x.items()]) if isinstance(x, SparsePoly)
@@ -349,7 +363,8 @@ def _check_size(ring: CoeffRing, trunc: TruncationSet, elements: Iterable,
     _size times the power may not pass GHOST_BITS_LIMIT; over Z[..] the
     bits of the largest exponent times the power may not either.  Over
     Z/m and F_q, which reduce what they print, the lifted ghosts together
-    may not pass LIFT_BITS_LIMIT: k times the sum of the ghosts' sizes, or
+    may not pass LIFT_BITS_LIMIT: k times the sum of the ghosts' sizes,
+    each size but 0 plus growth_bits over Z[w]/(f), or
     max(bits(|R| - 1), each scalar's size) times the member sum, the
     components, at most |R| - 1 each, counted without being read.  Any
     other ring that is its own lift, such as a bare Z[w]/(f), has no bound
@@ -361,7 +376,9 @@ def _check_size(ring: CoeffRing, trunc: TruncationSet, elements: Iterable,
                 bits = max(bits, _size(x))
             total = bits * trunc.member_sum
         else:
-            total = sum(map(_size, elements)) * k
+            L = ring.lift_ring
+            growth = L.growth_bits if isinstance(L, MonicQuotientRing) else 0
+            total = sum(s + growth for s in map(_size, elements) if s) * k
         if total > LIFT_BITS_LIMIT:
             what = (f"the lifted ghosts of {bits}-bit elements over member sum {trunc.member_sum}"
                     if k is None else f"the lifted ghosts to the power {k}")
@@ -588,8 +605,9 @@ def divides_additively(p: int, a: WittVector) -> bool:
 # -- kernels ----------------------------------------------------------------
 
 
-# Most vectors (all_vectors, counted before it starts) or prefixes (the
-# pruned search, counted as it goes) a kernel search visits.
+# Most vectors all_vectors enumerates (counted before it starts), or units
+# of work of the pruned search (counted as it goes): one per residue a
+# prefix is extended by, one per congruence a prefix looks up.
 KERNEL_LIMIT = 200_000
 
 
@@ -652,20 +670,37 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     the prefix.  Depth k forms only the new lifted ghost w_d, d = S[k], by
     the plan of S; when n | d, output component m = d/n has ghost
     w_d - t^((n-1)m) w_m and is solved by the plan of S/n with the lifted
-    output components kept along the path.  KERNEL_LIMIT caps the visits."""
+    output components kept along the path.
+
+    That lifted component is affine in the residue r at d: q(r) = q(0) +
+    c*r, with c = n for n > 1 (w_d = ... + d*r enters once, divided by m)
+    and c = 0 for n = 1 (w_d enters twice, with t^0 = 1).  So a prefix
+    forms q(0) once, whose integrality is that of every q(r), and takes
+    the residues with reduce(c*r) = reduce(-q(0)) from a table built once
+    per search, in the order of ring.elements().  KERNEL_LIMIT caps the
+    work: one unit per residue a prefix is extended by and one per
+    congruence looked up, so a prefix with no solution still costs one."""
     if not ring.is_finite:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
     T = trunc.quotient(n)  # refuses an empty S/n
     limit = KERNEL_LIMIT
-    if ring.size() > limit:  # the first level alone visits |R| prefixes
-        raise bound_overflow("the kernel search", f"at least {ring.size()} prefixes",
+
+    def refuse(count: int):
+        raise bound_overflow("the kernel search", f"at least {count} units of work",
                              "witt.KERNEL_LIMIT", limit)
-    L = ring.lift_ring
-    pow, add, scale, sub, mul, div_int = L.pow, L.add, L.scale, L.sub, L.mul, L.div_int
+
+    if ring.size() > limit:  # the first level alone extends the empty prefix |R| times
+        refuse(ring.size())
+    L, reduce = ring.lift_ring, ring.reduce
+    pow, add, scale, sub, mul, neg, div_int = L.pow, L.add, L.scale, L.sub, L.mul, L.neg, L.div_int
     pool, zero, size = list(ring.elements()), ring.zero(), len(trunc)
     # for each position of S holding some n*m: the positions of m in S and in S/n, m, t^((n-1)m)
     outputs = {trunc.index[n * m]: (trunc.index[m], j, m, pow(t, (n - 1) * m))
                for j, m in enumerate(T.members)}
+    c = n if n > 1 else 0
+    solutions: dict = {}  # reduce(c*r) -> the residues r with that image, in pool order
+    for r in pool:
+        solutions.setdefault(reduce(scale(c, r)), []).append(r)
     # by position: the path's components as lift elements, their ghosts, TF_n's lifted outputs
     x, w, y, visited = [zero] * size, [zero] * size, [zero] * len(T), 0
 
@@ -675,27 +710,26 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
             yield x.copy()
             return
         d = trunc.members[k]
-        base = _lower_sum(pow, add, scale, x, trunc.plan[k - 1]) if k else None  # w_1 = x_1
+        base = _lower_sum(pow, add, scale, x, trunc.plan[k - 1]) if k else zero  # w_1 = x_1
+        residues = pool
         if out := outputs.get(k):
             i, j, m, twist = out
-            known = _lower_sum(pow, add, scale, y, T.plan[j - 1]) if j else None  # y_1 is its ghost
-        for r in pool:
+            ghost0 = sub(base, mul(twist, w[i] if i < k else base))  # at r = 0, w_d = base
+            q0 = (div_int(sub(ghost0, _lower_sum(pow, add, scale, y, T.plan[j - 1])), m)
+                  if j else ghost0)  # y_1 is its own ghost
+            if q0 is None:
+                raise FalsificationError(f"ghost vector is not integral at index {m}")
             visited += 1
             if visited > limit:
-                raise bound_overflow("the kernel search", f"at least {visited} prefixes",
-                                     "witt.KERNEL_LIMIT", limit)
-            wd = r if base is None else add(base, scale(d, r))
+                refuse(visited)
+            residues = solutions.get(reduce(neg(q0)), ())
+        for r in residues:
+            visited += 1
+            if visited > limit:
+                refuse(visited)
             if out:
-                # n = 1 gives m = d, and w_d - w_d = 0
-                ghost_m = sub(wd, mul(twist, w[i] if i < k else wd))
-                if known is None:
-                    q = ghost_m
-                elif (q := div_int(sub(ghost_m, known), m)) is None:
-                    raise FalsificationError(f"ghost vector is not integral at index {m}")
-                if ring.reduce(q) != zero:
-                    continue
-                y[j] = q
-            x[k], w[k] = r, wd
+                y[j] = add(q0, scale(c, r))
+            x[k], w[k] = r, add(base, scale(d, r))
             yield from dive(k + 1) if k != last else itertools.islice(dive(k + 1), 1)
 
     return dive(0)
@@ -726,7 +760,7 @@ def stable_twisted_kernel(n: int, t, trunc: TruncationSet,
     set outside S may still come before that position, and the repeats
     it brings are dropped, so the order is that of the full projection.
     """
-    deep = TruncationSet.divisor_closure(set(trunc.members) | {n * d for d in trunc})
+    deep = trunc.deepened(n)
     keep = [deep.index[d] for d in trunc]
     found: list[WittVector] = []
     seen: set[tuple] = set()

@@ -55,6 +55,10 @@ CASES = [
     ("witt-kernel-stable-f4", ["witt", "kernel", "--trunc", "1,2",
                                "--ring", "Fq:2,2", "--n", "2", "--t", "1,0",
                                "--stable"]),
+    # 5 = 0 in F_25, so each lookup of 5r = -q(0) keeps all 25 residues or none
+    ("witt-kernel-stable-f25", ["witt", "kernel", "--trunc", "1,5,25",
+                                "--ring", "Fq:5,2", "--n", "5", "--t", "1,0",
+                                "--stable"]),
     ("witt-unipoly-sum", ["witt", "unipoly", "--trunc", "1,2", "--op", "sum"]),
     ("filt-rees-b3", ["filt", "rees", "--bound", "3"]),
     ("filt-rees-t0", ["filt", "rees", "--bound", "2", "--t", "0"]),

@@ -700,11 +700,11 @@ def test_non_additive_operator_trips_subgroup_check():
         kernel_enumerate(warped, S, F3)
 
 
-KERNEL_RINGS = [ZModRing(m) for m in (2, 3, 4, 6, 8, 9)] + [
+KERNEL_RINGS = [ZModRing(m) for m in (2, 3, 4, 6, 8, 9, 12)] + [
     GaloisField(2, 1), GaloisField(2, 2), GaloisField(3, 2)]
 KERNEL_SETS = [(1,), (1, 2), (1, 3), (1, 2, 4), (1, 2, 3), (1, 2, 3, 6), (1, 3, 9)]
 # (ring, S, n) with S/n nonempty and at most 5,000 vectors to enumerate
-KERNEL_CASES = [(R, S, n) for R in KERNEL_RINGS for S in KERNEL_SETS for n in (1, 2, 3)
+KERNEL_CASES = [(R, S, n) for R in KERNEL_RINGS for S in KERNEL_SETS for n in (1, 2, 3, 4, 6)
                 if R.size() ** len(S) <= 5000 and any(n * m in S for m in S)]
 
 
@@ -732,30 +732,75 @@ def test_pruned_kernel_search_matches_brute_force(case, data):
 
 
 def test_kernel_search_bound_counts_prefixes(monkeypatch):
-    """W_{1,2,4}(Z/9) has 729 vectors; at n = 2, t = 1 the search visits
-    9 + 81 prefixes, keeps 9 of the 81, visits their 81 extensions and
-    keeps 9."""
+    """W_{1,2,4}(Z/9) has 729 vectors; at n = 2, t = 1 the search extends
+    the empty prefix 9 times, then looks up the congruence 2r = -q(0) of
+    each of the 9 prefixes at a_2 and extends each by its one solution (2
+    is a unit mod 9), and the same at a_4: 9 + 18 + 18 = 45 units, where
+    trying every residue at a_2 and a_4 cost 171."""
     R, S = ZModRing(9), TruncationSet([1, 2, 4])
-    monkeypatch.setattr(witt, "KERNEL_LIMIT", 171)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 45)
     assert len(twisted_kernel(2, R.one(), S, R)) == 9
-    monkeypatch.setattr(witt, "KERNEL_LIMIT", 170)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 44)
     with pytest.raises(InputError,
-                       match="needs at least 171 prefixes, over witt.KERNEL_LIMIT = 170"):
+                       match="needs at least 45 units of work, over witt.KERNEL_LIMIT = 44"):
         twisted_kernel(2, R.one(), S, R)
 
 
 def test_stable_search_stops_at_the_first_lift(monkeypatch):
     """W_{1,2,4}(Z/8) at n = 2, t = 1 deepens to {1,2,4,8}.  The search
-    visits 8 + 64 + 128 prefixes through 4, keeping 8, 16 and 32, and
-    then each kept one only up to its first completion by a_8: 80 visits
-    of the 256 a full search makes, whose 64 members give the same 32."""
+    extends the empty prefix 8 times; at a_2 and a_4 each prefix looks up
+    its congruence 2r = -q(0) mod 8, with two solutions, so 8 lookups
+    keep 16 and 16 keep 32; then each of the 32 looks up a_8 and takes
+    only its first completion: 8 + 24 + 48 + 64 = 144 units, where trying
+    every residue cost 280."""
     R, S = ZModRing(8), TruncationSet([1, 2, 4])
-    monkeypatch.setattr(witt, "KERNEL_LIMIT", 280)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 144)
     assert len(stable_twisted_kernel(2, R.one(), S, R)) == 32
-    monkeypatch.setattr(witt, "KERNEL_LIMIT", 279)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 143)
     with pytest.raises(InputError,
-                       match="needs at least 280 prefixes, over witt.KERNEL_LIMIT = 279"):
+                       match="needs at least 144 units of work, over witt.KERNEL_LIMIT = 143"):
         stable_twisted_kernel(2, R.one(), S, R)
+
+
+# (branch, ring, S, n): at a position n*m the search solves q(0) + c*r = 0
+# in R, c = n for n > 1 and 0 for n = 1, whose solutions when there are any
+# number the residues r with c*r = 0: one, several, or all of R.
+CONGRUENCE_BRANCHES = [
+    ("none", ZModRing(4), (1, 2), 2),  # at t = 0, q(0) = a_1^2: odd for odd a_1
+    ("none", GaloisField(2, 1), (1, 2), 2),
+    ("one", ZModRing(9), (1, 2), 2),
+    ("one", ZModRing(4), (1, 3), 3),
+    ("one", GaloisField(3, 2), (1, 2), 2),
+    ("several", ZModRing(8), (1, 2), 2),
+    ("several", ZModRing(12), (1, 2), 2),
+    ("several", ZModRing(12), (1, 3), 3),
+    ("every", GaloisField(2, 2), (1, 2), 2),
+    ("every", GaloisField(3, 2), (1, 3), 3),
+    ("every", ZModRing(8), (1, 2), 1),
+    ("every", ZModRing(6), (1, 2, 3), 1),
+]
+
+
+@pytest.mark.parametrize("branch,R,S,n", CONGRUENCE_BRANCHES,
+                         ids=[f"{b}-{R}-{S}-n{n}" for b, R, S, n in CONGRUENCE_BRANCHES])
+def test_kernel_search_covers_every_branch_of_the_congruence(branch, R, S, n):
+    """For every t, both kernels equal kernel_enumerate's, in order: the
+    plain one on S, the stable one on the deepened set projected to S,
+    first occurrences kept.  Each case takes the branch it is named for."""
+    T = TruncationSet(S)
+    deep = TruncationSet.divisor_closure(set(S) | {n * d for d in S})
+    for t in R.elements():
+        plain = kernel_enumerate(lambda a: twisted_frobenius(n, a, t), T, R)
+        assert [str(v) for v in twisted_kernel(n, t, T, R)] == [str(v) for v in plain]
+        full = kernel_enumerate(lambda a: twisted_frobenius(n, a, t), deep, R)
+        projected = dict.fromkeys(str(a.restrict(T)) for a in full)
+        assert [str(v) for v in stable_twisted_kernel(n, t, T, R)] == list(projected)
+    if branch == "none":  # at t = 0 some a_1 has no completion
+        assert len({v.comps[1] for v in twisted_kernel(n, R.zero(), T, R)}) < R.size()
+    else:  # a solvable congruence has as many solutions as c*r = 0
+        c = n if n > 1 else 0
+        roots = sum(R.reduce(R.lift_ring.scale(c, r)) == R.zero() for r in R.elements())
+        assert {1: "one", R.size(): "every"}.get(roots, "several") == branch
 
 
 @pytest.mark.parametrize("ring", [ZModRing(2), GaloisField(2, 2)], ids=str)
@@ -1182,6 +1227,31 @@ def test_lift_bits_limit_counts_the_power(monkeypatch):
     assert witt_pow(v, 5) == witt_mul(witt_mul(witt_mul(v, v), witt_mul(v, v)), v)
     with pytest.raises(InputError, match="needs 108 bits, over witt.LIFT_BITS_LIMIT = 90"):
         witt_pow(v, 6)
+
+
+def test_lift_bits_limit_counts_the_growth_of_reduction_in_powers(monkeypatch):
+    """Over F_49, f = w^2 + 6w + 3 reduces w^2 to -3 - 6w, of l1 norm 9,
+    so a product's l1 norm may grow by up to 2^4 past that of its factors
+    multiplied: witt_pow counts each ghost size but 0 plus 4 bits, k
+    times.  [w]^(10^6), whose ghost w^(10^6) has 2,446,119-bit
+    coefficients, is refused before any power is formed."""
+    F = GaloisField(7, 2)
+    assert F.lift_ring.growth_bits == 4
+    a = teichmuller((0, 1), TruncationSet([1]), F)
+
+    def formed(*args):
+        raise AssertionError("a power was formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(F.lift_ring, "pow", formed)
+        with pytest.raises(InputError, match="the lifted ghosts to the power 1000000 needs "
+                                             "5000000 bits, over witt.LIFT_BITS_LIMIT = 1000000"):
+            witt_pow(a, 10 ** 6)
+    b = teichmuller((0, 1), TruncationSet([1, 7]), F)  # ghosts w and w^7, sizes 1 and 16
+    monkeypatch.setattr(witt, "LIFT_BITS_LIMIT", (1 + 4 + 16 + 4) * 5)
+    assert witt_pow(b, 5) == witt_mul(witt_mul(witt_mul(b, b), witt_mul(b, b)), b)
+    with pytest.raises(InputError, match="needs 150 bits, over witt.LIFT_BITS_LIMIT = 125"):
+        witt_pow(b, 6)
 
 
 def test_lift_bits_limit_counts_member_sum_times_element_bits(monkeypatch):
