@@ -1,6 +1,6 @@
 """Exact computational algebra for binomial Hopf structures and Witt vectors.
 
-Subpackages by topic:
+Modules by topic:
 
 - poly, binomial: sparse integer polynomials, generalized binomial
   coefficients and a primality test (the arithmetic substrate).

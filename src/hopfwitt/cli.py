@@ -37,8 +37,8 @@ def _payload(text: str) -> str:
 def _ints(text: str, flag: str) -> list[int]:
     from .intz import MAX_DIGITS
 
-    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    digits = max(map(len, toks), default=0)
+    toks = [tok.strip() for tok in text.split(",")]
+    digits = max(map(len, toks))
     if digits > MAX_DIGITS:
         raise bound_overflow(f"a numeral in {flag}", f"{digits} digits",
                              "intz.MAX_DIGITS", MAX_DIGITS)
@@ -49,7 +49,13 @@ def _ints(text: str, flag: str) -> list[int]:
 
 
 def _json_line(obj: object) -> str:
+    """The one JSON encoding of the CLI: sorted keys, compact separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _out(x, fmt: str) -> str:
+    """A library value as one line: its to_json_obj() form, or its text."""
+    return _json_line(x.to_json_obj()) if fmt == "json" else f"{x}\n"
 
 
 def _components(text: str) -> list[str]:
@@ -75,12 +81,6 @@ def _witt_vector(trunc, ring, payload: str):
     return witt.WittVector.from_list(trunc, ring, comps)
 
 
-def _vector_out(v, fmt: str) -> str:
-    if fmt == "json":
-        return v.to_json() + "\n"
-    return str(v) + "\n"
-
-
 # -- intz subcommands ------------------------------------------------
 
 
@@ -90,27 +90,22 @@ def _element(payload: str):
     return intz.IntZElement.parse(_payload(payload))
 
 
-def _element_out(f, fmt: str) -> str:
-    return (f.to_json() if fmt == "json" else str(f)) + "\n"
-
-
 def _cmd_intz_mul(args) -> str:
     from . import intz
 
-    return _element_out(intz.mult(_element(args.f), _element(args.g)), args.format)
+    return _out(intz.mult(_element(args.f), _element(args.g)), args.format)
 
 
 def _cmd_intz_comul(args) -> str:
     from . import intz
 
-    te = intz.comult(_element(args.f))
-    return (te.to_json() if args.format == "json" else str(te)) + "\n"
+    return _out(intz.comult(_element(args.f)), args.format)
 
 
 def _cmd_intz_antipode(args) -> str:
     from . import intz
 
-    return _element_out(intz.antipode(_element(args.f)), args.format)
+    return _out(intz.antipode(_element(args.f)), args.format)
 
 
 def _value_out(v: int, fmt: str) -> str:
@@ -155,7 +150,7 @@ def _cmd_witt_add(args) -> str:
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     b = _witt_vector(trunc, ring, args.coeffs2)
-    return _vector_out(witt.witt_add(a, b), args.format)
+    return _out(witt.witt_add(a, b), args.format)
 
 
 def _cmd_witt_mul(args) -> str:
@@ -164,7 +159,7 @@ def _cmd_witt_mul(args) -> str:
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     b = _witt_vector(trunc, ring, args.coeffs2)
-    return _vector_out(witt.witt_mul(a, b), args.format)
+    return _out(witt.witt_mul(a, b), args.format)
 
 
 def _cmd_witt_ghost(args) -> str:
@@ -183,7 +178,7 @@ def _cmd_witt_frob(args) -> str:
 
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
-    return _vector_out(witt.frobenius(args.n, a), args.format)
+    return _out(witt.frobenius(args.n, a), args.format)
 
 
 def _cmd_witt_versch(args) -> str:
@@ -192,7 +187,7 @@ def _cmd_witt_versch(args) -> str:
     # input components live on the quotient set S/n, output on S
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc.quotient(args.n), ring, args.coeffs)
-    return _vector_out(witt.verschiebung(args.n, a, trunc), args.format)
+    return _out(witt.verschiebung(args.n, a, trunc), args.format)
 
 
 def _cmd_witt_teich(args) -> str:
@@ -200,7 +195,7 @@ def _cmd_witt_teich(args) -> str:
 
     trunc, ring = _witt_context(args)
     r = ring.element_from_str(args.r)
-    return _vector_out(witt.teichmuller(r, trunc, ring), args.format)
+    return _out(witt.teichmuller(r, trunc, ring), args.format)
 
 
 def _cmd_witt_twisted(args) -> str:
@@ -209,7 +204,7 @@ def _cmd_witt_twisted(args) -> str:
     trunc, ring = _witt_context(args)
     a = _witt_vector(trunc, ring, args.coeffs)
     t = ring.element_from_str(args.t)
-    return _vector_out(witt.twisted_frobenius(args.n, a, t), args.format)
+    return _out(witt.twisted_frobenius(args.n, a, t), args.format)
 
 
 def _cmd_witt_kernel(args) -> str:
@@ -348,13 +343,15 @@ def _coalgebra_by_name(name: str):
 
 
 def _homology_out(C, fmt: str) -> str:
-    from . import homology
-
-    if fmt != "json":
-        return homology.homology_tsv(C)
-    rows = [{"degree": q, "weight": w, "rank": free, "torsion": torsion}
-            for (q, w), (free, torsion) in sorted(C.homology().items())]
-    return _json_line({"cells": rows})
+    """The homology table: degree, weight, free rank, torsion invariants."""
+    cells = sorted(C.homology().items())
+    if fmt == "json":
+        return _json_line({"cells": [{"degree": q, "weight": w, "rank": free, "torsion": torsion}
+                                     for (q, w), (free, torsion) in cells]})
+    lines = ["degree\tweight\trank\ttorsion"]
+    lines += [f"{q}\t{w}\t{free}\t{','.join(map(str, torsion)) or '-'}"
+              for (q, w), (free, torsion) in cells]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_homology_bar(args) -> str:
@@ -370,8 +367,7 @@ def _cmd_homology_cobar(args) -> str:
     from . import homology
 
     G = _coalgebra_by_name(args.coalgebra)
-    # a cobar word of weight w has degree 2w - length, so 2W covers them all
-    C = homology.cobar_complex(G, 2 * args.weight_bound, args.weight_bound)
+    C = homology.cobar_complex(G, None, args.weight_bound)
     return _homology_out(C, args.format)
 
 

@@ -40,6 +40,10 @@ are unit-pivot columns of d(q+1)'s elimination (clearing): each is the
 every nonzero invariant factor, is the same without them.  Bar homology
 of a commutative algebra carries the shuffle product, with signs again
 on shifted degrees.
+
+ChainComplex.homology returns the homology as a map from (degree, weight)
+to (free rank, torsion invariants).  The library holds no printed table:
+the CLI forms its text and JSON tables from that map.
 """
 
 from __future__ import annotations
@@ -353,17 +357,6 @@ def _apply(cols: list[Column], v: Column) -> Column:
     return out
 
 
-def homology_tsv(C: ChainComplex) -> str:
-    """Homology table: degree, weight, free rank, torsion invariants."""
-    lines = ["degree\tweight\trank\ttorsion"]
-    H = C.homology()
-    for (q, w) in sorted(H):
-        free, torsion = H[(q, w)]
-        tor = ",".join(str(d) for d in torsion) if torsion else "-"
-        lines.append(f"{q}\t{w}\t{free}\t{tor}")
-    return "\n".join(lines) + "\n"
-
-
 # -- words in a window, by strand ---------------------------------------
 
 
@@ -621,11 +614,12 @@ def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
     return out
 
 
-def cobar_complex(C: GradedCoalgebra, degree_bound: int, weight_bound: int) -> ChainComplex:
+def cobar_complex(C: GradedCoalgebra, degree_bound: int | None,
+                  weight_bound: int) -> ChainComplex:
     """Cobar complex of the reduced coalgebra on the words of absolute
-    weight at most weight_bound, every strand whole; a degree_bound below
-    the window's top absolute degree is refused, never used to trim
-    one."""
+    weight at most weight_bound, every strand whole; a degree_bound, if
+    not None, below the window's top absolute degree is refused, never
+    used to trim one."""
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext

@@ -32,7 +32,6 @@ these closed forms independently, is kept in tests/intz_oracle.py.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate
 from math import ceil, comb, e, log2
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -172,11 +171,8 @@ class IntZElement:
             first = False
         return cls(coeffs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"coeffs": {str(n): str(c) for n, c in sorted(self._coeffs.items())}},
-            sort_keys=True, separators=(",", ":"),
-        )
+    def to_json_obj(self) -> dict:
+        return {"coeffs": {str(n): str(c) for n, c in self.items()}}
 
 
 class TensorElement:
@@ -246,11 +242,8 @@ class TensorElement:
     def __repr__(self) -> str:
         return f"TensorElement({self})"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"coeffs": {f"{m},{n}": str(c) for (m, n), c in self.items()}},
-            sort_keys=True, separators=(",", ":"),
-        )
+    def to_json_obj(self) -> dict:
+        return {"coeffs": {f"{m},{n}": str(c) for (m, n), c in self.items()}}
 
 
 # -- ring and Hopf operations ---------------------------------------------

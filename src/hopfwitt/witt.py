@@ -54,7 +54,6 @@ by KERNEL_LIMIT.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FalsificationError, InputError, bound_overflow
@@ -268,16 +267,12 @@ class WittVector:
     def __repr__(self) -> str:
         return f"W{self.trunc}{self}"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trunc": list(self.trunc),
-                "ring": self.ring.to_json_obj(),
-                "coeffs": {str(d): self.ring.element_str(self.comps[d])
-                           for d in self.trunc},
-            },
-            sort_keys=True, separators=(",", ":"),
-        )
+    def to_json_obj(self) -> dict:
+        return {
+            "trunc": list(self.trunc),
+            "ring": self.ring.to_json_obj(),
+            "coeffs": {str(d): self.ring.element_str(self.comps[d]) for d in self.trunc},
+        }
 
 
 # -- the ghost route -------------------------------------------------------

@@ -169,6 +169,18 @@ class TestExitCodes:
     def test_bad_name_or_number_exits_two(self, argv, err, capsys):
         assert run_cli(argv, capsys) == (2, "", err)
 
+    @pytest.mark.parametrize("text", ["1,,3", "1,2,", ",1", ""])
+    @pytest.mark.parametrize("flag,argv", [
+        ("--trunc", ["witt", "ghost", "--coeffs", "1,0", "--trunc"]),
+        ("--series", ["intz", "pair", "C(x,2)", "--series"]),
+        ("--primes", ["intz", "frobtest", "C(x,3)", "--primes"]),
+    ], ids=["trunc", "series", "primes"])
+    def test_empty_integer_field_exits_two(self, flag, argv, text, capsys):
+        """An empty field is no integer: "1,,3" as a series would otherwise
+        move the 3 down to degree 1."""
+        err = f"error: {flag} wants comma-separated integers, got {text!r}\n"
+        assert run_cli(argv + [text], capsys) == (2, "", err)
+
     def test_bad_element_payload(self, capsys):
         rc, out, err = run_cli(["intz", "mul", "C(x", "C(x,1)"], capsys)
         assert rc == 2
@@ -769,6 +781,43 @@ class TestWindowedWords:
         assert rc == 0
         rows = [tuple(map(int, line.split("\t")[:3])) for line in out.splitlines()[1:]]
         assert {(q, w) for q, w, r in rows if r and w >= 4} == {(11, 4), (16, 6)}
+
+
+def _json_call_sites(node, scope):
+    """The dotted def or class around each attribute named dumps under
+    node; in src/ that is json.dumps."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Attribute) and child.attr == "dumps":
+            yield scope
+        yield from _json_call_sites(child, inner)
+
+
+# JSON goldens in the one encoding; `filt rees` without --t prints the
+# presentation, whose unsorted key order its goldens pin
+CANONICAL_JSON = [(name, argv) for name, argv in CASES if "json" in argv
+                  and not (argv[:2] == ["filt", "rees"] and "--t" not in argv)]
+
+
+class TestOneEncoder:
+    def test_json_is_encoded_in_one_place(self):
+        """cli._json_line encodes every JSON output with sorted keys and
+        compact separators; only the filtered-module form, which from_json
+        reads back, and the Rees presentation keep their own key order."""
+        sites = [site for path in SRC.glob("*.py")
+                 for site in _json_call_sites(ast.parse(path.read_text()), path.stem)]
+        importers = [path.stem for path in SRC.glob("*.py")
+                     if re.search(r"^(import|from) json\b", path.read_text(), re.M)]
+        assert sorted(sites) == ["cli._json_line", "filtration.FilteredModule.to_json",
+                                 "filtration.GradedAlgebraPresentation.to_json"]
+        assert sorted(importers) == ["cli", "filtration"]
+
+    @pytest.mark.parametrize("name,argv", CANONICAL_JSON, ids=[c[0] for c in CANONICAL_JSON])
+    def test_json_golden_is_sorted_and_compact(self, name, argv):
+        out = (GOLDEN / f"{name}.out").read_text()
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestJsonRoundTrips:

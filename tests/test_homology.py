@@ -20,9 +20,9 @@ from hopfwitt.homology import (
     cobar_differential_word,
     _Window,
     _add_term,
-    homology_tsv,
     shuffle_chains,
 )
+from hopfwitt.cli import _homology_out
 
 import linalg_oracle as oracle
 from window_oracle import visited_words, window_words
@@ -172,7 +172,7 @@ class TestChainComplex:
 
     def test_tsv_frozen(self):
         C = ChainComplex({0: {0: 1, 1: 1}}, {0: {1: [{0: 2}]}})
-        assert homology_tsv(C) == (
+        assert _homology_out(C, "text") == (
             "degree\tweight\trank\ttorsion\n"
             "0\t0\t0\t2\n"
             "1\t0\t0\t-\n")

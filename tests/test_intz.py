@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfwitt import intz
+from hopfwitt import cli, intz
 from hopfwitt.binomial import binomial_int
 from hopfwitt.errors import InputError
 from hopfwitt.filtration import drinfeld_structure_constants
@@ -153,8 +153,9 @@ def test_antipode_drops_the_term_that_cancels():
 
 def test_json_round_trip():
     f = elt(c0=-4, c1=1, c2=3)
-    assert f.to_json() == '{"coeffs":{"0":"-4","1":"1","2":"3"}}'
-    coeffs = json.loads(f.to_json())["coeffs"]
+    text = cli._json_line(f.to_json_obj())
+    assert text == '{"coeffs":{"0":"-4","1":"1","2":"3"}}\n'
+    coeffs = json.loads(text)["coeffs"]
     assert IntZElement({int(n): int(c) for n, c in coeffs.items()}) == f
 
 
