@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import FalsificationError, InputError, bound_overflow
+from .errors import FalsificationError, InputError, bound_overflow, read_int
 
 # Each group's handlers import that group's library modules, so a command
 # loads only what it runs and `man` loads none.
@@ -458,6 +458,15 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output encoding")
 
 
+def _integer(text: str) -> int:
+    """The type of every integer argument: a numeral past Python's int/str
+    conversion limit is refused by its digit count, not echoed."""
+    try:
+        return read_int(text, "integer")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses bad usage, such as an unknown or removed option, with one
     `error: ...` line and exit status 2, as every other refusal; its
@@ -496,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", description="integer value at an integer point")
     p.add_argument("f", help="element")
-    p.add_argument("a", type=int, help="evaluation point")
+    p.add_argument("a", type=_integer, help="evaluation point")
     _add_format(p)
     p.set_defaults(func=_cmd_intz_eval)
 
@@ -538,11 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witt_ghost)
 
     p = witt_parser("frob", "Frobenius F_n, landing on the quotient set")
-    p.add_argument("--n", type=int, required=True, help="Frobenius index")
+    p.add_argument("--n", type=_integer, required=True, help="Frobenius index")
     p.set_defaults(func=_cmd_witt_frob)
 
     p = witt_parser("versch", "Verschiebung V_n from the quotient set")
-    p.add_argument("--n", type=int, required=True, help="Verschiebung index")
+    p.add_argument("--n", type=_integer, required=True, help="Verschiebung index")
     p.set_defaults(func=_cmd_witt_versch)
 
     p = witt_parser("teich", "Teichmuller lift of a ring element", vectors=0)
@@ -550,13 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witt_teich)
 
     p = witt_parser("twisted", "twisted Frobenius F_n minus [t]^(n-1) times restriction")
-    p.add_argument("--n", type=int, required=True, help="Frobenius index")
+    p.add_argument("--n", type=_integer, required=True, help="Frobenius index")
     p.add_argument("--t", required=True, help="twist parameter, a ring element")
     p.set_defaults(func=_cmd_witt_twisted)
 
     p = witt_parser("kernel", "kernel of the twisted Frobenius over a finite ring",
                     vectors=0)
-    p.add_argument("--n", type=int, required=True, help="Frobenius index")
+    p.add_argument("--n", type=_integer, required=True, help="Frobenius index")
     p.add_argument("--t", required=True, help="twist parameter, a ring element")
     p.add_argument("--stable", action="store_true",
                    help="keep only members lifting one truncation level deeper")
@@ -567,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divisor-closed truncation set, e.g. 1,2,4")
     p.add_argument("--op", choices=("sum", "product", "neg", "frobenius"),
                    required=True, help="operation")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_integer, default=None,
                    help="index for frobenius")
     _add_format(p)
     p.set_defaults(func=_cmd_witt_unipoly)
@@ -587,15 +596,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_filt_gr)
 
     p = sub.add_parser("rees", description="Rees algebra structure constants over Z[t]")
-    p.add_argument("--bound", type=int, default=10, help="weight bound")
-    p.add_argument("--t", type=int, default=None,
+    p.add_argument("--bound", type=_integer, default=10, help="weight bound")
+    p.add_argument("--t", type=_integer, default=None,
                    help="specialize t to this integer")
     _add_format(p)
     p.set_defaults(func=_cmd_filt_rees)
 
     p = sub.add_parser("drinfeld", description="structure constants of the deformed basis")
-    p.add_argument("--m", type=int, required=True, help="left index")
-    p.add_argument("--n", type=int, required=True, help="right index")
+    p.add_argument("--m", type=_integer, required=True, help="left index")
+    p.add_argument("--n", type=_integer, required=True, help="right index")
     _add_format(p)
     p.set_defaults(func=_cmd_filt_drinfeld)
 
@@ -605,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bar", description="homology of the bar complex of a named algebra")
     p.add_argument("--algebra", required=True,
                    help="trivial | exterior-deg-neg1 | exterior-deg1 | truncated:p")
-    p.add_argument("--stages", type=int, required=True, help="tensor length bound")
-    p.add_argument("--weight-bound", type=int, default=None,
+    p.add_argument("--stages", type=_integer, required=True, help="tensor length bound")
+    p.add_argument("--weight-bound", type=_integer, default=None,
                    help="|weight| bound, at most stages (default: stages)")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_bar)
@@ -614,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cobar", description="homology of the cobar complex of a named coalgebra")
     p.add_argument("--coalgebra", required=True,
                    help="trivial | divided-power:N")
-    p.add_argument("--weight-bound", type=int, default=5, help="|weight| bound")
+    p.add_argument("--weight-bound", type=_integer, default=5, help="|weight| bound")
     _add_format(p)
     p.set_defaults(func=_cmd_homology_cobar)
 

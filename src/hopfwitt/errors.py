@@ -8,8 +8,12 @@ to be a theorem failed to hold (an exact division left a remainder, a
 structure constant came out non-integral).  That is never a user mistake;
 it maps to exit code 3 and should be treated as a bug or a falsified claim.
 Input whose work would pass a limit, a module constant, is an InputError
-too, and bound_overflow builds every one of those.
+too, and bound_overflow builds every one of those.  read_int reads a
+numeral from outside, so that one past Python's limit on int/str
+conversion is refused by its digit count rather than echoed.
 """
+
+import sys
 
 
 class InputError(ValueError):
@@ -25,3 +29,16 @@ def bound_overflow(what: str, need: str, limit: str, cap: int) -> InputError:
     `need` (a measure with its unit), over the constant named `limit`
     (module.NAME), whose value is `cap`."""
     return InputError(f"bound overflow: {what} needs {need}, over {limit} = {cap}")
+
+
+def read_int(text: str, what: str) -> int:
+    """int(text), or one short InputError: `bad <what>` with the text, or
+    with the digit count of a numeral past Python's int/str conversion
+    limit."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits() > 0:
+            raise InputError(f"bad {what}: numeral of {len(digits)} digits is too long") from exc
+        raise InputError(f"bad {what}: {text!r}") from exc

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .binomial import binomial_int, is_prime
 from .errors import InputError, bound_overflow
-from .poly import format_terms
+from .poly import format_terms, signed_terms
 
 
 def _checked(c) -> int:
@@ -47,6 +47,10 @@ def _checked(c) -> int:
     if not isinstance(c, int) or isinstance(c, bool):
         raise InputError("basis coefficients must be integers")
     return c
+
+
+# A term of an Int(Z) element: a numeral, C(x,n), or both, once each.
+_TERM = r"(?=\d|C)(?P<coef>\d+)?(?:\s*\*?\s*C\(\s*x\s*,\s*(?P<idx>\d+)\s*\))?"
 
 
 class IntZElement:
@@ -136,39 +140,16 @@ class IntZElement:
 
     @classmethod
     def parse(cls, text: str) -> IntZElement:
-        """Accepts sums like ``3*C(x,2)+C(x,1)-4``."""
-        import re
-
-        if not text.strip():
-            raise InputError("empty element")
+        """Accepts sums like ``3*C(x,2)+C(x,1)-4``: each term a numeral, a
+        C(x,n), or a numeral times a C(x,n), with or without ``*``."""
         coeffs: dict[int, int] = {}
-        pos = 0
-        term_re = re.compile(
-            r"\s*(?P<sign>[+-])?\s*(?:"
-            r"(?P<coef>\d+)\s*(?P<star>\*)?\s*)?"
-            r"(?:C\(\s*x\s*,\s*(?P<idx>\d+)\s*\))?"
-        )
-        first = True
-        while pos < len(text.rstrip()):
-            m = term_re.match(text, pos)
-            if not m or m.end() == pos:
-                raise InputError(f"bad element syntax at: {text[pos:]!r}")
-            sign, coef, star, idx = m.group("sign", "coef", "star", "idx")
-            if sign is None and not first:
-                raise InputError(f"missing +/- between terms in {text!r}")
-            if coef is None and idx is None:
-                raise InputError(f"empty term in {text!r}")
-            if coef is not None and idx is None and star is not None:
-                raise InputError(f"dangling * in {text!r}")
+        for sign, m in signed_terms(text, _TERM, "element"):
+            coef, idx = m.group("coef", "idx")
             digits = max(len(coef or ""), len(idx or ""))
             if digits > MAX_DIGITS:
                 raise bound_overflow("a numeral", f"{digits} digits", "intz.MAX_DIGITS", MAX_DIGITS)
-            s = -1 if sign == "-" else 1
-            c = int(coef) if coef is not None else 1
-            n = int(idx) if idx is not None else 0
-            coeffs[n] = coeffs.get(n, 0) + s * c
-            pos = m.end()
-            first = False
+            n = int(idx or 0)
+            coeffs[n] = coeffs.get(n, 0) + sign * int(coef or 1)
         return cls(coeffs)
 
     def to_json_obj(self) -> dict:

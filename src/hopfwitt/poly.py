@@ -12,11 +12,13 @@ dict equality.
 Serialization uses graded lexicographic order (total degree descending,
 then exponent vectors over the sorted variable universe, descending), which
 makes the text form canonical: the same polynomial always prints the same
-bytes.  The grammar accepted by parse() is a sum of terms
-``coef*var^e*var^e``, the coefficient a nonnegative integer, with
-``+``/``-`` separators; both coefficient and variables are optional in a
-term as long as something is present.  parse() reads Z[vars] only, so
-any ``/`` is refused.
+bytes.  format_terms prints that form and signed_terms reads it back, for
+Int(Z) elements too: a signed sum, where a sign may lead the first term
+and must stand between two terms, with whitespace free around both.  A
+term of parse() joins factors, each a nonnegative numeral or ``var^e``
+(``^e`` optional), by ``*`` or by juxtaposition, so ``2x`` and ``x y``
+are products and ``2 3`` is 6.  parse() reads Z[vars] only, so any
+``/`` is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, read_int
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -196,15 +198,50 @@ class SparsePoly:
 
     # -- parsing -----------------------------------------------------------
 
-    _TOKEN = re.compile(
-        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-        r"|(?P<op>[\^*+-]))"
-    )
-
     @classmethod
     def parse(cls, text: str) -> SparsePoly:
-        tokens = _tokenize(text)
-        return _parse_sum(tokens, text)
+        if "/" in text:
+            raise InputError("polynomial ring elements need integer coefficients")
+        terms: dict[Monomial, int] = {}
+        for sign, term in signed_terms(text, _TERM, "polynomial"):
+            coeff, mono = sign, {}
+            for num, name, exp in re.findall(_FACTOR, term[0]):
+                if name:
+                    mono[name] = mono.get(name, 0) + (read_int(exp, "polynomial") if exp else 1)
+                else:
+                    coeff *= read_int(num, "polynomial")
+            key = tuple(sorted((n, e) for n, e in mono.items() if e))
+            terms[key] = terms.get(key, 0) + coeff
+        return cls(terms)
+
+
+# A factor of a Z[vars] term is a numeral or a variable with an optional
+# exponent; a term joins factors by * or by juxtaposition.
+_FACTOR = r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?"
+_TERM = rf"(?:{_FACTOR})(?:\s*\*?\s*(?:{_FACTOR}))*"
+
+
+def signed_terms(text: str, term: str, what: str) -> Iterator[tuple[int, re.Match]]:
+    """Read `text` as a signed sum: the sign (1 or -1) and the match of the
+    pattern `term` of each term, left to right.  A sign may lead the first
+    term and must stand between two terms; whitespace may surround signs
+    and terms.  Anything else is one InputError naming `what`."""
+    if not text.strip():
+        raise InputError(f"empty {what}")
+    sign_re, term_re = re.compile(r"\s*([+-]?)\s*"), re.compile(term)
+    pos = 0
+    while True:
+        s = sign_re.match(text, pos)
+        at = s.end()
+        if pos and not s[1] and at == len(text):  # the sum ends after a term
+            return
+        # only the first term may go unsigned
+        t = term_re.match(text, at) if s[1] or not pos else None
+        if not t or t.end() == at:
+            rest = text[at:at + 20]
+            raise InputError(f"bad {what} at {rest!r}" if rest else f"{what} ends in a sign")
+        yield (-1 if s[1] == "-" else 1), t
+        pos = t.end()
 
 
 def format_terms(terms: Iterable[tuple[str, int]]) -> str:
@@ -230,84 +267,3 @@ def _coerce(v: SparsePoly | int) -> SparsePoly:
     if isinstance(v, SparsePoly):
         return v
     return SparsePoly.constant(v)
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = SparsePoly._TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].strip()
-            if rest[:1] == "/":
-                raise InputError("polynomial ring elements need integer coefficients")
-            if rest:
-                raise InputError(f"bad character in polynomial: {rest[0]!r}")
-            break
-        tokens.append(m.group(m.lastgroup))  # type: ignore[arg-type]
-        pos = m.end()
-    return tokens
-
-
-def _parse_sum(tokens: list[str], original: str) -> SparsePoly:
-    if not tokens:
-        raise InputError("empty polynomial")
-    result = SparsePoly()
-    i = 0
-    sign = 1
-    while i < len(tokens):
-        if tokens[i] == "+":
-            sign = 1
-            i += 1
-        elif tokens[i] == "-":
-            sign = -1
-            i += 1
-        term, i = _parse_term(tokens, i, original)
-        result = result + term * sign
-        sign = 1
-        if i < len(tokens) and tokens[i] not in ("+", "-"):
-            raise InputError(f"expected + or - in polynomial: {original!r}")
-    return result
-
-
-def _numeral(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError as exc:  # past Python's limit on int/str conversion
-        raise InputError(f"numeral of {len(tok)} digits in polynomial is too long") from exc
-
-
-def _parse_term(tokens: list[str], i: int, original: str) -> tuple[SparsePoly, int]:
-    coeff = 1
-    mono: dict[str, int] = {}
-    saw_factor = False
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("+", "-"):
-            break
-        if tok in ("*", "^"):
-            raise InputError(f"misplaced {tok!r} in polynomial: {original!r}")
-        if tok.isdigit():
-            coeff *= _numeral(tok)
-            saw_factor = True
-            i += 1
-        else:
-            name = tok
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                i += 1
-                if i >= len(tokens) or not tokens[i].isdigit():
-                    raise InputError(f"bad exponent in polynomial: {original!r}")
-                exp = _numeral(tokens[i])
-                i += 1
-            mono[name] = mono.get(name, 0) + exp
-            saw_factor = True
-        if i < len(tokens) and tokens[i] == "*":
-            i += 1
-            if i >= len(tokens) or tokens[i] in ("+", "-", "*", "^"):
-                raise InputError(f"dangling * in polynomial: {original!r}")
-    if not saw_factor:
-        raise InputError(f"empty term in polynomial: {original!r}")
-    key = tuple(sorted((n, e) for n, e in mono.items() if e))
-    return SparsePoly({key: coeff}), i

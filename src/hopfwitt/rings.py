@@ -46,7 +46,7 @@ import operator
 from typing import Iterator
 
 from .binomial import is_prime
-from .errors import InputError, bound_overflow
+from .errors import InputError, bound_overflow, read_int
 from .poly import SparsePoly
 
 # Conway polynomials, little-endian coefficient lists including the leading
@@ -132,10 +132,7 @@ class IntegerRing(CoeffRing):
         return str(a)
 
     def element_from_str(self, text: str):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise InputError(f"bad integer: {text!r}") from exc
+        return read_int(text, "integer")
 
     def to_json_obj(self) -> dict:
         return {"kind": "Z"}
@@ -172,10 +169,7 @@ class ZModRing(CoeffRing):
         return str(a)
 
     def element_from_str(self, text: str):
-        try:
-            return int(text) % self.m
-        except ValueError as exc:
-            raise InputError(f"bad residue: {text!r}") from exc
+        return read_int(text, "residue") % self.m
 
     def to_json_obj(self) -> dict:
         return {"kind": "Zmod", "m": self.m}
@@ -229,10 +223,7 @@ class GaloisField(CoeffRing):
         return ",".join(str(c) for c in a)
 
     def element_from_str(self, text: str):
-        try:
-            parts = [int(c) for c in text.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad field element: {text!r}") from exc
+        parts = [read_int(c, "field element") for c in text.split(",")]
         if len(parts) != self.k:
             raise InputError(
                 f"field element needs {self.k} coordinates, got {len(parts)}"
@@ -432,17 +423,10 @@ def ring_from_spec(spec: str) -> CoeffRing:
     if spec == "Poly":
         return PolynomialRing()
     if spec.startswith("Zmod:"):
-        try:
-            return ZModRing(int(spec[5:]))
-        except ValueError as exc:
-            raise InputError(f"bad modulus in {spec!r}") from exc
+        return ZModRing(read_int(spec[5:], "modulus"))
     if spec.startswith("Fq:"):
         body = spec[3:].split(",")
         if len(body) != 2:
             raise InputError(f"Fq ring spec needs p,k: {spec!r}")
-        try:
-            p, k = int(body[0]), int(body[1])
-        except ValueError as exc:
-            raise InputError(f"bad Fq parameters in {spec!r}") from exc
-        return GaloisField(p, k)
+        return GaloisField(*(read_int(part, "Fq parameter") for part in body))
     raise InputError(f"unknown ring spec {spec!r}")

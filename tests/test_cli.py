@@ -150,6 +150,24 @@ class TestGolden:
         assert out == (GOLDEN / "intz-mul.out").read_text()
 
 
+N5000 = "9" * 5000
+LONG_NUMERALS = [
+    ("ring-Z", ["witt", "add", "--trunc", "1", "--ring", "Z", "--coeffs", N5000, "--coeffs2", "1"]),
+    ("ring-Zmod", ["witt", "add", "--trunc", "1", "--ring", "Zmod:8", "--coeffs", N5000,
+                   "--coeffs2", "1"]),
+    ("ring-Fq", ["witt", "teich", "--trunc", "1", "--ring", "Fq:3,1", "--r", N5000]),
+    ("modulus", ["witt", "teich", "--trunc", "1", "--ring", f"Zmod:{N5000}", "--r", "1"]),
+    ("eval-point", ["intz", "eval", "C(x,1)", N5000]),
+    ("frob-n", ["witt", "frob", "--trunc", "1,2", "--coeffs", "1,2", "--n", N5000]),
+    ("drinfeld-m", ["filt", "drinfeld", "--m", N5000, "--n", "1"]),
+    ("rees-t", ["filt", "rees", "--t", N5000]),
+    ("rees-bound", ["filt", "rees", "--bound", N5000]),
+    ("bar-stages", ["homology", "bar", "--algebra", "trivial", "--stages", N5000]),
+    ("cobar-weight-bound", ["homology", "cobar", "--coalgebra", "trivial",
+                            "--weight-bound", N5000]),
+]
+
+
 class TestExitCodes:
     def test_unknown_group_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -268,6 +286,21 @@ class TestExitCodes:
         rc, _, err = run_cli(["witt", "ghost", "--trunc", "1,2", "--ring", "Z",
                               "--coeffs", "1"], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in LONG_NUMERALS],
+                             ids=[name for name, _ in LONG_NUMERALS])
+    def test_numeral_past_the_int_conversion_limit_exits_two_in_one_short_line(
+            self, argv, capsys):
+        """Ring readers and integer options refuse a numeral Python will not
+        convert by its digit count, where they echoed all of it."""
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an option's value
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert "5000 digits" in err
 
     @pytest.mark.parametrize("coeff", ["1/2*a1", "4/2*a1"])
     def test_poly_quotient_coefficient_exits_two(self, coeff, capsys):

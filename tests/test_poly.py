@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfwitt.errors import InputError
+from hopfwitt.intz import IntZElement
 from hopfwitt.poly import SparsePoly
 
+import parse_oracle
 from intz_oracle import substitute
 
 
@@ -146,3 +148,86 @@ def test_pow_matches_repeated_multiplication(p, n):
     for _ in range(n):
         expected = expected * p
     assert p ** n == expected
+
+
+# -- one scanner for both readers, against the readers it replaced --------
+
+def _verdict(read, text):
+    """The value read, or None for a refusal."""
+    try:
+        return read(text)
+    except InputError:
+        return None
+
+
+def _agrees_with_oracle(text):
+    assert _verdict(SparsePoly.parse, text) == _verdict(parse_oracle.poly_parse, text)
+    assert _verdict(IntZElement.parse, text) == _verdict(parse_oracle.intz_parse, text)
+
+
+@pytest.mark.parametrize("text", ["2x", "x y", "2 3", "x^2^3", "x+-y", "+", "C(x,1)C(x,2)",
+                                  "3*", "x^" + "9" * 5000])
+def test_fixed_sums_read_as_before(text):
+    _agrees_with_oracle(text)
+
+
+def test_juxtaposition_is_a_product_in_z_vars_only():
+    x, y = SparsePoly.variable("x"), SparsePoly.variable("y")
+    assert SparsePoly.parse("2x") == 2 * x
+    assert SparsePoly.parse("x y") == x * y
+    assert SparsePoly.parse("2 3") == 6
+    with pytest.raises(InputError):
+        IntZElement.parse("2 3")
+
+
+POLY_PIECES = ["0", "2", "13", "x", "y", "x2", "_z", "^", "*", "+", "-", "/", "$", "C"]
+INTZ_PIECES = ["0", "2", "13", "C(", "x", ",", "1", ")", "C", "*", "+", "-", "("]
+
+
+@st.composite
+def _poly_term(draw):
+    parts = []
+    for k in range(draw(st.integers(1, 3))):
+        parts += draw(st.sampled_from([["*"], []])) if k else []
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(["0", "2", "13"])))
+        else:
+            parts.append(draw(st.sampled_from(["x", "y", "x2"])))
+            parts += draw(st.sampled_from([[], ["^", "0"], ["^", "2"], ["^", "13"]]))
+    return parts
+
+
+@st.composite
+def _intz_term(draw):
+    coef = draw(st.sampled_from([[], ["0"], ["2"], ["13"]]))
+    basis = ["C(", "x", ",", draw(st.sampled_from("012")), ")"]
+    if not coef:
+        return basis
+    return coef + draw(st.sampled_from([[], ["*"] + basis, basis]))
+
+
+@st.composite
+def _sums(draw, term, pieces):
+    """A signed sum of one to three terms with whitespace or none after each
+    piece; it may have one piece inserted, deleted or replaced by one of
+    `pieces`."""
+    parts = [draw(st.sampled_from(["", "+", "-"]))]
+    for k in range(draw(st.integers(1, 3))):
+        parts += ([draw(st.sampled_from("+-"))] if k else []) + draw(term)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(parts)))
+        parts[i:i + draw(st.integers(0, 1))] = draw(st.sampled_from([[]] + [[p] for p in pieces]))
+    gaps = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=len(parts), max_size=len(parts)))
+    return "".join(p + gap for p, gap in zip(parts, gaps))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sums(_poly_term(), POLY_PIECES))
+def test_poly_reader_matches_the_tokenizer(text):
+    assert _verdict(SparsePoly.parse, text) == _verdict(parse_oracle.poly_parse, text)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sums(_intz_term(), INTZ_PIECES))
+def test_intz_reader_matches_the_regex_loop(text):
+    assert _verdict(IntZElement.parse, text) == _verdict(parse_oracle.intz_parse, text)
