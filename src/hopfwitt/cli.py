@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import FalsificationError, InputError, bound_overflow, read_int
+from .errors import FalsificationError, InputError, bound_overflow, read_int, read_named, shown
 
 # Each group's handlers import that group's library modules, so a command
 # loads only what it runs and `man` loads none.
@@ -27,10 +27,11 @@ from .errors import FalsificationError, InputError, bound_overflow, read_int
 def _payload(text: str) -> str:
     if text.startswith("@"):
         try:
-            with open(text[1:], encoding="utf-8") as fh:
+            # bytes that are not UTF-8 read as U+FFFD, which every reader refuses
+            with open(text[1:], encoding="utf-8", errors="replace") as fh:
                 return fh.read().strip()
         except OSError as exc:
-            raise InputError(f"cannot read payload file {text[1:]!r}: {exc}") from exc
+            raise InputError(f"cannot read payload file {shown(text[1:])}: {exc.strerror}") from exc
     return text
 
 
@@ -42,10 +43,7 @@ def _ints(text: str, flag: str) -> list[int]:
     if digits > MAX_DIGITS:
         raise bound_overflow(f"a numeral in {flag}", f"{digits} digits",
                              "intz.MAX_DIGITS", MAX_DIGITS)
-    try:
-        return [int(tok) for tok in toks]
-    except ValueError as exc:
-        raise InputError(f"{flag} wants comma-separated integers, got {text!r}") from exc
+    return [read_int(tok, f"integer in {flag}") for tok in toks]
 
 
 def _json_line(obj: object) -> str:
@@ -305,43 +303,6 @@ def _cmd_filt_drinfeld(args) -> str:
 # -- homology subcommands --------------------------------------------
 
 
-def _algebra_by_name(name: str):
-    from . import homology
-
-    if name == "trivial":
-        return homology.GradedAugmentedAlgebra.trivial()
-    if name == "exterior-deg-neg1":
-        return homology.GradedAugmentedAlgebra.exterior(-1, -1)
-    if name == "exterior-deg1":
-        return homology.GradedAugmentedAlgebra.exterior(1, 1, label="s")
-    if name.startswith("truncated:"):
-        try:
-            p = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad algebra name {name!r}") from exc
-        return homology.GradedAugmentedAlgebra.truncated(p)
-    raise InputError(
-        f"unknown algebra {name!r}; choose trivial, exterior-deg-neg1, "
-        "exterior-deg1, or truncated:p"
-    )
-
-
-def _coalgebra_by_name(name: str):
-    from . import homology
-
-    if name == "trivial":
-        return homology.GradedCoalgebra.trivial()
-    if name.startswith("divided-power:"):
-        try:
-            bound = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad coalgebra name {name!r}") from exc
-        return homology.GradedCoalgebra.divided_power(bound)
-    raise InputError(
-        f"unknown coalgebra {name!r}; choose trivial or divided-power:N"
-    )
-
-
 def _homology_out(C, fmt: str) -> str:
     """The homology table: degree, weight, free rank, torsion invariants."""
     cells = sorted(C.homology().items())
@@ -357,7 +318,13 @@ def _homology_out(C, fmt: str) -> str:
 def _cmd_homology_bar(args) -> str:
     from . import homology
 
-    A = _algebra_by_name(args.algebra)
+    alg = homology.GradedAugmentedAlgebra
+    A = read_named(args.algebra, {
+        "trivial": alg.trivial,
+        "exterior-deg-neg1": lambda: alg.exterior(-1, -1),
+        "exterior-deg1": lambda: alg.exterior(1, 1, label="s"),
+        "truncated:p": alg.truncated,
+    }, "algebra")
     wb = args.weight_bound if args.weight_bound is not None else args.stages
     C = homology.bar_complex(A, args.stages, wb)
     return _homology_out(C, args.format)
@@ -366,7 +333,9 @@ def _cmd_homology_bar(args) -> str:
 def _cmd_homology_cobar(args) -> str:
     from . import homology
 
-    G = _coalgebra_by_name(args.coalgebra)
+    coalg = homology.GradedCoalgebra
+    G = read_named(args.coalgebra, {"trivial": coalg.trivial,
+                                    "divided-power:N": coalg.divided_power}, "coalgebra")
     C = homology.cobar_complex(G, None, args.weight_bound)
     return _homology_out(C, args.format)
 

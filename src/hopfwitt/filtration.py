@@ -250,12 +250,9 @@ TPoly = dict[int, int]
 
 
 def t_poly(terms: TPoly) -> SparsePoly:
-    """The constant as a polynomial in t.  Its monomials are powers of t
-    alone, so it is built directly: zeros are dropped and nothing else
-    is checked."""
-    p = SparsePoly.__new__(SparsePoly)
-    p._terms = {(("t", e),) if e else (): c for e, c in terms.items() if c}
-    return p
+    """The constant as a polynomial in t, whose monomials are powers of t
+    alone; SparsePoly drops the zeros."""
+    return SparsePoly({(("t", e),) if e else (): c for e, c in terms.items()})
 
 
 def _gen_label(k: int) -> str:

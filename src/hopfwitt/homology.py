@@ -52,7 +52,7 @@ import heapq
 import itertools
 
 from . import intz, linalg
-from .errors import FalsificationError, InputError, bound_overflow
+from .errors import FalsificationError, InputError, bound_overflow, shown
 
 Chain = dict[tuple, int]
 Column = dict[int, int]
@@ -154,7 +154,7 @@ class GradedAugmentedAlgebra:
         if p < 2:
             raise InputError("truncated:p needs p >= 2")
         if p ** 3 > VALIDATION_LIMIT:
-            raise bound_overflow(f"checking truncated:{p}", f"{p ** 3} triples",
+            raise bound_overflow(f"checking truncated:{shown(p)}", f"{shown(p ** 3)} triples",
                                  "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
         lab = ["1", "x"] + [f"x{k}" for k in range(2, p)]
         products = {(lab[a], lab[b]): {lab[a + b]: 1} if a + b < p else {}
@@ -238,7 +238,8 @@ class GradedCoalgebra:
         if bound < 0:
             raise InputError("bound must be nonnegative")
         if (bound + 1) ** 3 > VALIDATION_LIMIT:
-            raise bound_overflow(f"checking divided-power:{bound}", f"{(bound + 1) ** 3} triples",
+            raise bound_overflow(f"checking divided-power:{shown(bound)}",
+                                 f"{shown((bound + 1) ** 3)} triples",
                                  "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
         basis = [(f"g{k}", 2 * k, k) for k in range(bound + 1)]
         delta = {f"g{n}": {(f"g{i}", f"g{j}"): c for (i, j), c
@@ -433,9 +434,9 @@ class _Window:
             raise InputError("cannot bound word length: letters need weights of one strict sign")
         longest = max((weight_bound // abs(wa) for wa in weights), default=0)
         if max_len is not None and longest > max_len:
-            raise InputError(f"weight bound {weight_bound} needs words of length {longest}, "
-                             f"above stages {max_len}: the window would cut the strands "
-                             "of its top weights")
+            raise InputError(f"weight bound {shown(weight_bound)} needs words of length "
+                             f"{shown(longest)}, above stages {max_len}: the window would cut "
+                             "the strands of its top weights")
         top = None if degree_bound is None else _top_degree(steps, weight_bound)
         if top is not None and degree_bound < top:
             raise InputError(f"degree bound {degree_bound} is below the top |degree| {top} "

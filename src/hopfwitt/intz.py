@@ -37,7 +37,7 @@ from math import ceil, comb, e, log2
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .binomial import binomial_int, is_prime
-from .errors import InputError, bound_overflow
+from .errors import InputError, bound_overflow, shown
 from .poly import format_terms, signed_terms
 
 
@@ -248,7 +248,7 @@ def _check_work(counts: Iterable[int], top: int, what: str) -> None:
     for c in counts:
         total += c
         if total > budget:
-            raise bound_overflow(what, f"at least {total * max(top, 1)} terms x top index",
+            raise bound_overflow(what, f"at least {shown(total * max(top, 1))} terms x top index",
                                  "intz.WORK_LIMIT", WORK_LIMIT)
 
 
@@ -295,7 +295,7 @@ def eval_at(f: IntZElement, a: int) -> int:
             k = min(n, N - n)  # C(a, n) = +-C(N, k), between 2^k and (e N / k)^k
             bits = k if k > EVAL_BITS_LIMIT or k < 1 else ceil(k * (log2(N) - log2(k) + log2(e)))
             if bits > EVAL_BITS_LIMIT:
-                raise bound_overflow(f"C(x,{n}) at the point", f"about {bits} bits",
+                raise bound_overflow(f"C(x,{shown(n)}) at the point", f"about {bits} bits",
                                      "intz.EVAL_BITS_LIMIT", EVAL_BITS_LIMIT)
     return sum(c * binomial_int(a, n) for n, c in f.items())
 
@@ -382,7 +382,8 @@ def frobenius_mod_p_identity(f: IntZElement, p: int) -> bool:
     d = filtration_degree(f)
     values = p * max(d or 0, 1) + 1
     if values > FROB_TABLE_LIMIT:
-        raise bound_overflow(f"the mod-{p} check of a degree-{d} element", f"{values} values",
+        raise bound_overflow(f"the mod-{shown(p)} check of a degree-{d} element",
+                             f"{shown(values)} values",
                              "intz.FROB_TABLE_LIMIT", FROB_TABLE_LIMIT)
     if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, read_int
+from .errors import InputError, read_int, shown
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -238,8 +238,8 @@ def signed_terms(text: str, term: str, what: str) -> Iterator[tuple[int, re.Matc
         # only the first term may go unsigned
         t = term_re.match(text, at) if s[1] or not pos else None
         if not t or t.end() == at:
-            rest = text[at:at + 20]
-            raise InputError(f"bad {what} at {rest!r}" if rest else f"{what} ends in a sign")
+            rest = text[at:]
+            raise InputError(f"bad {what} at {shown(rest)}" if rest else f"{what} ends in a sign")
         yield (-1 if s[1] == "-" else 1), t
         pos = t.end()
 

@@ -46,7 +46,7 @@ import operator
 from typing import Iterator
 
 from .binomial import is_prime
-from .errors import InputError, bound_overflow, read_int
+from .errors import InputError, bound_overflow, read_int, read_named, shown
 from .poly import SparsePoly
 
 # Conway polynomials, little-endian coefficient lists including the leading
@@ -187,7 +187,7 @@ class GaloisField(CoeffRing):
         if k < 1:
             raise InputError("extension degree must be positive")
         if k > 1 and (p, k) not in _CONWAY:
-            raise InputError(f"no built-in modulus for F_{p}^{k}")
+            raise InputError(f"no built-in modulus for F_{p}^{shown(k)}")
         self.p = p
         self.k = k
         self.modulus = _CONWAY[(p, k)] if k > 1 else (0, 1)  # w - 0: the prime field
@@ -416,17 +416,6 @@ class PolynomialRing(CoeffRing):
 
 
 def ring_from_spec(spec: str) -> CoeffRing:
-    """Parse the CLI ring syntax: Z | Zmod:m | Fq:p,k | Poly."""
-    spec = spec.strip()
-    if spec == "Z":
-        return IntegerRing()
-    if spec == "Poly":
-        return PolynomialRing()
-    if spec.startswith("Zmod:"):
-        return ZModRing(read_int(spec[5:], "modulus"))
-    if spec.startswith("Fq:"):
-        body = spec[3:].split(",")
-        if len(body) != 2:
-            raise InputError(f"Fq ring spec needs p,k: {spec!r}")
-        return GaloisField(*(read_int(part, "Fq parameter") for part in body))
-    raise InputError(f"unknown ring spec {spec!r}")
+    """Read the CLI ring syntax: Z | Zmod:m | Fq:p,k | Poly."""
+    return read_named(spec, {"Z": IntegerRing, "Zmod:m": ZModRing, "Fq:p,k": GaloisField,
+                             "Poly": PolynomialRing}, "ring")

@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import FalsificationError, InputError, bound_overflow
+from .errors import FalsificationError, InputError, bound_overflow, shown
 from .poly import SparsePoly
 from .rings import CoeffRing, IntegerRing, MonicQuotientRing, PolynomialRing
 
@@ -85,7 +85,7 @@ def divisors(n: int) -> list[int]:
     to sqrt(n); n over TRUNC_SUM_LIMIT, whose set would pass it, is refused
     before any division."""
     if n > TRUNC_SUM_LIMIT:
-        raise bound_overflow("a truncation set", f"member sum {n} or more",
+        raise bound_overflow("a truncation set", f"member sum {shown(n)} or more",
                              "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
     low: list[int] = []
     high: list[int] = []
@@ -117,7 +117,7 @@ class TruncationSet:
             raise InputError("truncation set members must be positive")
         total = sum(ms)
         if total > TRUNC_SUM_LIMIT:
-            raise bound_overflow("a truncation set", f"member sum {total}",
+            raise bound_overflow("a truncation set", f"member sum {shown(total)}",
                                  "witt.TRUNC_SUM_LIMIT", TRUNC_SUM_LIMIT)
         self.index = index = {n: i for i, n in enumerate(ms)}
         plan = []
@@ -155,7 +155,7 @@ class TruncationSet:
                 raise InputError("quotient index must be positive")
             ms = [m // n for m in self.members if m % n == 0]
             if not ms:
-                raise InputError(f"S/{n} is empty for S = {list(self.members)}")
+                raise InputError(f"S/{shown(n)} is empty: no member of S is a multiple of it")
             q = self._quotients[n] = TruncationSet(ms)
         return q
 
@@ -612,7 +612,7 @@ def all_vectors(trunc: TruncationSet, ring: CoeffRing) -> Iterator[WittVector]:
         raise InputError(f"cannot enumerate Witt vectors over {ring}")
     total = ring.size() ** len(trunc)
     if total > KERNEL_LIMIT:
-        raise bound_overflow("the enumeration", f"{total} vectors",
+        raise bound_overflow("the enumeration", f"{shown(total)} vectors",
                              "witt.KERNEL_LIMIT", KERNEL_LIMIT)
     pools = [list(ring.elements()) for _ in trunc]
     for combo in itertools.product(*pools):
@@ -681,7 +681,7 @@ def _kernel_search(n: int, t, trunc: TruncationSet, ring: CoeffRing,
     limit = KERNEL_LIMIT
 
     def refuse(count: int):
-        raise bound_overflow("the kernel search", f"at least {count} units of work",
+        raise bound_overflow("the kernel search", f"at least {shown(count)} units of work",
                              "witt.KERNEL_LIMIT", limit)
 
     if ring.size() > limit:  # the first level alone extends the empty prefix |R| times

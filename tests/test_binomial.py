@@ -122,3 +122,8 @@ def test_is_prime_refuses_past_the_limit_before_dividing():
                            match=f"needs n = 2\\^{n.bit_length() - 1} or more, "
                                  f"over binomial.PRIME_LIMIT = {PRIME_LIMIT}"):
             is_prime(n)
+
+
+def test_negative_lower_index_is_refused():
+    with pytest.raises(InputError, match="^lower binomial index must be nonnegative$"):
+        binomial_int(3, -1)

@@ -17,7 +17,7 @@ import pytest
 
 import hopfwitt
 from hopfwitt import cli, filtration, intz, witt
-from hopfwitt.errors import InputError
+from hopfwitt.errors import InputError, shown
 from hopfwitt.rings import ring_from_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,13 +176,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,err", [
         (["homology", "bar", "--algebra", "truncated:x", "--stages", "2"],
-         "error: bad algebra name 'truncated:x'\n"),
+         "error: bad p in truncated:p: 'x'\n"),
         (["homology", "cobar", "--coalgebra", "divided-power:x"],
-         "error: bad coalgebra name 'divided-power:x'\n"),
+         "error: bad N in divided-power:N: 'x'\n"),
         (["homology", "cobar", "--coalgebra", "nosuch"],
-         "error: unknown coalgebra 'nosuch'; choose trivial or divided-power:N\n"),
+         "error: unknown coalgebra 'nosuch'; choose trivial | divided-power:N\n"),
         (["witt", "ghost", "--trunc", "1,x", "--ring", "Z", "--coeffs", "1,0"],
-         "error: --trunc wants comma-separated integers, got '1,x'\n"),
+         "error: bad integer in --trunc: 'x'\n"),
     ], ids=["truncated-x", "divided-power-x", "unknown-coalgebra", "trunc-not-integer"])
     def test_bad_name_or_number_exits_two(self, argv, err, capsys):
         assert run_cli(argv, capsys) == (2, "", err)
@@ -196,8 +196,28 @@ class TestExitCodes:
     def test_empty_integer_field_exits_two(self, flag, argv, text, capsys):
         """An empty field is no integer: "1,,3" as a series would otherwise
         move the 3 down to degree 1."""
-        err = f"error: {flag} wants comma-separated integers, got {text!r}\n"
+        err = f"error: bad integer in {flag}: ''\n"
         assert run_cli(argv + [text], capsys) == (2, "", err)
+
+    @pytest.mark.parametrize("argv,err", [
+        (["filt", "rees", "--bound", "-1"], "error: bound must be nonnegative\n"),
+        (["filt", "drinfeld", "--m", "-1", "--n", "1"], "error: indices must be nonnegative\n"),
+        (["homology", "bar", "--algebra", "truncated:1", "--stages", "2"],
+         "error: truncated:p needs p >= 2\n"),
+        (["homology", "cobar", "--coalgebra", "divided-power:-1"],
+         "error: bound must be nonnegative\n"),
+        (["witt", "unipoly", "--trunc", "1,2", "--op", "frobenius"],
+         "error: frobenius needs the index n\n"),
+        (["witt", "ghost", "--trunc", "0,1", "--coeffs", "1,1"],
+         "error: truncation set members must be positive\n"),
+        (["homology", "bar", "--algebra", "truncated:3", "--stages", "-1"],
+         "error: bounds must be nonnegative\n"),
+        (["homology", "cobar", "--coalgebra", "trivial", "--weight-bound", "-1"],
+         "error: bounds must be nonnegative\n"),
+    ], ids=["rees-bound", "drinfeld-m", "truncated-1", "divided-power-negative",
+            "unipoly-frobenius-without-n", "trunc-member-0", "bar-stages", "cobar-weight-bound"])
+    def test_precondition_refusals(self, argv, err, capsys):
+        assert run_cli(argv, capsys) == (2, "", err)
 
     def test_bad_element_payload(self, capsys):
         rc, out, err = run_cli(["intz", "mul", "C(x", "C(x,1)"], capsys)
@@ -228,10 +248,16 @@ class TestExitCodes:
          ": structure map into stage 0 is not injective\n"),
         ('{"n_min":0,"n_max":1,"ranks":[1,2],"maps":[[[1,1]]]}',
          ": structure map into stage 0 is not injective\n"),
+        ("[1]", ": want an object\n"),
+        ('{"n_min":1,"n_max":0,"ranks":[],"maps":[]}', ": empty filtration range\n"),
+        ('{"n_min":0,"n_max":1,"ranks":[1],"maps":[]}', ": rank list does not match the range\n"),
+        ('{"n_min":0,"n_max":0,"ranks":[1],"maps":[[[1]]]}',
+         ": need one structure map per adjacent pair of stages\n"),
     ], ids=["float-entry", "bool-entry", "bool-rank", "string-n_min", "string-entry",
             "float-n_min", "negative-rank", "overflowing-n_max", "int-map", "missing-ranks",
             "deep-nesting", "ragged-map", "tall-map", "short-map", "empty-map-into-rank-0",
-            "zero-map", "rank-one-map"])
+            "zero-map", "rank-one-map", "not-an-object", "empty-range", "short-rank-list",
+            "extra-map"])
     def test_bad_module_json_exits_two(self, payload, field, capsys):
         """A filtered module reads JSON integers only and nonnegative
         ranks, and its structure maps are injective integer matrices of
@@ -395,6 +421,12 @@ class TestExitCodes:
     def test_missing_payload_file(self, capsys):
         rc, _, err = run_cli(["intz", "antipode", "@/no/such/file"], capsys)
         assert rc == 2
+
+    def test_payload_file_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bytes.txt"
+        p.write_bytes(b"C(x,1)\xff")
+        assert run_cli(["intz", "antipode", f"@{p}"], capsys) == (
+            2, "", "error: bad element at '\ufffd'\n")
 
     def test_falsification_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(intz, "frobenius_mod_p_identity",
@@ -743,6 +775,100 @@ class TestBoundOverflow:
                     assert isinstance(limit, ast.Constant), f"{path.name}:{node.lineno}"
                     passed.add(limit.value)
         assert passed == set(rows)
+
+
+N4000 = "9" * 4000
+X5000 = "x" * 5000
+# Outside input that refusals echoed whole, or, where a cube of it passed
+# Python's limit on int/str conversion, that ended in a traceback.
+OUTSIDE_INPUT = [
+    ("coeffs-text", ["witt", "add", "--trunc", "1", "--ring", "Z", "--coeffs", X5000,
+                     "--coeffs2", "1"]),
+    ("ring-text", ["witt", "add", "--trunc", "1", "--ring", X5000, "--coeffs", "1",
+                   "--coeffs2", "1"]),
+    ("truncated-text", ["homology", "bar", "--algebra", "truncated:" + X5000, "--stages", "2"]),
+    ("series-fields", ["intz", "pair", "C(x,1)", "--series", ",".join(["x"] * 3000)]),
+    ("payload-path", ["intz", "mul", "@" + "p" * 5000, "1"]),
+    ("frob-n", ["witt", "frob", "--trunc", "1,2", "--ring", "Z", "--coeffs", "1,2",
+                "--n", N4000]),
+    ("kernel-n", ["witt", "kernel", "--trunc", "1,2", "--ring", "Zmod:4", "--n", N4000,
+                  "--t", "1", "--stable"]),
+    ("kernel-modulus", ["witt", "kernel", "--trunc", "1,2", "--ring", f"Zmod:{N4000}",
+                        "--n", "2", "--t", "1"]),
+    ("frobtest-primes", ["intz", "frobtest", "C(x,2)", "--primes", "9" * 999]),
+    ("rees-bound", ["filt", "rees", "--bound", N4000]),
+    ("drinfeld-m", ["filt", "drinfeld", "--m", N4000, "--n", "1"]),
+    ("truncated-1434", ["homology", "bar", "--algebra", "truncated:" + "9" * 1434,
+                        "--stages", "2"]),
+    ("truncated-4000", ["homology", "bar", "--algebra", "truncated:" + N4000, "--stages", "2"]),
+    ("divided-power-1434", ["homology", "cobar", "--coalgebra", "divided-power:" + "9" * 1434]),
+    ("divided-power-4000", ["homology", "cobar", "--coalgebra", "divided-power:" + N4000]),
+]
+
+
+class TestOutsideInputQuoted:
+    """A refusal quotes outside text as a 20-character slice and states an
+    integer of more than 20 digits by its size (errors.shown)."""
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in OUTSIDE_INPUT],
+                             ids=[name for name, _ in OUTSIDE_INPUT])
+    def test_refusal_is_one_short_line(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert not err.startswith("error: bound overflow: ") or re.fullmatch(
+            r"error: bound overflow: .+ needs .+, over \w+\.\w+ = \d+\n", err)
+
+    @pytest.mark.parametrize("x,text", [
+        (10 ** 20 - 1, "9" * 20), (-(10 ** 20) + 1, "-" + "9" * 20), (10 ** 20, "~2^66"),
+        (-(2 ** 100), "~-2^100"), ("x" * 20, repr("x" * 20)),
+        ("x" * 21, repr("x" * 20) + "... (21 characters)"),
+    ])
+    def test_shown(self, x, text):
+        assert shown(x) == text
+
+
+class TestNamedArguments:
+    """--ring, --algebra and --coalgebra read through errors.read_named,
+    whose table keys are the documented syntax."""
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--ring", ["witt", "ghost", "--trunc", "1", "--coeffs", "1", "--ring"]),
+        ("--algebra", ["homology", "bar", "--stages", "1", "--algebra"]),
+        ("--coalgebra", ["homology", "cobar", "--coalgebra"]),
+    ], ids=["ring", "algebra", "coalgebra"])
+    def test_help_lists_the_keys_the_reader_accepts(self, flag, argv, capsys):
+        helps = {a.help for _, _, a in parser_actions(cli.build_parser())
+                 if flag in a.option_strings}
+        rc, _, err = run_cli(argv + ["nosuch"], capsys)
+        assert rc == 2
+        assert err.startswith(f"error: unknown {flag[2:]} 'nosuch'; choose ")
+        assert helps == {err.rstrip("\n").split("; choose ", 1)[1]}
+
+    @pytest.mark.parametrize("spec,err", [
+        ("Fq:2", "ring syntax is Fq:p,k, got 'Fq:2'"),
+        ("Fq:2,2,2", "ring syntax is Fq:p,k, got 'Fq:2,2,2'"),
+        ("Z:", "ring syntax is Z, got 'Z:'"),
+        ("Zmod", "ring syntax is Zmod:m, got 'Zmod'"),
+        ("Zmod:", "bad m in Zmod:m: ''"),
+        ("Fq:2,x", "bad k in Fq:p,k: 'x'"),
+        ("Q", "unknown ring 'Q'; choose Z | Zmod:m | Fq:p,k | Poly"),
+    ])
+    def test_ring_spec_refusals(self, spec, err):
+        with pytest.raises(InputError) as exc:
+            ring_from_spec(spec)
+        assert str(exc.value) == err
+
+    def test_spacing_around_a_spec_is_ignored(self):
+        assert ring_from_spec(" Zmod:8 ") == ring_from_spec("Zmod:8")
+
+    @pytest.mark.parametrize("name", ["cli.py", "rings.py"])
+    def test_no_int_call(self, name):
+        """Integers from outside go through errors.read_int, which refuses
+        in one short line."""
+        tree = ast.parse((SRC / name).read_text())
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "int"] == []
 
 
 class TestWindowedWords:

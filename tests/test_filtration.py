@@ -708,3 +708,12 @@ class TestDrinfeldBasis:
         with pytest.raises(InputError, match="bound overflow"):
             rees(10 ** 5)
         assert len(drinfeld_structure_constants(150, 150)) == 151
+
+
+@pytest.mark.parametrize("call,err", [
+    (lambda: degree_filtration_module(-1), "N must be nonnegative"),
+    (lambda: FilteredModule.from_lattices(1, 0, []), "need at least one stage"),
+], ids=["degree-filtration", "no-stage"])
+def test_out_of_contract_arguments_are_refused(call, err):
+    with pytest.raises(InputError, match=f"^{err}$"):
+        call()

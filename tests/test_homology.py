@@ -96,6 +96,35 @@ class TestGradedAugmentedAlgebra:
                 {("1", "1"): {"1": 1}, ("1", "e"): {"e": 2},
                  ("e", "1"): {"e": 2}, ("e", "e"): {}})
 
+    @pytest.mark.parametrize("basis,products,err", [
+        ([("1", 0, 0), ("1", 0, 0)], {("1", "1"): {"1": 1}}, "^duplicate basis labels$"),
+        ([("1", 0, 1)], {("1", "1"): {"1": 1}},
+         r"^unit must be a basis label in bidegree \(0, 0\)$"),
+        ([("1", 0, 0), ("e", 1, 1)],
+         {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}, ("e", "e"): {"q": 1}},
+         r"^product \(e,e\) hits unknown label q$"),
+    ], ids=["duplicate-label", "unit-bidegree", "unknown-label"])
+    def test_malformed_table_rejected(self, basis, products, err):
+        with pytest.raises(InputError, match=err):
+            GradedAugmentedAlgebra(basis, "1", products)
+
+    def test_associativity_rejected(self):
+        # a^2 = c and c b = d, but a b = 0: (a a) b = d while a (a b) = 0
+        labels = ["1", "a", "b", "c", "d"]
+        prods = {(x, y): {} for x in labels for y in labels}
+        for x in labels:
+            prods["1", x] = prods[x, "1"] = {x: 1}
+        prods["a", "a"] = {"c": 1}
+        prods["c", "b"] = prods["b", "c"] = {"d": 1}
+        with pytest.raises(InputError, match="associativity fails on"):
+            GradedAugmentedAlgebra([("1", 0, 0), ("a", 2, 1), ("b", 2, 1), ("c", 4, 2),
+                                    ("d", 6, 3)], "1", prods)
+
+
+def test_bar_homology_window_refuses_negative_bounds():
+    with pytest.raises(InputError, match="^bounds must be nonnegative$"):
+        BarHomologyWindow(GradedAugmentedAlgebra.truncated(3), -1, 2)
+
 
 class TestGradedCoalgebra:
     def test_divided_power_valid(self):
@@ -126,6 +155,23 @@ class TestGradedCoalgebra:
     def test_group_like_coaugmentation_enforced(self):
         with pytest.raises(InputError, match="group-like"):
             GradedCoalgebra([("1", 0, 0)], "1", {"1": {("1", "1"): 2}})
+
+    @pytest.mark.parametrize("basis,delta,err", [
+        ([("1", 0, 0), ("1", 0, 0)], {"1": {("1", "1"): 1}}, "^duplicate basis labels$"),
+        ([("1", 1, 0)], {"1": {("1", "1"): 1}},
+         r"^coaugmentation must be a basis label in bidegree \(0, 0\)$"),
+        ([("1", 0, 0), ("y", 2, 1)], {"1": {("1", "1"): 1}}, "^diagonal of y missing$"),
+        ([("1", 0, 0), ("y", 2, 1)],
+         {"1": {("1", "1"): 1}, "y": {("1", "y"): 1, ("y", "1"): 1, ("q", "q"): 1}},
+         r"^diagonal of y hits unknown labels \(q,q\)$"),
+        ([("1", 0, 0), ("y", 2, 1)],
+         {"1": {("1", "1"): 1}, "y": {("1", "y"): 1, ("y", "1"): 1, ("y", "y"): 1}},
+         r"^diagonal of y is not bigraded at \(y,y\)$"),
+    ], ids=["duplicate-label", "coaugmentation-bidegree", "missing-diagonal", "unknown-label",
+            "not-bigraded"])
+    def test_malformed_table_rejected(self, basis, delta, err):
+        with pytest.raises(InputError, match=err):
+            GradedCoalgebra(basis, "1", delta)
 
 
 class TestChainComplex:

@@ -429,3 +429,8 @@ def test_comult_mult_duality_small():
         c * pair(C(m), s.coeffs) * pair(C(n), sp.coeffs) for (m, n), c in comult(f).items()
     )
     assert lhs == pair(f, (s * sp).coeffs)
+
+
+def test_graded_constant_refuses_negative_indices():
+    with pytest.raises(InputError, match="^basis indices must be nonnegative$"):
+        graded_constant(-1, 2)

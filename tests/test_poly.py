@@ -231,3 +231,10 @@ def test_poly_reader_matches_the_tokenizer(text):
 @given(_sums(_intz_term(), INTZ_PIECES))
 def test_intz_reader_matches_the_regex_loop(text):
     assert _verdict(IntZElement.parse, text) == _verdict(parse_oracle.intz_parse, text)
+
+
+def test_bad_variable_name_and_negative_power_are_refused():
+    with pytest.raises(InputError, match="^bad variable name: '1x'$"):
+        SparsePoly.variable("1x")
+    with pytest.raises(InputError, match="^negative polynomial power$"):
+        SparsePoly.variable("x") ** -1

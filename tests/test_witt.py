@@ -746,6 +746,17 @@ def test_kernel_search_bound_counts_prefixes(monkeypatch):
         twisted_kernel(2, R.one(), S, R)
 
 
+def test_kernel_search_bound_counts_a_congruence_lookup(monkeypatch):
+    """W_{1,2,4}(Z/2) at n = 4: the search goes depth first, so it extends
+    the empty prefix and then that prefix by one residue each, and the
+    third unit is the congruence lookup at a_4, the only position n divides."""
+    R = ZModRing(2)
+    monkeypatch.setattr(witt, "KERNEL_LIMIT", 2)
+    with pytest.raises(InputError,
+                       match="needs at least 3 units of work, over witt.KERNEL_LIMIT = 2"):
+        twisted_kernel(4, R.one(), TruncationSet([1, 2, 4]), R)
+
+
 def test_stable_search_stops_at_the_first_lift(monkeypatch):
     """W_{1,2,4}(Z/8) at n = 2, t = 1 deepens to {1,2,4,8}.  The search
     extends the empty prefix 8 times; at a_2 and a_4 each prefix looks up
@@ -1142,6 +1153,26 @@ def test_witt_json_round_trip():
     back = WittVector.from_list(TruncationSet(obj["trunc"]), ZModRing(obj["ring"]["m"]),
                                 [int(obj["coeffs"][str(d)]) for d in obj["trunc"]])
     assert back == a
+
+
+@pytest.mark.parametrize("call,err", [
+    (lambda: witt_add(zvec(S12, 1, 2), zvec(TruncationSet([1]), 1)), "truncation sets differ"),
+    (lambda: witt_add(zvec(S12, 1, 2), WittVector.from_list(S12, ZModRing(4), [1, 2])),
+     "coefficient rings differ"),
+    (lambda: TruncationSet([0, 1]), "truncation set members must be positive"),
+    (lambda: frobenius(0, zvec(S12, 1, 2)), "Frobenius index must be positive"),
+    (lambda: verschiebung(0, zvec(S12, 1, 2), S12), "Verschiebung index must be positive"),
+    (lambda: witt_pow(zvec(S12, 1, 2), -1), "negative Witt powers are not defined"),
+    (lambda: TruncationSet.p_typical(2, 0), "length must be positive"),
+    (lambda: from_ghost([1], S12), "ghost vector length does not match"),
+    (lambda: divides_additively(2, WittVector.from_list(S12, ZModRing(4), [0, 0])),
+     "additive divisibility is only decided over Z"),
+    (lambda: zvec(S12, 1, 2).restrict(TruncationSet([1, 3])), "cannot restrict: 3 missing"),
+], ids=["trunc", "ring", "member-0", "frobenius-0", "verschiebung-0", "power-minus-1",
+        "p-typical-length-0", "ghost-length", "divides-over-z-mod-4", "restrict-missing"])
+def test_out_of_contract_arguments_are_refused(call, err):
+    with pytest.raises(InputError, match=f"^{err}"):
+        call()
 
 
 def test_component_mismatch_rejected():
