@@ -439,9 +439,17 @@ def _integer(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """Refuses bad usage, such as an unknown or removed option, with one
     `error: ...` line and exit status 2, as every other refusal; its
-    subparsers are of the same class."""
+    subparsers are of the same class.  argparse's message may hold
+    outside text whole (a bad choice, unrecognized arguments), so one
+    with a line break or past 120 characters is escaped to ASCII, and a
+    long one keeps its first and last 60 characters, which name the
+    argument and the choices, around the count of those left out."""
 
     def error(self, message: str):
+        if len(message) > 120 or not message.isprintable():
+            message = message.encode("unicode_escape").decode()
+        if len(message) > 120:
+            message = f"{message[:60]} ...({len(message) - 120} characters)... {message[-60:]}"
         self.exit(2, f"error: {message}\n")
 
 

@@ -48,7 +48,6 @@ the CLI forms its text and JSON tables from that map.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 from . import intz, linalg
@@ -349,6 +348,11 @@ def _wrong_shape(q: int, w: int) -> InputError:
     return InputError(f"differential at degree {q}, weight {w} has wrong shape")
 
 
+def _degree_cut(degree_bound: int, key: tuple[int, int]) -> InputError:
+    return InputError(f"degree bound {shown(degree_bound)} is below the |degree| {abs(key[0])} "
+                      f"of the strand {key} of the window: it would cut its strands")
+
+
 def _apply(cols: list[Column], v: Column) -> Column:
     """The image sum_j v[j] * cols[j], zero entries included."""
     out: Column = {}
@@ -359,34 +363,6 @@ def _apply(cols: list[Column], v: Column) -> Column:
 
 
 # -- words in a window, by strand ---------------------------------------
-
-
-def _top_degree(steps: list[tuple[str, int, int]], weight_bound: int) -> int | None:
-    """The largest |degree| of a word of |weight| at most weight_bound over
-    steps (letter, shifted degree, weight), whose weights share one strict
-    sign: a knapsack for the least and the greatest degree, and the number
-    of words, at each reachable |weight|, taken in increasing order, so each
-    is final when it is read.  None once more than _TUPLE_CAP words are
-    counted below weights still to read: the walk refuses that window."""
-    span = {0: (0, 0, 1)}  # |weight| -> (least degree, greatest degree, words)
-    heap = [0]
-    words = 0
-    while heap:
-        r = heapq.heappop(heap)
-        lo, hi, n = span[r]
-        words += n
-        for _, da, wa in steps:
-            s = r + abs(wa)
-            if s > weight_bound:
-                continue
-            if (old := span.get(s)) is None:
-                heapq.heappush(heap, s)
-                span[s] = (lo + da, hi + da, n)
-            else:
-                span[s] = (min(old[0], lo + da), max(old[1], hi + da), old[2] + n)
-        if words > _TUPLE_CAP and heap:
-            return None
-    return max(max(hi, -lo) for lo, hi, _ in span.values())
 
 
 class _Window:
@@ -418,10 +394,12 @@ class _Window:
     visited words are closed under faces too: a face keeps its word's
     weight, so every face of a visited word has its place in the tables.  A
     max_len below the longest word, weight_bound over the lightest
-    letter's |weight|, is refused before the walk; it never cuts one.  So
-    is a degree_bound below the window's top |degree|, read off the letters
-    by _top_degree unless the window is over _TUPLE_CAP.  Every word the
-    walk forms is visited, and counts against _TUPLE_CAP.
+    letter's |weight|, is refused before the walk; it never cuts one.  A
+    degree_bound is refused as the walk opens a group whose |degree| is
+    above it, before any word of that group is formed; the empty word's
+    (0, 0) refuses a negative one.  Every group is a strand, so a walk
+    that ends met no strand past the bound.  Every word the walk forms
+    is visited, and counts against _TUPLE_CAP.
     """
 
     def __init__(self, letters: list[str], bidegree: dict[str, tuple[int, int]], shift: int,
@@ -437,10 +415,9 @@ class _Window:
             raise InputError(f"weight bound {shown(weight_bound)} needs words of length "
                              f"{shown(longest)}, above stages {max_len}: the window would cut "
                              "the strands of its top weights")
-        top = None if degree_bound is None else _top_degree(steps, weight_bound)
-        if top is not None and degree_bound < top:
-            raise InputError(f"degree bound {degree_bound} is below the top |degree| {top} "
-                             "of the window: it would cut its strands")
+        reach = float("inf") if degree_bound is None else degree_bound
+        if reach < 0:
+            raise _degree_cut(degree_bound, (0, 0))
         prefix: list[int] = [-1]
         last: list[str | None] = [None]
         group, place = [0], [0]
@@ -472,6 +449,8 @@ class _Window:
                         key = (d + da, w + wa)
                         h = index.get(key)
                         if h is None:
+                            if abs(key[0]) > reach:
+                                raise _degree_cut(degree_bound, key)
                             h = index[key] = len(keys)
                             keys.append(key)
                             members.append([])
@@ -619,8 +598,8 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int | None,
                   weight_bound: int) -> ChainComplex:
     """Cobar complex of the reduced coalgebra on the words of absolute
     weight at most weight_bound, every strand whole; a degree_bound, if
-    not None, below the window's top absolute degree is refused, never
-    used to trim one."""
+    not None, below the absolute degree of a strand is refused as the
+    walk reaches that strand, never used to trim one."""
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext

@@ -123,7 +123,10 @@ def parser_actions(parser):
 
 
 def run_cli(argv, capsys):
-    rc = cli.main(argv)
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the argv
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -319,11 +322,7 @@ class TestExitCodes:
             self, argv, capsys):
         """Ring readers and integer options refuse a numeral Python will not
         convert by its digit count, where they echoed all of it."""
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses an option's value
-            rc = exc.code
-        out, err = capsys.readouterr()
+        rc, out, err = run_cli(argv, capsys)
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and len(err.encode()) < 200
         assert "5000 digits" in err
@@ -803,6 +802,12 @@ OUTSIDE_INPUT = [
     ("truncated-4000", ["homology", "bar", "--algebra", "truncated:" + N4000, "--stages", "2"]),
     ("divided-power-1434", ["homology", "cobar", "--coalgebra", "divided-power:" + "9" * 1434]),
     ("divided-power-4000", ["homology", "cobar", "--coalgebra", "divided-power:" + N4000]),
+    # argparse's own refusals, past TestArgumentSweep's argvs: a bad group
+    # name, unrecognized arguments
+    ("group-choice", [X5000]),
+    ("man-extra", ["man", "z" * 5000]),
+    ("man-extra-wide", ["man", "\U0001f642" * 5000]),
+    ("unknown-option", ["intz", "mul", "C(x,1)", "C(x,1)", "--" + "q" * 5000]),
 ]
 
 
@@ -819,6 +824,18 @@ class TestOutsideInputQuoted:
         assert not err.startswith("error: bound overflow: ") or re.fullmatch(
             r"error: bound overflow: .+ needs .+, over \w+\.\w+ = \d+\n", err)
 
+    def test_argparse_message_keeps_its_ends(self, capsys):
+        # a short message is argparse's own; a long one keeps its first and
+        # last 60 characters, with the bad choice's list, and one line
+        argv = ["intz", "mul", "C(x,1)", "C(x,1)", "--format"]
+        assert run_cli(argv + ["nosuch"], capsys) == (2, "", (
+            "error: argument --format: invalid choice: 'nosuch' (choose from 'text', 'json')\n"))
+        assert run_cli(argv + [X5000], capsys) == (2, "", (
+            "error: argument --format: invalid choice: 'xxxxxxxxxxxxxxxxxxxxxxxx "
+            "...(4946 characters)... " + "x" * 30 + "' (choose from 'text', 'json')\n"))
+        assert run_cli(["man", "a\nb"], capsys) == (
+            2, "", "error: unrecognized arguments: a\\nb\n")
+
     @pytest.mark.parametrize("x,text", [
         (10 ** 20 - 1, "9" * 20), (-(10 ** 20) + 1, "-" + "9" * 20), (10 ** 20, "~2^66"),
         (-(2 ** 100), "~-2^100"), ("x" * 20, repr("x" * 20)),
@@ -826,6 +843,56 @@ class TestOutsideInputQuoted:
     ])
     def test_shown(self, x, text):
         assert shown(x) == text
+
+
+SWEEP_VALUES = {"x": X5000, "nines": "9" * 5000, "path": "@" + "p" * 5000,
+                "minus-nines": "-" + "9" * 5000}
+
+
+def sweep_argvs():
+    """(id, argv) for each of SWEEP_VALUES in each argument that takes a
+    value, of each leaf, in place of that argument in the leaf's golden
+    argv (an option it lacks is appended)."""
+    golden = {}
+    for _, argv in CASES:
+        golden.setdefault(tuple(argv[:2]), argv)
+    positionals = {}
+    for group, command, action in parser_actions(cli.build_parser()):
+        if action.nargs == 0:
+            continue
+        base = golden[group, command]
+        if action.option_strings:
+            name = action.option_strings[0]
+            if name in base:
+                i = base.index(name)
+                base = base[:i] + base[i + 2:]
+        else:
+            name = action.dest
+            seen = positionals.get((group, command), 0)
+            positionals[group, command] = seen + 1
+            k = 2 + seen  # past group and command
+        for label, value in SWEEP_VALUES.items():
+            argv = base + [name, value] if action.option_strings else (
+                base[:k] + [value] + base[k + 1:])
+            yield f"{group}-{command}-{name.lstrip('-')}-{label}", argv
+
+
+SWEEP = list(sweep_argvs())
+
+
+class TestArgumentSweep:
+    """Every argument of every leaf, inside an otherwise valid argv, given
+    5,000 characters of text, nines, payload path or negative numeral:
+    exit 0, or 2 with one short stderr line, within a second."""
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in SWEEP], ids=[i for i, _ in SWEEP])
+    def test_long_value(self, argv, capsys):
+        start = time.perf_counter()
+        rc, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert rc in (0, 2)
+        assert err == "" if rc == 0 else (
+            err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 200)
 
 
 class TestNamedArguments:

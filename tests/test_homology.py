@@ -387,34 +387,44 @@ class TestCobarComplex:
         # printed Z at (6,4) and Z^3 at (6,5), where the cohomology of BH
         # is Z at (0,0) and (1,1) only; g5 alone has degree 9
         C = GradedCoalgebra.divided_power(5)
-        with pytest.raises(InputError, match=r"^degree bound 6 is below the top \|degree\| 9 "
-                                             r"of the window: it would cut its strands$"):
+        with pytest.raises(InputError, match=r"^degree bound 6 is below the \|degree\| 7 of the "
+                                             r"strand \(7, 4\) of the window: it would cut its "
+                                             r"strands$"):
             cobar_complex(C, 6, 5)
         cobar_complex(C, 9, 5)
-        with pytest.raises(InputError, match=r"degree bound 8 is below the top \|degree\| 9"):
+        with pytest.raises(InputError, match=r"degree bound 8 is below the \|degree\| 9 "
+                                             r"of the strand \(9, 5\)"):
             cobar_complex(C, 8, 5)
-        with pytest.raises(InputError, match=r"degree bound -1 is below the top \|degree\| 0"):
+        with pytest.raises(InputError, match=r"degree bound -1 is below the \|degree\| 0 "
+                                             r"of the strand \(0, 0\)"):
             cobar_complex(GradedCoalgebra.trivial(), -1, 5)
 
     def test_degree_bound_refused_before_the_walk(self, monkeypatch):
         # divided_power(18) at weight 18 has more words than _TUPLE_CAP, and
-        # divided_power(17) at 17 has 2^17 - 1 besides the empty word; the top
-        # |degree| is read off the letters, so the bound is named even when
-        # the walk would overflow
-        for n, top in ((18, 35), (17, 33)):
-            with pytest.raises(InputError, match=rf"^degree bound 1 is below the top "
-                                                 rf"\|degree\| {top} of the window"):
+        # divided_power(17) at 17 has 2^17 - 1 besides the empty word; the
+        # walk refuses the bound as it opens g10's strand, (19, 10), the
+        # first past it, so it is named before the word cap is reached
+        for n in (18, 17):
+            with pytest.raises(InputError, match=r"^degree bound 1 is below the \|degree\| 19 "
+                                                 r"of the strand \(19, 10\) of the window"):
                 cobar_complex(GradedCoalgebra.divided_power(n), 1, n)
-        # a window whose words pass the cap below weights the knapsack has
-        # not read is left to the walk, which refuses it as before
-        with pytest.raises(InputError, match=r"^bound overflow: the word window needs at "
-                                             r"least 200001 words, over homology._TUPLE_CAP"):
+        # g2 opens (3, 2) long before weight 10**9 would pass the cap
+        with pytest.raises(InputError, match=r"^degree bound 1 is below the \|degree\| 3 "
+                                             r"of the strand \(3, 2\)"):
             cobar_complex(GradedCoalgebra.divided_power(3), 1, 10 ** 9)
         monkeypatch.setattr(homology, "_TUPLE_CAP", 2 ** 17 - 2)
-        with pytest.raises(InputError, match=r"top \|degree\| 33 of the window"):
+        with pytest.raises(InputError, match=r"\|degree\| 19 of the strand \(19, 10\)"):
             cobar_complex(GradedCoalgebra.divided_power(17), 1, 17)
         with pytest.raises(InputError, match=r"word window needs at least \d+ words"):
             cobar_complex(GradedCoalgebra.divided_power(17), 34, 17)
+
+    def test_degree_bound_refused_under_a_small_cap(self, monkeypatch):
+        # the first plan forms 18 words and the second passes a cap of 20,
+        # so a bound checked only once the walk ends would name the cap
+        monkeypatch.setattr(homology, "_TUPLE_CAP", 20)
+        for n in (18, 17):
+            with pytest.raises(InputError, match=r"^degree bound 1 is below the \|degree\| 19 "):
+                cobar_complex(GradedCoalgebra.divided_power(n), 1, n)
 
 
 def _exterior_times_dual_numbers():
@@ -760,13 +770,15 @@ class TestWindowStrands:
     @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(1, 2)), max_size=3),
            st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(0, 4))
     def test_top_degree_is_the_walked_window_s(self, bidegrees, sign, shift, wb):
-        # the knapsack's top |degree| is the largest |degree| the walk reaches:
-        # a degree bound there passes and one below it is refused
+        # the top |degree| of the window, read off full enumeration (every
+        # letter weighs at least 1, so no word is longer than wb): a degree
+        # bound there passes, and one below it is refused at a strand of
+        # that |degree|, the only one past it
         letters, bidegree = _labelled([(d, sign * w) for d, w in bidegrees])
-        top = max(abs(d) for d, _ in _Window(letters, bidegree, shift, None, wb).keys)
+        top = max(abs(d) for d, _ in _brute_strands(letters, bidegree, shift, wb, wb))
         assert _Window(letters, bidegree, shift, None, wb, top).keys
-        with pytest.raises(InputError, match=rf"^degree bound {top - 1} is below the top "
-                                             rf"\|degree\| {top} of the window"):
+        with pytest.raises(InputError, match=rf"^degree bound {top - 1} is below the "
+                                             rf"\|degree\| {top} of the strand"):
             _Window(letters, bidegree, shift, None, wb, top - 1)
 
     @pytest.mark.parametrize("name", sorted(_NESTED_ALGEBRAS))
