@@ -36,14 +36,7 @@ def _payload(text: str) -> str:
 
 
 def _ints(text: str, flag: str) -> list[int]:
-    from .intz import MAX_DIGITS
-
-    toks = [tok.strip() for tok in text.split(",")]
-    digits = max(map(len, toks))
-    if digits > MAX_DIGITS:
-        raise bound_overflow(f"a numeral in {flag}", f"{digits} digits",
-                             "intz.MAX_DIGITS", MAX_DIGITS)
-    return [read_int(tok, f"integer in {flag}") for tok in toks]
+    return [read_int(tok.strip(), f"integer in {flag}") for tok in text.split(",")]
 
 
 def _json_line(obj: object) -> str:
@@ -120,7 +113,13 @@ def _cmd_intz_pair(args) -> str:
     from . import intz
 
     # the series is a polynomial: C(x,n) past its last coefficient pairs to
-    # zero, so those terms of f drop out and the series length truncates
+    # zero, so those terms of f drop out and the series length truncates;
+    # its numerals are bounded as the element's are, so each product of
+    # the pairing stays within the int/str conversion limit
+    digits = max(len(tok.strip()) for tok in args.series.split(","))
+    if digits > intz.MAX_DIGITS:
+        raise bound_overflow("a numeral in --series", f"{digits} digits",
+                             "intz.MAX_DIGITS", intz.MAX_DIGITS)
     coeffs = _ints(args.series, "--series")
     f = intz.IntZElement({n: c for n, c in _element(args.f).items() if n < len(coeffs)})
     return _value_out(intz.pair(f, coeffs), args.format)
@@ -320,9 +319,9 @@ def _cmd_homology_bar(args) -> str:
 
     alg = homology.GradedAugmentedAlgebra
     A = read_named(args.algebra, {
-        "trivial": alg.trivial,
-        "exterior-deg-neg1": lambda: alg.exterior(-1, -1),
-        "exterior-deg1": lambda: alg.exterior(1, 1, label="s"),
+        "trivial": lambda: alg.truncated(1),
+        "exterior-deg-neg1": lambda: alg.truncated(2, -1, -1),
+        "exterior-deg1": lambda: alg.truncated(2, 1, 1),
         "truncated:p": alg.truncated,
     }, "algebra")
     wb = args.weight_bound if args.weight_bound is not None else args.stages
@@ -334,7 +333,7 @@ def _cmd_homology_cobar(args) -> str:
     from . import homology
 
     coalg = homology.GradedCoalgebra
-    G = read_named(args.coalgebra, {"trivial": coalg.trivial,
+    G = read_named(args.coalgebra, {"trivial": lambda: coalg.divided_power(0),
                                     "divided-power:N": coalg.divided_power}, "coalgebra")
     C = homology.cobar_complex(G, None, args.weight_bound)
     return _homology_out(C, args.format)

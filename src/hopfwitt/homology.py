@@ -23,9 +23,9 @@ one-letter extension.  A word's column is built in place coordinates:
 its prefix's column with every term moved by the table of the new
 letter, plus the faces at the join, found through the same tables:
 d(v|a) = d(v)|a +- (v'|last(v).a) in the bar and
-d(v|c) = d(v)|c +- v|diag(c) in the cobar.  bar_differential_word and
-cobar_differential_word give the face sum of one word; the tests use
-them as oracles.
+d(v|c) = d(v)|c +- v|diag(c) in the cobar.  bar_differential_word
+gives the face sum of one bar word, and the tests use it as an oracle;
+its cobar twin is a test oracle only, in tests/window_oracle.py.
 
 Each differential is stored as its list of columns, column j being
 d(word j) as {row index: coeff}: a bar column has at most len(word) - 1
@@ -78,7 +78,9 @@ class GradedAugmentedAlgebra:
     augmentation kills every other label.  Products are stored for all
     ordered pairs and checked for bigrading, Koszul commutativity,
     unitality, associativity, and a multiplicative augmentation: no
-    product of two labels other than the unit has a unit component.
+    product of two labels other than the unit has a unit component.  So
+    products[a, b] of two augmentation-ideal labels lies in the ideal,
+    and the normalized bar faces read it as stored.
     """
 
     def __init__(self, basis: list[tuple[str, int, int]], unit: str,
@@ -136,42 +138,31 @@ class GradedAugmentedAlgebra:
                         raise InputError(f"associativity fails on ({a},{b},{c})")
 
     @classmethod
-    def trivial(cls) -> GradedAugmentedAlgebra:
-        return cls([("1", 0, 0)], "1", {("1", "1"): {"1": 1}})
-
-    @classmethod
-    def exterior(cls, degree: int, weight: int, label: str = "e") -> GradedAugmentedAlgebra:
-        """Exterior algebra on one generator: the square is zero."""
-        return cls(
-            [("1", 0, 0), (label, degree, weight)], "1",
-            {("1", "1"): {"1": 1}, ("1", label): {label: 1},
-             (label, "1"): {label: 1}, (label, label): {}})
-
-    @classmethod
-    def truncated(cls, p: int) -> GradedAugmentedAlgebra:
-        """Z[x]/x^p with deg x = 2, weight 1."""
-        if p < 2:
-            raise InputError("truncated:p needs p >= 2")
+    def truncated(cls, p: int, degree: int = 2, weight: int = 1) -> GradedAugmentedAlgebra:
+        """Z[x]/x^p with x in (degree, weight): p = 1 is Z, the trivial
+        algebra, and p = 2 the exterior algebra on x, whose square is
+        zero.  For p >= 3 an odd degree fails Koszul symmetry."""
+        if p < 1:
+            raise InputError("truncated:p needs p >= 1")
         if p ** 3 > VALIDATION_LIMIT:
             raise bound_overflow(f"checking truncated:{shown(p)}", f"{shown(p ** 3)} triples",
                                  "homology.VALIDATION_LIMIT", VALIDATION_LIMIT)
         lab = ["1", "x"] + [f"x{k}" for k in range(2, p)]
         products = {(lab[a], lab[b]): {lab[a + b]: 1} if a + b < p else {}
                     for a in range(p) for b in range(p)}
-        return cls([(lab[k], 2 * k, k) for k in range(p)], "1", products)
+        return cls([(lab[k], degree * k, weight * k) for k in range(p)], "1", products)
 
     def augmentation_ideal(self) -> list[str]:
         return [g for g in self.labels if g != self.unit]
 
-    def reduced_product(self, a: str, b: str) -> dict[str, int]:
-        """Product of two augmentation-ideal labels (normalized bar face),
-        which has no unit component since the augmentation is
-        multiplicative; the dict returned is the stored one, so shared."""
-        return self.products[(a, b)]
-
 
 class GradedCoalgebra:
-    """Finite bigraded coalgebra over Z with a group-like coaugmentation."""
+    """Finite bigraded coalgebra over Z with a group-like coaugmentation.
+
+    delta[c] is the diagonal of c and reduced[c] the same with every term
+    on the coaugmentation dropped, the cobar split of c; the counit laws
+    pin the dropped terms to coaug (x) c and c (x) coaug.
+    """
 
     def __init__(self, basis: list[tuple[str, int, int]], coaug: str,
                  delta: dict[str, dict[tuple[str, str], int]]):
@@ -187,9 +178,9 @@ class GradedCoalgebra:
         for c, out in delta.items():
             self.delta[c] = {k: v for k, v in out.items() if v}
         self._validate()
-        self._reduced = {c: {(a, b): v for (a, b), v in out.items()
-                             if a != coaug and b != coaug}
-                         for c, out in self.delta.items()}
+        self.reduced = {c: {(a, b): v for (a, b), v in out.items()
+                            if a != coaug and b != coaug}
+                        for c, out in self.delta.items()}
 
     def _validate(self):
         for c in self.labels:
@@ -226,14 +217,11 @@ class GradedCoalgebra:
                 raise InputError(f"coassociativity fails on {c}")
 
     @classmethod
-    def trivial(cls) -> GradedCoalgebra:
-        return cls([("1", 0, 0)], "1", {"1": {("1", "1"): 1}})
-
-    @classmethod
     def divided_power(cls, bound: int) -> GradedCoalgebra:
         """Divided-power coalgebra on a generator in degree 2, weight 1,
         truncated at weight `bound`: Int(Z) on its binomial basis, the
-        k-th element being C(x,k), with diagonal intz.comult."""
+        k-th element being C(x,k), with diagonal intz.comult; bound 0
+        is Z, the trivial coalgebra."""
         if bound < 0:
             raise InputError("bound must be nonnegative")
         if (bound + 1) ** 3 > VALIDATION_LIMIT:
@@ -245,11 +233,6 @@ class GradedCoalgebra:
                            in intz.comult(intz.IntZElement.basis(n)).items()}
                  for n in range(bound + 1)}
         return cls(basis, "g0", delta)
-
-    def reduced_diagonal(self, c: str) -> dict[tuple[str, str], int]:
-        """Diagonal with every coaugmented term dropped (cobar split); the
-        table is built once, so the dict returned is shared."""
-        return self._reduced[c]
 
 
 class ChainComplex:
@@ -540,7 +523,7 @@ def bar_differential_word(A: GradedAugmentedAlgebra, word: tuple) -> Chain:
     for i in range(len(word) - 1):
         sign_exp += A.bidegree[word[i]][0] + 1
         sign = -1 if sign_exp % 2 else 1
-        for k, c in A.reduced_product(word[i], word[i + 1]).items():
+        for k, c in A.products[word[i], word[i + 1]].items():
             merged = word[:i] + (k,) + word[i + 2:]
             _add_term(out, merged, sign * c)
     return out
@@ -555,8 +538,8 @@ def _bar_window(A: GradedAugmentedAlgebra, stages: int,
     # (u|b)|a merges b and a at sign exponent deg(u) + |b| + 1; the empty
     # word has no last letter, and merges nothing
     merges = {None: {}} | {b: {a: [(k, c if A.bidegree[b][0] % 2 else -c)
-                                   for k, c in A.reduced_product(b, a).items()]
-                               for a in ideal if A.reduced_product(b, a)} for b in ideal}
+                                   for k, c in A.products[b, a].items()]
+                               for a in ideal if A.products[b, a]} for b in ideal}
 
     def joins(v, a):
         m = merges[last[v]].get(a)
@@ -580,20 +563,6 @@ def bar_complex(A: GradedAugmentedAlgebra, stages: int, weight_bound: int) -> Ch
 # -- cobar construction -----------------------------------------------
 
 
-def cobar_differential_word(C: GradedCoalgebra, word: tuple) -> Chain:
-    """Derivation extension of the reduced diagonal with Koszul signs."""
-    out: Chain = {}
-    sign_exp = 0
-    for i, letter in enumerate(word):
-        if i > 0:
-            sign_exp += C.bidegree[word[i - 1]][0] - 1
-        for (a, b), v in C.reduced_diagonal(letter).items():
-            sign = -1 if (sign_exp + C.bidegree[a][0]) % 2 else 1
-            split = word[:i] + (a, b) + word[i + 1:]
-            _add_term(out, split, sign * v)
-    return out
-
-
 def cobar_complex(C: GradedCoalgebra, degree_bound: int | None,
                   weight_bound: int) -> ChainComplex:
     """Cobar complex of the reduced coalgebra on the words of absolute
@@ -603,7 +572,7 @@ def cobar_complex(C: GradedCoalgebra, degree_bound: int | None,
     letters = [c for c in C.labels if c != C.coaug]
     W = _Window(letters, C.bidegree, -1, None, weight_bound, degree_bound)
     group, place, keys, index, ext = W.group, W.place, W.keys, W.index, W.ext
-    splits = {c: [(a, b, x) for (a, b), x in C.reduced_diagonal(c).items()] for c in letters}
+    splits = {c: [(a, b, x) for (a, b), x in C.reduced[c].items()] for c in letters}
     faces: dict[tuple[int, str], list[tuple[list[int], list[int], int]]] = {}
 
     def joins(v, c):

@@ -28,8 +28,6 @@ KEPT = {
               "acceptance criterion 1 checks the counit law with it",
     "graded_constant": "the divided-power constants of gr Int(Z); the bar homology "
                        "of the associated graded is checked against them",
-    "cobar_differential_word": "the per-word cobar differential, the twin of "
-                               "bar_differential_word; the cobar windows are checked against it",
     "restrict": "W_S -> W_T for T in S, the map twisted_frobenius subtracts; acceptance "
                 "criteria 3 and 4 use it",
     "witt_int": "the ring map Z -> W_S(R); acceptance criterion 4b's closed form is "
